@@ -21,7 +21,6 @@ from .fracops import (
     FractionalOrder,
     QuadratureSpec,
     SeriesValue,
-    Side,
     frac_deriv_psi_powers,
     frac_derivative,
     frac_derivative_series,
@@ -70,7 +69,7 @@ __all__ = [
     "gamma", "rgamma", "gen_binom",
     "PsiFunction", "builtin", "validate",
     "JetFunction", "SolutionJet", "X", "T", "U", "W",
-    "Side", "FractionalOrder", "QuadratureSpec", "SeriesValue",
+    "FractionalOrder", "QuadratureSpec", "SeriesValue",
     "frac_integral", "frac_derivative", "frac_op",
     "frac_integral_series", "frac_derivative_series", "frac_op_series",
     "frac_deriv_psi_powers", "psi_deriv_m",

@@ -2,9 +2,9 @@
 
 Commands: ``eval``, ``leibniz``, ``prolong``, ``verify``, ``solve``,
 ``selftest``.  Exit codes: 0 pass, 1 verification failure, 2 configuration
-error, 3 numerical error.  Output formats: ``human`` (aligned table),
-``json`` (canonical, byte-stable round trip), ``csv`` (17 significant
-digits).
+error, 3 numerical error (an arithmetic fault or a non-finite result
+included).  Output formats: ``human`` (aligned table), ``json``
+(canonical, byte-stable round trip), ``csv`` (17 significant digits).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -21,7 +22,7 @@ from . import fracops as fo
 from . import prolong as pr
 from . import selftest as st
 from . import symmetry as sy
-from .errors import DomainError, JetOrderError, NumericsError, PoleError, PsifracError
+from .errors import DomainError, NumericsError, PoleError, PsifracError
 from .jets import JetFunction, SolutionJet, T, U, W, X
 from .parser import ParseError, parse_expr
 from .psi import builtin
@@ -120,6 +121,10 @@ def _fmt_cell(v) -> str:
 
 
 def emit(cfg: RunConfig, command: str, columns, rows, extra=None, out=None):
+    for r in rows:
+        for v in r:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise NumericsError(f"{command}: non-finite result {v}")
     out = out if out is not None else sys.stdout
     if cfg.fmt == "json":
         doc = {"command": command, "columns": list(columns),
@@ -472,8 +477,11 @@ def main(argv=None) -> int:
             return EXIT_NUMERIC
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericsError, JetOrderError, PsifracError) as e:
+    except PsifracError as e:
         print(f"numerical error: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except ArithmeticError as e:
+        print(f"numerical error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

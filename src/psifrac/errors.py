@@ -18,4 +18,5 @@ class JetOrderError(PsifracError):
 
 
 class NumericsError(PsifracError):
-    """A numerical evaluation failed (stencil out of range, quadrature failure)."""
+    """A numerical evaluation failed (degenerate interval, psi inversion that
+    does not converge, non-finite result)."""

@@ -2,12 +2,19 @@
 
 Two independent backends are provided for each operator:
 
-* quadrature: the substitution v = psi(s) turns every psi-operator into a
-  classical weakly singular integral of F(v) = f(psi^{-1}(v)) based at
-  psi(a); the single kernel (V - v)^{alpha-1} is absorbed into a
-  Gauss-Jacobi rule, and the outer integer derivative of the fractional
-  derivative is taken by 4th-order central differences in v (where
-  (1/psi' d/dt)^m is exact in structure);
+* quadrature: with V = psi(t) - psi(a) and v = psi(a) + V x, every
+  psi-operator becomes an integral over x in [0, 1] of a psi-jet of f
+  against the weight (1 - x)^{beta-1}, absorbed into one Gauss-Jacobi
+  rule.  The integral is the case beta = alpha.  The derivative of order
+  alpha (beta = m - alpha) applies (1/psi' d/dt)^m = (d/dV)^m under the
+  integral sign, exactly:
+
+      D^{alpha;psi} f(t) = beta sum_{j=0}^{m} C(m, j) V^{j-alpha}
+          / Gamma(beta+1-m+j) int_0^1 (1-x)^{beta-1} x^j f^{[j]}_psi(s_x) dx,
+
+  with s_x = psi^{-1}(psi(a) + V x) (Kilbas, Srivastava & Trujillo 2006,
+  sec. 2.5); all m + 1 integrals share the nodes and one inversion of psi
+  per node;
 
 * series: the expansion in psi-jet derivatives
   f^{[m]}_psi = (1/psi' d/dt)^m f with generalized binomial coefficients,
@@ -21,8 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Union
 
 import sympy as sp
@@ -34,7 +40,6 @@ from .psi import PsiFunction
 from .special import gamma, gen_binom, rgamma
 
 __all__ = [
-    "Side",
     "FractionalOrder",
     "QuadratureSpec",
     "SeriesValue",
@@ -51,17 +56,11 @@ __all__ = [
 ]
 
 
-class Side(Enum):
-    LEFT = "left"
-    RIGHT = "right"
-
-
 @dataclass(frozen=True)
 class FractionalOrder:
-    """Real order alpha > 0 with its integer ceiling m and branch flag."""
+    """Real order alpha > 0 with its integer ceiling m."""
 
     alpha: float
-    side: Side = Side.LEFT
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -78,10 +77,6 @@ class FractionalOrder:
         if self.is_integer:
             return int(self.alpha)
         return math.floor(self.alpha) + 1
-
-    def require_left(self):
-        if self.side is not Side.LEFT:
-            raise NotImplementedError("right-sided operators are not implemented")
 
 
 @dataclass(frozen=True)
@@ -105,8 +100,9 @@ Func = Union[JetFunction, Callable[[float], float]]
 # -- psi-jet derivatives ----------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=16384)
 def _psi_jet_expr(f_expr: sp.Expr, psi_expr: sp.Expr, m: int) -> sp.Expr:
+    """(1/psi' d/dt)^m f_expr; any symbol other than t is held fixed."""
     if m == 0:
         return f_expr
     # expanding keeps the expression a flat sum, so repeated
@@ -151,10 +147,40 @@ def _jacobi_rule(n: int, a_exp: float):
     return roots_jacobi(n, a_exp, 0.0)
 
 
-def _as_callable(f: Func) -> Callable[[float], float]:
-    if isinstance(f, JetFunction):
-        return f._fn((0,) * f.arity)
-    return f
+def _jet_fn(f: Func, psi: PsiFunction, j: int) -> Callable[[float], float]:
+    """Compiled f^{[j]}_psi; a plain callable f stands for itself (j = 0)."""
+    if not isinstance(f, JetFunction):
+        return f
+    if j and not psi.has_expr:
+        return partial(psi_deriv_m, f, psi, m=j)
+    if f.max_order < j:
+        raise JetOrderError(f"jet order {f.max_order} < requested m={j}")
+    return _psi_jet_fn(f.expr, psi.expr, j)
+
+
+def _jacobi_moments(f: Func, psi: PsiFunction, m: int, beta: float, t: float, quad):
+    """V = psi(t) - psi(a) and, for j = 0..m, the moments
+    int_0^1 (1-x)^{beta-1} x^j f^{[j]}_psi(psi^{-1}(psi(a) + V x)) dx."""
+    if not t > psi.a:
+        raise DomainError(f"need t > a = {psi.a}, got t={t}")
+    fns = [_jet_fn(f, psi, j) for j in range(m + 1)]
+    va = psi(psi.a)
+    V = psi(t) - va
+    if not V > 0:
+        raise NumericsError(f"psi(t) - psi(a) = {V} is not positive")
+    ys, ws = _jacobi_rule(quad.nodes, beta - 1.0)
+    acc = [0.0] * (m + 1)
+    # python floats: numpy scalar arithmetic would dominate this loop
+    for yi, wi in zip(ys.tolist(), ws.tolist()):
+        x = 0.5 * (yi + 1.0)
+        s = psi.invert(va + V * x)
+        c = wi
+        for j, fn in enumerate(fns):
+            acc[j] += c * fn(s)
+            c *= x
+    # the rule's weight is (1 - y)^{beta-1} in y = 2x - 1
+    scale = 0.5**beta
+    return V, [a * scale for a in acc]
 
 
 def frac_integral(
@@ -164,84 +190,45 @@ def frac_integral(
     t: float,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> float:
-    """Left-sided fractional integral I^{alpha;psi} f(t), alpha > 0.
+    """Left-sided fractional integral I^{alpha;psi} f(t), alpha > 0:
 
-    Evaluates (1/Gamma(a)) int_{psi(a)}^{psi(t)} (psi(t)-v)^{a-1}
-    f(psi^{-1}(v)) dv with the singular factor as Gauss-Jacobi weight.
+    V^alpha / Gamma(alpha) int_0^1 (1-x)^{alpha-1} f(psi^{-1}(psi(a) + V x)) dx,
+
+    V = psi(t) - psi(a).  f may be a plain callable of t.
     """
     alpha = float(order.alpha) if isinstance(order, FractionalOrder) else float(order)
-    if isinstance(order, FractionalOrder):
-        order.require_left()
     if alpha <= 0:
         raise DomainError(f"integral order must be positive, got {alpha}")
-    if not t > psi.a:
-        raise DomainError(f"need t > a = {psi.a}, got t={t}")
-    fv = _as_callable(f)
-    va, vt = psi(psi.a), psi(t)
-    half = 0.5 * (vt - va)
-    if half <= 0:
-        raise NumericsError(f"psi(t) - psi(a) = {2 * half} is not positive")
-    xs, ws = _jacobi_rule(quad.nodes, alpha - 1.0)
-    acc = 0.0
-    for xi, wi in zip(xs, ws):
-        v = va + half * (xi + 1.0)
-        acc += wi * fv(psi.invert(v))
-    return acc * half**alpha * rgamma(alpha)
-
-
-_STENCILS = {
-    # 4th-order central difference coefficients, offsets symmetric around 0
-    1: ([-2, -1, 1, 2], [1 / 12, -8 / 12, 8 / 12, -1 / 12]),
-    2: ([-2, -1, 0, 1, 2], [-1 / 12, 16 / 12, -30 / 12, 16 / 12, -1 / 12]),
-    3: ([-3, -2, -1, 1, 2, 3], [-1 / 8, 1, -13 / 8, 13 / 8, -1, 1 / 8]),
-    4: ([-3, -2, -1, 0, 1, 2, 3], [-1 / 6, 2, -13 / 2, 28 / 3, -13 / 2, 2, -1 / 6]),
-}
-
-
-def _fd_in_v(G: Callable[[float], float], v: float, m: int, h: float) -> float:
-    if m not in _STENCILS:
-        raise NumericsError(f"no difference stencil for derivative order {m}")
-    offs, coeffs = _STENCILS[m]
-    return sum(c * G(v + k * h) for k, c in zip(offs, coeffs)) / h**m
+    V, (g0,) = _jacobi_moments(f, psi, 0, alpha, t, quad)
+    return g0 * V**alpha * rgamma(alpha)
 
 
 def frac_derivative(
-    f: Func,
+    f: JetFunction,
     psi: PsiFunction,
     order: Union[FractionalOrder, float],
     t: float,
     quad: QuadratureSpec = QuadratureSpec(),
-    step: float = None,
 ) -> float:
     """Left-sided fractional derivative D^{alpha;psi} f(t), quadrature backend.
 
-    Computes G(v) = I^{m-alpha;psi} f at psi^{-1}(v) and differentiates G
-    m times at v = psi(t) by 4th-order central differences; in v-units the
-    stencil realizes (1/psi' d/dt)^m exactly in structure.
+    (d/dV)^m of I^{m-alpha;psi} f, taken under the integral sign (module
+    docstring): exact in structure at every t in (a, b] and every order.
+    A psi given only by callables supplies jets up to m = 2.
     """
+    if not isinstance(f, JetFunction):
+        raise DomainError("the fractional derivative needs f as a JetFunction")
     if not isinstance(order, FractionalOrder):
         order = FractionalOrder(float(order))
-    order.require_left()
     if order.is_integer:
-        if not isinstance(f, JetFunction):
-            raise DomainError("integer-order dispatch needs a JetFunction")
         return psi_deriv_m(f, psi, t, order.m)
     m, alpha = order.m, order.alpha
-    va, vb = psi(psi.a), psi(psi.b)
-    if step is None:
-        step = 1e-4 * (vb - va)
-    v0 = psi(t)
-    reach = max(abs(k) for k in _STENCILS[m][0]) * step
-    if v0 - reach <= va or v0 + reach > vb + 1e-12 * max(1.0, abs(vb)):
-        raise NumericsError(
-            f"difference stencil of half-width {reach:.3g} leaves "
-            f"[psi(a), psi(b)] around psi(t)={v0:.6g}"
-        )
-
-    def G(v: float) -> float:
-        return frac_integral(f, psi, m - alpha, psi.invert(v), quad)
-
-    return _fd_in_v(G, v0, m, step)
+    beta = m - alpha
+    V, moments = _jacobi_moments(f, psi, m, beta, t, quad)
+    return beta * sum(
+        math.comb(m, j) * V ** (j - alpha) * rgamma(beta + 1 - m + j) * g
+        for j, g in enumerate(moments)
+    )
 
 
 # -- series backend ---------------------------------------------------------
@@ -297,8 +284,6 @@ def frac_derivative_series(
 ) -> SeriesValue:
     """D^{alpha;psi} f by the jet expansion (alpha > 0)."""
     alpha = order.alpha if isinstance(order, FractionalOrder) else float(order)
-    if isinstance(order, FractionalOrder):
-        order.require_left()
     if alpha <= 0:
         raise DomainError(f"derivative order must be positive, got {alpha}")
     return frac_op_series(f, psi, alpha, t, terms)
@@ -310,15 +295,14 @@ def frac_op(
     order: float,
     t: float,
     quad: QuadratureSpec = QuadratureSpec(),
-    step: float = None,
 ) -> float:
     """Signed-order dispatch: derivative for order > 0, identity at 0,
     integral of order -order for order < 0 (quadrature backend)."""
     nu = float(order)
     if nu > 0:
-        return frac_derivative(f, psi, FractionalOrder(nu), t, quad, step)
+        return frac_derivative(f, psi, FractionalOrder(nu), t, quad)
     if nu == 0:
-        return _as_callable(f)(t)
+        return float(_jet_fn(f, psi, 0)(t))
     return frac_integral(f, psi, -nu, t, quad)
 
 
@@ -363,13 +347,12 @@ def _match_power(term: sp.Expr):
 
 def leibniz_product(
     f: JetFunction,
-    g: Func,
+    g: JetFunction,
     psi: PsiFunction,
     order: Union[FractionalOrder, float],
     t: float,
     terms: int = 10,
     quad: QuadratureSpec = QuadratureSpec(),
-    step: float = None,
 ) -> float:
     """Truncated Leibniz rule for the fractional derivative of a product:
 
@@ -386,13 +369,7 @@ def leibniz_product(
         fm = psi_deriv_m(f, psi, t, m)
         if fm == 0.0:
             continue
-        nu = alpha - m
-        if nu > 0 and not float(nu).is_integer() and not isinstance(g, JetFunction):
-            raise DomainError("leibniz_product needs g as JetFunction")
-        if float(nu).is_integer() and nu >= 0 and isinstance(g, JetFunction):
-            acc += gen_binom(alpha, m) * fm * psi_deriv_m(g, psi, t, int(nu))
-        else:
-            acc += gen_binom(alpha, m) * fm * frac_op(g, psi, nu, t, quad, step)
+        acc += gen_binom(alpha, m) * fm * frac_op(g, psi, alpha - m, t, quad)
     return acc
 
 

@@ -10,7 +10,8 @@ t = a).
 
 All chain-rule expansions are exact sympy manipulations along the jet;
 fractional pieces use the terminating jet series from fracops, except
-omega, which is measured by two independent quadrature paths.
+omega, which is the difference of two quadrature derivatives:
+D^{alpha;psi} D_t^{1;psi} u - D^{alpha+1;psi} u.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .fracops import (
     FractionalOrder,
     QuadratureSpec,
     SeriesValue,
-    _fd_in_v,
+    _psi_jet_expr,
     frac_derivative,
     frac_op_series,
 )
@@ -138,14 +139,9 @@ class ReducedInfinitesimals:
 
 # -- exact chain-rule machinery ----------------------------------------------
 
-
-@lru_cache(maxsize=16384)
-def _dt_expr(expr: sp.Expr, psi_expr: sp.Expr, m: int) -> sp.Expr:
-    """(1/psi' d/dt)^m expr, with any u symbol held fixed (partial in t)."""
-    if m == 0:
-        return expr
-    prev = _dt_expr(expr, psi_expr, m - 1)
-    return sp.expand(sp.diff(prev, T) / sp.diff(psi_expr, T))
+# the benchmark's tests (bench/test_bench.py) reset this cache by its former
+# name; it is the fracops recurrence, not a copy
+_dt_expr = _psi_jet_expr
 
 
 @lru_cache(maxsize=16384)
@@ -166,7 +162,7 @@ def _series_xt(
     w = psi(t) - psi(psi.a)
     acc = 0.0
     for m in range(terms + 1):
-        d = _dt_expr(expr, psi.expr, m)
+        d = _psi_jet_expr(expr, psi.expr, m)
         if d == 0:
             break
         acc += gen_binom(nu, m) * w ** (m - nu) * rgamma(m + 1 - nu) * _fn_xt(d)(x, t)
@@ -186,7 +182,7 @@ def _series_frozen_u(
     w = psi(t) - psi(psi.a)
     acc = 0.0
     for m in range(terms + 1):
-        d = _dt_expr(expr, psi.expr, m)
+        d = _psi_jet_expr(expr, psi.expr, m)
         if d == 0:
             break
         acc += (
@@ -272,9 +268,9 @@ def eta_m_psi(
     )
     ux = sp.diff(uexpr, X)
     e = (
-        _dt_expr(q, psi.expr, m)
-        + xi_c * _dt_expr(sp.expand(ux), psi.expr, m)
-        + tau_c * _dt_expr(sp.expand(uexpr), psi.expr, m + 1)
+        _psi_jet_expr(q, psi.expr, m)
+        + xi_c * _psi_jet_expr(sp.expand(ux), psi.expr, m)
+        + tau_c * _psi_jet_expr(sp.expand(uexpr), psi.expr, m + 1)
     )
     return float(_fn_xt(sp.expand(e))(x, t))
 
@@ -319,12 +315,12 @@ def mu_term(
         for n in range(2, m + 1):
             cn = cm * math.comb(m, n)
             for k in range(2, min(n, kmax) + 1):
-                ek = _dt_expr(eta_k[k], psi.expr, m - n)
+                ek = _psi_jet_expr(eta_k[k], psi.expr, m - n)
                 if ek == 0:
                     continue
                 ekv = _fn_xtu(ek)(x, t, uval)
                 for r in range(k):
-                    un = _dt_expr(sp.expand(uexpr ** (k - r)), psi.expr, n)
+                    un = _psi_jet_expr(sp.expand(uexpr ** (k - r)), psi.expr, n)
                     acc += (
                         cn
                         * math.comb(k, r)
@@ -342,25 +338,21 @@ def omega_commutator(
     order: Union[FractionalOrder, float],
     t: float,
     quad: QuadratureSpec = QuadratureSpec(),
-    outer_step: float = None,
 ) -> float:
-    """(D^{alpha;psi} D_t^{1;psi} - D_t^{1;psi} D^{alpha;psi}) u at t,
-    each ordering by its own quadrature + differencing path."""
+    """(D^{alpha;psi} D_t^{1;psi} - D_t^{1;psi} D^{alpha;psi}) u at t.
+
+    For Riemann-Liouville operators D_t^{1;psi} D^{alpha;psi} = D^{alpha+1;psi},
+    so the commutator is the difference of two quadrature derivatives; it
+    equals -u(a) w^{-alpha-1} / Gamma(-alpha) for w = psi(t) - psi(a), and
+    vanishes for integer alpha."""
     _require_expr(psi)
     alpha = order.alpha if isinstance(order, FractionalOrder) else float(order)
-    # ordering 1: psi-derivative first (exact), then fractional derivative
-    u1 = JetFunction.of_t(_dt_expr(u.expr, psi.expr, 1), max_order=u.max_order)
-    first = frac_derivative(u1, psi, alpha, t, quad)
-    # ordering 2: fractional derivative first, then d/dv differencing
-    va, vb = psi(psi.a), psi(psi.b)
-    if outer_step is None:
-        outer_step = 1e-3 * (vb - va)
-
-    def G(v: float) -> float:
-        return frac_derivative(u, psi, alpha, psi.invert(v), quad)
-
-    second = _fd_in_v(G, psi(t), 1, outer_step)
-    return first - second
+    if float(alpha).is_integer():
+        return 0.0
+    u1 = JetFunction.of_t(_psi_jet_expr(u.expr, psi.expr, 1), max_order=u.max_order)
+    return frac_derivative(u1, psi, alpha, t, quad) - frac_derivative(
+        u, psi, alpha + 1.0, t, quad
+    )
 
 
 def omega_term(
@@ -420,19 +412,19 @@ def eta_alpha_psi(
 
     acc = _series_frozen_u(inf.eta.expr, psi, alpha, x, t, uval, terms)
     d_alpha_u = _series_xt(sp.expand(uexpr), psi, alpha, x, t, terms)
-    dtau1 = _fn_xt(_dt_expr(tau_c, psi.expr, 1))(x, t)
+    dtau1 = _fn_xt(_psi_jet_expr(tau_c, psi.expr, 1))(x, t)
     acc += (_fn_xtu(etau)(x, t, uval) - alpha * dtau1) * d_alpha_u
     acc -= uval * _series_frozen_u(etau, psi, alpha, x, t, uval, terms)
     for m in range(1, terms + 1):
-        xim = _dt_expr(xi_c, psi.expr, m)
+        xim = _psi_jet_expr(xi_c, psi.expr, m)
         if xim != 0:
             acc -= (
                 gen_binom(alpha, m)
                 * _fn_xt(xim)(x, t)
                 * _series_xt(ux, psi, alpha - m, x, t, terms)
             )
-        cm = gen_binom(alpha, m) * _fn_xt(_dt_expr(etau_c, psi.expr, m))(x, t)
-        cm -= gen_binom(alpha, m + 1) * _fn_xt(_dt_expr(tau_c, psi.expr, m + 1))(x, t)
+        cm = gen_binom(alpha, m) * _fn_xt(_psi_jet_expr(etau_c, psi.expr, m))(x, t)
+        cm -= gen_binom(alpha, m + 1) * _fn_xt(_psi_jet_expr(tau_c, psi.expr, m + 1))(x, t)
         if cm != 0.0:
             acc += cm * _series_xt(sp.expand(uexpr), psi, alpha - m, x, t, terms)
     acc += mu_term(inf, jet, psi, alpha, x, t, M=terms)

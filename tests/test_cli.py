@@ -53,10 +53,32 @@ def test_eval_rejects_t_outside_interval(capsys):
 
 
 def test_eval_numerical_failure_exit_code(capsys):
-    # t so close to a that the outer difference stencil cannot fit
-    code, _ = run(capsys, "eval", "derivative", "--f", "t", "--t", "0.0001",
-                  "--alpha", "1.5")
+    # t is the pole of f: the arithmetic fault is one line and exit 3
+    code = main(["eval", "derivative", "--f", "1/(t-1)", "--t", "1.0"])
+    err = capsys.readouterr().err
     assert code == EXIT_NUMERIC
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_eval_non_finite_result_is_numerical_error(capsys):
+    # 1/0 parses to complex infinity, which evaluates to nan
+    code = main(["eval", "integral", "--f", "1/0", "--t", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERIC
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("t, alpha", [("2.0", 0.5), ("1e-7", 1.5), ("1.0", 5.5)],
+                         ids=("t=b", "t=a+1e-7", "alpha=5.5"))
+def test_eval_derivative_exact_at_edges(capsys, t, alpha):
+    code, out = run(capsys, "eval", "derivative", "--f", "t^2", "--t", t,
+                    "--alpha", str(alpha), "--format", "csv")
+    assert code == EXIT_PASS
+    row = [float(v) for v in out.splitlines()[1].split(",")]
+    want = 2 / math.gamma(3 - alpha) * float(t) ** (2 - alpha)
+    assert row[1] == pytest.approx(want, rel=1e-10)
+    assert row[2] == pytest.approx(want, rel=1e-10)
 
 
 # -- formats -----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import scipy.integrate
 import sympy as sp
 
 from psifrac import fracops as fo
-from psifrac.errors import DomainError, JetOrderError, NumericsError
+from psifrac.errors import DomainError, JetOrderError
 from psifrac.jets import JetFunction, T, W
 from psifrac.psi import builtin
 from psifrac.special import gamma
@@ -28,12 +28,6 @@ def test_fractional_order_m():
     assert fo.FractionalOrder(2.0).m == 2
     assert fo.FractionalOrder(3.0).m == 3
     assert fo.FractionalOrder(2.0).is_integer
-
-
-def test_right_sided_not_implemented():
-    order = fo.FractionalOrder(0.5, fo.Side.RIGHT)
-    with pytest.raises(NotImplementedError):
-        order.require_left()
 
 
 def test_quadrature_spec_minimum_nodes():
@@ -129,7 +123,7 @@ def test_backends_agree_on_smooth_function(psi, alpha):
     assert isr.value == pytest.approx(iq, rel=1e-9, abs=1e-9)
     dq = fo.frac_derivative(f, psi, alpha, t)
     dsr = fo.frac_derivative_series(f, psi, alpha, t, terms=30)
-    assert dsr.value == pytest.approx(dq, rel=1e-6, abs=1e-6)
+    assert dsr.value == pytest.approx(dq, rel=1e-9, abs=1e-9)
 
 
 def test_series_terminates_on_polynomials_in_w():
@@ -163,15 +157,21 @@ def test_semigroup_of_integrals():
 
 
 def test_derivative_left_inverse_of_integral():
-    f = JetFunction.of_t(sp.exp(T))
+    # D^alpha I^alpha f = f, with I^alpha of the psi-power sum f in closed form
+    coeffs = (1.3, 0.8, 0.6)
     quad = fo.QuadratureSpec(256)
-    alpha, t = 0.5, 1.2
-
-    def integral(s):
-        return fo.frac_integral(f, IDENTITY, alpha, s, quad) if s > 0 else 0.0
-
-    got = fo.frac_derivative(integral, IDENTITY, alpha, t, quad)
-    assert got == pytest.approx(math.exp(t), abs=1e-5)
+    for psi in (IDENTITY, POWER):
+        for alpha in (sp.Rational(1, 2), sp.Rational(3, 2)):
+            integral = sum(
+                c * sp.gamma(k + 1) / sp.gamma(k + 1 + alpha) * W ** (k + alpha)
+                for k, c in enumerate(coeffs)
+            )
+            g = JetFunction.of_t(integral.subs(W, _w_expr(psi)))
+            for t in (psi.a + 0.3 * (psi.b - psi.a), psi.b):
+                w = psi(t) - psi(psi.a)
+                want = sum(c * w**k for k, c in enumerate(coeffs))
+                got = fo.frac_derivative(g, psi, float(alpha), t, quad)
+                assert got == pytest.approx(want, rel=1e-8), (psi.name, alpha, t)
 
 
 # -- Leibniz and product-integral rules --------------------------------------------
@@ -227,11 +227,28 @@ def test_operators_reject_t_at_or_below_a():
         fo.frac_op_series(f, IDENTITY, 0.5, 0.0)
 
 
-def test_derivative_stencil_requires_room():
-    f = JetFunction.of_t(T)
-    # m = 2 stencil cannot fit immediately above a
-    with pytest.raises(NumericsError):
-        fo.frac_derivative(f, IDENTITY, 1.5, 1e-7, step=1e-3)
+@pytest.mark.parametrize("psi", [IDENTITY, POWER], ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "alpha, where",
+    [(0.5, "b"), (1.5, "b"), (1.5, "a+1e-7"), (5.5, "mid"), (5.5, "b")],
+)
+def test_derivative_exact_at_interval_ends_and_high_order(request, psi, alpha, where):
+    if psi is POWER and alpha > 5:
+        # the expanded order-6 jets of w^(5/2) cancel catastrophically near
+        # t = a (sums like t^6 - 0.75 t^4 + ... for (t^2 - 1/4)^3); the
+        # fault is in the symbolic jets, which the nodes near x = 0 sample
+        request.applymarker(pytest.mark.xfail(strict=True, reason="jet cancellation"))
+    fw = 1 + W**2 + W ** sp.Rational(5, 2)
+    f = JetFunction.of_t(fw.subs(W, _w_expr(psi)))
+    t = {"b": psi.b, "a+1e-7": psi.a + 1e-7, "mid": 0.5 * (psi.a + psi.b)}[where]
+    w = psi(t) - psi(psi.a)
+    want = fo.frac_deriv_psi_powers(fw, alpha, w)
+    assert fo.frac_derivative(f, psi, alpha, t) == pytest.approx(want, rel=1e-10)
+
+
+def test_derivative_needs_jet_function():
+    with pytest.raises(DomainError):
+        fo.frac_derivative(math.exp, IDENTITY, 0.5, 1.0)
 
 
 def test_series_needs_enough_jet_orders():
@@ -249,3 +266,16 @@ def test_callable_psi_limits_jet_depth():
     assert fo.psi_deriv_m(f, raw, 1.0, 1) == pytest.approx(2.0)
     with pytest.raises(DomainError):
         fo.psi_deriv_m(f, raw, 1.0, 3)
+
+
+def test_callable_psi_derivative_orders_below_two():
+    raw = type(IDENTITY)(
+        "raw", 0.0, 2.0, _eval=lambda t: t, _deriv=lambda t: 1.0,
+        _deriv2=lambda t: 0.0, inverse=lambda v: v,
+    )
+    f = JetFunction.of_t(T**2)
+    for alpha in (0.5, 1.5):
+        want = fo.frac_derivative(f, IDENTITY, alpha, 1.2)
+        assert fo.frac_derivative(f, raw, alpha, 1.2) == pytest.approx(want, rel=1e-12)
+    with pytest.raises(DomainError):
+        fo.frac_derivative(f, raw, 2.5, 1.2)

@@ -224,15 +224,16 @@ def test_omega_exactly_zero_when_tau_vanishes_at_a():
 def test_commutator_matches_power_sum_closed_form(psi):
     # [D^{alpha;psi}, D^{1;psi}] u = alpha u(a) w^{-alpha-1} / Gamma(1-alpha):
     # only the constant jet component survives the commutator
-    alpha = 0.5
     wa = _w_expr(psi)
     c0 = 1.3
     u = JetFunction.of_t(sp.expand(c0 + 0.8 * wa + 0.6 * wa**2 + 0.4 * wa**3))
     t = psi.a + 0.5 * (psi.b - psi.a)
     w = psi(t) - psi(psi.a)
-    want = alpha * c0 * w ** (-alpha - 1) * rgamma(1 - alpha)
-    got = pr.omega_commutator(u, psi, alpha, t)
-    assert got == pytest.approx(want, rel=1e-6)
+    for alpha in (0.5, 1.4, 2.3):
+        want = alpha * c0 * w ** (-alpha - 1) * rgamma(1 - alpha)
+        got = pr.omega_commutator(u, psi, alpha, t)
+        assert got == pytest.approx(want, rel=1e-10), alpha
+    assert pr.omega_commutator(u, psi, 2.0, t) == 0.0
 
 
 def test_omega_scales_with_tau_tilde_and_kernel_slope():
