@@ -18,7 +18,8 @@ Two independent backends are provided for each operator:
 
 * series: the expansion in psi-jet derivatives
   f^{[m]}_psi = (1/psi' d/dt)^m f with generalized binomial coefficients,
-  which terminates exactly for polynomials in psi(t) - psi(a).
+  which terminates exactly for polynomials in psi(t) - psi(a).  Its sum,
+  :func:`jet_series`, is shared with the prolongation formulas.
 
 Also here: the product-integral expansion and the Leibniz rule for the
 fractional derivative of a product.
@@ -29,13 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import sympy as sp
 from scipy.special import roots_jacobi
 
 from .errors import DomainError, JetOrderError, NumericsError
-from .jets import T, W, JetFunction
+from .jets import T, W, JetFunction, compiled
 from .psi import PsiFunction
 from .special import gamma, gen_binom, rgamma
 
@@ -50,6 +51,7 @@ __all__ = [
     "frac_derivative_series",
     "frac_op",
     "frac_op_series",
+    "jet_series",
     "frac_deriv_psi_powers",
     "leibniz_product",
     "product_integral",
@@ -111,9 +113,9 @@ def _psi_jet_expr(f_expr: sp.Expr, psi_expr: sp.Expr, m: int) -> sp.Expr:
     return sp.expand(sp.diff(prev, T) / sp.diff(psi_expr, T))
 
 
-@lru_cache(maxsize=4096)
-def _psi_jet_fn(f_expr: sp.Expr, psi_expr: sp.Expr, m: int):
-    return sp.lambdify(T, _psi_jet_expr(f_expr, psi_expr, m), "math")
+# the benchmark's tests (bench/test_bench.py) reset the compile cache by
+# this former name
+_psi_jet_fn = compiled
 
 
 def psi_deriv_m(f: JetFunction, psi: PsiFunction, t: float, m: int) -> float:
@@ -125,7 +127,7 @@ def psi_deriv_m(f: JetFunction, psi: PsiFunction, t: float, m: int) -> float:
     if f.max_order < m:
         raise JetOrderError(f"jet order {f.max_order} < requested m={m}")
     if psi.has_expr:
-        return float(_psi_jet_fn(f.expr, psi.expr, m)(t))
+        return float(compiled(f.expr, None, (m,), psi.expr)(t))
     # callable-backed psi: only low orders are available analytically
     fp = f.partial
     d1 = psi.deriv(t)
@@ -155,7 +157,7 @@ def _jet_fn(f: Func, psi: PsiFunction, j: int) -> Callable[[float], float]:
         return partial(psi_deriv_m, f, psi, m=j)
     if f.max_order < j:
         raise JetOrderError(f"jet order {f.max_order} < requested m={j}")
-    return _psi_jet_fn(f.expr, psi.expr, j)
+    return compiled(f.expr, None, (j,), psi.expr)
 
 
 def _jacobi_moments(f: Func, psi: PsiFunction, m: int, beta: float, t: float, quad):
@@ -234,6 +236,28 @@ def frac_derivative(
 # -- series backend ---------------------------------------------------------
 
 
+def jet_series(
+    jet: Callable[[int], Optional[float]], nu: float, w: float, terms: int
+) -> SeriesValue:
+    """sum_{m=0}^{terms} binom(nu, m) w^{m-nu} / Gamma(m+1-nu) jet(m), the jet
+    series of D^{nu;psi} (an integral for nu < 0) with w = psi(t) - psi(a).
+
+    jet(m) is the m-th psi-jet at the point, or None when it vanishes
+    identically, and with it every later one: the sum stops there.  The
+    tail estimate is the magnitude of the term at m = terms.
+    """
+    acc = 0.0
+    last = 0.0
+    for m in range(terms + 1):
+        d = jet(m)
+        if d is None:
+            last = 0.0
+            break
+        last = gen_binom(nu, m) * w ** (m - nu) * rgamma(m + 1 - nu) * d
+        acc += last
+    return SeriesValue(acc, abs(last))
+
+
 def frac_op_series(
     f: JetFunction,
     psi: PsiFunction,
@@ -245,25 +269,16 @@ def frac_op_series(
 
     sum_m binom(nu, m) (psi(t)-psi(a))^{m-nu} / Gamma(m+1-nu) f^{[m]}_psi(t).
 
-    Terminates exactly when f is polynomial in psi(t) - psi(a); the tail
-    estimate is the magnitude of the last computed term.
+    Terminates exactly when f is polynomial in psi(t) - psi(a).
     """
     if not isinstance(f, JetFunction):
         raise DomainError("series backend needs a JetFunction")
     if f.max_order < terms:
         raise JetOrderError(f"jet order {f.max_order} < requested terms {terms}")
-    nu = float(order)
     w = psi(t) - psi(psi.a)
     if not w > 0:
         raise DomainError(f"need t > a, got psi(t)-psi(a) = {w}")
-    acc = 0.0
-    last = 0.0
-    for m in range(terms + 1):
-        last = gen_binom(nu, m) * w ** (m - nu) * rgamma(m + 1 - nu) * psi_deriv_m(
-            f, psi, t, m
-        )
-        acc += last
-    return SeriesValue(acc, abs(last))
+    return jet_series(partial(psi_deriv_m, f, psi, t), float(order), w, terms)
 
 
 def frac_integral_series(

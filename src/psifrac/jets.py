@@ -1,28 +1,64 @@
-"""Symbolic jet carriers.
+"""Symbolic jet carriers and the one compile cache.
 
 A :class:`JetFunction` is a scalar function of declared variables exposing
 exact mixed partial derivatives up to a declared order; it carries the
 functions u, f, g, eta, rho used everywhere else.  Derivatives come from a
 sympy expression, never from finite differences.  Requesting a derivative
 beyond the declared order raises, it is never approximated.
+
+:func:`compiled` turns an expression, or one of its mixed partials or
+psi-jets, into a float callable; every such callable in the package comes
+from it, so equal requests share one compile.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import sympy as sp
 
 from .errors import JetOrderError
 
-__all__ = ["JetFunction", "SolutionJet", "X", "T", "U", "W"]
+__all__ = ["JetFunction", "SolutionJet", "compiled", "X", "T", "U", "W"]
 
 X = sp.Symbol("x", real=True)
 T = sp.Symbol("t", real=True)
 U = sp.Symbol("u", real=True)
 #: placeholder for psi(t) - psi(a) in expressions given "in psi units"
 W = sp.Symbol("w", real=True)
+
+
+# a few kB per entry; many entries (one alpha, one parsed f) are never
+# reused, so the bound keeps memory flat over long runs
+@lru_cache(maxsize=1024)
+def compiled(
+    expr: sp.Expr, vars: tuple = None, orders: tuple = (), psi: sp.Expr = None
+):
+    """Float callable of expr in vars, or of its mixed partial of the given
+    orders (one per variable, differentiated in the order of vars).
+
+    vars None stands for (t,): hashing a sympy symbol runs Python code, and
+    the hot callers, psi and the psi-jets of f(t), look up on every call.
+    With psi, an expression in t, the order on t counts psi-jet steps
+    (1/psi' d/dt) instead of plain t-derivatives.  Pass every argument
+    positionally: the cache keys on the arguments as given.
+    """
+    if vars is None:
+        vars = (T,)
+    e = expr
+    for v, o in zip(vars, orders):
+        if not o:
+            continue
+        if psi is not None and v == T:
+            # the psi-jet recurrence and its memo live with the operators
+            from .fracops import _psi_jet_expr
+
+            e = _psi_jet_expr(e, psi, o)
+        else:
+            e = sp.diff(e, v, o)
+    return sp.lambdify(vars, e, "math")
 
 
 @dataclass(frozen=True)
@@ -32,7 +68,6 @@ class JetFunction:
     expr: sp.Expr
     vars: tuple
     max_order: int = 8
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def of_t(cls, expr, max_order: int = 40) -> "JetFunction":
@@ -54,9 +89,8 @@ class JetFunction:
     def arity(self) -> int:
         return len(self.vars)
 
-    def diff_expr(self, orders: Sequence[int]) -> sp.Expr:
-        """Mixed partial as a sympy expression; errors beyond max_order."""
-        orders = tuple(int(o) for o in orders)
+    def _fn(self, orders: tuple):
+        """Compiled mixed partial; errors beyond max_order."""
         if len(orders) != len(self.vars):
             raise ValueError(f"expected {len(self.vars)} orders, got {orders}")
         if any(o < 0 for o in orders):
@@ -65,18 +99,7 @@ class JetFunction:
             raise JetOrderError(
                 f"derivative order {orders} exceeds declared jet order {self.max_order}"
             )
-        e = self.expr
-        for v, o in zip(self.vars, orders):
-            if o:
-                e = sp.diff(e, v, o)
-        return e
-
-    def _fn(self, orders: tuple):
-        fn = self._cache.get(orders)
-        if fn is None:
-            fn = sp.lambdify(self.vars, self.diff_expr(orders), "math")
-            self._cache[orders] = fn
-        return fn
+        return compiled(self.expr, self.vars, orders)
 
     def partial(self, orders: Sequence[int], *args: float) -> float:
         return float(self._fn(tuple(int(o) for o in orders))(*args))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import sympy as sp
@@ -31,8 +30,9 @@ from .fracops import (
     _psi_jet_expr,
     frac_derivative,
     frac_op_series,
+    jet_series,
 )
-from .jets import T, U, W, X, JetFunction, SolutionJet
+from .jets import T, U, W, X, JetFunction, SolutionJet, compiled
 from .psi import PsiFunction
 from .special import gen_binom, rgamma
 
@@ -139,59 +139,35 @@ class ReducedInfinitesimals:
 
 # -- exact chain-rule machinery ----------------------------------------------
 
-# the benchmark's tests (bench/test_bench.py) reset this cache by its former
-# name; it is the fracops recurrence, not a copy
+# the benchmark's tests (bench/test_bench.py) reset these caches by their
+# former names; they are the fracops recurrence and the shared compile cache
 _dt_expr = _psi_jet_expr
+_fn_xt = _fn_xtu = compiled
+
+_XT = (X, T)
+_XTU = (X, T, U)
 
 
-@lru_cache(maxsize=16384)
-def _fn_xt(expr: sp.Expr):
-    return sp.lambdify((X, T), expr, "math")
+def _at(d: sp.Expr, x: float, t: float, *u: float):
+    """d at (x, t), for d in (x, t) or, with u given, in (x, t, u).  Keyed
+    by the expression itself: the jets of different expressions along a
+    solution often coincide."""
+    return compiled(d, _XTU if u else _XT)(x, t, *u)
 
 
-@lru_cache(maxsize=16384)
-def _fn_xtu(expr: sp.Expr):
-    return sp.lambdify((X, T, U), expr, "math")
-
-
-def _series_xt(
-    expr: sp.Expr, psi: PsiFunction, nu: float, x: float, t: float, terms: int
+def _series(
+    expr: sp.Expr, psi: PsiFunction, nu: float, terms: int, x: float, t: float, *u
 ) -> float:
-    """sum_m binom(nu,m) w^{m-nu}/Gamma(m+1-nu) D_t^{m;psi} expr at (x,t),
-    for expr in (x, t) fully composed along the solution."""
-    w = psi(t) - psi(psi.a)
-    acc = 0.0
-    for m in range(terms + 1):
-        d = _psi_jet_expr(expr, psi.expr, m)
-        if d == 0:
-            break
-        acc += gen_binom(nu, m) * w ** (m - nu) * rgamma(m + 1 - nu) * _fn_xt(d)(x, t)
-    return acc
+    """Jet series of D^{nu;psi} expr at (x, t) (fracops.jet_series), for expr
+    in (x, t) fully composed along the solution or, with u given, in
+    (x, t, u) with u held fixed; it stops at the first jet that vanishes
+    identically."""
 
-
-def _series_frozen_u(
-    expr: sp.Expr,
-    psi: PsiFunction,
-    nu: float,
-    x: float,
-    t: float,
-    uval: float,
-    terms: int,
-) -> float:
-    """Fractional partial t-series of expr(x, t, u) with u held fixed."""
-    w = psi(t) - psi(psi.a)
-    acc = 0.0
-    for m in range(terms + 1):
+    def jet(m: int):
         d = _psi_jet_expr(expr, psi.expr, m)
-        if d == 0:
-            break
-        acc += (
-            gen_binom(nu, m)
-            * w ** (m - nu)
-            * rgamma(m + 1 - nu)
-            * _fn_xtu(d)(x, t, uval)
-        )
-    return acc
+        return None if d == 0 else _at(d, x, t, *u)
+
+    return jet_series(jet, nu, psi(t) - psi(psi.a), terms).value
 
 
 def _compose(f: JetFunction, jet: SolutionJet) -> sp.Expr:
@@ -241,7 +217,7 @@ def eta_integer(
         + xi_c * sp.diff(uexpr, X, i + 1)
         + tau_c * sp.diff(sp.diff(uexpr, T), X, i)
     )
-    return float(_fn_xt(sp.expand(e))(x, t))
+    return float(_at(sp.expand(e), x, t))
 
 
 def eta_m_psi(
@@ -272,7 +248,7 @@ def eta_m_psi(
         + xi_c * _psi_jet_expr(sp.expand(ux), psi.expr, m)
         + tau_c * _psi_jet_expr(sp.expand(uexpr), psi.expr, m + 1)
     )
-    return float(_fn_xt(sp.expand(e))(x, t))
+    return float(_at(sp.expand(e), x, t))
 
 
 def mu_term(
@@ -297,7 +273,7 @@ def mu_term(
     alpha = order.alpha if isinstance(order, FractionalOrder) else float(order)
     w = psi(t) - psi(psi.a)
     uexpr = jet.expr
-    uval = float(_fn_xt(uexpr)(x, t))
+    uval = float(_at(uexpr, x, t))
     # u-partials of eta; the sum over k stops once they vanish identically
     eta_k = {}
     kmax = 1
@@ -318,7 +294,7 @@ def mu_term(
                 ek = _psi_jet_expr(eta_k[k], psi.expr, m - n)
                 if ek == 0:
                     continue
-                ekv = _fn_xtu(ek)(x, t, uval)
+                ekv = _at(ek, x, t, uval)
                 for r in range(k):
                     un = _psi_jet_expr(sp.expand(uexpr ** (k - r)), psi.expr, n)
                     acc += (
@@ -326,7 +302,7 @@ def mu_term(
                         * math.comb(k, r)
                         / math.factorial(k)
                         * (-uval) ** r
-                        * _fn_xt(un)(x, t)
+                        * _at(un, x, t)
                         * ekv
                     )
     return acc
@@ -404,29 +380,29 @@ def eta_alpha_psi(
     alpha = order.alpha if isinstance(order, FractionalOrder) else float(order)
     uexpr = jet.expr
     ux = sp.expand(sp.diff(uexpr, X))
-    uval = float(_fn_xt(uexpr)(x, t))
+    uval = float(_at(uexpr, x, t))
     xi_c = sp.expand(inf.xi.expr.subs(U, uexpr))
     tau_c = sp.expand(inf.tau.expr.subs(U, uexpr))
     etau = sp.expand(sp.diff(inf.eta.expr, U))
     etau_c = sp.expand(etau.subs(U, uexpr))
 
-    acc = _series_frozen_u(inf.eta.expr, psi, alpha, x, t, uval, terms)
-    d_alpha_u = _series_xt(sp.expand(uexpr), psi, alpha, x, t, terms)
-    dtau1 = _fn_xt(_psi_jet_expr(tau_c, psi.expr, 1))(x, t)
-    acc += (_fn_xtu(etau)(x, t, uval) - alpha * dtau1) * d_alpha_u
-    acc -= uval * _series_frozen_u(etau, psi, alpha, x, t, uval, terms)
+    acc = _series(inf.eta.expr, psi, alpha, terms, x, t, uval)
+    d_alpha_u = _series(sp.expand(uexpr), psi, alpha, terms, x, t)
+    dtau1 = _at(_psi_jet_expr(tau_c, psi.expr, 1), x, t)
+    acc += (_at(etau, x, t, uval) - alpha * dtau1) * d_alpha_u
+    acc -= uval * _series(etau, psi, alpha, terms, x, t, uval)
     for m in range(1, terms + 1):
         xim = _psi_jet_expr(xi_c, psi.expr, m)
         if xim != 0:
             acc -= (
                 gen_binom(alpha, m)
-                * _fn_xt(xim)(x, t)
-                * _series_xt(ux, psi, alpha - m, x, t, terms)
+                * _at(xim, x, t)
+                * _series(ux, psi, alpha - m, terms, x, t)
             )
-        cm = gen_binom(alpha, m) * _fn_xt(_psi_jet_expr(etau_c, psi.expr, m))(x, t)
-        cm -= gen_binom(alpha, m + 1) * _fn_xt(_psi_jet_expr(tau_c, psi.expr, m + 1))(x, t)
+        cm = gen_binom(alpha, m) * _at(_psi_jet_expr(etau_c, psi.expr, m), x, t)
+        cm -= gen_binom(alpha, m + 1) * _at(_psi_jet_expr(tau_c, psi.expr, m + 1), x, t)
         if cm != 0.0:
-            acc += cm * _series_xt(sp.expand(uexpr), psi, alpha - m, x, t, terms)
+            acc += cm * _series(sp.expand(uexpr), psi, alpha - m, terms, x, t)
     acc += mu_term(inf, jet, psi, alpha, x, t, M=terms)
     if include_omega:
         u_t = JetFunction.of_t(uexpr.subs(X, x), max_order=40)
@@ -461,12 +437,12 @@ def eta_alpha_psi_compact(
     xi_c = inf.xi.expr.subs(U, uexpr)
     tau_c = inf.tau.expr.subs(U, uexpr)
     q = sp.expand(inf.eta.expr.subs(U, uexpr) - xi_c * ux - tau_c * ut)
-    acc = _series_xt(q, psi, alpha, x, t, terms)
-    acc += _fn_xt(sp.expand(xi_c))(x, t) * _series_xt(ux, psi, alpha, x, t, terms)
+    acc = _series(q, psi, alpha, terms, x, t)
+    acc += _at(sp.expand(xi_c), x, t) * _series(ux, psi, alpha, terms, x, t)
     acc += (
-        _fn_xt(sp.expand(tau_c))(x, t)
+        _at(sp.expand(tau_c), x, t)
         * psi.deriv(t)
-        * _series_xt(sp.expand(uexpr), psi, alpha + 1.0, x, t, terms)
+        * _series(sp.expand(uexpr), psi, alpha + 1.0, terms, x, t)
     )
     if include_omega:
         u_t = JetFunction.of_t(uexpr.subs(X, x), max_order=40)

@@ -9,17 +9,16 @@ plain callables and are then limited to the derivatives they provide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 import sympy as sp
 
 from .errors import DomainError, NumericsError
+from .jets import T, compiled
 
 __all__ = ["PsiFunction", "builtin", "validate", "invert_numeric", "ValidationReport"]
-
-_T = sp.Symbol("t", real=True)
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,6 @@ class PsiFunction:
     _deriv: Optional[Callable[[float], float]] = None
     _deriv2: Optional[Callable[[float], float]] = None
     inverse: Optional[Callable[[float], float]] = None
-    _lambdified: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.a < self.b:
@@ -51,11 +49,7 @@ class PsiFunction:
     # -- evaluation ---------------------------------------------------------
 
     def _fn(self, order: int) -> Callable[[float], float]:
-        fn = self._lambdified.get(order)
-        if fn is None:
-            fn = sp.lambdify(_T, sp.diff(self.expr, _T, order), "math")
-            self._lambdified[order] = fn
-        return fn
+        return compiled(self.expr, None, (order,))
 
     def __call__(self, t: float) -> float:
         if self.expr is not None:
@@ -101,7 +95,7 @@ def builtin(
 ) -> PsiFunction:
     """Builtin kernel families: identity, power(rho), exponential, affine(c, d)."""
     if name == "identity":
-        return PsiFunction("identity", a, b, expr=_T, inverse=lambda v: v)
+        return PsiFunction("identity", a, b, expr=T, inverse=lambda v: v)
     if name == "power":
         if rho <= 0:
             raise DomainError(f"power kernel needs rho > 0, got {rho}")
@@ -113,16 +107,16 @@ def builtin(
             f"power({rho})",
             a,
             b,
-            expr=_T**rho,
+            expr=T**rho,
             inverse=lambda v: v ** (1.0 / rho),
         )
     if name == "exponential":
-        return PsiFunction("exponential", a, b, expr=sp.exp(_T), inverse=math.log)
+        return PsiFunction("exponential", a, b, expr=sp.exp(T), inverse=math.log)
     if name == "affine":
         if c <= 0:
             raise DomainError(f"affine kernel needs slope c > 0, got {c}")
         return PsiFunction(
-            f"affine({c},{d})", a, b, expr=c * _T + d, inverse=lambda v: (v - d) / c
+            f"affine({c},{d})", a, b, expr=c * T + d, inverse=lambda v: (v - d) / c
         )
     raise DomainError(f"unknown kernel family '{name}'")
 

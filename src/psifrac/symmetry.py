@@ -24,7 +24,7 @@ import sympy as sp
 
 from .errors import DomainError
 from .fracops import QuadratureSpec, frac_deriv_psi_powers
-from .jets import T, U, W, X, JetFunction
+from .jets import T, U, W, X, JetFunction, compiled
 from .prolong import (
     Infinitesimals,
     ReducedInfinitesimals,
@@ -171,6 +171,16 @@ class ResidualReport:
 # -- shared pieces ------------------------------------------------------------
 
 
+def _keep_max(r: dict, eq: str, e: float) -> bool:
+    """Raise the running maximum r[eq] to e; True when it moved.  A NaN
+    is kept once seen (max() would drop it): an equation that cannot be
+    evaluated at some node never passes."""
+    if e > r[eq] or (e != e and r[eq] == r[eq]):
+        r[eq] = e
+        return True
+    return False
+
+
 def _reduced(candidate: GeneratorCandidate) -> ReducedInfinitesimals:
     if candidate.reduced is None:
         raise DomainError(f"candidate '{candidate.label}' must be in reduced form")
@@ -191,11 +201,10 @@ def _omega_residual(
     coeffs = grid.u_probe_coeffs()
     w = psi.expr - psi.expr.subs(T, psi.a)
     probe = JetFunction.of_t(sum(c * w**k for k, c in enumerate(coeffs)))
-    worst = 0.0
+    r = {"v": 0.0}
     for t in grid.ts:
-        comm = omega_commutator(probe, psi, alpha, t, quad)
-        worst = max(worst, abs(red.c0 * comm))
-    return worst
+        _keep_max(r, "v", abs(red.c0 * omega_commutator(probe, psi, alpha, t, quad)))
+    return r["v"]
 
 
 def _rho_frac_residual(
@@ -237,29 +246,27 @@ def detsys_gfbe(
     gfn, gpfn = g._fn((0,)), g._fn((1,))
     theta, th1, th2 = red.theta._fn((0,)), red.theta._fn((1,)), red.theta._fn((2,))
     xi1, xi2 = red.xi._fn((1,)), red.xi._fn((2,))
-    rho, rho_x = red.rho._fn((0, 0)), red.rho._fn((1, 0))
+    rho, rho_x, rho_xx = red.rho._fn((0, 0)), red.rho._fn((1, 0)), red.rho._fn((2, 0))
     r = {"i": 0.0, "ii": 0.0, "iii": 0.0, "iv": 0.0, "v": 0.0}
     worst = ""
     for x in grid.xs:
-        rho_xx = sp.diff(red.rho.expr, X, 2)
-        rho_xx_fn = sp.lambdify((X, W), rho_xx, "math")
         for t in grid.ts:
             w = psi(t) - psi(psi.a)
             dtau = red.dtau_psi(w)
-            e1 = abs(_rho_frac_residual(red, psi, alpha, x, t) - rho_xx_fn(x, w))
-            if e1 > r["i"]:
-                r["i"], worst = e1, f"i @ x={x:.3g}, t={t:.3g}"
-            r["ii"] = max(r["ii"], abs(alpha * dtau - 2.0 * xi1(x)))
+            e1 = abs(_rho_frac_residual(red, psi, alpha, x, t) - rho_xx(x, w))
+            if _keep_max(r, "i", e1):
+                worst = f"i @ x={x:.3g}, t={t:.3g}"
+            _keep_max(r, "ii", abs(alpha * dtau - 2.0 * xi1(x)))
             for u in grid.us:
                 e3 = abs((th1(x) * u + rho_x(x, w)) * gfn(u) + th2(x) * u)
-                r["iii"] = max(r["iii"], e3)
+                _keep_max(r, "iii", e3)
                 e4 = abs(
                     (alpha * dtau - xi1(x)) * gfn(u)
                     + (gam * dtau * u + theta(x) * u + rho(x, w)) * gpfn(u)
                     - xi2(x)
                     - 2.0 * th1(x)
                 )
-                r["iv"] = max(r["iv"], e4)
+                _keep_max(r, "iv", e4)
     r["v"] = _omega_residual(red, psi, alpha, grid, quad)
     return ResidualReport(r, tol, _grid_desc(grid), worst)
 
@@ -294,8 +301,7 @@ def detsys_diffusion(
     constant_k = sp.diff(K.expr, U) == 0
     theta, th1, th2 = red.theta._fn((0,)), red.theta._fn((1,)), red.theta._fn((2,))
     xi1, xi2 = red.xi._fn((1,)), red.xi._fn((2,))
-    rho, rho_x = red.rho._fn((0, 0)), red.rho._fn((1, 0))
-    rho_xx_fn = sp.lambdify((X, W), sp.diff(red.rho.expr, X, 2), "math")
+    rho, rho_x, rho_xx = red.rho._fn((0, 0)), red.rho._fn((1, 0)), red.rho._fn((2, 0))
     r = {"i": 0.0, "ii": 0.0, "iii": 0.0, "iv": 0.0, "v": 0.0}
     worst = ""
     for x in grid.xs:
@@ -304,24 +310,24 @@ def detsys_diffusion(
             dtau = red.dtau_psi(w)
             dfrac = _rho_frac_residual(red, psi, alpha, x, t)
             for u in grid.us:
-                e1 = abs((th2(x) * u + rho_xx_fn(x, w)) * kfn(u) - dfrac)
-                if e1 > r["i"]:
-                    r["i"], worst = e1, f"i @ x={x:.3g}, t={t:.3g}, u={u:.3g}"
+                e1 = abs((th2(x) * u + rho_xx(x, w)) * kfn(u) - dfrac)
+                if _keep_max(r, "i", e1):
+                    worst = f"i @ x={x:.3g}, t={t:.3g}, u={u:.3g}"
                 lin = gam * dtau * u + theta(x) * u + rho(x, w)
                 if constant_k:
-                    r["ii"] = max(r["ii"], abs((alpha * dtau - 2 * xi1(x)) * kfn(u)))
-                    r["iii"] = max(r["iii"], abs((xi2(x) - 2 * th1(x)) * kfn(u)))
+                    _keep_max(r, "ii", abs((alpha * dtau - 2 * xi1(x)) * kfn(u)))
+                    _keep_max(r, "iii", abs((xi2(x) - 2 * th1(x)) * kfn(u)))
                 else:
                     e2 = lin * k1fn(u) + (alpha * dtau - 2 * xi1(x)) * kfn(u)
-                    r["ii"] = max(r["ii"], abs(e2))
+                    _keep_max(r, "ii", abs(e2))
                     e3 = lin * k2fn(u) + (
                         (alpha + gam) * dtau - 2 * xi1(x) + theta(x)
                     ) * k1fn(u)
-                    r["iii"] = max(r["iii"], abs(e3))
+                    _keep_max(r, "iii", abs(e3))
                     e4 = 2 * (th1(x) * u + rho_x(x, w)) * k1fn(u) - (
                         xi2(x) - 2 * th1(x)
                     ) * kfn(u)
-                    r["iv"] = max(r["iv"], abs(e4))
+                    _keep_max(r, "iv", abs(e4))
     r["v"] = _omega_residual(red, psi, alpha, grid, quad)
     return ResidualReport(r, tol, _grid_desc(grid), worst)
 
@@ -358,12 +364,12 @@ def detsys_gazizov_rl(
         grid = GridSpec.default(psi)
     xi, tau, eta = inf.xi.expr, inf.tau.expr, inf.eta.expr
     etau = sp.diff(eta, U)
-    structure = [
-        sp.diff(xi, U),
-        sp.diff(xi, T),
-        sp.diff(tau, U),
-        sp.diff(tau, X),
-        sp.diff(etau, U),
+    f_struct = [
+        inf.xi._fn((0, 0, 1)),
+        inf.xi._fn((0, 1, 0)),
+        inf.tau._fn((0, 0, 1)),
+        inf.tau._fn((1, 0, 0)),
+        inf.eta._fn((0, 0, 2)),
     ]
     taup = sp.diff(tau, T)
     eq3 = (
@@ -374,36 +380,34 @@ def detsys_gazizov_rl(
         - eta * sp.diff(g.expr, U)
     )
     eq4 = 2 * sp.diff(xi, X) - alpha * taup
-    f_struct = [sp.lambdify((X, T, U), e, "math") for e in structure]
-    f3 = sp.lambdify((X, T, U), eq3, "math")
-    f4 = sp.lambdify((X, T, U), eq4, "math")
+    xtu = (X, T, U)
+    f3, f4 = compiled(eq3, xtu), compiled(eq4, xtu)
     fam = []
     for n in range(1, terms + 1):
         e = gen_binom(alpha, n) * sp.diff(etau, T, n) - gen_binom(
             alpha, n + 1
         ) * sp.diff(tau, T, n + 1)
-        fam.append(sp.lambdify((X, T, U), e, "math"))
+        fam.append(compiled(e, xtu))
     frac_part = sp.expand(eta - U * etau)  # the u-fixed fractional combination
-    eta_x = sp.lambdify((X, T, U), sp.diff(eta, X), "math")
-    eta_xx = sp.lambdify((X, T, U), sp.diff(eta, X, 2), "math")
+    eta_x, eta_xx = inf.eta._fn((1, 0, 0)), inf.eta._fn((2, 0, 0))
     gfn = g._fn((0,))
     r = {"structure": 0.0, "family": 0.0, "iii": 0.0, "iv": 0.0, "v": 0.0}
     for x in grid.xs:
         for t in grid.ts:
             for u in grid.us:
-                r["structure"] = max(
-                    r["structure"], max(abs(f(x, t, u)) for f in f_struct)
-                )
-                r["family"] = max(r["family"], max(abs(f(x, t, u)) for f in fam))
-                r["iii"] = max(r["iii"], abs(f3(x, t, u)))
-                r["iv"] = max(r["iv"], abs(f4(x, t, u)))
+                for f in f_struct:
+                    _keep_max(r, "structure", abs(f(x, t, u)))
+                for f in fam:
+                    _keep_max(r, "family", abs(f(x, t, u)))
+                _keep_max(r, "iii", abs(f3(x, t, u)))
+                _keep_max(r, "iv", abs(f4(x, t, u)))
                 in_w = frac_part.subs({X: x, U: u}).subs(T, W)
                 e5 = (
                     frac_deriv_psi_powers(in_w, alpha, t)
                     - eta_xx(x, t, u)
                     - gfn(u) * eta_x(x, t, u)
                 )
-                r["v"] = max(r["v"], abs(e5))
+                _keep_max(r, "v", abs(e5))
     return ResidualReport(r, tol, _grid_desc(grid))
 
 
@@ -475,8 +479,8 @@ def detsys_zhang_rl(
                 eq2 -= c * (prolong_of[i] - rho_i)
             else:
                 eq2 -= c * prolong_of[i]
-    f1 = sp.lambdify((X, T, U, UX, UXX), sp.expand(eq1), "math")
-    f2 = sp.lambdify((X, T, U, UX, UXX), sp.expand(eq2), "math")
+    f1 = compiled(sp.expand(eq1), (X, T, U, UX, UXX))
+    f2 = compiled(sp.expand(eq2), (X, T, U, UX, UXX))
     probes = grid.jet_probes()
     r = {"1": 0.0, "2": 0.0}
     worst = ""
@@ -487,9 +491,9 @@ def detsys_zhang_rl(
             for u in grid.us:
                 for ux, uxx in probes:
                     e1 = abs(dfrac + f1(x, t, u, ux, uxx))
-                    if e1 > r["1"]:
-                        r["1"], worst = e1, f"1 @ x={x:.3g}, t={t:.3g}"
-                    r["2"] = max(r["2"], abs(f2(x, t, u, ux, uxx)))
+                    if _keep_max(r, "1", e1):
+                        worst = f"1 @ x={x:.3g}, t={t:.3g}"
+                    _keep_max(r, "2", abs(f2(x, t, u, ux, uxx)))
     return ResidualReport(r, tol, _grid_desc(grid), worst)
 
 
@@ -622,96 +626,44 @@ def solve_ansatz(equation: EvolutionEquation, case: str, **params) -> list:
     alpha = equation.alpha
     basis = [_x_translation(alpha)]
     two = 2.0 / alpha
+    # alpha D^{1;psi} tau for D^{1;psi} tau = two, exactly 2: rationalizing
+    # alpha and 2/alpha separately leaves a product off by ~1e-15
+    adtau = sp.Integer(2)
     th = sp.Symbol("theta0")
+
+    def add(label, xi=X, c1=two, theta=0, rho=0):
+        basis.append(GeneratorCandidate(label, reduced=ReducedInfinitesimals(
+            alpha, _jx(xi), 0.0, c1, 0.0, _jx(theta), _jxw(rho))))
+
     if case == "g=u":
         # (iii) forces theta' = 0, rho_x = 0; (i) then rho = 0; (iv) with
         # xi = x, D tau = 2/alpha: (alpha Dtau - 1) u + theta u = 0
-        sol = sp.solve(sp.Eq((sp.nsimplify(alpha) * sp.nsimplify(two) - 1) + th, 0), th)[0]
-        basis.append(
-            GeneratorCandidate(
-                "scaling",
-                reduced=ReducedInfinitesimals(
-                    alpha, _jx(X), 0.0, two, 0.0, _jx(sol), _jxw(0)
-                ),
-            )
-        )
+        add("scaling", theta=sp.solve(sp.Eq((adtau - 1) + th, 0), th)[0])
     elif case == "g=u^p":
         p = sp.nsimplify(params.get("p", 2.0))
         if p <= 1:
             raise DomainError(f"case g=u^p needs p > 1, got {p}")
         # (iv): (alpha Dtau - xi') + p theta = 0 on the u^p coefficient
-        sol = sp.solve(sp.Eq((sp.nsimplify(alpha) * sp.nsimplify(two) - 1) + p * th, 0), th)[0]
-        basis.append(
-            GeneratorCandidate(
-                f"scaling p={p}",
-                reduced=ReducedInfinitesimals(
-                    alpha, _jx(X), 0.0, two, 0.0, _jx(sol), _jxw(0)
-                ),
-            )
-        )
+        add(f"scaling p={p}", theta=sp.solve(sp.Eq((adtau - 1) + p * th, 0), th)[0])
     elif case == "g=e^(b u)":
         bpar = sp.nsimplify(params.get("b", 1.0))
         if bpar == 0:
             raise DomainError("case g=e^(b u) needs b != 0")
         # theta = 0; (iv): (alpha Dtau - xi') + b rho = 0 with constant rho
         rho0 = sp.Symbol("rho0")
-        sol = sp.solve(sp.Eq((sp.nsimplify(alpha) * sp.nsimplify(two) - 1) + bpar * rho0, 0), rho0)[0]
-        basis.append(
-            GeneratorCandidate(
-                f"scaling b={bpar}",
-                reduced=ReducedInfinitesimals(
-                    alpha, _jx(X), 0.0, two, 0.0, _jx(0), _jxw(sol)
-                ),
-            )
-        )
+        add(f"scaling b={bpar}",
+            rho=sp.solve(sp.Eq((adtau - 1) + bpar * rho0, 0), rho0)[0])
     elif case == "g=u/(1+u)":
         # published reduction keeps the 1/u and 1/u^2 coefficients only:
         # rho = 0 and (alpha Dtau - xi') - theta = 0
-        sol = sp.solve(sp.Eq((sp.nsimplify(alpha) * sp.nsimplify(two) - 1) - th, 0), th)[0]
-        basis.append(
-            GeneratorCandidate(
-                "scaling",
-                reduced=ReducedInfinitesimals(
-                    alpha, _jx(X), 0.0, two, 0.0, _jx(sol), _jxw(0)
-                ),
-            )
-        )
+        add("scaling", theta=sp.solve(sp.Eq((adtau - 1) - th, 0), th)[0])
     elif case == "K=1":
-        basis.append(
-            GeneratorCandidate(
-                "scaling",
-                reduced=ReducedInfinitesimals(
-                    alpha, _jx(X), 0.0, two, 0.0, _jx(0), _jxw(0)
-                ),
-            )
-        )
-        basis.append(
-            GeneratorCandidate(
-                "u-scaling",
-                reduced=ReducedInfinitesimals(
-                    alpha, _jx(0), 0.0, 0.0, 0.0, _jx(1), _jxw(0)
-                ),
-            )
-        )
-        basis.append(
-            GeneratorCandidate(
-                "rho du",
-                reduced=ReducedInfinitesimals(
-                    alpha, _jx(0), 0.0, 0.0, 0.0, _jx(0),
-                    _jxw(diffusion_rho_fixture(alpha)),
-                ),
-            )
-        )
+        add("scaling")
+        add("u-scaling", xi=0, c1=0.0, theta=1)
+        add("rho du", xi=0, c1=0.0, rho=diffusion_rho_fixture(alpha))
     elif case == "K=power-law":
         c1 = sp.nsimplify(params.get("c1", 0.0))
-        basis.append(
-            GeneratorCandidate(
-                "projective",
-                reduced=ReducedInfinitesimals(
-                    alpha, _jx(X**2), 0.0, 0.0, 0.0, _jx(-3 * X), _jxw(-c1 * X)
-                ),
-            )
-        )
+        add("projective", xi=X**2, c1=0.0, theta=-3 * X, rho=-c1 * X)
     else:
         raise DomainError(f"unknown case '{case}'")
     return basis

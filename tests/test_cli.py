@@ -81,6 +81,34 @@ def test_eval_derivative_exact_at_edges(capsys, t, alpha):
     assert row[2] == pytest.approx(want, rel=1e-10)
 
 
+def test_eval_backend_gap_above_tol_fails(capsys):
+    # 1/t is not integrable at a = 0: the backends disagree, and eval says so
+    code, out = run(capsys, "eval", "integral", "--f", "1/t", "--t", "1",
+                    "--a", "0", "--format", "csv")
+    assert code == EXIT_FAIL
+    assert float(out.splitlines()[1].split(",")[3]) > 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "integral", "--f", "t", "--t", "1", "--alpha", "inf"],
+    ["eval", "integral", "--f", "t", "--t", "1", "--alpha", "nan"],
+    ["eval", "integral", "--f", "t", "--t", "1", "--alpha", "-0.5"],
+    ["eval", "integral", "--f", "t", "--t", "1", "--terms", "-1"],
+    ["eval", "integral", "--f", "t", "--t", "1", "--tol", "nan"],
+    ["eval", "integral", "--f", "t", "--t", "1", "--tol=-1e-8"],
+    ["solve", "--case", "g=u", "--alpha", "nan"],
+    ["leibniz", "--f", "t", "--g", "t", "--t", "1", "--N", ","],
+    ["leibniz", "--f", "t", "--g", "t", "--t", "1", "--N", "2,-1"],
+    ["verify", "gfbe", "--case", "g=u", "--table", "X2", "--alpha", "nan"],
+])
+def test_bad_numeric_flags_are_config_errors(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 # -- formats -----------------------------------------------------------------------
 
 
@@ -216,6 +244,25 @@ def test_solve_matches_published_basis(capsys):
     doc = json.loads(out)
     assert doc["matches_published"] is True
     assert len(doc["rows"]) == 2
+
+
+@pytest.mark.parametrize("alpha", ["0.79", "0.83"])
+@pytest.mark.parametrize("case", ["g=u", "g=u^p", "g=e^(b u)", "g=u/(1+u)"])
+def test_solve_matches_published_basis_at_two_decimal_orders(capsys, case, alpha):
+    code, out = run(capsys, "solve", "--case", case, "--alpha", alpha,
+                    "--format", "json")
+    assert code == EXIT_PASS
+    assert json.loads(out)["matches_published"] is True
+
+
+def test_verify_nan_residual_is_numerical_error(capsys):
+    # K = (3u - 3)^(-4/3) is not real at u < 1 on the grid
+    code = main(["verify", "diffusion", "--case", "K=power-law", "--table", "X2",
+                 "--c1", "-3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERIC
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_solve_constant_diffusivity_four_generators(capsys):

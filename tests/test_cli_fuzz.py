@@ -1,8 +1,10 @@
-"""Property-based fuzz of ``psifrac eval`` through ``cli.main``, in process.
+"""Property-based fuzz of the CLI through ``cli.main``, in process.
 
-Whatever the operator, kernel, order, point or function spec, the command
+Whatever the operator, kernel, order, point or function spec, ``eval``
 ends in a documented exit code without an escaping exception: exit 2 or 3
-prints one line on stderr, and exit 0 prints only finite numbers.
+prints one line on stderr, and exit 0 prints only finite numbers.  Bad
+numeric flags (``--alpha``, ``--terms``, ``--tol``, ``--N``) are a
+configuration error of one line, whatever the command.
 """
 
 import io
@@ -65,3 +67,51 @@ def test_eval_ends_in_documented_exit_code(op, kernel, spec_alpha, t):
     if code == EXIT_PASS:
         for row in out.splitlines()[1:]:
             assert all(math.isfinite(float(v)) for v in row.split(",")), row
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.5]
+_N_LISTS = st.one_of(
+    st.lists(st.integers(-2, 4), max_size=3).map(lambda ns: ",".join(map(str, ns))),
+    st.sampled_from([",", " ", "1,,2", "x", "1.5"]),
+)
+_COMMANDS = {
+    "eval": ["eval", "integral", "--f", "t^2", "--t", "1"],
+    "leibniz": ["leibniz", "--f", "t", "--g", "1 + t", "--t", "1"],
+    "solve": ["solve", "--case", "g=u"],
+}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(sorted(_COMMANDS)),
+    alpha=st.one_of(st.sampled_from(_SPECIAL), st.floats(0.05, 2.5)),
+    terms=st.integers(-3, 6),
+    tol=st.one_of(st.sampled_from(_SPECIAL + [1e-300]), st.floats(1e-12, 1.0)),
+    n_list=_N_LISTS,
+)
+def test_numeric_flags_are_validated_before_any_work(command, alpha, terms, tol,
+                                                     n_list):
+    argv = [*_COMMANDS[command], f"--alpha={alpha!r}", f"--terms={terms}",
+            f"--tol={tol!r}", "--format", "csv"]
+    if command == "leibniz":
+        argv.append(f"--N={n_list}")
+    try:
+        ns = [int(s) for s in n_list.split(",") if s.strip()]
+        n_ok = bool(ns) and min(ns) >= 0
+    except ValueError:
+        n_ok = False
+    valid = (math.isfinite(alpha) and alpha > 0 and terms >= 0
+             and math.isfinite(tol) and tol >= 0
+             and (command != "leibniz" or n_ok))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if not valid:
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1, err
+    else:
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_NUMERIC), err
+        if code == EXIT_NUMERIC:
+            assert len(err.strip().splitlines()) == 1, err

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 import sympy as sp
 
@@ -179,6 +180,19 @@ def test_diffusion_rejects_wrong_projective_theta():
     assert not rep.passed
 
 
+def test_nan_residual_never_passes():
+    # with c1 = -3, K = (3u - 3)^(-4/3) is not real at the grid's u < 1
+    # (0.5 and 0.875): those nodes give NaN, which must reach the report
+    K = JetFunction.of_u((-3 + 3 * U) ** sp.Rational(-4, 3))
+    (cand,) = [c for cs, c in sy.builtin_table(ALPHA, c1=-3.0)
+               if cs == "K=(c1+3u)^(-4/3)"]
+    with np.errstate(invalid="ignore"):
+        rep = sy.detsys_diffusion(cand, K, IDENTITY, ALPHA)
+    for eq in ("ii", "iii", "iv"):
+        assert math.isnan(rep.equations[eq]), rep.equations
+    assert not rep.passed
+
+
 def test_diffusion_order_range_is_enforced():
     K = JetFunction.of_u(sp.Integer(1) + 0 * U)
     with pytest.raises(DomainError):
@@ -342,6 +356,14 @@ def test_solver_power_law_theta_scales_inversely_with_p():
     basis = sy.solve_ansatz(eq, "g=u^p", p=3.0)
     thetas = [c.reduced.theta.expr for c in basis if c.reduced.theta.expr != 0]
     assert thetas == [sp.Rational(-1, 3)]
+
+
+@pytest.mark.parametrize("alpha", [0.79, 0.83, 0.6068])
+def test_solver_scaling_coefficients_are_exact(alpha):
+    # alpha * (2 / alpha) is 2 exactly in the ansatz, whatever alpha's digits
+    eq = sy.EvolutionEquation("gfbe", alpha, IDENTITY, g=JetFunction.of_u(U**2))
+    basis = sy.solve_ansatz(eq, "g=u^p", p=2.0)
+    assert basis[1].reduced.theta.expr == sp.Rational(-1, 2)
 
 
 def test_solver_rejects_bad_parameters():
