@@ -10,25 +10,40 @@ from __future__ import annotations
 
 import math
 
-from scipy import special as _sp
-
 from .errors import PoleError
 
 __all__ = ["gamma", "rgamma", "gen_binom"]
 
 
 def gamma(x: float) -> float:
-    """Gamma function for real x; raises at non-positive integers."""
+    """Gamma function for real x; raises at non-positive integers, and is
+    +-inf where |Gamma(x)| exceeds the largest double."""
     if x <= 0 and float(x).is_integer():
         raise PoleError(f"gamma pole at x={x}")
-    return float(_sp.gamma(x))
+    try:
+        return math.gamma(x)
+    except OverflowError:  # x > 171.62, or |x| below 1/DBL_MAX
+        return math.copysign(math.inf, x)
 
 
 def rgamma(x: float) -> float:
-    """1/Gamma(x); exactly 0 at non-positive integers."""
+    """1/Gamma(x); exactly 0 at non-positive integers.
+
+    Past the range of Gamma it stays defined: 0.0 or a finite value for
+    x > 171, x itself for |x| below 1/DBL_MAX, and +-inf for x below
+    about -171, where |1/Gamma(x)| exceeds the largest double.
+    """
     if x <= 0 and float(x).is_integer():
         return 0.0
-    return float(_sp.rgamma(x))
+    if x > 171.0:
+        # Gamma overflows a double from x = 171.62 on; its reciprocal
+        # underflows smoothly
+        return math.exp(-math.lgamma(x))
+    try:
+        g = math.gamma(x)
+    except OverflowError:  # 1/Gamma(x) = x (1 + O(x)) at tiny |x|
+        return float(x)
+    return 1.0 / g if g else math.copysign(math.inf, g)
 
 
 def gen_binom(alpha: float, m: int) -> float:

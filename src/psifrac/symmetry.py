@@ -171,14 +171,19 @@ class ResidualReport:
 # -- shared pieces ------------------------------------------------------------
 
 
+def _nan_max(cur: float, e: float) -> float:
+    """max(cur, e), except that a NaN is kept once seen (max() would drop
+    it): a check that cannot be evaluated at some point never passes."""
+    return e if e > cur or (e != e and cur == cur) else cur
+
+
 def _keep_max(r: dict, eq: str, e: float) -> bool:
-    """Raise the running maximum r[eq] to e; True when it moved.  A NaN
-    is kept once seen (max() would drop it): an equation that cannot be
-    evaluated at some node never passes."""
-    if e > r[eq] or (e != e and r[eq] == r[eq]):
-        r[eq] = e
-        return True
-    return False
+    """Raise the running maximum r[eq] to e by :func:`_nan_max`; True when
+    it moved (_nan_max hands back the very object it was given as cur
+    when nothing moves)."""
+    old = r[eq]
+    r[eq] = _nan_max(old, e)
+    return r[eq] is not old
 
 
 def _reduced(candidate: GeneratorCandidate) -> ReducedInfinitesimals:

@@ -80,3 +80,20 @@ def test_criterion_09_method_agreement(results):
 def test_criterion_10_selftest_green_under_budget(results):
     # Aggregates criteria 1-9; red while criterion 7 is red.
     _check(results, 10)
+
+
+def test_a_nan_never_passes_a_criterion(monkeypatch):
+    from psifrac import fracops
+    from psifrac.selftest import _c01
+
+    calls = []
+    real = fracops.frac_derivative
+
+    def nan_at_one_point(*args, **kw):
+        calls.append(1)
+        return float("nan") if len(calls) == 7 else real(*args, **kw)
+
+    monkeypatch.setattr(fracops, "frac_derivative", nan_at_one_point)
+    passed, detail = _c01()
+    assert len(calls) > 7
+    assert not passed, detail

@@ -1,6 +1,9 @@
 """Design guards: every sympy-to-float callable comes from one cached
-compile, so equal requests share one callable and compile once."""
+compile, so equal requests share one callable and compile once; and the
+library runs on numpy and sympy alone."""
 
+import subprocess
+import sys
 from pathlib import Path
 
 import sympy as sp
@@ -41,3 +44,18 @@ def test_equal_builtin_kernels_share_one_compiled_callable():
     assert second._fn(3) is fn
     assert second.deriv(1.3, 3) == first.deriv(1.3, 3)
     assert compiled.cache_info().misses == misses
+
+
+def test_import_does_not_load_scipy():
+    code = (
+        "import sys, psifrac\n"
+        "from psifrac.fracops import frac_integral\n"
+        "from psifrac.psi import builtin\n"
+        "frac_integral(lambda t: t, builtin('identity', 0.0, 2.0), 0.5, 1.0)\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        cwd=SRC.parent,
+    )
+    assert out.stdout.strip() == "False"

@@ -1,14 +1,17 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 import sympy as sp
 
 from psifrac import fracops as fo
 from psifrac.errors import DomainError, JetOrderError
 from psifrac.jets import JetFunction, T, W
 from psifrac.psi import builtin
-from psifrac.special import gamma
+from psifrac.special import gamma, gen_binom, rgamma
 
 IDENTITY = builtin("identity", 0.0, 2.0)
 POWER = builtin("power", 0.5, 2.0)
@@ -33,6 +36,51 @@ def test_fractional_order_m():
 def test_quadrature_spec_minimum_nodes():
     with pytest.raises(DomainError):
         fo.QuadratureSpec(2)
+
+
+# -- quadrature rule -----------------------------------------------------------
+
+RULE_EXPONENTS = (-0.95, -0.5, 0.3, 3.7, 12.3)
+
+
+def _chebyshev_moment(k, a):
+    """int_{-1}^{1} (1-y)^a T_k(y) dy to 60 digits, from the terminating
+    hypergeometric form T_k(y) = 2F1(-k, k; 1/2; (1-y)/2)."""
+    with mpmath.workdps(60):
+        a = mpmath.mpf(a)
+        term, acc = mpmath.mpf(1), mpmath.mpf(0)
+        for i in range(k + 1):
+            acc += term / (a + i + 1)
+            term *= mpmath.mpf(i - k) * (k + i) / ((i + mpmath.mpf(1) / 2) * (i + 1))
+        return float(2 ** (a + 1) * acc)
+
+
+@pytest.mark.parametrize("a", RULE_EXPONENTS)
+@pytest.mark.parametrize("n", [4, 17, 64])
+def test_rule_integrates_chebyshev_polynomials_exactly(n, a):
+    ys, ws = fo._jacobi_rule(n, a)
+    assert len(ys) == len(ws) == n
+    ys = np.array(ys)
+    # rounding a node moves T_k there by up to k^2 ulp, so even exact
+    # weights agree only to a few 1e-14 * sum |w_j| at n = 64
+    tol = 1e-13 * float(np.abs(ws).sum())
+    for k in range(n):
+        tk = np.polynomial.chebyshev.chebval(ys, [0.0] * k + [1.0])
+        assert abs(float(np.dot(ws, tk)) - _chebyshev_moment(k, a)) <= tol, k
+
+
+@pytest.mark.parametrize("a", RULE_EXPONENTS)
+def test_rule_agrees_with_gauss_jacobi(a):
+    ys, ws = fo._jacobi_rule(64, a)
+    gy, gw = scipy.special.roots_jacobi(64, a, 0.0)
+    for g in (np.exp, lambda y: np.cos(3.0 * y)):
+        want = float(np.dot(gw, g(gy)))
+        assert float(np.dot(ws, g(np.array(ys)))) == pytest.approx(want, rel=1e-11)
+
+
+def test_rule_is_not_cached_per_exponent():
+    # the weights cost O(n) per exponent, so no per-order cache is kept
+    assert not hasattr(fo._jacobi_rule, "cache_info")
 
 
 # -- power rule ----------------------------------------------------------------
@@ -136,6 +184,29 @@ def test_series_tail_reported_for_nonpolynomial():
     f = JetFunction.of_t(sp.exp(T))
     res = fo.frac_derivative_series(f, IDENTITY, 0.5, 1.0, terms=10)
     assert res.tail > 0.0
+
+
+def test_jet_series_matches_the_binomial_form_bit_for_bit():
+    # the series carries the falling product of gen_binom instead of
+    # recomputing it per term: the same float operations in the same order
+    def reference(jet, nu, w, terms):
+        acc = last = 0.0
+        for m in range(terms + 1):
+            d = jet(m)
+            if d is None:
+                last = 0.0
+                break
+            last = gen_binom(nu, m) * w ** (m - nu) * rgamma(m + 1 - nu) * d
+            acc += last
+        return fo.SeriesValue(acc, abs(last))
+
+    jets = (lambda m: 1.0 / (m + 1), lambda m: (-0.7) ** m * math.sqrt(m + 2),
+            lambda m: None if m == 5 else 3.0 - m)
+    for jet in jets:
+        for nu in (-2.3, -0.5, 0.25, 1.5, 4.75):
+            for w in (0.3, 1.7):
+                got = fo.jet_series(jet, nu, w, 30)
+                assert repr(got) == repr(reference(jet, nu, w, 30))
 
 
 # -- operator laws ----------------------------------------------------------------

@@ -29,6 +29,15 @@ def test_rgamma_reciprocal_elsewhere():
         assert rgamma(x) == pytest.approx(1.0 / math.gamma(x), rel=1e-15)
 
 
+def test_gamma_and_rgamma_past_the_double_range():
+    assert rgamma(200.0) == 0.0
+    assert 0.0 < rgamma(171.5) < 1e-300
+    assert rgamma(171.5) == pytest.approx(math.exp(-math.lgamma(171.5)), rel=1e-12)
+    assert gamma(200.0) == math.inf
+    assert rgamma(1e-320) == 1e-320
+    assert rgamma(-180.5) == -math.inf and rgamma(-181.5) == math.inf
+
+
 def test_gen_binom_integer_case():
     # falls back to the combinatorial values for integer alpha
     for n in range(6):
