@@ -44,7 +44,6 @@ from .prolong import (
     mu_term,
     omega_commutator,
     omega_term,
-    total_frac_deriv,
 )
 from .psi import PsiFunction, builtin, validate
 from .special import gamma, gen_binom, rgamma
@@ -76,7 +75,7 @@ __all__ = [
     "leibniz_product", "product_integral",
     "Infinitesimals", "ReducedInfinitesimals",
     "eta_integer", "eta_m_psi", "mu_term", "omega_commutator", "omega_term",
-    "eta_alpha_psi", "eta_alpha_psi_compact", "total_frac_deriv",
+    "eta_alpha_psi", "eta_alpha_psi_compact",
     "EvolutionEquation", "GeneratorCandidate", "GridSpec", "ResidualReport",
     "detsys_gfbe", "detsys_diffusion", "detsys_gazizov_rl", "detsys_zhang_rl",
     "builtin_table", "solve_ansatz", "diffusion_rho_fixture",

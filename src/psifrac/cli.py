@@ -181,13 +181,6 @@ def _as_f_of_t(spec: str, psi) -> JetFunction:
     return JetFunction.of_t(sp.expand(expr.subs(W, wa)))
 
 
-def _as_f_of_u(spec: str) -> JetFunction:
-    expr = parse_expr(spec)
-    if expr.has(X) or expr.has(T) or expr.has(W):
-        raise DomainError(f"function spec {spec!r} must use only u")
-    return JetFunction.of_u(expr)
-
-
 def _as_jet(spec: str, psi) -> SolutionJet:
     expr = parse_expr(spec)
     if expr.has(U):
@@ -273,29 +266,17 @@ def cmd_prolong(cfg: RunConfig, args) -> int:
     return EXIT_PASS
 
 
-_GFBE_CASES = {
-    "arbitrary g": lambda p, b: U**2 + U,
-    "g=u": lambda p, b: U,
-    "g=u^p": lambda p, b: U**sp.nsimplify(p),
-    "g=e^(b u)": lambda p, b: sp.exp(sp.nsimplify(b) * U),
-    "g=u/(1+u)": lambda p, b: U / (1 + U),
-}
-
-_DIFFUSION_CASES = {
-    "K=1": lambda c1: sp.Integer(1) + 0 * U,
-    "K=power-law": lambda c1: (sp.nsimplify(c1) + 3 * U) ** sp.Rational(-4, 3),
-}
+def _case_params(args) -> dict:
+    return {"p": args.p, "b": args.bpar, "c1": args.c1}
 
 
-def _candidate_from_args(cfg: RunConfig, args, case: str) -> sy.GeneratorCandidate:
+def _candidate_from_args(cfg: RunConfig, args, case: sy.Case) -> sy.GeneratorCandidate:
     if args.table:
-        table = sy.builtin_table(cfg.alpha, p=args.p, b=args.bpar, c1=args.c1)
-        lookup = case if case != "K=power-law" else "K=(c1+3u)^(-4/3)"
-        matches = [c for cs, c in table
-                   if cs == lookup and c.label.startswith(args.table)]
+        rows = case.rows(cfg.alpha, **_case_params(args))
+        matches = [c for c in rows if c.label.startswith(args.table)]
         if not matches:
             raise DomainError(
-                f"no table row labelled '{args.table}' for case '{case}'")
+                f"no table row labelled '{args.table}' for case '{case.name}'")
         return matches[0]
     xi = parse_expr(args.xi)
     theta = parse_expr(args.theta)
@@ -316,33 +297,24 @@ def _report_rows(rep: sy.ResidualReport):
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     psi = cfg.psi_fn()
-    case = args.case
+    kind = "diffusion" if args.equation == "diffusion" else "gfbe"
+    case = sy.lookup_case(args.case, kind)
+    params = _case_params(args)
     cand = _candidate_from_args(cfg, args, case)
     if args.equation == "gfbe":
-        if case not in _GFBE_CASES:
-            raise DomainError(f"unknown gfbe case '{case}'")
-        g = JetFunction.of_u(_GFBE_CASES[case](args.p, args.bpar))
-        rep = sy.detsys_gfbe(cand, g, psi, cfg.alpha, tol=cfg.tol, quad=cfg.quad())
+        rep = sy.detsys_gfbe(cand, case.jet(**params), psi, cfg.alpha,
+                             tol=cfg.tol, quad=cfg.quad())
     elif args.equation == "diffusion":
-        if case not in _DIFFUSION_CASES:
-            raise DomainError(f"unknown diffusion case '{case}'")
-        K = JetFunction.of_u(_DIFFUSION_CASES[case](args.c1))
-        rep = sy.detsys_diffusion(cand, K, psi, cfg.alpha, tol=cfg.tol,
-                                  quad=cfg.quad())
+        rep = sy.detsys_diffusion(cand, case.jet(**params), psi, cfg.alpha,
+                                  tol=cfg.tol, quad=cfg.quad())
     elif args.equation == "gazizov":
-        if case not in _GFBE_CASES:
-            raise DomainError(f"unknown gfbe case '{case}'")
-        g = JetFunction.of_u(_GFBE_CASES[case](args.p, args.bpar))
         psi_cl = builtin("identity", 0.0, 10.0)
         gen = sy.GeneratorCandidate(cand.label,
                                     general=cand.reduced.to_general(psi_cl))
-        rep = sy.detsys_gazizov_rl(gen, g, cfg.alpha, tol=cfg.tol)
+        rep = sy.detsys_gazizov_rl(gen, case.jet(**params), cfg.alpha, tol=cfg.tol)
     else:  # zhang
-        if case not in _GFBE_CASES:
-            raise DomainError(f"unknown gfbe case '{case}'")
-        g = JetFunction.of_u(_GFBE_CASES[case](args.p, args.bpar))
         psi_cl = builtin("identity", 0.0, 10.0)
-        eq = sy.EvolutionEquation("gfbe", cfg.alpha, psi_cl, g=g)
+        eq = case.equation(cfg.alpha, psi_cl, **params)
         rep = sy.detsys_zhang_rl(cand, eq, cfg.alpha, tol=cfg.tol)
     emit(cfg, f"verify {args.equation}", ("equation", "max_residual", "status"),
          _report_rows(rep),
@@ -360,29 +332,11 @@ def _describe(cand: sy.GeneratorCandidate):
 
 def cmd_solve(cfg: RunConfig, args) -> int:
     psi = cfg.psi_fn()
-    case = args.case
-    if case in _GFBE_CASES and case != "arbitrary g":
-        g = JetFunction.of_u(_GFBE_CASES[case](args.p, args.bpar))
-        eq = sy.EvolutionEquation("gfbe", cfg.alpha, psi, g=g)
-        lookup = case
-        kw = {"p": args.p} if case == "g=u^p" else (
-            {"b": args.bpar} if case == "g=e^(b u)" else {})
-    elif case in _DIFFUSION_CASES:
-        K = JetFunction.of_u(_DIFFUSION_CASES[case](args.c1))
-        eq = sy.EvolutionEquation("diffusion", cfg.alpha, psi, K=K)
-        lookup = "K=1" if case == "K=1" else "K=(c1+3u)^(-4/3)"
-        kw = {} if case == "K=1" else {"c1": args.c1}
-    else:
-        raise DomainError(f"unknown case '{case}'")
-    basis = sy.solve_ansatz(eq, case, **kw)
-    table = sy.builtin_table(cfg.alpha, p=args.p, b=args.bpar, c1=args.c1)
-    published = [c for cs, c in table if cs in (lookup, "arbitrary g")]
-    if case.startswith("K="):
-        published = [c for cs, c in table if cs == lookup]
-        if case == "K=power-law":
-            published.insert(0, sy._x_translation(cfg.alpha))
-    ok = st._same_span(basis, published)
-    emit(cfg, f"solve {case}",
+    case = sy.lookup_case(args.case)
+    params = _case_params(args)
+    basis = case.solve(cfg.alpha, psi, **params)
+    ok = st._same_span(basis, case.published(cfg.alpha, **params))
+    emit(cfg, f"solve {case.name}",
          ("label", "xi", "c0", "c1", "c2", "theta", "rho"),
          [_describe(c) for c in basis],
          extra={"matches_published": ok})
@@ -409,6 +363,11 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--nodes", type=int)
     p.add_argument("--terms", type=int)
     p.add_argument("--seed", type=int)
+
+
+def _param_row(key: str) -> str:
+    """The table row of the case whose solver reads parameter key."""
+    return next(c.row for c in sy.CASES if key in (c.params or ()))
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -450,12 +409,11 @@ def _parser() -> argparse.ArgumentParser:
         if name == "verify":
             p.add_argument("equation",
                            choices=("gfbe", "diffusion", "gazizov", "zhang"))
-        p.add_argument("--case", required=True,
-                       help="e.g. 'g=u', 'g=u^p', 'K=1', 'K=power-law'")
-        p.add_argument("--p", type=float, default=2.0)
-        p.add_argument("--bpar", type=float, default=1.0, help="b in e^(b u)")
-        p.add_argument("--c1", type=float, default=0.0,
-                       help="c1 in K = (c1 + 3u)^(-4/3)")
+        p.add_argument("--case", required=True, help="one of " + ", ".join(
+            repr(c.name) for c in sy.CASES))
+        for flag, key in (("--p", "p"), ("--bpar", "b"), ("--c1", "c1")):
+            p.add_argument(flag, type=float, default=sy.CASE_DEFAULTS[key],
+                           help=f"{key} in {_param_row(key)}")
         if name == "verify":
             p.add_argument("--table", help="builtin table row label prefix, e.g. X2")
             p.add_argument("--xi", default="0", help="explicit candidate: xi(x)")

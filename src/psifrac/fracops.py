@@ -100,8 +100,6 @@ class SeriesValue(NamedTuple):
     tail: float
 
 
-Func = Union[JetFunction, Callable[[float], float]]
-
 # -- psi-jet derivatives ----------------------------------------------------
 
 
@@ -121,27 +119,20 @@ def _psi_jet_expr(f_expr: sp.Expr, psi_expr: sp.Expr, m: int) -> sp.Expr:
 _psi_jet_fn = compiled
 
 
+def _jet_fn(f: JetFunction, psi: PsiFunction, m: int) -> Callable[[float], float]:
+    """Compiled f^{[m]}_psi, for f a JetFunction of t declared to order m."""
+    if not isinstance(f, JetFunction):
+        raise DomainError("the fractional operators need f as a JetFunction")
+    if f.max_order < m:
+        raise JetOrderError(f"jet order {f.max_order} < requested m={m}")
+    return compiled(f.expr, None, (m,), psi.expr)
+
+
 def psi_deriv_m(f: JetFunction, psi: PsiFunction, t: float, m: int) -> float:
     """f^{[m]}_psi(t) = ((1/psi') d/dt)^m f, by exact symbolic expansion."""
     if m < 0:
         raise ValueError("m must be non-negative")
-    if m == 0:
-        return f(t)
-    if f.max_order < m:
-        raise JetOrderError(f"jet order {f.max_order} < requested m={m}")
-    if psi.has_expr:
-        return float(compiled(f.expr, None, (m,), psi.expr)(t))
-    # callable-backed psi: only low orders are available analytically
-    fp = f.partial
-    d1 = psi.deriv(t)
-    if m == 1:
-        return fp((1,), t) / d1
-    if m == 2:
-        d2 = psi.deriv(t, 2)
-        return (fp((2,), t) * d1 - fp((1,), t) * d2) / d1**3
-    raise DomainError(
-        f"psi '{psi.name}' has no analytic derivatives beyond order 2; m={m}"
-    )
+    return float(_jet_fn(f, psi, m)(t))
 
 
 # -- quadrature backend -----------------------------------------------------
@@ -180,18 +171,9 @@ def _jacobi_rule(n: int, a: float):
     return ys, ws.tolist()
 
 
-def _jet_fn(f: Func, psi: PsiFunction, j: int) -> Callable[[float], float]:
-    """Compiled f^{[j]}_psi; a plain callable f stands for itself (j = 0)."""
-    if not isinstance(f, JetFunction):
-        return f
-    if j and not psi.has_expr:
-        return partial(psi_deriv_m, f, psi, m=j)
-    if f.max_order < j:
-        raise JetOrderError(f"jet order {f.max_order} < requested m={j}")
-    return compiled(f.expr, None, (j,), psi.expr)
-
-
-def _jacobi_moments(f: Func, psi: PsiFunction, m: int, beta: float, t: float, quad):
+def _jacobi_moments(
+    f: JetFunction, psi: PsiFunction, m: int, beta: float, t: float, quad
+):
     """V = psi(t) - psi(a) and, for j = 0..m, the moments
     int_0^1 (1-x)^{beta-1} x^j f^{[j]}_psi(psi^{-1}(psi(a) + V x)) dx."""
     if not t > psi.a:
@@ -217,7 +199,7 @@ def _jacobi_moments(f: Func, psi: PsiFunction, m: int, beta: float, t: float, qu
 
 
 def frac_integral(
-    f: Func,
+    f: JetFunction,
     psi: PsiFunction,
     order: float,
     t: float,
@@ -227,11 +209,14 @@ def frac_integral(
 
     V^alpha / Gamma(alpha) int_0^1 (1-x)^{alpha-1} f(psi^{-1}(psi(a) + V x)) dx,
 
-    V = psi(t) - psi(a).  f may be a plain callable of t.
+    V = psi(t) - psi(a).
     """
     alpha = float(order.alpha) if isinstance(order, FractionalOrder) else float(order)
     if alpha <= 0:
         raise DomainError(f"integral order must be positive, got {alpha}")
+    if alpha - 1.0 == -1.0:
+        # the rule's weight exponent alpha - 1 would round to the pole at -1
+        raise DomainError(f"integral order {alpha!r} is too small for the quadrature")
     V, (g0,) = _jacobi_moments(f, psi, 0, alpha, t, quad)
     return g0 * V**alpha * rgamma(alpha)
 
@@ -247,10 +232,7 @@ def frac_derivative(
 
     (d/dV)^m of I^{m-alpha;psi} f, taken under the integral sign (module
     docstring): exact in structure at every t in (a, b] and every order.
-    A psi given only by callables supplies jets up to m = 2.
     """
-    if not isinstance(f, JetFunction):
-        raise DomainError("the fractional derivative needs f as a JetFunction")
     if not isinstance(order, FractionalOrder):
         order = FractionalOrder(float(order))
     if order.is_integer:
@@ -338,7 +320,7 @@ def frac_derivative_series(
 
 
 def frac_op(
-    f: Func,
+    f: JetFunction,
     psi: PsiFunction,
     order: float,
     t: float,
@@ -423,7 +405,7 @@ def leibniz_product(
 
 def product_integral(
     f: JetFunction,
-    g: Func,
+    g: JetFunction,
     psi: PsiFunction,
     order: float,
     t: float,

@@ -26,10 +26,8 @@ from .errors import DomainError
 from .fracops import (
     FractionalOrder,
     QuadratureSpec,
-    SeriesValue,
     _psi_jet_expr,
     frac_derivative,
-    frac_op_series,
     jet_series,
 )
 from .jets import T, U, W, X, JetFunction, SolutionJet, compiled
@@ -39,7 +37,6 @@ from .special import gen_binom, rgamma
 __all__ = [
     "Infinitesimals",
     "ReducedInfinitesimals",
-    "total_frac_deriv",
     "eta_integer",
     "eta_m_psi",
     "mu_term",
@@ -107,9 +104,6 @@ class ReducedInfinitesimals:
     def gamma(self) -> float:
         return 0.5 * (self.alpha - 1.0)
 
-    def tau_psi(self, w: float) -> float:
-        return self.c0 + self.c1 * w + self.c2 * w * w
-
     def dtau_psi(self, w: float) -> float:
         """D_t^{1;psi} of tau, a polynomial identity in w."""
         return self.c1 + 2.0 * self.c2 * w
@@ -126,8 +120,6 @@ class ReducedInfinitesimals:
         return e
 
     def to_general(self, psi: PsiFunction, max_order: int = 12) -> Infinitesimals:
-        if not psi.has_expr:
-            raise DomainError("reduced form needs a symbolic psi")
         w = psi.expr - psi.expr.subs(T, psi.a)
         tau_t = (self.c0 + self.c1 * w + self.c2 * w**2) / sp.diff(psi.expr, T)
         return Infinitesimals(
@@ -170,31 +162,7 @@ def _series(
     return jet_series(jet, nu, psi(t) - psi(psi.a), terms).value
 
 
-def _compose(f: JetFunction, jet: SolutionJet) -> sp.Expr:
-    """Substitute u(x, t) for the u slot, yielding an expression in (x, t)."""
-    return sp.expand(f.expr.subs(U, jet.expr))
-
-
-def _require_expr(psi: PsiFunction):
-    if not psi.has_expr:
-        raise DomainError(f"prolongation needs a symbolic psi, got '{psi.name}'")
-
-
 # -- operations ---------------------------------------------------------------
-
-
-def total_frac_deriv(
-    f: JetFunction,
-    psi: PsiFunction,
-    order: float,
-    t: float,
-    terms: int = 20,
-) -> SeriesValue:
-    """Fractional total derivative of a function already composed along the
-    solution (a JetFunction of t): the jet series of D^{alpha;psi} where
-    every D_t^{m;psi} is a total derivative.  Negative orders give the
-    corresponding integral series."""
-    return frac_op_series(f, psi, order, t, terms)
 
 
 def eta_integer(
@@ -231,7 +199,6 @@ def eta_m_psi(
     """psi-time prolongation coefficient
     eta^(m;psi) = D_t^{m;psi}(eta - xi u_x - tau u_t)
                   + xi D_t^{m;psi} u_x + tau D_t^{m+1;psi} u."""
-    _require_expr(psi)
     if m < 0:
         raise DomainError(f"m must be non-negative, got {m}")
     uexpr = jet.expr
@@ -269,7 +236,6 @@ def mu_term(
     where the last factor is a partial t-derivative (u held fixed).
     Vanishes identically when eta is linear in u.
     """
-    _require_expr(psi)
     alpha = order.alpha if isinstance(order, FractionalOrder) else float(order)
     w = psi(t) - psi(psi.a)
     uexpr = jet.expr
@@ -321,7 +287,6 @@ def omega_commutator(
     so the commutator is the difference of two quadrature derivatives; it
     equals -u(a) w^{-alpha-1} / Gamma(-alpha) for w = psi(t) - psi(a), and
     vanishes for integer alpha."""
-    _require_expr(psi)
     alpha = order.alpha if isinstance(order, FractionalOrder) else float(order)
     if float(alpha).is_integer():
         return 0.0
@@ -376,7 +341,6 @@ def eta_alpha_psi(
     D_t^{m;psi} of xi, tau, eta_u are total derivatives along the
     solution; negative orders alpha - m are integral-series terms.
     """
-    _require_expr(psi)
     alpha = order.alpha if isinstance(order, FractionalOrder) else float(order)
     uexpr = jet.expr
     ux = sp.expand(sp.diff(uexpr, X))
@@ -429,7 +393,6 @@ def eta_alpha_psi_compact(
 
     with the leading term a fractional total derivative along the jet.
     """
-    _require_expr(psi)
     alpha = order.alpha if isinstance(order, FractionalOrder) else float(order)
     uexpr = jet.expr
     ux = sp.expand(sp.diff(uexpr, X))

@@ -1,9 +1,8 @@
 """Kernel functions psi: increasing, C^1, psi'(t) != 0 on [a, b].
 
 A :class:`PsiFunction` bundles psi, its derivatives and its inverse on a
-closed interval.  Builtins are backed by sympy expressions, which gives
-analytic derivatives of every order; user-supplied kernels may register
-plain callables and are then limited to the derivatives they provide.
+closed interval.  psi is a sympy expression in t, which gives analytic
+derivatives of every order and the psi-jets of every depth.
 """
 
 from __future__ import annotations
@@ -25,26 +24,20 @@ __all__ = ["PsiFunction", "builtin", "validate", "invert_numeric", "ValidationRe
 class PsiFunction:
     """Monotone kernel on [a, b] with derivative and inverse access.
 
-    ``expr`` is an optional sympy expression in ``t``; when present it is
-    the source of truth for derivatives of every order.  ``inverse`` is an
-    analytic inverse when available, else ``None`` (numeric bisection is
-    used instead).
+    ``expr``, a sympy expression in ``t``, is psi itself and the source of
+    its derivatives of every order.  ``inverse`` is an analytic inverse
+    when available, else ``None`` (numeric bisection is used instead).
     """
 
     name: str
     a: float
     b: float
-    expr: Optional[sp.Expr] = None
-    _eval: Optional[Callable[[float], float]] = None
-    _deriv: Optional[Callable[[float], float]] = None
-    _deriv2: Optional[Callable[[float], float]] = None
+    expr: sp.Expr
     inverse: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if not self.a < self.b:
             raise DomainError(f"need a < b, got [{self.a}, {self.b}]")
-        if self.expr is None and (self._eval is None or self._deriv is None):
-            raise DomainError("psi needs either an expression or eval+deriv callables")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -52,31 +45,11 @@ class PsiFunction:
         return compiled(self.expr, None, (order,))
 
     def __call__(self, t: float) -> float:
-        if self.expr is not None:
-            return float(self._fn(0)(t))
-        return float(self._eval(t))
+        return float(self._fn(0)(t))
 
     def deriv(self, t: float, order: int = 1) -> float:
         """order-th derivative of psi at t."""
-        if order == 0:
-            return self(t)
-        if self.expr is not None:
-            return float(self._fn(order)(t))
-        if order == 1:
-            return float(self._deriv(t))
-        if order == 2:
-            if self._deriv2 is None:
-                raise DomainError(
-                    f"psi '{self.name}' has no second derivative registered"
-                )
-            return float(self._deriv2(t))
-        raise DomainError(
-            f"psi '{self.name}' has no derivative of order {order} registered"
-        )
-
-    @property
-    def has_expr(self) -> bool:
-        return self.expr is not None
+        return float(self._fn(order)(t))
 
     def invert(self, v: float) -> float:
         """psi^{-1}(v), analytic if registered, else numeric."""

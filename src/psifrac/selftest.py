@@ -18,7 +18,7 @@ from . import fracops as fo
 from . import prolong as pr
 from . import symmetry as sy
 from .jets import JetFunction, SolutionJet, T, U, W, X
-from .psi import PsiFunction, builtin
+from .psi import builtin
 from .special import gen_binom, rgamma
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
@@ -302,10 +302,11 @@ def _c06():
     moved = pr.ReducedInfinitesimals(
         alpha, sy._jx(X), 1.0, 0.0, 0.0, sy._jx(0), sy._jxw(0)
     )
-    biggest = max(
-        abs(pr.omega_term(moved, probe, psi, alpha, 0.5, t))
-        for t in (0.4, 0.8, 1.2, 1.6)
-    )
+    biggest = 0.0
+    for t in (0.4, 0.8, 1.2, 1.6):
+        biggest = sy._nan_max(
+            biggest, abs(pr.omega_term(moved, probe, psi, alpha, 0.5, t))
+        )
     ok = w0 == 0.0 and biggest >= 1e-3
     return ok, (
         f"omega at tau(a)=0 is {w0!r} (must be exactly 0), "
@@ -314,21 +315,6 @@ def _c06():
 
 
 # -- 7: Burgers table reproduction ---------------------------------------------
-
-_GFBE_G = {
-    "arbitrary g": U**2 + U,
-    "g=u": U,
-    "g=u^p": U**2,
-    "g=e^(b u)": sp.exp(U),
-    "g=u/(1+u)": U / (1 + U),
-}
-
-_GFBE_SOLVE_CASE = {
-    "g=u": ("g=u", {}),
-    "g=u^p": ("g=u^p", {"p": 2.0}),
-    "g=e^(b u)": ("g=e^(b u)", {"b": 1.0}),
-    "g=u/(1+u)": ("g=u/(1+u)", {}),
-}
 
 
 def _same_generator(a, b) -> bool:
@@ -351,34 +337,40 @@ def _same_span(basis_a, basis_b) -> bool:
     ) and all(any(_same_generator(h, g) for g in basis_a) for h in basis_b)
 
 
+def _cases(kind: str, alpha: float):
+    """(case, coefficient jet, table rows) of each registered case of kind,
+    at the default parameters."""
+    params = sy.CASE_DEFAULTS
+    return [(case, case.jet(**params), case.rows(alpha, **params))
+            for case in sy.CASES if case.kind == kind]
+
+
+def _failed(rep: sy.ResidualReport) -> str:
+    return ", ".join(
+        f"{k}={float(v):.3g}" for k, v in rep.equations.items() if v > rep.tol
+    )
+
+
 def _c07():
     alpha = 0.5
+    params = sy.CASE_DEFAULTS
+    cases = _cases("gfbe", alpha)
     failures = []
-    table = sy.builtin_table(alpha)
     for name, a, b in (("identity", 0.0, 2.0), ("power", 0.5, 2.0)):
         psi = builtin(name, a, b)
-        for case, cand in table:
-            if case not in _GFBE_G:
-                continue
-            g = JetFunction.of_u(_GFBE_G[case])
-            rep = sy.detsys_gfbe(cand, g, psi, alpha, tol=1e-8)
-            if not rep.passed:
-                bad = ", ".join(
-                    f"{k}={float(v):.3g}"
-                    for k, v in rep.equations.items()
-                    if v > rep.tol
-                )
-                failures.append(f"{name}/{case}: residuals {bad}")
+        for case, g, rows in cases:
+            for cand in rows:
+                rep = sy.detsys_gfbe(cand, g, psi, alpha, tol=1e-8)
+                if not rep.passed:
+                    failures.append(f"{name}/{case.row}: residuals {_failed(rep)}")
     # ansatz solver recovers each row (psi-independent reduced coefficients)
     psi = builtin("identity", 0.0, 2.0)
-    for case, (solver_case, kw) in _GFBE_SOLVE_CASE.items():
-        eq = sy.EvolutionEquation(
-            "gfbe", alpha, psi, g=JetFunction.of_u(_GFBE_G[case])
-        )
-        solved = sy.solve_ansatz(eq, solver_case, **kw)
-        published = [c for cs, c in table if cs in (case, "arbitrary g")]
-        if not _same_span(solved, published):
-            failures.append(f"solve {case}: basis mismatch")
+    for case, _, _ in cases:
+        if case.params is None:
+            continue
+        solved = case.solve(alpha, psi, **params)
+        if not _same_span(solved, case.published(alpha, **params)):
+            failures.append(f"solve {case.row}: basis mismatch")
     if failures:
         return False, "; ".join(failures)
     return True, "all four table rows + x-translation verified and re-solved"
@@ -389,28 +381,18 @@ def _c07():
 
 def _c08():
     alpha = 0.5
+    cases = _cases("diffusion", alpha)
     failures = []
-    table = sy.builtin_table(alpha, c1=0.0)
-    k_const = JetFunction.of_u(sp.Integer(1) + 0 * U)
-    k_pow = JetFunction.of_u((0 + 3 * U) ** sp.Rational(-4, 3))
     for name, a, b in (("identity", 0.0, 2.0), ("power", 0.5, 2.0)):
         psi = builtin(name, a, b)
         n_const = 0
-        for case, cand in table:
-            if case == "K=1":
-                n_const += 1
-                rep = sy.detsys_diffusion(cand, k_const, psi, alpha, tol=1e-8)
-            elif case.startswith("K=(c1"):
-                rep = sy.detsys_diffusion(cand, k_pow, psi, alpha, tol=1e-8)
-            else:
-                continue
-            if not rep.passed:
-                bad = ", ".join(
-                    f"{k}={float(v):.3g}"
-                    for k, v in rep.equations.items()
-                    if v > rep.tol
-                )
-                failures.append(f"{name}/{case}/{cand.label}: {bad}")
+        for case, K, rows in cases:
+            if sp.diff(K.expr, U) == 0:
+                n_const += len(rows)
+            for cand in rows:
+                rep = sy.detsys_diffusion(cand, K, psi, alpha, tol=1e-8)
+                if not rep.passed:
+                    failures.append(f"{name}/{case.row}/{cand.label}: {_failed(rep)}")
         if n_const != 4:
             failures.append(f"{name}: expected 4 constant-diffusivity generators")
     if failures:
@@ -442,8 +424,8 @@ def _panel(alpha: float):
 def _c09():
     alpha = 0.5
     psi = builtin("identity", 0.0, 10.0)
-    g = JetFunction.of_u(U)
-    eq = sy.EvolutionEquation("gfbe", alpha, psi, g=g)
+    eq = sy.lookup_case("g=u").equation(alpha, psi, **sy.CASE_DEFAULTS)
+    g = eq.g
     verdicts = []
     for cand in _panel(alpha):
         vz = sy.detsys_zhang_rl(cand, eq, alpha, tol=1e-8).passed

@@ -11,13 +11,18 @@ admissible psi), and the two classical formulations (reduced two-equation
 form and the expanded five-block form) used for cross-method agreement
 checks.  A small ansatz solver reproduces the closed-form generator
 bases case by case.
+
+:data:`CASES` is the one registry of the g(u) and K(u) cases: each
+:class:`Case` names its coefficient, its family, its :func:`builtin_table`
+row and its solver parameters, and builds its equation and its published
+basis from them.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Callable, Optional
 
 import numpy as np
 import sympy as sp
@@ -46,6 +51,10 @@ __all__ = [
     "detsys_zhang_rl",
     "solve_ansatz",
     "builtin_table",
+    "CASE_DEFAULTS",
+    "Case",
+    "CASES",
+    "lookup_case",
 ]
 
 # jet coordinates treated as independent variables in determining systems
@@ -522,11 +531,15 @@ def _jxw(expr) -> JetFunction:
     return JetFunction(sp.sympify(expr), (X, W), 12)
 
 
+def _generator(alpha, label, xi, c1, theta=0, rho=0) -> GeneratorCandidate:
+    """Reduced candidate with c0 = c2 = 0: xi(x) d/dx + c1 w d/dpsi
+    + (theta(x) u + rho(x, w)) d/du."""
+    return GeneratorCandidate(label, reduced=ReducedInfinitesimals(
+        alpha, _jx(xi), 0.0, c1, 0.0, _jx(theta), _jxw(rho)))
+
+
 def _x_translation(alpha: float) -> GeneratorCandidate:
-    return GeneratorCandidate(
-        "X1: d/dx",
-        reduced=ReducedInfinitesimals(alpha, _jx(1), 0.0, 0.0, 0.0, _jx(0), _jxw(0)),
-    )
+    return _generator(alpha, "X1: d/dx", 1, 0.0)
 
 
 def diffusion_rho_fixture(alpha: float) -> sp.Expr:
@@ -543,79 +556,39 @@ def diffusion_rho_fixture(alpha: float) -> sp.Expr:
     )
 
 
+#: default case parameters: p in g = u^p, b in g = e^(b u) and c1 in
+#: K = (c1 + 3u)^(-4/3)
+CASE_DEFAULTS = MappingProxyType({"p": 2.0, "b": 1.0, "c1": 0.0})
+
+
 def builtin_table(
-    alpha: float, p: float = 2.0, b: float = 1.0, c1: float = 0.0
+    alpha: float,
+    p: float = CASE_DEFAULTS["p"],
+    b: float = CASE_DEFAULTS["b"],
+    c1: float = CASE_DEFAULTS["c1"],
 ) -> list:
     """Published generators as machine-readable fixtures:
     (case label, candidate) pairs for the Burgers cases, the constant
     diffusivity basis and the power-law diffusivity equation."""
     two = 2.0 / alpha
-    rows = [("arbitrary g", _x_translation(alpha))]
-
-    def scaling(theta, rho, label):
-        return GeneratorCandidate(
-            label,
-            reduced=ReducedInfinitesimals(
-                alpha, _jx(X), 0.0, two, 0.0, _jx(theta), _jxw(rho)
-            ),
-        )
-
-    rows.append(("g=u", scaling(-1, 0, "X2: x dx + (2w/a) dpsi - u du")))
-    rows.append(
-        (f"g=u^p", scaling(sp.Rational(-1) / sp.nsimplify(p), 0, f"X2 for u^{p}"))
-    )
-    rows.append((f"g=e^(b u)", scaling(0, sp.Rational(-1) / sp.nsimplify(b), f"X2 for e^({b}u)")))
-    rows.append(("g=u/(1+u)", scaling(1, 0, "X2: x dx + (2w/a) dpsi + u du")))
-    # constant diffusivity basis
-    rows.append(("K=1", _x_translation(alpha)))
-    rows.append(
-        (
-            "K=1",
-            GeneratorCandidate(
-                "X2: x dx + (2w/a) dpsi",
-                reduced=ReducedInfinitesimals(
-                    alpha, _jx(X), 0.0, two, 0.0, _jx(0), _jxw(0)
-                ),
-            ),
-        )
-    )
-    rows.append(
-        (
-            "K=1",
-            GeneratorCandidate(
-                "X3: u du",
-                reduced=ReducedInfinitesimals(
-                    alpha, _jx(0), 0.0, 0.0, 0.0, _jx(1), _jxw(0)
-                ),
-            ),
-        )
-    )
-    rows.append(
-        (
-            "K=1",
-            GeneratorCandidate(
-                "X4: rho du",
-                reduced=ReducedInfinitesimals(
-                    alpha, _jx(0), 0.0, 0.0, 0.0, _jx(0),
-                    _jxw(diffusion_rho_fixture(alpha)),
-                ),
-            ),
-        )
-    )
-    # power-law diffusivity K = (c1 + 3u)^(-4/3)
-    rows.append(
-        (
-            "K=(c1+3u)^(-4/3)",
-            GeneratorCandidate(
-                "X2: x^2 dx - x(c1+3u) du",
-                reduced=ReducedInfinitesimals(
-                    alpha, _jx(X**2), 0.0, 0.0, 0.0, _jx(-3 * X),
-                    _jxw(-sp.nsimplify(c1) * X),
-                ),
-            ),
-        )
-    )
-    return rows
+    return [
+        ("arbitrary g", _x_translation(alpha)),
+        ("g=u", _generator(alpha, "X2: x dx + (2w/a) dpsi - u du", X, two, -1)),
+        ("g=u^p", _generator(alpha, f"X2 for u^{p}", X, two,
+                             sp.Rational(-1) / sp.nsimplify(p))),
+        ("g=e^(b u)", _generator(alpha, f"X2 for e^({b}u)", X, two, 0,
+                                 sp.Rational(-1) / sp.nsimplify(b))),
+        ("g=u/(1+u)", _generator(alpha, "X2: x dx + (2w/a) dpsi + u du", X, two, 1)),
+        # constant diffusivity basis
+        ("K=1", _x_translation(alpha)),
+        ("K=1", _generator(alpha, "X2: x dx + (2w/a) dpsi", X, two)),
+        ("K=1", _generator(alpha, "X3: u du", 0, 0.0, 1)),
+        ("K=1", _generator(alpha, "X4: rho du", 0, 0.0, 0,
+                           diffusion_rho_fixture(alpha))),
+        # power-law diffusivity K = (c1 + 3u)^(-4/3)
+        ("K=(c1+3u)^(-4/3)", _generator(alpha, "X2: x^2 dx - x(c1+3u) du", X**2,
+                                        0.0, -3 * X, -sp.nsimplify(c1) * X)),
+    ]
 
 
 def solve_ansatz(equation: EvolutionEquation, case: str, **params) -> list:
@@ -637,21 +610,20 @@ def solve_ansatz(equation: EvolutionEquation, case: str, **params) -> list:
     th = sp.Symbol("theta0")
 
     def add(label, xi=X, c1=two, theta=0, rho=0):
-        basis.append(GeneratorCandidate(label, reduced=ReducedInfinitesimals(
-            alpha, _jx(xi), 0.0, c1, 0.0, _jx(theta), _jxw(rho))))
+        basis.append(_generator(alpha, label, xi, c1, theta, rho))
 
     if case == "g=u":
         # (iii) forces theta' = 0, rho_x = 0; (i) then rho = 0; (iv) with
         # xi = x, D tau = 2/alpha: (alpha Dtau - 1) u + theta u = 0
         add("scaling", theta=sp.solve(sp.Eq((adtau - 1) + th, 0), th)[0])
     elif case == "g=u^p":
-        p = sp.nsimplify(params.get("p", 2.0))
+        p = sp.nsimplify(params.get("p", CASE_DEFAULTS["p"]))
         if p <= 1:
             raise DomainError(f"case g=u^p needs p > 1, got {p}")
         # (iv): (alpha Dtau - xi') + p theta = 0 on the u^p coefficient
         add(f"scaling p={p}", theta=sp.solve(sp.Eq((adtau - 1) + p * th, 0), th)[0])
     elif case == "g=e^(b u)":
-        bpar = sp.nsimplify(params.get("b", 1.0))
+        bpar = sp.nsimplify(params.get("b", CASE_DEFAULTS["b"]))
         if bpar == 0:
             raise DomainError("case g=e^(b u) needs b != 0")
         # theta = 0; (iv): (alpha Dtau - xi') + b rho = 0 with constant rho
@@ -667,8 +639,76 @@ def solve_ansatz(equation: EvolutionEquation, case: str, **params) -> list:
         add("u-scaling", xi=0, c1=0.0, theta=1)
         add("rho du", xi=0, c1=0.0, rho=diffusion_rho_fixture(alpha))
     elif case == "K=power-law":
-        c1 = sp.nsimplify(params.get("c1", 0.0))
+        c1 = sp.nsimplify(params.get("c1", CASE_DEFAULTS["c1"]))
         add("projective", xi=X**2, c1=0.0, theta=-3 * X, rho=-c1 * X)
     else:
         raise DomainError(f"unknown case '{case}'")
     return basis
+
+
+# -- case registry --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Case:
+    """One g(u) or K(u) case of the two equation families.
+
+    ``name`` is the case's name for ``--case`` and :func:`solve_ansatz`,
+    ``kind`` its family ('gfbe' or 'diffusion'), ``row`` its
+    :func:`builtin_table` label, ``coefficient(p, b, c1)`` its g(u) or
+    K(u), and ``params`` the names of the parameters the solver reads
+    (None when the solver has no branch for the case).
+    """
+
+    name: str
+    kind: str
+    row: str
+    coefficient: Callable[[float, float, float], sp.Expr]
+    params: Optional[tuple] = ()
+
+    def jet(self, p: float, b: float, c1: float) -> JetFunction:
+        return JetFunction.of_u(self.coefficient(p, b, c1))
+
+    def equation(
+        self, alpha: float, psi: PsiFunction, p: float, b: float, c1: float
+    ) -> EvolutionEquation:
+        coef = {"g" if self.kind == "gfbe" else "K": self.jet(p, b, c1)}
+        return EvolutionEquation(self.kind, alpha, psi, **coef)
+
+    def rows(self, alpha: float, p: float, b: float, c1: float) -> list:
+        """The case's candidates in :func:`builtin_table`, in table order."""
+        return [c for row, c in builtin_table(alpha, p, b, c1) if row == self.row]
+
+    def published(self, alpha: float, p: float, b: float, c1: float) -> list:
+        """The published basis: the x-translation and the case's rows."""
+        return [_x_translation(alpha)] + self.rows(alpha, p, b, c1)
+
+    def solve(
+        self, alpha: float, psi: PsiFunction, p: float, b: float, c1: float
+    ) -> list:
+        """:func:`solve_ansatz` on the case's equation and parameters."""
+        given = {"p": p, "b": b, "c1": c1}
+        kw = {k: given[k] for k in self.params or ()}
+        return solve_ansatz(self.equation(alpha, psi, p, b, c1), self.name, **kw)
+
+
+CASES = (
+    Case("arbitrary g", "gfbe", "arbitrary g", lambda p, b, c1: U**2 + U, None),
+    Case("g=u", "gfbe", "g=u", lambda p, b, c1: U),
+    Case("g=u^p", "gfbe", "g=u^p", lambda p, b, c1: U ** sp.nsimplify(p), ("p",)),
+    Case("g=e^(b u)", "gfbe", "g=e^(b u)",
+         lambda p, b, c1: sp.exp(sp.nsimplify(b) * U), ("b",)),
+    Case("g=u/(1+u)", "gfbe", "g=u/(1+u)", lambda p, b, c1: U / (1 + U)),
+    Case("K=1", "diffusion", "K=1", lambda p, b, c1: sp.Integer(1) + 0 * U),
+    # name and row differ: bench/workloads.py matches both spellings
+    Case("K=power-law", "diffusion", "K=(c1+3u)^(-4/3)",
+         lambda p, b, c1: (sp.nsimplify(c1) + 3 * U) ** sp.Rational(-4, 3), ("c1",)),
+)
+
+
+def lookup_case(name: str, kind: Optional[str] = None) -> Case:
+    """The registered case called name, of family kind when given."""
+    for case in CASES:
+        if case.name == name and kind in (None, case.kind):
+            return case
+    raise DomainError(f"unknown {kind + ' ' if kind else ''}case '{name}'")

@@ -97,3 +97,21 @@ def test_a_nan_never_passes_a_criterion(monkeypatch):
     passed, detail = _c01()
     assert len(calls) > 7
     assert not passed, detail
+
+
+def test_a_nan_omega_never_passes_criterion_6(monkeypatch):
+    from psifrac import prolong
+    from psifrac.selftest import _c06
+
+    calls = []
+    real = prolong.omega_term
+
+    def nan_at_t_08(*args, **kw):
+        calls.append(1)
+        # the first call is the tau(a) = 0 check, then t = 0.4, 0.8, ...
+        return float("nan") if len(calls) == 3 else real(*args, **kw)
+
+    monkeypatch.setattr(prolong, "omega_term", nan_at_t_08)
+    passed, detail = _c06()
+    assert len(calls) == 5
+    assert not passed, detail

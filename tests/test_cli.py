@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from psifrac import symmetry as sy
 from psifrac.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -96,6 +97,8 @@ def test_eval_backend_gap_above_tol_fails(capsys):
     ["eval", "integral", "--f", "t", "--t", "1", "--terms", "-1"],
     ["eval", "integral", "--f", "t", "--t", "1", "--tol", "nan"],
     ["eval", "integral", "--f", "t", "--t", "1", "--tol=-1e-8"],
+    # alpha - 1 rounds to -1, the pole of the quadrature rule's first moment
+    ["eval", "integral", "--alpha", "5e-324", "--f", "t^2", "--t", "1"],
     ["solve", "--case", "g=u", "--alpha", "nan"],
     ["leibniz", "--f", "t", "--g", "t", "--t", "1", "--N", ","],
     ["leibniz", "--f", "t", "--g", "t", "--t", "1", "--N", "2,-1"],
@@ -278,3 +281,26 @@ def test_solve_power_law_theta(capsys):
     doc = json.loads(out)
     thetas = [r[5] for r in doc["rows"]]
     assert "-1/2" in thetas
+
+
+@pytest.mark.parametrize("case", [c for c in sy.CASES if c.params is not None],
+                         ids=lambda c: c.name)
+def test_solve_every_registered_case_matches_published_basis(capsys, case):
+    code, out = run(capsys, "solve", "--case", case.name, "--format", "json")
+    assert code == EXIT_PASS
+    assert json.loads(out)["matches_published"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--case", "g=u^3"],
+    ["solve", "--case", "arbitrary g"],
+    ["verify", "gfbe", "--case", "K=1", "--table", "X1"],
+    ["verify", "zhang", "--case", "K=power-law", "--table", "X2"],
+    ["verify", "diffusion", "--case", "g=u", "--table", "X2"],
+], ids=("unknown", "no-solver", "gfbe-with-K", "zhang-with-K", "diffusion-with-g"))
+def test_unknown_or_wrong_family_case_is_config_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1

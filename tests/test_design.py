@@ -51,7 +51,9 @@ def test_import_does_not_load_scipy():
         "import sys, psifrac\n"
         "from psifrac.fracops import frac_integral\n"
         "from psifrac.psi import builtin\n"
-        "frac_integral(lambda t: t, builtin('identity', 0.0, 2.0), 0.5, 1.0)\n"
+        "from psifrac.jets import JetFunction, T\n"
+        "f = JetFunction.of_t(T)\n"
+        "frac_integral(f, builtin('identity', 0.0, 2.0), 0.5, 1.0)\n"
         "print('scipy' in sys.modules)\n"
     )
     out = subprocess.run(

@@ -213,18 +213,22 @@ def test_jet_series_matches_the_binomial_form_bit_for_bit():
 
 
 def test_semigroup_of_integrals():
-    # I^a I^b f = I^{a+b} f, inner value supplied as a plain callable
-    f = JetFunction.of_t(sp.exp(T))
+    # I^b I^a f = I^{a+b} f, with I^a of the psi-power sum f in closed form
+    coeffs = (1.3, 0.8, 0.6)
     quad = fo.QuadratureSpec(256)
-    a_, b_ = 0.7, 0.3
-    t = 1.5
-
-    def inner(s):
-        return fo.frac_integral(f, IDENTITY, a_, s, quad) if s > 0 else 0.0
-
-    lhs = fo.frac_integral(inner, IDENTITY, b_, t, quad)
-    rhs = fo.frac_integral(f, IDENTITY, a_ + b_, t, quad)
-    assert lhs == pytest.approx(rhs, rel=1e-6)
+    for psi in (IDENTITY, POWER):
+        wa = _w_expr(psi)
+        f = JetFunction.of_t(sum(c * W**k for k, c in enumerate(coeffs)).subs(W, wa))
+        for a_, b_ in ((sp.Rational(7, 10), 0.3), (sp.Rational(1, 2), 1.25)):
+            inner = sum(
+                c * sp.gamma(k + 1) / sp.gamma(k + 1 + a_) * W ** (k + a_)
+                for k, c in enumerate(coeffs)
+            )
+            inner = JetFunction.of_t(inner.subs(W, wa))
+            for t in (psi.a + 0.3 * (psi.b - psi.a), psi.b):
+                lhs = fo.frac_integral(inner, psi, b_, t, quad)
+                rhs = fo.frac_integral(f, psi, float(a_) + b_, t, quad)
+                assert lhs == pytest.approx(rhs, rel=1e-6), (psi.name, a_, t)
 
 
 def test_derivative_left_inverse_of_integral():
@@ -322,31 +326,20 @@ def test_derivative_needs_jet_function():
         fo.frac_derivative(math.exp, IDENTITY, 0.5, 1.0)
 
 
+def test_integral_needs_jet_function():
+    with pytest.raises(DomainError):
+        fo.frac_integral(math.exp, IDENTITY, 0.5, 1.0)
+
+
+def test_integral_order_below_the_rule_is_a_domain_error():
+    # alpha - 1 rounds to -1, the pole of the rule's first moment
+    f = JetFunction.of_t(T**2)
+    for alpha in (5e-324, 1e-17):
+        with pytest.raises(DomainError, match="too small"):
+            fo.frac_integral(f, IDENTITY, alpha, 1.0)
+
+
 def test_series_needs_enough_jet_orders():
     f = JetFunction.of_t(sp.exp(T), max_order=5)
     with pytest.raises(JetOrderError):
         fo.frac_op_series(f, IDENTITY, 0.5, 1.0, terms=10)
-
-
-def test_callable_psi_limits_jet_depth():
-    psi = builtin("identity", 0.0, 2.0)
-    raw = type(psi)(
-        "raw", 0.0, 2.0, _eval=lambda t: t, _deriv=lambda t: 1.0
-    )
-    f = JetFunction.of_t(T**2)
-    assert fo.psi_deriv_m(f, raw, 1.0, 1) == pytest.approx(2.0)
-    with pytest.raises(DomainError):
-        fo.psi_deriv_m(f, raw, 1.0, 3)
-
-
-def test_callable_psi_derivative_orders_below_two():
-    raw = type(IDENTITY)(
-        "raw", 0.0, 2.0, _eval=lambda t: t, _deriv=lambda t: 1.0,
-        _deriv2=lambda t: 0.0, inverse=lambda v: v,
-    )
-    f = JetFunction.of_t(T**2)
-    for alpha in (0.5, 1.5):
-        want = fo.frac_derivative(f, IDENTITY, alpha, 1.2)
-        assert fo.frac_derivative(f, raw, alpha, 1.2) == pytest.approx(want, rel=1e-12)
-    with pytest.raises(DomainError):
-        fo.frac_derivative(f, raw, 2.5, 1.2)

@@ -81,6 +81,16 @@ def test_candidate_needs_exactly_one_form():
         sy.GeneratorCandidate("neither")
 
 
+def test_case_registry_covers_every_table_row():
+    assert {row for row, _ in sy.builtin_table(ALPHA)} == {c.row for c in sy.CASES}
+    assert len({c.name for c in sy.CASES}) == len(sy.CASES)
+    assert sy.lookup_case("K=1", "diffusion").kind == "diffusion"
+    with pytest.raises(DomainError):
+        sy.lookup_case("g=u^3")
+    with pytest.raises(DomainError):
+        sy.lookup_case("K=1", "gfbe")
+
+
 # -- Burgers-type system -------------------------------------------------------
 
 
@@ -178,6 +188,24 @@ def test_diffusion_rejects_wrong_projective_theta():
     cand = _scaling(theta=3 * X, c1=0.0, xi=X**2)  # sign flipped
     rep = sy.detsys_diffusion(cand, K, IDENTITY, ALPHA)
     assert not rep.passed
+
+
+@pytest.mark.parametrize("psi", PSIS, ids=lambda p: p.name)
+@pytest.mark.parametrize("c1", [0.5, 2.0])
+def test_power_law_row_with_shift_fails_rho_equation(psi, c1):
+    # like the e^(bu) row: rho = -c1 x is not annihilated by the
+    # Riemann-Liouville style derivative, so (i) keeps
+    # D^{alpha;psi} rho = -c1 x w^{-alpha} / Gamma(1-alpha), largest at
+    # x = 1 and the smallest w on the grid
+    case = sy.lookup_case("K=power-law")
+    params = dict(sy.CASE_DEFAULTS, c1=c1)
+    (cand,) = case.rows(ALPHA, **params)
+    rep = sy.detsys_diffusion(cand, case.jet(**params), psi, ALPHA)
+    w_min = psi(psi.a + 0.2) - psi(psi.a)
+    want = c1 * 1.0 * w_min ** (-ALPHA) / math.gamma(1 - ALPHA)
+    assert rep.equations["i"] == pytest.approx(want, rel=1e-12)
+    for eq in ("ii", "iii", "iv", "v"):
+        assert rep.equations[eq] <= rep.tol, str(rep)
 
 
 def test_nan_residual_never_passes():
