@@ -29,6 +29,7 @@ from .fracops import (
     frac_op,
     frac_op_series,
     leibniz_product,
+    power_rule_expr,
     product_integral,
     psi_deriv_m,
 )
@@ -71,7 +72,7 @@ __all__ = [
     "FractionalOrder", "QuadratureSpec", "SeriesValue",
     "frac_integral", "frac_derivative", "frac_op",
     "frac_integral_series", "frac_derivative_series", "frac_op_series",
-    "frac_deriv_psi_powers", "psi_deriv_m",
+    "frac_deriv_psi_powers", "power_rule_expr", "psi_deriv_m",
     "leibniz_product", "product_integral",
     "Infinitesimals", "ReducedInfinitesimals",
     "eta_integer", "eta_m_psi", "mu_term", "omega_commutator", "omega_term",

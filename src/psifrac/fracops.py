@@ -23,8 +23,9 @@ Two independent backends are provided for each operator:
   which terminates exactly for polynomials in psi(t) - psi(a).  Its sum,
   :func:`jet_series`, is shared with the prolongation formulas.
 
-Also here: the product-integral expansion and the Leibniz rule for the
-fractional derivative of a product.
+Also here: the product-integral expansion, the Leibniz rule for the
+fractional derivative of a product, and the exact power rule for power
+sums in w = psi(t) - psi(a), at one point or as an expression to compile.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
     "frac_op_series",
     "jet_series",
     "frac_deriv_psi_powers",
+    "power_rule_expr",
     "leibniz_product",
     "product_integral",
 ]
@@ -340,35 +342,70 @@ def frac_op(
 
 
 def frac_deriv_psi_powers(expr_in_w: sp.Expr, order: float, w: float) -> float:
-    """Exact D^{nu;psi} of a finite sum of powers c * (psi(t)-psi(a))^p.
+    """Exact D^{nu;psi} of a finite sum of powers c * (psi(t)-psi(a))^p,
+    at one w; the coefficients c must be numbers.
 
     Power rule: D^{nu;psi} w^p = Gamma(p+1)/Gamma(p+1-nu) w^{p-nu}, with
     the reciprocal gamma vanishing at poles (so w^{nu-1} maps to 0 for
     positive nu).  Raises DomainError when the expression is not a power
-    sum in w.
+    sum in w.  :func:`power_rule_expr` gives the same sum as an expression,
+    to compile once for many points.
     """
     nu = float(order)
-    e = sp.expand(sp.sympify(expr_in_w))
-    if e == 0:
-        return 0.0
     acc = 0.0
-    for term in e.as_ordered_terms():
-        c, p = _match_power(term)
-        if p <= -1:
-            raise DomainError(f"non-integrable power w^{p} in {expr_in_w}")
+    for c, p in _power_terms(expr_in_w):
         acc += float(c) * gamma(p + 1.0) * rgamma(p + 1.0 - nu) * w ** (p - nu)
     return acc
 
 
+def power_rule_expr(expr_in_w: sp.Expr, order: float) -> sp.Expr:
+    """D^{nu;psi} of a finite sum of powers c * w^p, as an expression in w:
+
+        sum c Gamma(p+1)/Gamma(p+1-nu) w^{p-nu},
+
+    where each c may hold other symbols (x, u), which stay symbolic.  A
+    term at a pole of the reciprocal gamma is dropped exactly.  The
+    numeric factor of c times the gamma ratio, and the exponent p - nu,
+    are the floats :func:`frac_deriv_psi_powers` computes, written with 17
+    digits so that a compiled callable reads back the same doubles.
+    Raises DomainError, here rather than at evaluation, when the
+    expression is not a power sum in w.
+    """
+    nu = float(order)
+    terms = []
+    for c, p in _power_terms(expr_in_w):
+        r = rgamma(p + 1.0 - nu)
+        if r == 0.0:
+            continue
+        k, rest = c.as_coeff_Mul()
+        ratio = float(k) * gamma(p + 1.0) * r
+        terms.append(sp.Float(ratio, 17) * rest * W ** sp.Float(p - nu, 17))
+    return sp.Add(*terms)
+
+
+def _power_terms(expr_in_w: sp.Expr) -> list:
+    """(c, p) for each term c * w**p of the expanded expression, c a sympy
+    expression free of w and p > -1 a float."""
+    e = sp.expand(sp.sympify(expr_in_w))
+    if e == 0:
+        return []
+    out = []
+    for term in e.as_ordered_terms():
+        c, p = _match_power(term)
+        if p <= -1:
+            raise DomainError(f"non-integrable power w^{p} in {expr_in_w}")
+        out.append((c, p))
+    return out
+
+
 def _match_power(term: sp.Expr):
-    poly = term.as_independent(W)
-    c, rest = poly
+    c, rest = term.as_independent(W)
     if rest == 1:
-        return float(c), 0.0
+        return c, 0.0
     if rest == W:
-        return float(c), 1.0
+        return c, 1.0
     if rest.is_Pow and rest.base == W and rest.exp.is_number:
-        return float(c), float(rest.exp)
+        return c, float(rest.exp)
     raise DomainError(f"term {term} is not of the form c*w**p")
 
 

@@ -12,6 +12,12 @@ form and the expanded five-block form) used for cross-method agreement
 checks.  A small ansatz solver reproduces the closed-form generator
 bases case by case.
 
+The grid loops make float calls only.  Each system builds its symbolic
+pieces once per call, before the loop: D^{alpha;psi} rho (or, in the
+expanded system, of the u-fixed combination eta - u eta_u) comes from
+:func:`~psifrac.fracops.power_rule_expr` and is compiled with
+:func:`~psifrac.jets.compiled` like every other equation.
+
 :data:`CASES` is the one registry of the g(u) and K(u) cases: each
 :class:`Case` names its coefficient, its family, its :func:`builtin_table`
 row and its solver parameters, and builds its equation and its published
@@ -21,6 +27,7 @@ basis from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Optional
 
@@ -28,7 +35,7 @@ import numpy as np
 import sympy as sp
 
 from .errors import DomainError
-from .fracops import QuadratureSpec, frac_deriv_psi_powers
+from .fracops import QuadratureSpec, power_rule_expr
 from .jets import T, U, W, X, JetFunction, compiled
 from .prolong import (
     Infinitesimals,
@@ -221,13 +228,9 @@ def _omega_residual(
     return r["v"]
 
 
-def _rho_frac_residual(
-    red: ReducedInfinitesimals, psi: PsiFunction, alpha: float, x: float, t: float
-) -> float:
-    """D^{alpha;psi} rho evaluated exactly through the power rule."""
-    rho_w = red.rho.expr.subs(X, x)
-    w = psi(t) - psi(psi.a)
-    return frac_deriv_psi_powers(rho_w, alpha, w)
+def _frac_rho(red: ReducedInfinitesimals, alpha: float):
+    """D^{alpha;psi} rho by the exact power rule, compiled over (x, w)."""
+    return compiled(power_rule_expr(red.rho.expr, alpha), (X, W))
 
 
 # -- psi-fractional Burgers system --------------------------------------------
@@ -261,13 +264,14 @@ def detsys_gfbe(
     theta, th1, th2 = red.theta._fn((0,)), red.theta._fn((1,)), red.theta._fn((2,))
     xi1, xi2 = red.xi._fn((1,)), red.xi._fn((2,))
     rho, rho_x, rho_xx = red.rho._fn((0, 0)), red.rho._fn((1, 0)), red.rho._fn((2, 0))
+    frac_rho = _frac_rho(red, alpha)
     r = {"i": 0.0, "ii": 0.0, "iii": 0.0, "iv": 0.0, "v": 0.0}
     worst = ""
     for x in grid.xs:
         for t in grid.ts:
             w = psi(t) - psi(psi.a)
             dtau = red.dtau_psi(w)
-            e1 = abs(_rho_frac_residual(red, psi, alpha, x, t) - rho_xx(x, w))
+            e1 = abs(frac_rho(x, w) - rho_xx(x, w))
             if _keep_max(r, "i", e1):
                 worst = f"i @ x={x:.3g}, t={t:.3g}"
             _keep_max(r, "ii", abs(alpha * dtau - 2.0 * xi1(x)))
@@ -316,13 +320,14 @@ def detsys_diffusion(
     theta, th1, th2 = red.theta._fn((0,)), red.theta._fn((1,)), red.theta._fn((2,))
     xi1, xi2 = red.xi._fn((1,)), red.xi._fn((2,))
     rho, rho_x, rho_xx = red.rho._fn((0, 0)), red.rho._fn((1, 0)), red.rho._fn((2, 0))
+    frac_rho = _frac_rho(red, alpha)
     r = {"i": 0.0, "ii": 0.0, "iii": 0.0, "iv": 0.0, "v": 0.0}
     worst = ""
     for x in grid.xs:
         for t in grid.ts:
             w = psi(t) - psi(psi.a)
             dtau = red.dtau_psi(w)
-            dfrac = _rho_frac_residual(red, psi, alpha, x, t)
+            dfrac = frac_rho(x, w)
             for u in grid.us:
                 e1 = abs((th2(x) * u + rho_xx(x, w)) * kfn(u) - dfrac)
                 if _keep_max(r, "i", e1):
@@ -368,7 +373,8 @@ def detsys_gazizov_rl(
       (v)    d_t^alpha(eta) - u d_t^alpha(eta_u) - eta_xx - g eta_x = 0
 
     Fractional t-partials in (v) hold u fixed and are evaluated by the
-    exact power rule, so eta must be a power sum in t.
+    exact power rule, so eta must be a power sum in t (DomainError
+    otherwise, before any node is evaluated).
     """
     if candidate.general is None:
         raise DomainError(f"candidate '{candidate.label}' must be in general form")
@@ -402,7 +408,8 @@ def detsys_gazizov_rl(
             alpha, n + 1
         ) * sp.diff(tau, T, n + 1)
         fam.append(compiled(e, xtu))
-    frac_part = sp.expand(eta - U * etau)  # the u-fixed fractional combination
+    # the u-fixed fractional combination, with w = t classically
+    frac5 = compiled(power_rule_expr((eta - U * etau).subs(T, W), alpha), (X, W, U))
     eta_x, eta_xx = inf.eta._fn((1, 0, 0)), inf.eta._fn((2, 0, 0))
     gfn = g._fn((0,))
     r = {"structure": 0.0, "family": 0.0, "iii": 0.0, "iv": 0.0, "v": 0.0}
@@ -415,12 +422,7 @@ def detsys_gazizov_rl(
                     _keep_max(r, "family", abs(f(x, t, u)))
                 _keep_max(r, "iii", abs(f3(x, t, u)))
                 _keep_max(r, "iv", abs(f4(x, t, u)))
-                in_w = frac_part.subs({X: x, U: u}).subs(T, W)
-                e5 = (
-                    frac_deriv_psi_powers(in_w, alpha, t)
-                    - eta_xx(x, t, u)
-                    - gfn(u) * eta_x(x, t, u)
-                )
+                e5 = frac5(x, t, u) - eta_xx(x, t, u) - gfn(u) * eta_x(x, t, u)
                 _keep_max(r, "v", abs(e5))
     return ResidualReport(r, tol, _grid_desc(grid))
 
@@ -495,13 +497,13 @@ def detsys_zhang_rl(
                 eq2 -= c * prolong_of[i]
     f1 = compiled(sp.expand(eq1), (X, T, U, UX, UXX))
     f2 = compiled(sp.expand(eq2), (X, T, U, UX, UXX))
+    frac_rho = _frac_rho(red, alpha)
     probes = grid.jet_probes()
     r = {"1": 0.0, "2": 0.0}
     worst = ""
     for x in grid.xs:
-        rho_w = rho.subs({X: x}).subs(T, W)
         for t in grid.ts:
-            dfrac = frac_deriv_psi_powers(rho_w, alpha, t)
+            dfrac = frac_rho(x, t)
             for u in grid.us:
                 for ux, uxx in probes:
                     e1 = abs(dfrac + f1(x, t, u, ux, uxx))
@@ -561,6 +563,14 @@ def diffusion_rho_fixture(alpha: float) -> sp.Expr:
 CASE_DEFAULTS = MappingProxyType({"p": 2.0, "b": 1.0, "c1": 0.0})
 
 
+@lru_cache(maxsize=256)
+def _rational(v: float) -> sp.Expr:
+    """sp.nsimplify(v): a case parameter as the exact number the table
+    rows, the solver and the coefficients share.  One table build
+    rationalizes the same few parameters several times."""
+    return sp.nsimplify(v)
+
+
 def builtin_table(
     alpha: float,
     p: float = CASE_DEFAULTS["p"],
@@ -575,9 +585,9 @@ def builtin_table(
         ("arbitrary g", _x_translation(alpha)),
         ("g=u", _generator(alpha, "X2: x dx + (2w/a) dpsi - u du", X, two, -1)),
         ("g=u^p", _generator(alpha, f"X2 for u^{p}", X, two,
-                             sp.Rational(-1) / sp.nsimplify(p))),
+                             sp.Rational(-1) / _rational(p))),
         ("g=e^(b u)", _generator(alpha, f"X2 for e^({b}u)", X, two, 0,
-                                 sp.Rational(-1) / sp.nsimplify(b))),
+                                 sp.Rational(-1) / _rational(b))),
         ("g=u/(1+u)", _generator(alpha, "X2: x dx + (2w/a) dpsi + u du", X, two, 1)),
         # constant diffusivity basis
         ("K=1", _x_translation(alpha)),
@@ -587,7 +597,7 @@ def builtin_table(
                            diffusion_rho_fixture(alpha))),
         # power-law diffusivity K = (c1 + 3u)^(-4/3)
         ("K=(c1+3u)^(-4/3)", _generator(alpha, "X2: x^2 dx - x(c1+3u) du", X**2,
-                                        0.0, -3 * X, -sp.nsimplify(c1) * X)),
+                                        0.0, -3 * X, -_rational(c1) * X)),
     ]
 
 
@@ -617,13 +627,13 @@ def solve_ansatz(equation: EvolutionEquation, case: str, **params) -> list:
         # xi = x, D tau = 2/alpha: (alpha Dtau - 1) u + theta u = 0
         add("scaling", theta=sp.solve(sp.Eq((adtau - 1) + th, 0), th)[0])
     elif case == "g=u^p":
-        p = sp.nsimplify(params.get("p", CASE_DEFAULTS["p"]))
+        p = _rational(params.get("p", CASE_DEFAULTS["p"]))
         if p <= 1:
             raise DomainError(f"case g=u^p needs p > 1, got {p}")
         # (iv): (alpha Dtau - xi') + p theta = 0 on the u^p coefficient
         add(f"scaling p={p}", theta=sp.solve(sp.Eq((adtau - 1) + p * th, 0), th)[0])
     elif case == "g=e^(b u)":
-        bpar = sp.nsimplify(params.get("b", CASE_DEFAULTS["b"]))
+        bpar = _rational(params.get("b", CASE_DEFAULTS["b"]))
         if bpar == 0:
             raise DomainError("case g=e^(b u) needs b != 0")
         # theta = 0; (iv): (alpha Dtau - xi') + b rho = 0 with constant rho
@@ -639,7 +649,7 @@ def solve_ansatz(equation: EvolutionEquation, case: str, **params) -> list:
         add("u-scaling", xi=0, c1=0.0, theta=1)
         add("rho du", xi=0, c1=0.0, rho=diffusion_rho_fixture(alpha))
     elif case == "K=power-law":
-        c1 = sp.nsimplify(params.get("c1", CASE_DEFAULTS["c1"]))
+        c1 = _rational(params.get("c1", CASE_DEFAULTS["c1"]))
         add("projective", xi=X**2, c1=0.0, theta=-3 * X, rho=-c1 * X)
     else:
         raise DomainError(f"unknown case '{case}'")
@@ -656,8 +666,10 @@ class Case:
     ``name`` is the case's name for ``--case`` and :func:`solve_ansatz`,
     ``kind`` its family ('gfbe' or 'diffusion'), ``row`` its
     :func:`builtin_table` label, ``coefficient(p, b, c1)`` its g(u) or
-    K(u), and ``params`` the names of the parameters the solver reads
-    (None when the solver has no branch for the case).
+    K(u), ``params`` the names of the parameters the solver reads
+    (None when the solver has no branch for the case), and ``nonzero``
+    those that make the coefficient constant at 0: p in u^p and b in
+    e^(b u), whose table rows divide by them.
     """
 
     name: str
@@ -665,8 +677,18 @@ class Case:
     row: str
     coefficient: Callable[[float, float, float], sp.Expr]
     params: Optional[tuple] = ()
+    nonzero: tuple = ()
+
+    def check(self, p: float, b: float, c1: float) -> None:
+        """DomainError for a parameter the case needs nonzero that is 0."""
+        given = {"p": p, "b": b, "c1": c1}
+        for k in self.nonzero:
+            if given[k] == 0:
+                raise DomainError(
+                    f"case {self.name} needs {k} != 0 (its coefficient is constant at 0)")
 
     def jet(self, p: float, b: float, c1: float) -> JetFunction:
+        self.check(p, b, c1)
         return JetFunction.of_u(self.coefficient(p, b, c1))
 
     def equation(
@@ -677,6 +699,7 @@ class Case:
 
     def rows(self, alpha: float, p: float, b: float, c1: float) -> list:
         """The case's candidates in :func:`builtin_table`, in table order."""
+        self.check(p, b, c1)
         return [c for row, c in builtin_table(alpha, p, b, c1) if row == self.row]
 
     def published(self, alpha: float, p: float, b: float, c1: float) -> list:
@@ -695,14 +718,14 @@ class Case:
 CASES = (
     Case("arbitrary g", "gfbe", "arbitrary g", lambda p, b, c1: U**2 + U, None),
     Case("g=u", "gfbe", "g=u", lambda p, b, c1: U),
-    Case("g=u^p", "gfbe", "g=u^p", lambda p, b, c1: U ** sp.nsimplify(p), ("p",)),
+    Case("g=u^p", "gfbe", "g=u^p", lambda p, b, c1: U ** _rational(p), ("p",), ("p",)),
     Case("g=e^(b u)", "gfbe", "g=e^(b u)",
-         lambda p, b, c1: sp.exp(sp.nsimplify(b) * U), ("b",)),
+         lambda p, b, c1: sp.exp(_rational(b) * U), ("b",), ("b",)),
     Case("g=u/(1+u)", "gfbe", "g=u/(1+u)", lambda p, b, c1: U / (1 + U)),
     Case("K=1", "diffusion", "K=1", lambda p, b, c1: sp.Integer(1) + 0 * U),
     # name and row differ: bench/workloads.py matches both spellings
     Case("K=power-law", "diffusion", "K=(c1+3u)^(-4/3)",
-         lambda p, b, c1: (sp.nsimplify(c1) + 3 * U) ** sp.Rational(-4, 3), ("c1",)),
+         lambda p, b, c1: (_rational(c1) + 3 * U) ** sp.Rational(-4, 3), ("c1",)),
 )
 
 

@@ -304,3 +304,30 @@ def test_unknown_or_wrong_family_case_is_config_error(capsys, argv):
     assert code == EXIT_CONFIG
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "gfbe", "--case", "g=u^p", "--table", "X2", "--p", "0"],
+    ["verify", "gfbe", "--case", "g=u^p", "--p", "0"],
+    ["verify", "gazizov", "--case", "g=u^p", "--table", "X2", "--p", "0"],
+    ["verify", "zhang", "--case", "g=u^p", "--table", "X2", "--p", "0"],
+    ["verify", "gfbe", "--case", "g=e^(b u)", "--table", "X2", "--bpar", "0"],
+    ["verify", "gazizov", "--case", "g=e^(b u)", "--table", "X2", "--bpar", "0"],
+    ["verify", "zhang", "--case", "g=e^(b u)", "--table", "X2", "--bpar", "0"],
+    ["solve", "--case", "g=u^p", "--p", "0"],
+    ["solve", "--case", "g=e^(b u)", "--bpar", "0"],
+])
+def test_degenerate_case_parameter_is_config_error(capsys, argv):
+    # p = 0 in u^p and b = 0 in e^(b u) make g(u) constant, and their
+    # table rows would divide by zero
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_unused_zero_parameter_is_accepted(capsys):
+    code, _ = run(capsys, "verify", "gfbe", "--case", "g=u", "--table", "X2",
+                  "--p", "0", "--bpar", "0")
+    assert code == EXIT_PASS

@@ -1,7 +1,9 @@
 """Design guards: every sympy-to-float callable comes from one cached
-compile, so equal requests share one callable and compile once; and the
-library runs on numpy and sympy alone."""
+compile, so equal requests share one callable and compile once; the
+determining systems keep sympy out of their grid loops; and the library
+runs on numpy and sympy alone."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +24,45 @@ def test_lambdify_is_called_in_one_place():
     }
     assert sum(sites.values()) == 1, sites
     assert sites["jets.py"] == 1
+
+
+# symbolic work a determining system does once per call, before its grid
+SYMBOLIC_CALLS = {"subs", "expand", "diff", "frac_deriv_psi_powers",
+                  "power_rule_expr", "compiled"}
+
+
+def _called_names(node):
+    for n in ast.walk(node):
+        if isinstance(n, ast.Call):
+            f = n.func
+            yield f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+
+
+def test_no_sympy_in_the_determining_system_grid_loops():
+    tree = ast.parse((SRC / "symmetry.py").read_text())
+    helpers = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+    def symbolic(node, seen):
+        """SYMBOLIC_CALLS made in node or in the module functions it calls."""
+        found = set()
+        for name in _called_names(node):
+            if name in SYMBOLIC_CALLS:
+                found.add(name)
+            elif name in helpers and name not in seen:
+                seen.add(name)
+                found |= symbolic(helpers[name], seen)
+        return found
+
+    systems = [f for name, f in helpers.items() if name.startswith("detsys_")]
+    assert len(systems) == 4
+    for system in systems:
+        # the outer loop over grid.xs holds every node of the grid
+        loops = [n for n in ast.walk(system) if isinstance(n, ast.For)
+                 and isinstance(n.iter, ast.Attribute)
+                 and getattr(n.iter.value, "id", None) == "grid"]
+        assert loops, system.name
+        for loop in loops:
+            assert not symbolic(loop, set()), (system.name, loop.lineno)
 
 
 def test_equal_jet_functions_share_one_compiled_callable():

@@ -9,7 +9,7 @@ import sympy as sp
 
 from psifrac import fracops as fo
 from psifrac.errors import DomainError, JetOrderError
-from psifrac.jets import JetFunction, T, W
+from psifrac.jets import JetFunction, T, U, W, X, compiled
 from psifrac.psi import builtin
 from psifrac.special import gamma, gen_binom, rgamma
 
@@ -126,6 +126,87 @@ def test_power_rule_rejects_non_power_sum():
 
 def test_power_rule_zero_expression():
     assert fo.frac_deriv_psi_powers(sp.Integer(0), 0.5, 0.8) == 0.0
+
+
+# a power sum in w whose coefficients hold x and u; at alpha = 2.5 its
+# w^{3/2} term sits on a pole of the reciprocal gamma
+MIXED_POWER_SUM = (
+    X**2 / 2 * W ** sp.Float(0.35)
+    + sp.exp(X) * U * W**2
+    - 3 * U**2
+    + sp.Rational(2, 7) * W ** sp.Rational(3, 2)
+    + X * U * W
+)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.65, 1.5, 2.5])
+def test_compiled_power_rule_matches_the_pointwise_rule(alpha):
+    fn = compiled(fo.power_rule_expr(MIXED_POWER_SUM, alpha), (X, W, U))
+    for x in (0.2, 0.9):
+        for u in (0.5, 1.7):
+            for w in (0.3, 1.4):
+                node = MIXED_POWER_SUM.subs({X: x, U: u})
+                want = fo.frac_deriv_psi_powers(node, alpha, w)
+                assert math.isclose(fn(x, w, u), want, rel_tol=1e-14), (x, u, w)
+
+
+def test_compiled_power_rule_reads_back_the_pointwise_doubles():
+    # one term with a numeric coefficient: the compiled callable makes the
+    # same float products as the pointwise rule, so the values are equal
+    for nu in (0.3, 0.65, 1.5):
+        for expr in (-sp.Rational(2, 3) * W ** sp.Float(0.35), sp.Float(0.1) * W**2,
+                     W ** (nu - 0.3)):
+            fn = compiled(fo.power_rule_expr(expr, nu), (W,))
+            for w in (0.2, 0.83, 1.9):
+                assert repr(fn(w)) == repr(fo.frac_deriv_psi_powers(expr, nu, w))
+
+
+def test_power_rule_expr_drops_the_critical_exponent_exactly():
+    alpha = 0.6
+    assert fo.power_rule_expr(W ** (alpha - 1), alpha) is sp.S.Zero
+    assert fo.power_rule_expr(X * U * W ** (alpha - 1), alpha) is sp.S.Zero
+    assert fo.power_rule_expr(sp.Integer(0), alpha) is sp.S.Zero
+
+
+@pytest.mark.parametrize("expr", [W ** (-1.2), sp.exp(W), X * W**-1, W**X],
+                         ids=("nonintegrable", "exp", "nonintegrable-times-x",
+                              "symbolic-exponent"))
+def test_power_rule_expr_rejects_a_non_power_sum_when_built(expr):
+    with pytest.raises(DomainError):
+        fo.power_rule_expr(expr, 0.5)
+
+
+def test_pointwise_power_rule_keeps_its_float_arithmetic_bit_for_bit():
+    # the term split hands back a sympy coefficient now; the pointwise rule
+    # must still take float(c) and multiply in the same order
+    def reference(expr_in_w, nu, w):
+        e = sp.expand(sp.sympify(expr_in_w))
+        if e == 0:
+            return 0.0
+        acc = 0.0
+        for term in e.as_ordered_terms():
+            c, rest = term.as_independent(W)
+            if rest == 1:
+                c, p = float(c), 0.0
+            elif rest == W:
+                c, p = float(c), 1.0
+            else:
+                c, p = float(c), float(rest.exp)
+            acc += c * gamma(p + 1.0) * rgamma(p + 1.0 - nu) * w ** (p - nu)
+        return acc
+
+    for nu in (0.3, 0.6, 1.5, 2.5):
+        sums = (
+            3 * W**2,
+            sp.sqrt(2) * W ** sp.Rational(1, 2) - sp.Rational(1, 3),
+            W ** (nu - 1) + 0.7 * W ** (2 * nu - 1),
+            MIXED_POWER_SUM.subs({X: 0.3, U: 1.1}),
+            MIXED_POWER_SUM.subs({X: 0.7, U: 0.6}),
+        )
+        for expr in sums:
+            for w in (0.2, 0.83, 1.9):
+                got = fo.frac_deriv_psi_powers(expr, nu, w)
+                assert repr(got) == repr(reference(expr, nu, w)), (expr, nu, w)
 
 
 # -- classic values ------------------------------------------------------------

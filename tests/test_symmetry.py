@@ -5,10 +5,11 @@ import pytest
 import sympy as sp
 
 from psifrac import prolong as pr
+from psifrac import selftest as st
 from psifrac import symmetry as sy
 from psifrac.errors import DomainError
 from psifrac.fracops import frac_deriv_psi_powers
-from psifrac.jets import JetFunction, T, U, W, X
+from psifrac.jets import JetFunction, T, U, W, X, compiled
 from psifrac.psi import builtin
 from psifrac.symmetry import UX, UXX
 
@@ -89,6 +90,42 @@ def test_case_registry_covers_every_table_row():
         sy.lookup_case("g=u^3")
     with pytest.raises(DomainError):
         sy.lookup_case("K=1", "gfbe")
+
+
+@pytest.mark.parametrize("name,params", [
+    ("g=u^p", {"p": 0.0, "b": 1.0, "c1": 0.0}),
+    ("g=e^(b u)", {"p": 2.0, "b": 0.0, "c1": 0.0}),
+])
+def test_degenerate_case_parameter_is_rejected_before_the_table(monkeypatch, name, params):
+    def no_table(*args, **kwargs):
+        raise AssertionError("table built for a degenerate parameter")
+
+    monkeypatch.setattr(sy, "builtin_table", no_table)
+    case = sy.lookup_case(name)
+    with pytest.raises(DomainError):
+        case.rows(ALPHA, **params)
+    with pytest.raises(DomainError):
+        case.jet(**params)
+    with pytest.raises(DomainError):
+        case.solve(ALPHA, IDENTITY, **params)
+
+
+def test_case_parameters_are_rationalized_once(monkeypatch):
+    calls = []
+    nsimplify = sp.nsimplify
+
+    def counting(v, *args, **kwargs):
+        calls.append(v)
+        return nsimplify(v, *args, **kwargs)
+
+    monkeypatch.setattr(sy.sp, "nsimplify", counting)
+    sy._rational.cache_clear()
+    params = {"p": 3.0, "b": 0.5, "c1": 0.25}
+    for case in sy.CASES:
+        case.published(ALPHA, **params)
+        if case.params is not None:
+            case.solve(ALPHA, IDENTITY, **params)
+    assert sorted(calls) == [0.25, 0.5, 3.0]
 
 
 # -- Burgers-type system -------------------------------------------------------
@@ -330,6 +367,111 @@ def test_both_classical_methods_agree_on_panel():
         verdicts.append((vz, vg))
     assert all(vz == vg for vz, vg in verdicts)
     assert [vz for vz, _ in verdicts] == [True, True, False, False, False, False]
+
+
+# -- the power rule outside the grid loops ---------------------------------------
+
+KERNELS = [IDENTITY, POWER, builtin("exponential", 0.0, 1.0)]
+CLASSICAL = builtin("identity", 0.0, 10.0)
+
+
+def _per_node_reference(run, expr, alpha, node):
+    """run() with D^{alpha;psi} of expr, the power sum of the system's
+    fractional equation, taken node by node as the systems once did: the
+    node's x (and u) substituted into expr, then frac_deriv_psi_powers at
+    its w.  node names the arguments the system passes, (x, w) or
+    (x, w, u); expr, alpha and node come from the caller, not from the
+    system under test."""
+    marker = object()
+
+    def compiled_or_per_node(e, vars, *rest):
+        if e is not marker:
+            return compiled(e, vars, *rest)
+
+        def at(*args):
+            sub = dict(zip(node, args))
+            w = sub.pop(W)
+            return frac_deriv_psi_powers(expr.subs(sub), alpha, w)
+
+        return at
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sy, "power_rule_expr", lambda *_: marker)
+        mp.setattr(sy, "compiled", compiled_or_per_node)
+        return run()
+
+
+def _assert_same_maxima(run, expr, alpha, node=(X, W)):
+    got = run().equations
+    want = _per_node_reference(run, expr, alpha, node).equations
+    assert got.keys() == want.keys()
+    for eq in got:
+        assert abs(got[eq] - want[eq]) <= 1e-14, (eq, got[eq], want[eq])
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.5])
+@pytest.mark.parametrize("params", [dict(sy.CASE_DEFAULTS), {"p": 3, "b": 0.5, "c1": 0.5}],
+                         ids=("defaults", "p3-b0.5-c0.5"))
+def test_table_residuals_match_the_per_node_power_rule(alpha, params):
+    for psi in KERNELS:
+        for row, cand in sy.builtin_table(alpha, **params):
+            case = next(c for c in sy.CASES if c.row == row)
+            system = sy.detsys_gfbe if case.kind == "gfbe" else sy.detsys_diffusion
+            jet = case.jet(**params)
+            _assert_same_maxima(lambda: system(cand, jet, psi, alpha),
+                                cand.reduced.rho.expr, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_classical_panel_residuals_match_the_per_node_power_rule(alpha):
+    eq = sy.lookup_case("g=u").equation(alpha, CLASSICAL, **sy.CASE_DEFAULTS)
+    for cand in st._panel(alpha):
+        inf = cand.reduced.to_general(CLASSICAL)
+        gen = sy.GeneratorCandidate(cand.label, general=inf)
+        _assert_same_maxima(lambda: sy.detsys_zhang_rl(cand, eq, alpha),
+                            cand.reduced.rho.expr, alpha)
+        # eta - u eta_u with u held fixed, in w = t
+        eta = inf.eta.expr
+        frac_part = sp.expand(eta - U * sp.diff(eta, U)).subs(T, W)
+        _assert_same_maxima(lambda: sy.detsys_gazizov_rl(gen, eq.g, alpha),
+                            frac_part, alpha, (X, W, U))
+
+
+def test_each_system_builds_its_power_rule_once(monkeypatch):
+    calls = []
+    build = sy.power_rule_expr
+
+    def counting(expr, alpha):
+        calls.append(expr)
+        return build(expr, alpha)
+
+    monkeypatch.setattr(sy, "power_rule_expr", counting)
+    (fixture,) = [c for c in _table("K=1") if c.label.startswith("X4")]
+    (scaling,) = _table("g=u")
+    g = JetFunction.of_u(U)
+    eq = sy.EvolutionEquation("gfbe", ALPHA, CLASSICAL, g=g)
+    general = sy.GeneratorCandidate("X2", general=scaling.reduced.to_general(CLASSICAL))
+    runs = (
+        lambda: sy.detsys_gfbe(scaling, g, IDENTITY, ALPHA),
+        lambda: sy.detsys_diffusion(fixture, JetFunction.of_u(sp.Integer(1) + 0 * U),
+                                    IDENTITY, ALPHA),
+        lambda: sy.detsys_zhang_rl(scaling, eq, ALPHA),
+        lambda: sy.detsys_gazizov_rl(general, g, ALPHA),
+    )
+    for run in runs:
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
+def test_systems_reject_a_fractional_part_that_is_no_power_sum():
+    cand = _scaling(0, rho=sp.exp(W), c1=0.0, xi=1)
+    g = JetFunction.of_u(U)
+    with pytest.raises(DomainError):
+        sy.detsys_gfbe(cand, g, IDENTITY, ALPHA)
+    inf = pr.Infinitesimals.from_exprs(X, 2 * T / ALPHA, sp.sin(T))
+    with pytest.raises(DomainError):
+        sy.detsys_gazizov_rl(sy.GeneratorCandidate("sin", general=inf), g, ALPHA)
 
 
 # -- ansatz solver ------------------------------------------------------------------
