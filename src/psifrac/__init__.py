@@ -12,13 +12,11 @@ Quick start::
 
 from .errors import (
     DomainError,
-    JetOrderError,
     NumericsError,
     PoleError,
     PsifracError,
 )
 from .fracops import (
-    FractionalOrder,
     QuadratureSpec,
     SeriesValue,
     frac_deriv_psi_powers,
@@ -65,11 +63,11 @@ from .symmetry import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "PsifracError", "DomainError", "PoleError", "JetOrderError", "NumericsError",
+    "PsifracError", "DomainError", "PoleError", "NumericsError",
     "gamma", "rgamma", "gen_binom",
     "PsiFunction", "builtin", "validate",
     "JetFunction", "SolutionJet", "X", "T", "U", "W",
-    "FractionalOrder", "QuadratureSpec", "SeriesValue",
+    "QuadratureSpec", "SeriesValue",
     "frac_integral", "frac_derivative", "frac_op",
     "frac_integral_series", "frac_derivative_series", "frac_op_series",
     "frac_deriv_psi_powers", "power_rule_expr", "psi_deriv_m",

@@ -35,6 +35,9 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+#: largest --terms and --N entry: each term costs one more symbolic psi-jet
+MAX_TERMS = 40
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -46,7 +49,6 @@ class RunConfig:
     nodes: int = 64
     terms: int = 20
     tol: float = 1e-8
-    seed: int = 20230815
     fmt: str = "human"
 
     def psi_fn(self):
@@ -65,7 +67,6 @@ _CONFIG_FIELDS = {
     "nodes": int,
     "terms": int,
     "tol": float,
-    "seed": int,
     "format": str,
 }
 
@@ -103,7 +104,7 @@ def _build_config(args) -> RunConfig:
     for flag, field in (
         ("psi", "psi"), ("a", "a"), ("b", "b"), ("psi_rho", "rho"),
         ("alpha", "alpha"), ("nodes", "nodes"), ("terms", "terms"),
-        ("tol", "tol"), ("seed", "seed"), ("format", "fmt"),
+        ("tol", "tol"), ("format", "fmt"),
     ):
         val = getattr(args, flag, None)
         if val is not None:
@@ -113,8 +114,8 @@ def _build_config(args) -> RunConfig:
         raise DomainError(f"unknown format '{cfg.fmt}'")
     if not (math.isfinite(cfg.alpha) and cfg.alpha > 0):
         raise DomainError(f"alpha must be finite and > 0, got {cfg.alpha}")
-    if cfg.terms < 0:
-        raise DomainError(f"terms must be >= 0, got {cfg.terms}")
+    if not 0 <= cfg.terms <= MAX_TERMS:
+        raise DomainError(f"terms must be in [0, {MAX_TERMS}], got {cfg.terms}")
     if not (math.isfinite(cfg.tol) and cfg.tol >= 0):
         raise DomainError(f"tol must be finite and >= 0, got {cfg.tol}")
     if getattr(args, "N", None) is not None:
@@ -123,13 +124,15 @@ def _build_config(args) -> RunConfig:
 
 
 def _n_list(raw: str):
-    """The leibniz term counts: a non-empty comma list of integers >= 0."""
+    """The leibniz term counts, sorted: a non-empty comma list of integers
+    in [0, MAX_TERMS]."""
     try:
-        ns = [int(s) for s in raw.split(",") if s.strip()]
+        ns = sorted(int(s) for s in raw.split(",") if s.strip())
     except ValueError:
         raise DomainError(f"bad N list {raw!r}") from None
-    if not ns or min(ns) < 0:
-        raise DomainError(f"N must be a non-empty list of integers >= 0, got {raw!r}")
+    if not ns or ns[0] < 0 or ns[-1] > MAX_TERMS:
+        raise DomainError(
+            f"N must be a non-empty list of integers in [0, {MAX_TERMS}], got {raw!r}")
     return ns
 
 
@@ -235,7 +238,7 @@ def cmd_leibniz(cfg: RunConfig, args) -> int:
             approx = fo.leibniz_product(f, g, psi, cfg.alpha, t, n, cfg.quad())
             err = abs(approx - direct)
             rows.append((t, n, approx, direct, err))
-        if err > cfg.tol:  # error at the last (largest) N decides the exit code
+        if err > cfg.tol:  # error at the largest N, the last, decides the exit code
             ok = False
     emit(cfg, "leibniz", ("t", "N", "leibniz", "direct", "error"), rows)
     return EXIT_PASS if ok else EXIT_FAIL
@@ -256,7 +259,7 @@ def cmd_prolong(cfg: RunConfig, args) -> int:
         full = pr.eta_alpha_psi(inf, jet, psi, cfg.alpha, args.x, t,
                                 terms=cfg.terms, quad=cfg.quad())
         mu = pr.mu_term(inf, jet, psi, cfg.alpha, args.x, t, M=cfg.terms)
-        u_t = JetFunction.of_t(jet.expr.subs(X, args.x), max_order=40)
+        u_t = JetFunction.of_t(jet.expr.subs(X, args.x))
         omega = pr.omega_term(inf, u_t, psi, cfg.alpha, args.x, t, cfg.quad())
         compact = pr.eta_alpha_psi_compact(inf, jet, psi, cfg.alpha, args.x, t,
                                            terms=cfg.terms, quad=cfg.quad())
@@ -362,7 +365,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--tol", type=float)
     p.add_argument("--nodes", type=int)
     p.add_argument("--terms", type=int)
-    p.add_argument("--seed", type=int)
 
 
 def _param_row(key: str) -> str:

@@ -33,18 +33,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import sympy as sp
 
-from .errors import DomainError, JetOrderError, NumericsError
+from .errors import DomainError, NumericsError
 from .jets import T, W, JetFunction, compiled
 from .psi import PsiFunction
 from .special import gamma, gen_binom, rgamma
 
 __all__ = [
-    "FractionalOrder",
     "QuadratureSpec",
     "SeriesValue",
     "psi_deriv_m",
@@ -60,29 +59,6 @@ __all__ = [
     "leibniz_product",
     "product_integral",
 ]
-
-
-@dataclass(frozen=True)
-class FractionalOrder:
-    """Real order alpha > 0 with its integer ceiling m."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise DomainError(f"fractional order must be positive, got {self.alpha}")
-
-    @property
-    def is_integer(self) -> bool:
-        return float(self.alpha).is_integer()
-
-    @property
-    def m(self) -> int:
-        # smallest integer strictly greater than alpha for the non-integer
-        # branch, alpha itself on the integer branch
-        if self.is_integer:
-            return int(self.alpha)
-        return math.floor(self.alpha) + 1
 
 
 @dataclass(frozen=True)
@@ -122,11 +98,9 @@ _psi_jet_fn = compiled
 
 
 def _jet_fn(f: JetFunction, psi: PsiFunction, m: int) -> Callable[[float], float]:
-    """Compiled f^{[m]}_psi, for f a JetFunction of t declared to order m."""
+    """Compiled f^{[m]}_psi, for f a JetFunction of t."""
     if not isinstance(f, JetFunction):
         raise DomainError("the fractional operators need f as a JetFunction")
-    if f.max_order < m:
-        raise JetOrderError(f"jet order {f.max_order} < requested m={m}")
     return compiled(f.expr, None, (m,), psi.expr)
 
 
@@ -213,7 +187,7 @@ def frac_integral(
 
     V = psi(t) - psi(a).
     """
-    alpha = float(order.alpha) if isinstance(order, FractionalOrder) else float(order)
+    alpha = float(order)
     if alpha <= 0:
         raise DomainError(f"integral order must be positive, got {alpha}")
     if alpha - 1.0 == -1.0:
@@ -226,20 +200,22 @@ def frac_integral(
 def frac_derivative(
     f: JetFunction,
     psi: PsiFunction,
-    order: Union[FractionalOrder, float],
+    order: float,
     t: float,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Left-sided fractional derivative D^{alpha;psi} f(t), quadrature backend.
 
-    (d/dV)^m of I^{m-alpha;psi} f, taken under the integral sign (module
-    docstring): exact in structure at every t in (a, b] and every order.
+    (d/dV)^m of I^{m-alpha;psi} f, m = floor(alpha) + 1, taken under the
+    integral sign (module docstring): exact in structure at every t in
+    (a, b] and every order.  An integer order is the psi-jet of that order.
     """
-    if not isinstance(order, FractionalOrder):
-        order = FractionalOrder(float(order))
-    if order.is_integer:
-        return psi_deriv_m(f, psi, t, order.m)
-    m, alpha = order.m, order.alpha
+    alpha = float(order)
+    if alpha <= 0:
+        raise DomainError(f"fractional order must be positive, got {alpha}")
+    if alpha.is_integer():
+        return psi_deriv_m(f, psi, t, int(alpha))
+    m = math.floor(alpha) + 1
     beta = m - alpha
     V, moments = _jacobi_moments(f, psi, m, beta, t, quad)
     return beta * sum(
@@ -290,8 +266,6 @@ def frac_op_series(
     """
     if not isinstance(f, JetFunction):
         raise DomainError("series backend needs a JetFunction")
-    if f.max_order < terms:
-        raise JetOrderError(f"jet order {f.max_order} < requested terms {terms}")
     w = psi(t) - psi(psi.a)
     if not w > 0:
         raise DomainError(f"need t > a, got psi(t)-psi(a) = {w}")
@@ -310,12 +284,12 @@ def frac_integral_series(
 def frac_derivative_series(
     f: JetFunction,
     psi: PsiFunction,
-    order: Union[FractionalOrder, float],
+    order: float,
     t: float,
     terms: int = 20,
 ) -> SeriesValue:
     """D^{alpha;psi} f by the jet expansion (alpha > 0)."""
-    alpha = order.alpha if isinstance(order, FractionalOrder) else float(order)
+    alpha = float(order)
     if alpha <= 0:
         raise DomainError(f"derivative order must be positive, got {alpha}")
     return frac_op_series(f, psi, alpha, t, terms)
@@ -332,7 +306,7 @@ def frac_op(
     integral of order -order for order < 0 (quadrature backend)."""
     nu = float(order)
     if nu > 0:
-        return frac_derivative(f, psi, FractionalOrder(nu), t, quad)
+        return frac_derivative(f, psi, nu, t, quad)
     if nu == 0:
         return float(_jet_fn(f, psi, 0)(t))
     return frac_integral(f, psi, -nu, t, quad)
@@ -416,7 +390,7 @@ def leibniz_product(
     f: JetFunction,
     g: JetFunction,
     psi: PsiFunction,
-    order: Union[FractionalOrder, float],
+    order: float,
     t: float,
     terms: int = 10,
     quad: QuadratureSpec = QuadratureSpec(),
@@ -428,9 +402,7 @@ def leibniz_product(
     Orders alpha - m < 0 dispatch to the fractional integral of order
     m - alpha.
     """
-    alpha = order.alpha if isinstance(order, FractionalOrder) else float(order)
-    if f.max_order < terms:
-        raise JetOrderError(f"jet order {f.max_order} < requested terms {terms}")
+    alpha = float(order)
     acc = 0.0
     for m in range(terms + 1):
         fm = psi_deriv_m(f, psi, t, m)
@@ -456,8 +428,6 @@ def product_integral(
     alpha = float(order)
     if alpha <= 0:
         raise DomainError(f"integral order must be positive, got {alpha}")
-    if f.max_order < terms:
-        raise JetOrderError(f"jet order {f.max_order} < requested terms {terms}")
     acc = 0.0
     for k in range(terms + 1):
         fk = psi_deriv_m(f, psi, t, k)

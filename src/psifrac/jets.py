@@ -1,10 +1,9 @@
 """Symbolic jet carriers and the one compile cache.
 
 A :class:`JetFunction` is a scalar function of declared variables exposing
-exact mixed partial derivatives up to a declared order; it carries the
-functions u, f, g, eta, rho used everywhere else.  Derivatives come from a
-sympy expression, never from finite differences.  Requesting a derivative
-beyond the declared order raises, it is never approximated.
+exact mixed partial derivatives of any order; it carries the functions u,
+f, g, eta, rho used everywhere else.  Derivatives come from a sympy
+expression, never from finite differences.
 
 :func:`compiled` turns an expression, or one of its mixed partials or
 psi-jets, into a float callable; every such callable in the package comes
@@ -18,8 +17,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import sympy as sp
-
-from .errors import JetOrderError
 
 __all__ = ["JetFunction", "SolutionJet", "compiled", "X", "T", "U", "W"]
 
@@ -67,38 +64,29 @@ class JetFunction:
 
     expr: sp.Expr
     vars: tuple
-    max_order: int = 8
 
     @classmethod
-    def of_t(cls, expr, max_order: int = 40) -> "JetFunction":
-        return cls(sp.sympify(expr), (T,), max_order)
+    def of_t(cls, expr) -> "JetFunction":
+        return cls(sp.sympify(expr), (T,))
 
     @classmethod
-    def of_xt(cls, expr, max_order: int = 12) -> "JetFunction":
-        return cls(sp.sympify(expr), (X, T), max_order)
+    def of_xt(cls, expr) -> "JetFunction":
+        return cls(sp.sympify(expr), (X, T))
 
     @classmethod
-    def of_u(cls, expr, max_order: int = 12) -> "JetFunction":
-        return cls(sp.sympify(expr), (U,), max_order)
+    def of_u(cls, expr) -> "JetFunction":
+        return cls(sp.sympify(expr), (U,))
 
     @classmethod
-    def of_xtu(cls, expr, max_order: int = 12) -> "JetFunction":
-        return cls(sp.sympify(expr), (X, T, U), max_order)
-
-    @property
-    def arity(self) -> int:
-        return len(self.vars)
+    def of_xtu(cls, expr) -> "JetFunction":
+        return cls(sp.sympify(expr), (X, T, U))
 
     def _fn(self, orders: tuple):
-        """Compiled mixed partial; errors beyond max_order."""
+        """Compiled mixed partial."""
         if len(orders) != len(self.vars):
             raise ValueError(f"expected {len(self.vars)} orders, got {orders}")
         if any(o < 0 for o in orders):
             raise ValueError("negative derivative order")
-        if sum(orders) > self.max_order:
-            raise JetOrderError(
-                f"derivative order {orders} exceeds declared jet order {self.max_order}"
-            )
         return compiled(self.expr, self.vars, orders)
 
     def partial(self, orders: Sequence[int], *args: float) -> float:
@@ -110,21 +98,14 @@ class JetFunction:
 
 @dataclass(frozen=True)
 class SolutionJet:
-    """u(x, t) with mixed partials on demand, symmetric in mixed order."""
+    """A solution u(x, t), carried as its expression."""
 
     u: JetFunction
 
     @classmethod
-    def from_expr(cls, expr, max_order: int = 12) -> "SolutionJet":
-        return cls(JetFunction.of_xt(expr, max_order))
+    def from_expr(cls, expr) -> "SolutionJet":
+        return cls(JetFunction.of_xt(expr))
 
     @property
     def expr(self) -> sp.Expr:
         return self.u.expr
-
-    def value(self, x: float, t: float) -> float:
-        return self.u(x, t)
-
-    def partial(self, i: int, j: int, x: float, t: float) -> float:
-        """d^{i+j} u / dx^i dt^j at (x, t)."""
-        return self.u.partial((i, j), x, t)

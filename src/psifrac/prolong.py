@@ -23,13 +23,7 @@ from typing import Union
 import sympy as sp
 
 from .errors import DomainError
-from .fracops import (
-    FractionalOrder,
-    QuadratureSpec,
-    _psi_jet_expr,
-    frac_derivative,
-    jet_series,
-)
+from .fracops import QuadratureSpec, _psi_jet_expr, frac_derivative, jet_series
 from .jets import T, U, W, X, JetFunction, SolutionJet, compiled
 from .psi import PsiFunction
 from .special import gen_binom, rgamma
@@ -56,12 +50,8 @@ class Infinitesimals:
     eta: JetFunction
 
     @classmethod
-    def from_exprs(cls, xi, tau, eta, max_order: int = 12) -> "Infinitesimals":
-        return cls(
-            JetFunction.of_xtu(xi, max_order),
-            JetFunction.of_xtu(tau, max_order),
-            JetFunction.of_xtu(eta, max_order),
-        )
+    def from_exprs(cls, xi, tau, eta) -> "Infinitesimals":
+        return cls(*(JetFunction.of_xtu(e) for e in (xi, tau, eta)))
 
     def tau_tilde(self, x: float, a: float, u_at_a: float) -> float:
         """tau restricted to the lower limit t = a."""
@@ -86,7 +76,6 @@ class ReducedInfinitesimals:
     c2: float
     theta: JetFunction  # function of x
     rho: JetFunction  # function of (x, w)
-    label: str = ""
 
     def __post_init__(self):
         if self.xi.vars != (X,):
@@ -119,13 +108,11 @@ class ReducedInfinitesimals:
             e = e + self.gamma * (2 * self.c2 * w + self.c1) * U
         return e
 
-    def to_general(self, psi: PsiFunction, max_order: int = 12) -> Infinitesimals:
+    def to_general(self, psi: PsiFunction) -> Infinitesimals:
         w = psi.expr - psi.expr.subs(T, psi.a)
         tau_t = (self.c0 + self.c1 * w + self.c2 * w**2) / sp.diff(psi.expr, T)
-        return Infinitesimals(
-            JetFunction.of_xtu(self.xi.expr, max_order),
-            JetFunction.of_xtu(sp.simplify(tau_t), max_order),
-            JetFunction.of_xtu(sp.expand(self.eta_expr(psi)), max_order),
+        return Infinitesimals.from_exprs(
+            self.xi.expr, sp.simplify(tau_t), sp.expand(self.eta_expr(psi))
         )
 
 
@@ -222,7 +209,7 @@ def mu_term(
     inf: Infinitesimals,
     jet: SolutionJet,
     psi: PsiFunction,
-    order: Union[FractionalOrder, float],
+    order: float,
     x: float,
     t: float,
     M: int = 10,
@@ -236,7 +223,7 @@ def mu_term(
     where the last factor is a partial t-derivative (u held fixed).
     Vanishes identically when eta is linear in u.
     """
-    alpha = order.alpha if isinstance(order, FractionalOrder) else float(order)
+    alpha = float(order)
     w = psi(t) - psi(psi.a)
     uexpr = jet.expr
     uval = float(_at(uexpr, x, t))
@@ -277,7 +264,7 @@ def mu_term(
 def omega_commutator(
     u: JetFunction,
     psi: PsiFunction,
-    order: Union[FractionalOrder, float],
+    order: float,
     t: float,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> float:
@@ -287,10 +274,10 @@ def omega_commutator(
     so the commutator is the difference of two quadrature derivatives; it
     equals -u(a) w^{-alpha-1} / Gamma(-alpha) for w = psi(t) - psi(a), and
     vanishes for integer alpha."""
-    alpha = order.alpha if isinstance(order, FractionalOrder) else float(order)
-    if float(alpha).is_integer():
+    alpha = float(order)
+    if alpha.is_integer():
         return 0.0
-    u1 = JetFunction.of_t(_psi_jet_expr(u.expr, psi.expr, 1), max_order=u.max_order)
+    u1 = JetFunction.of_t(_psi_jet_expr(u.expr, psi.expr, 1))
     return frac_derivative(u1, psi, alpha, t, quad) - frac_derivative(
         u, psi, alpha + 1.0, t, quad
     )
@@ -300,7 +287,7 @@ def omega_term(
     inf: Union[Infinitesimals, ReducedInfinitesimals],
     u: JetFunction,
     psi: PsiFunction,
-    order: Union[FractionalOrder, float],
+    order: float,
     x: float,
     t: float,
     quad: QuadratureSpec = QuadratureSpec(),
@@ -321,7 +308,7 @@ def eta_alpha_psi(
     inf: Infinitesimals,
     jet: SolutionJet,
     psi: PsiFunction,
-    order: Union[FractionalOrder, float],
+    order: float,
     x: float,
     t: float,
     terms: int = 12,
@@ -341,7 +328,7 @@ def eta_alpha_psi(
     D_t^{m;psi} of xi, tau, eta_u are total derivatives along the
     solution; negative orders alpha - m are integral-series terms.
     """
-    alpha = order.alpha if isinstance(order, FractionalOrder) else float(order)
+    alpha = float(order)
     uexpr = jet.expr
     ux = sp.expand(sp.diff(uexpr, X))
     uval = float(_at(uexpr, x, t))
@@ -369,7 +356,7 @@ def eta_alpha_psi(
             acc += cm * _series(sp.expand(uexpr), psi, alpha - m, terms, x, t)
     acc += mu_term(inf, jet, psi, alpha, x, t, M=terms)
     if include_omega:
-        u_t = JetFunction.of_t(uexpr.subs(X, x), max_order=40)
+        u_t = JetFunction.of_t(uexpr.subs(X, x))
         acc += omega_term(inf, u_t, psi, alpha, x, t, quad)
     return acc
 
@@ -378,7 +365,7 @@ def eta_alpha_psi_compact(
     inf: Infinitesimals,
     jet: SolutionJet,
     psi: PsiFunction,
-    order: Union[FractionalOrder, float],
+    order: float,
     x: float,
     t: float,
     terms: int = 12,
@@ -393,7 +380,7 @@ def eta_alpha_psi_compact(
 
     with the leading term a fractional total derivative along the jet.
     """
-    alpha = order.alpha if isinstance(order, FractionalOrder) else float(order)
+    alpha = float(order)
     uexpr = jet.expr
     ux = sp.expand(sp.diff(uexpr, X))
     ut = sp.diff(uexpr, T)
@@ -408,6 +395,6 @@ def eta_alpha_psi_compact(
         * _series(sp.expand(uexpr), psi, alpha + 1.0, terms, x, t)
     )
     if include_omega:
-        u_t = JetFunction.of_t(uexpr.subs(X, x), max_order=40)
+        u_t = JetFunction.of_t(uexpr.subs(X, x))
         acc += omega_term(inf, u_t, psi, alpha, x, t, quad)
     return acc

@@ -26,6 +26,7 @@ basis from them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -526,11 +527,11 @@ def _grid_desc(grid: GridSpec) -> str:
 
 
 def _jx(expr) -> JetFunction:
-    return JetFunction(sp.sympify(expr), (X,), 12)
+    return JetFunction(sp.sympify(expr), (X,))
 
 
 def _jxw(expr) -> JetFunction:
-    return JetFunction(sp.sympify(expr), (X, W), 12)
+    return JetFunction(sp.sympify(expr), (X, W))
 
 
 def _generator(alpha, label, xi, c1, theta=0, rho=0) -> GeneratorCandidate:
@@ -667,9 +668,10 @@ class Case:
     ``kind`` its family ('gfbe' or 'diffusion'), ``row`` its
     :func:`builtin_table` label, ``coefficient(p, b, c1)`` its g(u) or
     K(u), ``params`` the names of the parameters the solver reads
-    (None when the solver has no branch for the case), and ``nonzero``
-    those that make the coefficient constant at 0: p in u^p and b in
-    e^(b u), whose table rows divide by them.
+    (None when the solver has no branch for the case), each of which
+    must be finite, and ``nonzero`` those that make the coefficient
+    constant at 0: p in u^p and b in e^(b u), whose table rows divide by
+    them.
     """
 
     name: str
@@ -680,8 +682,12 @@ class Case:
     nonzero: tuple = ()
 
     def check(self, p: float, b: float, c1: float) -> None:
-        """DomainError for a parameter the case needs nonzero that is 0."""
+        """DomainError for a parameter the case reads that is not finite,
+        or one it needs nonzero that is 0."""
         given = {"p": p, "b": b, "c1": c1}
+        for k in self.params or ():
+            if not math.isfinite(given[k]):
+                raise DomainError(f"case {self.name} needs a finite {k}, got {given[k]}")
         for k in self.nonzero:
             if given[k] == 0:
                 raise DomainError(

@@ -43,6 +43,12 @@ def test_eval_integer_dispatch(capsys):
     assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(2.0)
 
 
+def test_eval_accepts_max_terms(capsys):
+    code, _ = run(capsys, "eval", "derivative", "--f", "t^2", "--t", "1",
+                  "--terms", "40")
+    assert code == EXIT_PASS
+
+
 def test_eval_rejects_bad_spec(capsys):
     code, _ = run(capsys, "eval", "derivative", "--f", "sin(t)", "--t", "1")
     assert code == EXIT_CONFIG
@@ -103,6 +109,19 @@ def test_eval_backend_gap_above_tol_fails(capsys):
     ["leibniz", "--f", "t", "--g", "t", "--t", "1", "--N", ","],
     ["leibniz", "--f", "t", "--g", "t", "--t", "1", "--N", "2,-1"],
     ["verify", "gfbe", "--case", "g=u", "--table", "X2", "--alpha", "nan"],
+    # term counts above MAX_TERMS
+    ["eval", "derivative", "--f", "t^2", "--t", "1", "--terms", "41"],
+    ["prolong", "--xi", "x", "--tau", "4*t", "--eta", "0-u", "--u", "x*psi",
+     "--x", "0.5", "--t", "1", "--terms", "41"],
+    ["leibniz", "--f", "t", "--g", "t", "--t", "1", "--N", "1,41"],
+    # non-finite case parameters
+    ["solve", "--case", "g=e^(b u)", "--bpar", "inf"],
+    ["solve", "--case", "g=u^p", "--p", "inf"],
+    ["solve", "--case", "g=u^p", "--p=-inf"],
+    ["verify", "gfbe", "--case", "g=u^p", "--table", "X2", "--p", "nan"],
+    ["verify", "zhang", "--case", "g=e^(b u)", "--table", "X2", "--bpar", "nan"],
+    ["solve", "--case", "K=power-law", "--c1", "nan"],
+    ["verify", "diffusion", "--case", "K=power-law", "--table", "X2", "--c1", "inf"],
 ])
 def test_bad_numeric_flags_are_config_errors(capsys, argv):
     code = main(argv)
@@ -168,6 +187,16 @@ def test_leibniz_trivial_product_passes(capsys):
     assert code == EXIT_PASS
     errors = [float(r.split(",")[-1]) for r in out.splitlines()[1:]]
     assert max(errors) <= 1e-12
+
+
+@pytest.mark.parametrize("n_list", ["1,10", "10,1"])
+def test_leibniz_exit_code_follows_the_largest_n(capsys, n_list):
+    # N = 1 leaves an error above tol, N = 10 is exact: the order given
+    # does not matter, and the rows come sorted
+    code, out = run(capsys, "leibniz", "--f", "psi^2+1", "--g", "psi^3",
+                    "--t", "1.5", "--N", n_list, "--format", "csv")
+    assert code == EXIT_PASS
+    assert [r.split(",")[1] for r in out.splitlines()[1:]] == ["1", "10"]
 
 
 def test_leibniz_insufficient_terms_fails(capsys):

@@ -4,7 +4,8 @@ Whatever the operator, kernel, order, point or function spec, ``eval``
 ends in a documented exit code without an escaping exception: exit 2 or 3
 prints one line on stderr, and exit 0 prints only finite numbers.  Bad
 numeric flags (``--alpha``, ``--terms``, ``--tol``, ``--N``) are a
-configuration error of one line, whatever the command.
+configuration error of one line, whatever the command; ``--terms`` and
+each ``--N`` entry must lie in [0, MAX_TERMS].
 """
 
 import io
@@ -14,7 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from psifrac.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERIC, EXIT_PASS, main
+from psifrac.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERIC, EXIT_PASS, MAX_TERMS, main
 
 _ATOMS = st.sampled_from(["t", "psi", "1", "2", "0.5", "3.25"])
 
@@ -72,7 +73,8 @@ def test_eval_ends_in_documented_exit_code(op, kernel, spec_alpha, t):
 _SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.5]
 _N_LISTS = st.one_of(
     st.lists(st.integers(-2, 4), max_size=3).map(lambda ns: ",".join(map(str, ns))),
-    st.sampled_from([",", " ", "1,,2", "x", "1.5"]),
+    st.sampled_from([",", " ", "1,,2", "x", "1.5", f"{MAX_TERMS},1",
+                     f"1,{MAX_TERMS + 1}"]),
 )
 _COMMANDS = {
     "eval": ["eval", "integral", "--f", "t^2", "--t", "1"],
@@ -85,7 +87,7 @@ _COMMANDS = {
 @given(
     command=st.sampled_from(sorted(_COMMANDS)),
     alpha=st.one_of(st.sampled_from(_SPECIAL), st.floats(0.05, 2.5)),
-    terms=st.integers(-3, 6),
+    terms=st.one_of(st.integers(-3, 6), st.integers(MAX_TERMS - 1, MAX_TERMS + 3)),
     tol=st.one_of(st.sampled_from(_SPECIAL + [1e-300]), st.floats(1e-12, 1.0)),
     n_list=_N_LISTS,
 )
@@ -97,10 +99,10 @@ def test_numeric_flags_are_validated_before_any_work(command, alpha, terms, tol,
         argv.append(f"--N={n_list}")
     try:
         ns = [int(s) for s in n_list.split(",") if s.strip()]
-        n_ok = bool(ns) and min(ns) >= 0
+        n_ok = bool(ns) and min(ns) >= 0 and max(ns) <= MAX_TERMS
     except ValueError:
         n_ok = False
-    valid = (math.isfinite(alpha) and alpha > 0 and terms >= 0
+    valid = (math.isfinite(alpha) and alpha > 0 and 0 <= terms <= MAX_TERMS
              and math.isfinite(tol) and tol >= 0
              and (command != "leibniz" or n_ok))
     out, err = io.StringIO(), io.StringIO()

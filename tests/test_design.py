@@ -1,9 +1,10 @@
 """Design guards: every sympy-to-float callable comes from one cached
 compile, so equal requests share one callable and compile once; the
-determining systems keep sympy out of their grid loops; and the library
-runs on numpy and sympy alone."""
+determining systems keep sympy out of their grid loops; every CLI setting
+is read; and the library runs on numpy and sympy alone."""
 
 import ast
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import sympy as sp
 
 import psifrac
+from psifrac.cli import RunConfig
 from psifrac.jets import T, JetFunction, compiled
 from psifrac.psi import builtin
 
@@ -63,6 +65,16 @@ def test_no_sympy_in_the_determining_system_grid_loops():
         assert loops, system.name
         for loop in loops:
             assert not symbolic(loop, set()), (system.name, loop.lineno)
+
+
+def test_every_run_config_field_is_read():
+    # a setting no command reads is a knob that does nothing
+    tree = ast.parse((SRC / "cli.py").read_text())
+    read = {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            and getattr(n.value, "id", None) in ("cfg", "self")}
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert fields <= read, fields - read
 
 
 def test_equal_jet_functions_share_one_compiled_callable():

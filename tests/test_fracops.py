@@ -8,7 +8,7 @@ import scipy.special
 import sympy as sp
 
 from psifrac import fracops as fo
-from psifrac.errors import DomainError, JetOrderError
+from psifrac.errors import DomainError
 from psifrac.jets import JetFunction, T, U, W, X, compiled
 from psifrac.psi import builtin
 from psifrac.special import gamma, gen_binom, rgamma
@@ -23,14 +23,6 @@ def _w_expr(psi):
 
 
 # -- order bookkeeping ---------------------------------------------------------
-
-
-def test_fractional_order_m():
-    assert fo.FractionalOrder(0.5).m == 1
-    assert fo.FractionalOrder(1.5).m == 2
-    assert fo.FractionalOrder(2.0).m == 2
-    assert fo.FractionalOrder(3.0).m == 3
-    assert fo.FractionalOrder(2.0).is_integer
 
 
 def test_quadrature_spec_minimum_nodes():
@@ -420,7 +412,9 @@ def test_integral_order_below_the_rule_is_a_domain_error():
             fo.frac_integral(f, IDENTITY, alpha, 1.0)
 
 
-def test_series_needs_enough_jet_orders():
-    f = JetFunction.of_t(sp.exp(T), max_order=5)
-    with pytest.raises(JetOrderError):
-        fo.frac_op_series(f, IDENTITY, 0.5, 1.0, terms=10)
+@pytest.mark.parametrize("alpha", [0.0, -0.5])
+@pytest.mark.parametrize("op", [fo.frac_derivative, fo.frac_derivative_series])
+def test_derivative_order_must_be_positive(op, alpha):
+    f = JetFunction.of_t(T**2)
+    with pytest.raises(DomainError, match="must be positive"):
+        op(f, IDENTITY, alpha, 1.0)
