@@ -35,7 +35,7 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-#: largest --terms and --N entry: each term costs one more symbolic psi-jet
+#: largest --terms, --N entry and jet depth of alpha: each costs one psi-jet
 MAX_TERMS = 40
 
 
@@ -114,6 +114,12 @@ def _build_config(args) -> RunConfig:
         raise DomainError(f"unknown format '{cfg.fmt}'")
     if not (math.isfinite(cfg.alpha) and cfg.alpha > 0):
         raise DomainError(f"alpha must be finite and > 0, got {cfg.alpha}")
+    # a derivative of order alpha takes ceil(alpha) psi-jets; prolong's omega
+    # takes one more, at order alpha + 1 (omega is 0 at integer alpha)
+    if args.command in ("leibniz", "prolong") or getattr(args, "op", None) == "derivative":
+        depth = math.ceil(cfg.alpha) + (args.command == "prolong" and not cfg.alpha.is_integer())
+        if depth > MAX_TERMS:
+            raise DomainError(f"alpha = {cfg.alpha} needs {depth} psi-jets, over {MAX_TERMS}")
     if not 0 <= cfg.terms <= MAX_TERMS:
         raise DomainError(f"terms must be in [0, {MAX_TERMS}], got {cfg.terms}")
     if not (math.isfinite(cfg.tol) and cfg.tol >= 0):

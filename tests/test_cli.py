@@ -49,6 +49,21 @@ def test_eval_accepts_max_terms(capsys):
     assert code == EXIT_PASS
 
 
+@pytest.mark.parametrize("argv", [
+    # an integer order differentiates alpha times: 40 jets
+    ["eval", "derivative", "--f", "t^2", "--t", "1", "--alpha", "40"],
+    # no derivative of order alpha, so no jets from alpha
+    ["eval", "integral", "--f", "t^2", "--t", "1", "--alpha", "45.5"],
+    ["verify", "gfbe", "--case", "g=u", "--table", "X2", "--alpha", "45.5"],
+    # omega at order alpha + 1 = 39.5 takes the 40th jet
+    ["prolong", "--xi", "x", "--tau", "4*t+1", "--eta", "0-u", "--u", "x*psi+1",
+     "--x", "0.5", "--t", "1", "--alpha", "38.5"],
+])
+def test_large_orders_within_the_jet_cap_run(capsys, argv):
+    code, _ = run(capsys, *argv)
+    assert code == EXIT_PASS
+
+
 def test_eval_rejects_bad_spec(capsys):
     code, _ = run(capsys, "eval", "derivative", "--f", "sin(t)", "--t", "1")
     assert code == EXIT_CONFIG
@@ -114,6 +129,14 @@ def test_eval_backend_gap_above_tol_fails(capsys):
     ["prolong", "--xi", "x", "--tau", "4*t", "--eta", "0-u", "--u", "x*psi",
      "--x", "0.5", "--t", "1", "--terms", "41"],
     ["leibniz", "--f", "t", "--g", "t", "--t", "1", "--N", "1,41"],
+    # orders whose derivatives need more than MAX_TERMS psi-jets
+    ["eval", "derivative", "--f", "t^2", "--t", "1", "--alpha", "2000"],
+    ["eval", "derivative", "--f", "t^2", "--t", "1", "--alpha", "1e300"],
+    ["eval", "derivative", "--f", "t^2", "--t", "1", "--alpha", "45.5"],
+    ["eval", "derivative", "--f", "t^2", "--t", "1", "--alpha", "40.5"],
+    ["leibniz", "--f", "t", "--g", "t", "--t", "1", "--N", "1", "--alpha", "40.5"],
+    ["prolong", "--xi", "x", "--tau", "4*t+1", "--eta", "0-u", "--u", "x*psi+1",
+     "--x", "0.5", "--t", "1", "--alpha", "39.5"],
     # non-finite case parameters
     ["solve", "--case", "g=e^(b u)", "--bpar", "inf"],
     ["solve", "--case", "g=u^p", "--p", "inf"],
