@@ -227,8 +227,10 @@ def cmd_eval(cfg: RunConfig, args) -> int:
             series = fo.frac_derivative_series(f, psi, cfg.alpha, t, cfg.terms).value
         rows.append((t, quad, series, abs(quad - series)))
     emit(cfg, f"eval {args.op}", ("t", "quadrature", "series", "discrepancy"), rows)
-    # the two backends are independent: a gap above tol fails the check
-    return EXIT_PASS if all(r[3] <= cfg.tol for r in rows) else EXIT_FAIL
+    # the two backends are independent: a gap above tol (1 + |quadrature|),
+    # criterion 2's measure, fails the check
+    ok = all(gap <= cfg.tol * (1.0 + abs(quad)) for _, quad, _, gap in rows)
+    return EXIT_PASS if ok else EXIT_FAIL
 
 
 def cmd_leibniz(cfg: RunConfig, args) -> int:

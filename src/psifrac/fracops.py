@@ -21,7 +21,13 @@ Two independent backends are provided for each operator:
 * series: the expansion in psi-jet derivatives
   f^{[m]}_psi = (1/psi' d/dt)^m f with generalized binomial coefficients,
   which terminates exactly for polynomials in psi(t) - psi(a).  Its sum,
-  :func:`jet_series`, is shared with the prolongation formulas.
+  :func:`jet_series`, runs over a list of float jets and is shared with
+  the prolongation formulas.
+
+This module owns the psi-jets: :func:`_psi_jet_expr` builds them
+symbolically and :func:`_psi_jet_fn` compiles them (through
+:func:`~psifrac.jets.compiled`), for the operators here and for
+:mod:`psifrac.prolong` alike.
 
 Also here: the product-integral expansion, the Leibniz rule for the
 fractional derivative of a product, and the exact power rule for power
@@ -32,8 +38,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Callable, NamedTuple, Optional
+from functools import lru_cache
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import sympy as sp
@@ -92,16 +98,19 @@ def _psi_jet_expr(f_expr: sp.Expr, psi_expr: sp.Expr, m: int) -> sp.Expr:
     return sp.expand(sp.diff(prev, T) / sp.diff(psi_expr, T))
 
 
-# the benchmark's tests (bench/test_bench.py) reset the compile cache by
-# this former name
-_psi_jet_fn = compiled
+# one lookup per jet on the hot paths, where _psi_jet_expr and compiled
+# would take two
+@lru_cache(maxsize=1024)
+def _psi_jet_fn(f_expr: sp.Expr, psi_expr: sp.Expr, m: int, vars: tuple = None):
+    """Compiled (1/psi' d/dt)^m f_expr as a function of vars (None: t)."""
+    return compiled(_psi_jet_expr(f_expr, psi_expr, m), vars)
 
 
 def _jet_fn(f: JetFunction, psi: PsiFunction, m: int) -> Callable[[float], float]:
     """Compiled f^{[m]}_psi, for f a JetFunction of t."""
     if not isinstance(f, JetFunction):
         raise DomainError("the fractional operators need f as a JetFunction")
-    return compiled(f.expr, None, (m,), psi.expr)
+    return _psi_jet_fn(f.expr, psi.expr, m)
 
 
 def psi_deriv_m(f: JetFunction, psi: PsiFunction, t: float, m: int) -> float:
@@ -227,24 +236,18 @@ def frac_derivative(
 # -- series backend ---------------------------------------------------------
 
 
-def jet_series(
-    jet: Callable[[int], Optional[float]], nu: float, w: float, terms: int
-) -> SeriesValue:
-    """sum_{m=0}^{terms} binom(nu, m) w^{m-nu} / Gamma(m+1-nu) jet(m), the jet
-    series of D^{nu;psi} (an integral for nu < 0) with w = psi(t) - psi(a).
+def jet_series(jets: Sequence[float], nu: float, w: float) -> SeriesValue:
+    """sum_m binom(nu, m) w^{m-nu} / Gamma(m+1-nu) jets[m], the jet series
+    of D^{nu;psi} (an integral for nu < 0) with w = psi(t) - psi(a).
 
-    jet(m) is the m-th psi-jet at the point, or None when it vanishes
-    identically, and with it every later one: the sum stops there.  The
-    tail estimate is the magnitude of the term at m = terms.
+    jets[m] is the m-th psi-jet at the point; a list that ends early ends
+    the sum, as where the next jet vanishes identically.  The tail
+    estimate is the magnitude of the last term.
     """
     acc = 0.0
     last = 0.0
     num = 1.0  # nu (nu - 1) ... (nu - m + 1), the numerator of gen_binom(nu, m)
-    for m in range(terms + 1):
-        d = jet(m)
-        if d is None:
-            last = 0.0
-            break
+    for m, d in enumerate(jets):
         last = num / math.factorial(m) * w ** (m - nu) * rgamma(m + 1 - nu) * d
         acc += last
         num *= nu - m
@@ -269,7 +272,8 @@ def frac_op_series(
     w = psi(t) - psi(psi.a)
     if not w > 0:
         raise DomainError(f"need t > a, got psi(t)-psi(a) = {w}")
-    return jet_series(partial(psi_deriv_m, f, psi, t), float(order), w, terms)
+    jets = [psi_deriv_m(f, psi, t, m) for m in range(terms + 1)]
+    return jet_series(jets, float(order), w)
 
 
 def frac_integral_series(

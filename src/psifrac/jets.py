@@ -5,9 +5,11 @@ exact mixed partial derivatives of any order; it carries the functions u,
 f, g, eta, rho used everywhere else.  Derivatives come from a sympy
 expression, never from finite differences.
 
-:func:`compiled` turns an expression, or one of its mixed partials or
-psi-jets, into a float callable; every such callable in the package comes
-from it, so equal requests share one compile.
+:func:`compiled` turns an expression, or one of its mixed partials, into
+a float callable; every such callable in the package comes from it, so
+equal requests share one compile.  The psi-jets are built in
+:mod:`psifrac.fracops`, which sits above this module, and are compiled
+here like any other expression.
 """
 
 from __future__ import annotations
@@ -30,30 +32,20 @@ W = sp.Symbol("w", real=True)
 # a few kB per entry; many entries (one alpha, one parsed f) are never
 # reused, so the bound keeps memory flat over long runs
 @lru_cache(maxsize=1024)
-def compiled(
-    expr: sp.Expr, vars: tuple = None, orders: tuple = (), psi: sp.Expr = None
-):
+def compiled(expr: sp.Expr, vars: tuple = None, orders: tuple = ()):
     """Float callable of expr in vars, or of its mixed partial of the given
     orders (one per variable, differentiated in the order of vars).
 
     vars None stands for (t,): hashing a sympy symbol runs Python code, and
     the hot callers, psi and the psi-jets of f(t), look up on every call.
-    With psi, an expression in t, the order on t counts psi-jet steps
-    (1/psi' d/dt) instead of plain t-derivatives.  Pass every argument
-    positionally: the cache keys on the arguments as given.
+    Pass every argument positionally: the cache keys on the arguments as
+    given.
     """
     if vars is None:
         vars = (T,)
     e = expr
     for v, o in zip(vars, orders):
-        if not o:
-            continue
-        if psi is not None and v == T:
-            # the psi-jet recurrence and its memo live with the operators
-            from .fracops import _psi_jet_expr
-
-            e = _psi_jet_expr(e, psi, o)
-        else:
+        if o:
             e = sp.diff(e, v, o)
     return sp.lambdify(vars, e, "math")
 

@@ -8,8 +8,11 @@ eta^(alpha;psi) together with its two correction terms mu (nonlinearity
 of eta in u) and omega (moving lower limit when tau does not vanish at
 t = a).
 
-All chain-rule expansions are exact sympy manipulations along the jet;
-fractional pieces use the terminating jet series from fracops, except
+All chain-rule expansions are exact sympy manipulations along the jet,
+done before any sum: each factor becomes a table of its float psi-jets at
+the point (:func:`_jets`, from the psi-jets :mod:`psifrac.fracops` builds
+and compiles), and the sums run over those tables.  Fractional pieces use
+the terminating jet series :func:`~psifrac.fracops.jet_series`, except
 omega, which is the difference of two quadrature derivatives:
 D^{alpha;psi} D_t^{1;psi} u - D^{alpha+1;psi} u.
 """
@@ -23,7 +26,13 @@ from typing import Union
 import sympy as sp
 
 from .errors import DomainError
-from .fracops import QuadratureSpec, _psi_jet_expr, frac_derivative, jet_series
+from .fracops import (
+    QuadratureSpec,
+    _psi_jet_expr,
+    _psi_jet_fn,
+    frac_derivative,
+    jet_series,
+)
 from .jets import T, U, W, X, JetFunction, SolutionJet, compiled
 from .psi import PsiFunction
 from .special import gen_binom, rgamma
@@ -86,12 +95,9 @@ class ReducedInfinitesimals:
             raise DomainError("rho must be a function of (x, w)")
 
     @property
-    def gamma_flag(self) -> bool:
-        return self.c2 != 0.0
-
-    @property
     def gamma(self) -> float:
-        return 0.5 * (self.alpha - 1.0)
+        """(alpha - 1)/2 when c2 != 0, else 0."""
+        return 0.5 * (self.alpha - 1.0) if self.c2 != 0.0 else 0.0
 
     def dtau_psi(self, w: float) -> float:
         """D_t^{1;psi} of tau, a polynomial identity in w."""
@@ -103,10 +109,11 @@ class ReducedInfinitesimals:
 
     def eta_expr(self, psi: PsiFunction) -> sp.Expr:
         w = psi.expr - psi.expr.subs(T, psi.a)
-        e = self.theta.expr * U + self.rho.expr.subs(W, w)
-        if self.gamma_flag:
-            e = e + self.gamma * (2 * self.c2 * w + self.c1) * U
-        return e
+        return (
+            self.theta.expr * U
+            + self.rho.expr.subs(W, w)
+            + self.gamma * (2 * self.c2 * w + self.c1) * U
+        )
 
     def to_general(self, psi: PsiFunction) -> Infinitesimals:
         w = psi.expr - psi.expr.subs(T, psi.a)
@@ -116,7 +123,7 @@ class ReducedInfinitesimals:
         )
 
 
-# -- exact chain-rule machinery ----------------------------------------------
+# -- jets along a solution ----------------------------------------------------
 
 # the benchmark's tests (bench/test_bench.py) reset these caches by their
 # former names; they are the fracops recurrence and the shared compile cache
@@ -134,19 +141,36 @@ def _at(d: sp.Expr, x: float, t: float, *u: float):
     return compiled(d, _XTU if u else _XT)(x, t, *u)
 
 
-def _series(
-    expr: sp.Expr, psi: PsiFunction, nu: float, terms: int, x: float, t: float, *u
-) -> float:
-    """Jet series of D^{nu;psi} expr at (x, t) (fracops.jet_series), for expr
-    in (x, t) fully composed along the solution or, with u given, in
-    (x, t, u) with u held fixed; it stops at the first jet that vanishes
-    identically."""
+def _jets(expr: sp.Expr, psi: PsiFunction, upto: int, x: float, t: float, *u) -> list:
+    """The psi-jets 0..upto of expr at (x, t), as floats, for expr in (x, t)
+    fully composed along the solution or, with u given, in (x, t, u) with
+    u held fixed.  The list stops before the first jet that vanishes
+    identically, as every later one does."""
+    vars = _XTU if u else _XT
+    out = []
+    for m in range(upto + 1):
+        if _psi_jet_expr(expr, psi.expr, m) == 0:
+            break
+        out.append(_psi_jet_fn(expr, psi.expr, m, vars)(x, t, *u))
+    return out
 
-    def jet(m: int):
-        d = _psi_jet_expr(expr, psi.expr, m)
-        return None if d == 0 else _at(d, x, t, *u)
 
-    return jet_series(jet, nu, psi(t) - psi(psi.a), terms).value
+def _nth(jets: list, m: int) -> float:
+    """jets[m] of a table from :func:`_jets`; 0 past its end."""
+    return jets[m] if m < len(jets) else 0.0
+
+
+def _characteristic(inf: Infinitesimals, uexpr: sp.Expr):
+    """xi and tau along the solution, and the characteristic
+    Q = eta - xi u_x - tau u_t, each expanded."""
+    xi_c = sp.expand(inf.xi.expr.subs(U, uexpr))
+    tau_c = sp.expand(inf.tau.expr.subs(U, uexpr))
+    q = sp.expand(
+        inf.eta.expr.subs(U, uexpr)
+        - xi_c * sp.diff(uexpr, X)
+        - tau_c * sp.diff(uexpr, T)
+    )
+    return xi_c, tau_c, q
 
 
 # -- operations ---------------------------------------------------------------
@@ -160,13 +184,7 @@ def eta_integer(
     if i < 1:
         raise DomainError(f"prolongation order must be >= 1, got {i}")
     uexpr = jet.expr
-    xi_c = inf.xi.expr.subs(U, uexpr)
-    tau_c = inf.tau.expr.subs(U, uexpr)
-    q = (
-        inf.eta.expr.subs(U, uexpr)
-        - xi_c * sp.diff(uexpr, X)
-        - tau_c * sp.diff(uexpr, T)
-    )
+    xi_c, tau_c, q = _characteristic(inf, uexpr)
     e = (
         sp.diff(q, X, i)
         + xi_c * sp.diff(uexpr, X, i + 1)
@@ -185,22 +203,18 @@ def eta_m_psi(
 ) -> float:
     """psi-time prolongation coefficient
     eta^(m;psi) = D_t^{m;psi}(eta - xi u_x - tau u_t)
-                  + xi D_t^{m;psi} u_x + tau D_t^{m+1;psi} u."""
+                  + xi D_t^{m;psi} u_x + tau psi'(t) D_t^{m+1;psi} u,
+
+    the last term being tau d/dt D_t^{m;psi} u; at m = 0 it is eta."""
     if m < 0:
         raise DomainError(f"m must be non-negative, got {m}")
     uexpr = jet.expr
-    xi_c = inf.xi.expr.subs(U, uexpr)
-    tau_c = inf.tau.expr.subs(U, uexpr)
-    q = sp.expand(
-        inf.eta.expr.subs(U, uexpr)
-        - xi_c * sp.diff(uexpr, X)
-        - tau_c * sp.diff(uexpr, T)
-    )
-    ux = sp.diff(uexpr, X)
+    xi_c, tau_c, q = _characteristic(inf, uexpr)
+    dpsi = sp.diff(psi.expr, T)
     e = (
         _psi_jet_expr(q, psi.expr, m)
-        + xi_c * _psi_jet_expr(sp.expand(ux), psi.expr, m)
-        + tau_c * _psi_jet_expr(sp.expand(uexpr), psi.expr, m + 1)
+        + xi_c * _psi_jet_expr(sp.expand(sp.diff(uexpr, X)), psi.expr, m)
+        + tau_c * dpsi * _psi_jet_expr(sp.expand(uexpr), psi.expr, m + 1)
     )
     return float(_at(sp.expand(e), x, t))
 
@@ -229,33 +243,33 @@ def mu_term(
     uval = float(_at(uexpr, x, t))
     # u-partials of eta; the sum over k stops once they vanish identically
     eta_k = {}
-    kmax = 1
     for k in range(2, M + 1):
         d = sp.expand(sp.diff(inf.eta.expr, U, k))
         if d == 0:
             break
         eta_k[k] = d
-        kmax = k
     if not eta_k:
         return 0.0
+    kmax = max(eta_k)
+    # the jet tables: t-partials of eta_k with u fixed, psi-jets of u^j
+    ek = {k: _jets(d, psi, M - 2, x, t, uval) for k, d in eta_k.items()}
+    upow = {j: _jets(sp.expand(uexpr**j), psi, M, x, t) for j in range(1, kmax + 1)}
     acc = 0.0
     for m in range(2, M + 1):
         cm = gen_binom(alpha, m) * w ** (m - alpha) * rgamma(m + 1 - alpha)
         for n in range(2, m + 1):
             cn = cm * math.comb(m, n)
             for k in range(2, min(n, kmax) + 1):
-                ek = _psi_jet_expr(eta_k[k], psi.expr, m - n)
-                if ek == 0:
+                if m - n >= len(ek[k]):
                     continue
-                ekv = _at(ek, x, t, uval)
+                ekv = ek[k][m - n]
                 for r in range(k):
-                    un = _psi_jet_expr(sp.expand(uexpr ** (k - r)), psi.expr, n)
                     acc += (
                         cn
                         * math.comb(k, r)
                         / math.factorial(k)
                         * (-uval) ** r
-                        * _at(un, x, t)
+                        * _nth(upow[k - r], n)
                         * ekv
                     )
     return acc
@@ -313,7 +327,6 @@ def eta_alpha_psi(
     t: float,
     terms: int = 12,
     quad: QuadratureSpec = QuadratureSpec(),
-    include_omega: bool = True,
 ) -> float:
     """Full alpha-th order prolongation coefficient, expanded form:
 
@@ -330,35 +343,34 @@ def eta_alpha_psi(
     """
     alpha = float(order)
     uexpr = jet.expr
-    ux = sp.expand(sp.diff(uexpr, X))
     uval = float(_at(uexpr, x, t))
+    w = psi(t) - psi(psi.a)
     xi_c = sp.expand(inf.xi.expr.subs(U, uexpr))
     tau_c = sp.expand(inf.tau.expr.subs(U, uexpr))
     etau = sp.expand(sp.diff(inf.eta.expr, U))
-    etau_c = sp.expand(etau.subs(U, uexpr))
+    # the jet tables: eta and eta_u with u fixed, the rest along the solution
+    eta_j = _jets(inf.eta.expr, psi, terms, x, t, uval)
+    etau_j = _jets(etau, psi, terms, x, t, uval)
+    etau_c_j = _jets(sp.expand(etau.subs(U, uexpr)), psi, terms, x, t)
+    xi_j = _jets(xi_c, psi, terms, x, t)
+    tau_j = _jets(tau_c, psi, terms + 1, x, t)
+    u_j = _jets(sp.expand(uexpr), psi, terms, x, t)
+    ux_j = _jets(sp.expand(sp.diff(uexpr, X)), psi, terms, x, t)
 
-    acc = _series(inf.eta.expr, psi, alpha, terms, x, t, uval)
-    d_alpha_u = _series(sp.expand(uexpr), psi, alpha, terms, x, t)
-    dtau1 = _at(_psi_jet_expr(tau_c, psi.expr, 1), x, t)
-    acc += (_at(etau, x, t, uval) - alpha * dtau1) * d_alpha_u
-    acc -= uval * _series(etau, psi, alpha, terms, x, t, uval)
+    acc = jet_series(eta_j, alpha, w).value
+    d_alpha_u = jet_series(u_j, alpha, w).value
+    acc += (_nth(etau_j, 0) - alpha * _nth(tau_j, 1)) * d_alpha_u
+    acc -= uval * jet_series(etau_j, alpha, w).value
     for m in range(1, terms + 1):
-        xim = _psi_jet_expr(xi_c, psi.expr, m)
-        if xim != 0:
-            acc -= (
-                gen_binom(alpha, m)
-                * _at(xim, x, t)
-                * _series(ux, psi, alpha - m, terms, x, t)
-            )
-        cm = gen_binom(alpha, m) * _at(_psi_jet_expr(etau_c, psi.expr, m), x, t)
-        cm -= gen_binom(alpha, m + 1) * _at(_psi_jet_expr(tau_c, psi.expr, m + 1), x, t)
+        if m < len(xi_j):
+            acc -= gen_binom(alpha, m) * xi_j[m] * jet_series(ux_j, alpha - m, w).value
+        cm = gen_binom(alpha, m) * _nth(etau_c_j, m)
+        cm -= gen_binom(alpha, m + 1) * _nth(tau_j, m + 1)
         if cm != 0.0:
-            acc += cm * _series(sp.expand(uexpr), psi, alpha - m, terms, x, t)
+            acc += cm * jet_series(u_j, alpha - m, w).value
     acc += mu_term(inf, jet, psi, alpha, x, t, M=terms)
-    if include_omega:
-        u_t = JetFunction.of_t(uexpr.subs(X, x))
-        acc += omega_term(inf, u_t, psi, alpha, x, t, quad)
-    return acc
+    u_t = JetFunction.of_t(uexpr.subs(X, x))
+    return acc + omega_term(inf, u_t, psi, alpha, x, t, quad)
 
 
 def eta_alpha_psi_compact(
@@ -370,7 +382,6 @@ def eta_alpha_psi_compact(
     t: float,
     terms: int = 12,
     quad: QuadratureSpec = QuadratureSpec(),
-    include_omega: bool = True,
 ) -> float:
     """Compact form of the alpha-th prolongation coefficient, valid when
     eta is linear in u:
@@ -382,19 +393,13 @@ def eta_alpha_psi_compact(
     """
     alpha = float(order)
     uexpr = jet.expr
-    ux = sp.expand(sp.diff(uexpr, X))
-    ut = sp.diff(uexpr, T)
-    xi_c = inf.xi.expr.subs(U, uexpr)
-    tau_c = inf.tau.expr.subs(U, uexpr)
-    q = sp.expand(inf.eta.expr.subs(U, uexpr) - xi_c * ux - tau_c * ut)
-    acc = _series(q, psi, alpha, terms, x, t)
-    acc += _at(sp.expand(xi_c), x, t) * _series(ux, psi, alpha, terms, x, t)
-    acc += (
-        _at(sp.expand(tau_c), x, t)
-        * psi.deriv(t)
-        * _series(sp.expand(uexpr), psi, alpha + 1.0, terms, x, t)
-    )
-    if include_omega:
-        u_t = JetFunction.of_t(uexpr.subs(X, x))
-        acc += omega_term(inf, u_t, psi, alpha, x, t, quad)
-    return acc
+    w = psi(t) - psi(psi.a)
+    xi_c, tau_c, q = _characteristic(inf, uexpr)
+    q_j = _jets(q, psi, terms, x, t)
+    ux_j = _jets(sp.expand(sp.diff(uexpr, X)), psi, terms, x, t)
+    u_j = _jets(sp.expand(uexpr), psi, terms, x, t)
+    acc = jet_series(q_j, alpha, w).value
+    acc += _at(xi_c, x, t) * jet_series(ux_j, alpha, w).value
+    acc += _at(tau_c, x, t) * psi.deriv(t) * jet_series(u_j, alpha + 1.0, w).value
+    u_t = JetFunction.of_t(uexpr.subs(X, x))
+    return acc + omega_term(inf, u_t, psi, alpha, x, t, quad)

@@ -70,8 +70,8 @@ def builtin(
     if name == "identity":
         return PsiFunction("identity", a, b, expr=T, inverse=lambda v: v)
     if name == "power":
-        if rho <= 0:
-            raise DomainError(f"power kernel needs rho > 0, got {rho}")
+        if not (math.isfinite(rho) and rho > 0):
+            raise DomainError(f"power kernel needs a finite rho > 0, got {rho}")
         if a < 0:
             raise DomainError("power kernel requires a >= 0")
         if rho < 1 and a <= 0 < b:

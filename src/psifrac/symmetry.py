@@ -106,11 +106,10 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class EvolutionEquation:
-    """D^{alpha;psi} u = H[u] + S(x,t) with H split into terms.
+    """D^{alpha;psi} u = H[u] with H split into terms.
 
     kind 'gfbe' carries g(u) (H = g(u) u_x + u_xx), 'diffusion' carries
-    K(u) (H = (K(u) u_x)_x), 'custom' carries explicit H terms in the jet
-    coordinates (x, t, u, u_x, u_xx).
+    K(u) (H = (K(u) u_x)_x).
     """
 
     kind: str
@@ -118,11 +117,9 @@ class EvolutionEquation:
     psi: PsiFunction
     g: Optional[JetFunction] = None
     K: Optional[JetFunction] = None
-    H_terms: tuple = ()
-    S: Optional[JetFunction] = None
 
     def __post_init__(self):
-        if self.kind not in ("gfbe", "diffusion", "custom"):
+        if self.kind not in ("gfbe", "diffusion"):
             raise DomainError(f"unknown equation kind '{self.kind}'")
         if self.kind == "gfbe":
             if self.g is None:
@@ -136,10 +133,8 @@ class EvolutionEquation:
         """All terms effective in H, as expressions in the jet coordinates."""
         if self.kind == "gfbe":
             return (self.g.expr * UX, UXX)
-        if self.kind == "diffusion":
-            k = self.K.expr
-            return (sp.diff(k, U) * UX**2, k * UXX)
-        return self.H_terms
+        k = self.K.expr
+        return (sp.diff(k, U) * UX**2, k * UXX)
 
     @staticmethod
     def is_linear_term(term: sp.Expr) -> bool:
@@ -260,7 +255,7 @@ def detsys_gfbe(
     red = _reduced(candidate)
     if grid is None:
         grid = GridSpec.default(psi)
-    gam = red.gamma if red.gamma_flag else 0.0
+    gam = red.gamma
     gfn, gpfn = g._fn((0,)), g._fn((1,))
     theta, th1, th2 = red.theta._fn((0,)), red.theta._fn((1,)), red.theta._fn((2,))
     xi1, xi2 = red.xi._fn((1,)), red.xi._fn((2,))
@@ -315,7 +310,7 @@ def detsys_diffusion(
     red = _reduced(candidate)
     if grid is None:
         grid = GridSpec.default(psi)
-    gam = red.gamma if red.gamma_flag else 0.0
+    gam = red.gamma
     kfn, k1fn, k2fn = K._fn((0,)), K._fn((1,)), K._fn((2,))
     constant_k = sp.diff(K.expr, U) == 0
     theta, th1, th2 = red.theta._fn((0,)), red.theta._fn((1,)), red.theta._fn((2,))
@@ -439,10 +434,9 @@ def detsys_zhang_rl(
     tol: float = 1e-8,
 ) -> ResidualReport:
     """Classical (psi = t, a = 0) reduced two-equation determining system
-    for D^alpha u = H[u] + S(x,t):
+    for D^alpha u = H[u]:
 
-      (1) D^alpha rho + (eta_u - alpha tau') S - xi S_x - tau S_t
-          - sum_V H_{u_i} d^i rho / dx^i = 0
+      (1) D^alpha rho - sum_V H_{u_i} d^i rho / dx^i = 0
       (2) (eta_u - alpha tau') H - xi H_x - tau H_t
           - sum_V H_{u_i} (eta^(i) - d^i rho/dx^i)
           - sum_{W\\V} H_{u_i} eta^(i) = 0,
@@ -456,7 +450,7 @@ def detsys_zhang_rl(
     psi = builtin("identity", 0.0, 10.0)
     if grid is None:
         grid = GridSpec.default(psi)
-    gam = red.gamma if red.gamma_flag else 0.0
+    gam = red.gamma
     # symbolic candidate pieces (w = t classically)
     xi = red.xi.expr
     tau = red.c1 * T + red.c2 * T**2
@@ -474,13 +468,7 @@ def detsys_zhang_rl(
         + (etau - 2 * xi1) * UXX
     )
     prolong_of = {0: eta, 1: zeta1, 2: zeta2}
-    s_expr = equation.S.expr if equation.S is not None else sp.Integer(0)
-    eq1 = (
-        (etau - alpha * taup) * s_expr
-        - xi * sp.diff(s_expr, X)
-        - tau * sp.diff(s_expr, T)
-    )
-    eq2 = sp.Integer(0)
+    eq1 = eq2 = sp.Integer(0)
     for term in equation.terms():
         h_x = sp.diff(term, X)
         h_t = sp.diff(term, T)

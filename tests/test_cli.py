@@ -111,6 +111,17 @@ def test_eval_backend_gap_above_tol_fails(capsys):
     assert float(out.splitlines()[1].split(",")[3]) > 1.0
 
 
+def test_eval_gate_is_relative_to_the_value(capsys):
+    # D^35.5 of t^2 + e^t is about -5.4e38: backends that agree to 3e-15 of
+    # it differ by about 1.6e24 in absolute terms, and eval passes
+    code, out = run(capsys, "eval", "derivative", "--f", "t^2+exp(t)", "--t", "1",
+                    "--alpha", "35.5", "--format", "csv")
+    assert code == EXIT_PASS
+    _, quad, _, gap = (float(v) for v in out.splitlines()[1].split(","))
+    assert gap > 1e20
+    assert gap <= 1e-8 * (1 + abs(quad))
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "integral", "--f", "t", "--t", "1", "--alpha", "inf"],
     ["eval", "integral", "--f", "t", "--t", "1", "--alpha", "nan"],
@@ -145,6 +156,11 @@ def test_eval_backend_gap_above_tol_fails(capsys):
     ["verify", "zhang", "--case", "g=e^(b u)", "--table", "X2", "--bpar", "nan"],
     ["solve", "--case", "K=power-law", "--c1", "nan"],
     ["verify", "diffusion", "--case", "K=power-law", "--table", "X2", "--c1", "inf"],
+    # a non-finite power-kernel exponent
+    ["eval", "derivative", "--f", "t", "--t", "1.5", "--psi", "power", "--a", "1",
+     "--b", "2", "--psi-rho", "nan"],
+    ["eval", "derivative", "--f", "t", "--t", "1.5", "--psi", "power", "--a", "1",
+     "--b", "2", "--psi-rho", "inf"],
 ])
 def test_bad_numeric_flags_are_config_errors(capsys, argv):
     code = main(argv)

@@ -1,7 +1,9 @@
 """Design guards: every sympy-to-float callable comes from one cached
 compile, so equal requests share one callable and compile once; the
-determining systems keep sympy out of their grid loops; every CLI setting
-is read; and the library runs on numpy and sympy alone."""
+psi-jets have one owner, fracops, above the compile cache; the
+determining systems keep sympy out of their grid loops, and the
+prolongation sums out of their m-loops; every CLI setting is read; and
+the library runs on numpy and sympy alone."""
 
 import ast
 import dataclasses
@@ -65,6 +67,38 @@ def test_no_sympy_in_the_determining_system_grid_loops():
         assert loops, system.name
         for loop in loops:
             assert not symbolic(loop, set()), (system.name, loop.lineno)
+
+
+# symbolic work, or a jet build, that a prolongation sum does before its loop
+JET_CALLS = SYMBOLIC_CALLS | {"_psi_jet_expr", "_psi_jet_fn", "_jets", "_at"}
+
+
+def test_no_symbolic_work_in_the_prolongation_sums():
+    tree = ast.parse((SRC / "prolong.py").read_text())
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for name in ("eta_alpha_psi", "mu_term"):
+        loops = [n for n in ast.walk(funcs[name]) if isinstance(n, ast.For)
+                 and getattr(n.target, "id", None) == "m"]
+        assert loops, name
+        for loop in loops:
+            sympy_calls = [n.lineno for n in ast.walk(loop) if isinstance(n, ast.Call)
+                           and isinstance(n.func, ast.Attribute)
+                           and getattr(n.func.value, "id", None) == "sp"]
+            assert not sympy_calls, (name, sympy_calls)
+            assert not set(_called_names(loop)) & JET_CALLS, (name, loop.lineno)
+
+
+def test_jets_imports_nothing_from_fracops():
+    # fracops builds the psi-jets on top of jets.compiled, not the reverse
+    tree = ast.parse((SRC / "jets.py").read_text())
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom):
+            names = [n.module or ""] + [a.name for a in n.names]
+        elif isinstance(n, ast.Import):
+            names = [a.name for a in n.names]
+        else:
+            continue
+        assert not any("fracops" in m for m in names), ast.dump(n)
 
 
 def test_every_run_config_field_is_read():

@@ -100,6 +100,53 @@ def test_eta_m_psi_identity_matches_time_prolongation():
     assert pr.eta_m_psi(1, inf, jet, IDENTITY, x, t) == pytest.approx(want, rel=1e-12)
 
 
+# a generator with u-dependent eta and t-dependent tau on psi = t^2, whose
+# psi'(t) = 2t is not constant at the point
+M_PSI_GEN = (X, T**2 + 1, X * U + T)
+M_PSI_U = X**2 * T + T**3
+
+
+def test_eta_m_psi_at_order_zero_is_eta_on_the_solution():
+    inf = pr.Infinitesimals.from_exprs(*M_PSI_GEN)
+    x, t = 0.7, 1.1
+    want = float(M_PSI_GEN[2].subs(U, M_PSI_U).subs({X: x, T: t}))
+    got = pr.eta_m_psi(0, inf, SolutionJet.from_expr(M_PSI_U), POWER, x, t)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_eta_m_psi_is_the_prolongation_in_s_equal_psi():
+    # in s = psi(t) the field has s-component psi' tau, and its first
+    # s-prolongation is D_s eta - u_x D_s xi - u_s D_s(psi' tau), with
+    # D_s = (1/psi') D_t along the solution
+    xi, tau, eta = M_PSI_GEN
+    inf = pr.Infinitesimals.from_exprs(xi, tau, eta)
+    x, t = 0.7, 1.1
+    dpsi = sp.diff(POWER.expr, T)
+
+    def d_s(e):
+        return sp.diff(e, T) / dpsi
+
+    want = float(
+        (d_s(eta.subs(U, M_PSI_U)) - sp.diff(M_PSI_U, X) * d_s(xi)
+         - d_s(M_PSI_U) * d_s(dpsi * tau)).subs({X: x, T: t})
+    )
+    got = pr.eta_m_psi(1, inf, SolutionJet.from_expr(M_PSI_U), POWER, x, t)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_gamma_contributes_only_with_quadratic_tau():
+    def reduced(c2):
+        return pr.ReducedInfinitesimals(
+            ALPHA, JetFunction(X, (X,)), 0.0, 1.0, c2,
+            JetFunction(sp.Integer(0), (X,)), JetFunction(sp.Integer(0), (X, W)))
+
+    assert reduced(0.0).gamma == 0.0
+    assert reduced(0.0).eta_expr(IDENTITY) == 0
+    assert reduced(1.0).gamma == 0.5 * (ALPHA - 1.0)
+    assert sp.expand(reduced(1.0).eta_expr(IDENTITY)
+                     - 0.5 * (ALPHA - 1.0) * (2 * T + 1) * U) == 0
+
+
 # -- classical reduction ---------------------------------------------------------
 
 
