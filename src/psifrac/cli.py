@@ -3,7 +3,9 @@
 Commands: ``eval``, ``leibniz``, ``prolong``, ``verify``, ``solve``,
 ``selftest``.  Exit codes: 0 pass, 1 verification failure, 2 configuration
 error, 3 numerical error (an arithmetic fault or a non-finite result
-included).  Output formats: ``human`` (aligned table), ``json``
+included), 141 standard output closed by its reader (as in ``psifrac
+selftest | head -1``; the shell reports a writer killed by SIGPIPE as
+128 + 13).  Output formats: ``human`` (aligned table), ``json``
 (canonical, byte-stable round trip), ``csv`` (17 significant digits).
 """
 
@@ -13,6 +15,7 @@ import argparse
 import configparser
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -34,8 +37,10 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+EXIT_PIPE = 141
 
-#: largest --terms, --N entry and jet depth of alpha: each costs one psi-jet
+#: largest --terms, --N entry and jet depth of alpha: each costs one symbolic
+#: psi-jet in the quadrature or the prolongation
 MAX_TERMS = 40
 
 
@@ -458,7 +463,15 @@ def main(argv=None) -> int:
         # emit turns a non-finite value into exit 3 with one line; numpy's
         # floating-point warnings would only add lines to it
         with np.errstate(all="ignore"):
-            return handler(cfg, args)
+            code = handler(cfg, args)
+        # buffered output reaches a closed pipe here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: say nothing more, and let the interpreter's
+        # own flush at exit write to nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ParseError, DomainError) as e:
         # PoleError is a DomainError but marks a numerical singularity
         if isinstance(e, PoleError):

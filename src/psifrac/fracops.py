@@ -20,14 +20,21 @@ Two independent backends are provided for each operator:
 
 * series: the expansion in psi-jet derivatives
   f^{[m]}_psi = (1/psi' d/dt)^m f with generalized binomial coefficients,
-  which terminates exactly for polynomials in psi(t) - psi(a).  Its sum,
+  which terminates exactly for polynomials in psi(t) - psi(a).  Its jets
+  come by Taylor mode (:func:`psi_jets`): f's expression is compiled once
+  into a program over truncated Taylor series in w = psi - psi(t)
+  (:mod:`psifrac.taylor`), and the jets at a point are m! times the
+  coefficients, with no symbolic differentiation.  Its sum,
   :func:`jet_series`, runs over a list of float jets and is shared with
   the prolongation formulas.
 
-This module owns the psi-jets: :func:`_psi_jet_expr` builds them
-symbolically and :func:`_psi_jet_fn` compiles them (through
-:func:`~psifrac.jets.compiled`), for the operators here and for
-:mod:`psifrac.prolong` alike.
+This module owns the psi-jets.  The quadrature backend and
+:mod:`psifrac.prolong` take symbolic ones: :func:`_psi_jet_expr` builds
+them and :func:`_psi_jet_fn` compiles them (through
+:func:`~psifrac.jets.compiled`), up to order ceil(alpha) for the
+quadrature.  The series backend reads one Taylor-mode table per point,
+shared by both series there and by the Leibniz and product-integral
+sums.  The two backends share only the expression of f.
 
 Also here: the product-integral expansion, the Leibniz rule for the
 fractional derivative of a product, and the exact power rule for power
@@ -48,10 +55,12 @@ from .errors import DomainError, NumericsError
 from .jets import T, W, JetFunction, compiled
 from .psi import PsiFunction
 from .special import gamma, gen_binom, rgamma
+from .taylor import program
 
 __all__ = [
     "QuadratureSpec",
     "SeriesValue",
+    "psi_jets",
     "psi_deriv_m",
     "frac_integral",
     "frac_integral_series",
@@ -113,11 +122,42 @@ def _jet_fn(f: JetFunction, psi: PsiFunction, m: int) -> Callable[[float], float
     return _psi_jet_fn(f.expr, psi.expr, m)
 
 
-def psi_deriv_m(f: JetFunction, psi: PsiFunction, t: float, m: int) -> float:
-    """f^{[m]}_psi(t) = ((1/psi') d/dt)^m f, by exact symbolic expansion."""
+# a table is built once per (f, psi, t, n) and read by both series at the
+# point and by the Leibniz sums after them; few points are ever revisited
+@lru_cache(maxsize=64)
+def _jet_table(f_expr: sp.Expr, psi_expr: sp.Expr, t: float, n: int) -> tuple:
+    prog = program(f_expr, psi_expr)
+    # the jets past the degree of f in psi(t) - psi(a) vanish exactly
+    top = n if prog.degree is None else min(n, prog.degree)
+    return tuple(prog.jets(t, top + 1).tolist()) + (0.0,) * (n - top)
+
+
+def psi_jets(f: JetFunction, psi: PsiFunction, t: float, n: int) -> list:
+    """f^{[m]}_psi(t) for m = 0..n, by Taylor-mode arithmetic: m! times the
+    Taylor coefficients of f in w = psi(s) - psi(t) at s = t
+    (:mod:`psifrac.taylor`), since (1/psi') d/dt is d/dw.  f's expression
+    is compiled once; no sympy runs per point.  The jets past the degree
+    of f as a polynomial in psi(t) - psi(a) are exactly 0.0."""
+    return list(_table(f, psi, t, n))
+
+
+def psi_deriv_m(
+    f: JetFunction, psi: PsiFunction, t: float, m: int, depth: int = 0
+) -> float:
+    """f^{[m]}_psi(t) = ((1/psi') d/dt)^m f, read from the table of jets
+    0..max(m, depth) at t (:func:`psi_jets`); a caller reading the jets
+    0..depth one by one passes depth, so that they share one table."""
     if m < 0:
         raise ValueError("m must be non-negative")
-    return float(_jet_fn(f, psi, m)(t))
+    return _table(f, psi, t, max(m, depth))[m]
+
+
+def _table(f: JetFunction, psi: PsiFunction, t: float, n: int) -> tuple:
+    if not isinstance(f, JetFunction):
+        raise DomainError("the psi-jets need f as a JetFunction")
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    return _jet_table(f.expr, psi.expr, float(t), n)
 
 
 # -- quadrature backend -----------------------------------------------------
@@ -223,7 +263,7 @@ def frac_derivative(
     if alpha <= 0:
         raise DomainError(f"fractional order must be positive, got {alpha}")
     if alpha.is_integer():
-        return psi_deriv_m(f, psi, t, int(alpha))
+        return float(_jet_fn(f, psi, int(alpha))(t))
     m = math.floor(alpha) + 1
     beta = m - alpha
     V, moments = _jacobi_moments(f, psi, m, beta, t, quad)
@@ -272,8 +312,7 @@ def frac_op_series(
     w = psi(t) - psi(psi.a)
     if not w > 0:
         raise DomainError(f"need t > a, got psi(t)-psi(a) = {w}")
-    jets = [psi_deriv_m(f, psi, t, m) for m in range(terms + 1)]
-    return jet_series(jets, float(order), w)
+    return jet_series(psi_jets(f, psi, t, terms), float(order), w)
 
 
 def frac_integral_series(
@@ -409,7 +448,7 @@ def leibniz_product(
     alpha = float(order)
     acc = 0.0
     for m in range(terms + 1):
-        fm = psi_deriv_m(f, psi, t, m)
+        fm = psi_deriv_m(f, psi, t, m, terms)
         if fm == 0.0:
             continue
         acc += gen_binom(alpha, m) * fm * frac_op(g, psi, alpha - m, t, quad)
@@ -434,7 +473,7 @@ def product_integral(
         raise DomainError(f"integral order must be positive, got {alpha}")
     acc = 0.0
     for k in range(terms + 1):
-        fk = psi_deriv_m(f, psi, t, k)
+        fk = psi_deriv_m(f, psi, t, k, terms)
         if fk == 0.0:
             continue
         acc += gen_binom(-alpha, k) * fk * frac_integral(g, psi, alpha + k, t, quad)

@@ -6,10 +6,12 @@ f, g, eta, rho used everywhere else.  Derivatives come from a sympy
 expression, never from finite differences.
 
 :func:`compiled` turns an expression, or one of its mixed partials, into
-a float callable; every such callable in the package comes from it, so
-equal requests share one compile.  The psi-jets are built in
+a float callable; every lambdified callable in the package comes from
+it, so equal requests share one compile.  The symbolic psi-jets of the
+quadrature backend and of the prolongation are built in
 :mod:`psifrac.fracops`, which sits above this module, and are compiled
-here like any other expression.
+here like any other expression; the series backend's psi-jets are never
+compiled (Taylor arithmetic, :mod:`psifrac.taylor`).
 """
 
 from __future__ import annotations

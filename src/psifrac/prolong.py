@@ -141,17 +141,20 @@ def _at(d: sp.Expr, x: float, t: float, *u: float):
     return compiled(d, _XTU if u else _XT)(x, t, *u)
 
 
-def _jets(expr: sp.Expr, psi: PsiFunction, upto: int, x: float, t: float, *u) -> list:
+def _jets(
+    expr: sp.Expr, psi: PsiFunction, upto: int, x: float, t: float, *u, start: int = 0
+) -> list:
     """The psi-jets 0..upto of expr at (x, t), as floats, for expr in (x, t)
     fully composed along the solution or, with u given, in (x, t, u) with
     u held fixed.  The list stops before the first jet that vanishes
-    identically, as every later one does."""
+    identically, as every later one does.  Entries below start, which no
+    sum reads, are None and are never compiled."""
     vars = _XTU if u else _XT
     out = []
     for m in range(upto + 1):
         if _psi_jet_expr(expr, psi.expr, m) == 0:
             break
-        out.append(_psi_jet_fn(expr, psi.expr, m, vars)(x, t, *u))
+        out.append(_psi_jet_fn(expr, psi.expr, m, vars)(x, t, *u) if m >= start else None)
     return out
 
 
@@ -210,13 +213,12 @@ def eta_m_psi(
         raise DomainError(f"m must be non-negative, got {m}")
     uexpr = jet.expr
     xi_c, tau_c, q = _characteristic(inf, uexpr)
-    dpsi = sp.diff(psi.expr, T)
-    e = (
-        _psi_jet_expr(q, psi.expr, m)
-        + xi_c * _psi_jet_expr(sp.expand(sp.diff(uexpr, X)), psi.expr, m)
-        + tau_c * dpsi * _psi_jet_expr(sp.expand(uexpr), psi.expr, m + 1)
-    )
-    return float(_at(sp.expand(e), x, t))
+    # three float terms: one expanded sympy sum would round in an order
+    # that follows the interpreter's hash seed
+    q_m = _psi_jet_fn(q, psi.expr, m, _XT)(x, t)
+    ux_m = _psi_jet_fn(sp.expand(sp.diff(uexpr, X)), psi.expr, m, _XT)(x, t)
+    u_m1 = _psi_jet_fn(sp.expand(uexpr), psi.expr, m + 1, _XT)(x, t)
+    return float(q_m + _at(xi_c, x, t) * ux_m + _at(tau_c, x, t) * psi.deriv(t) * u_m1)
 
 
 def mu_term(
@@ -253,7 +255,8 @@ def mu_term(
     kmax = max(eta_k)
     # the jet tables: t-partials of eta_k with u fixed, psi-jets of u^j
     ek = {k: _jets(d, psi, M - 2, x, t, uval) for k, d in eta_k.items()}
-    upow = {j: _jets(sp.expand(uexpr**j), psi, M, x, t) for j in range(1, kmax + 1)}
+    upow = {j: _jets(sp.expand(uexpr**j), psi, M, x, t, start=2)
+            for j in range(1, kmax + 1)}
     acc = 0.0
     for m in range(2, M + 1):
         cm = gen_binom(alpha, m) * w ** (m - alpha) * rgamma(m + 1 - alpha)
@@ -351,9 +354,9 @@ def eta_alpha_psi(
     # the jet tables: eta and eta_u with u fixed, the rest along the solution
     eta_j = _jets(inf.eta.expr, psi, terms, x, t, uval)
     etau_j = _jets(etau, psi, terms, x, t, uval)
-    etau_c_j = _jets(sp.expand(etau.subs(U, uexpr)), psi, terms, x, t)
-    xi_j = _jets(xi_c, psi, terms, x, t)
-    tau_j = _jets(tau_c, psi, terms + 1, x, t)
+    etau_c_j = _jets(sp.expand(etau.subs(U, uexpr)), psi, terms, x, t, start=1)
+    xi_j = _jets(xi_c, psi, terms, x, t, start=1)
+    tau_j = _jets(tau_c, psi, terms + 1, x, t, start=1)
     u_j = _jets(sp.expand(uexpr), psi, terms, x, t)
     ux_j = _jets(sp.expand(sp.diff(uexpr, X)), psi, terms, x, t)
 

@@ -1,0 +1,422 @@
+"""Truncated Taylor series in w = psi(t) - psi(t0), without symbolic
+differentiation.
+
+The psi-jets of f at t0 are its plain derivatives in w,
+f^{[m]}_psi(t0) = m! c_m for f = sum_m c_m w^m near t0.  :func:`program`
+compiles a sympy expression in t once, for one kernel psi, into a flat
+list of steps over truncated Taylor series (Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).  It handles Add,
+Mul, Pow with any real exponent, exp, log, sin and cos; any other node is
+a DomainError that names it.  Running the program at t0 gives c_0 ..
+c_{L-1} in numpy, and no sympy runs.
+
+t enters through psi^{-1}(psi(t0) + w), in closed form for the built-in
+kernels: t0 + w/c for the identity and affine kernels, t0 (1 + w/psi0)^{1/rho}
+for t^rho and t0 + log(1 + w/psi0)/c for exp(c t), with psi0 = psi(t0).
+Powers of psi are closed forms too: t**e on the power kernel is
+t0^e (1 + w/psi0)^{e/rho}, and exp(k t) on the exponential kernel is
+e^{k t0} (1 + w/psi0)^{k/c}.  A power or exp of a node affine in w takes
+a closed form, and any other node the standard O(L^2) recurrence.  For
+any other kernel, t itself comes from applying (1/psi') d/ds to t m
+times, with 1/psi' a truncated series in s = t - t0.
+
+Each node also carries its degree as a polynomial in w: 0 for constants,
+q for psi^q with q a non-negative integer (in the forms sympy writes them:
+t for the identity and affine kernels, t**(q rho) for t^rho, exp(q c t) for
+exp(c t)), the maximum over a sum, the sum over a product and the multiple
+under a non-negative integer power.  Anything else has no degree (None).
+The psi-jets of f vanish past its degree, so a jet table ends there
+exactly, whatever rounding the coefficients before it carry.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+from typing import Callable, NamedTuple, Optional
+
+import numpy as np
+import sympy as sp
+
+from .errors import DomainError, NumericsError
+from .jets import T
+
+__all__ = ["Program", "program"]
+
+
+class Program(NamedTuple):
+    """A compiled expression: :meth:`jets` runs it at a point."""
+
+    steps: tuple
+    #: degree as a polynomial in w = psi(t) - psi(a), None if it is none
+    degree: Optional[int]
+    #: the value, when the expression does not depend on t
+    constant: Optional[float]
+    #: t0 -> 1/psi(t0), for the power and exponential kernels
+    inv_psi: Optional[Callable[[float], float]]
+
+    def series(self, t0: float, size: int) -> np.ndarray:
+        """c_0 .. c_{size-1} of the expansion in w at t0."""
+        if self.constant is not None:
+            out = np.zeros(size)
+            out[0] = self.constant
+            return out
+        point = (t0, self.inv_psi(t0) if self.inv_psi else 0.0)
+        regs = []
+        for step in self.steps:
+            regs.append(step(regs, point, size))
+        return regs[-1]
+
+    def jets(self, t0: float, size: int) -> np.ndarray:
+        """The psi-jets 0 .. size-1 at t0: m! c_m."""
+        return self.series(t0, size) * _index(size)[1]
+
+
+@lru_cache(maxsize=1024)
+def program(expr: sp.Expr, psi_expr: sp.Expr) -> Program:
+    """expr compiled for truncated Taylor arithmetic in w for the kernel
+    psi_expr, with its degree in w."""
+    c = _Compiler(psi_expr)
+    node = c.node(expr)
+    if node.reg is None:
+        return Program((), 0, node.value, None)
+    return Program(tuple(c.steps), node.degree, None, c.inv_psi)
+
+
+class _Node(NamedTuple):
+    reg: Optional[int]  # register of a series, None for a constant
+    value: float  # the constant
+    degree: Optional[int]
+
+    @property
+    def affine(self) -> bool:
+        """The series is exactly c_0 + c_1 w."""
+        return self.degree is not None and self.degree <= 1
+
+
+class _Compiler:
+    def __init__(self, psi_expr: sp.Expr):
+        self.steps: list = []
+        self.memo: dict = {}
+        self.kind = None  # "affine", "power", "exp", or None for any other kernel
+        self.inv_psi = None
+        rate = _exp_rate(psi_expr)
+        if psi_expr.is_Pow and psi_expr.base == T and psi_expr.exp.is_number:
+            rho = float(psi_expr.exp)
+            self.kind, self.rate = "power", rho
+            self.inv_psi = lambda t0: _positive(t0) ** -rho
+        elif rate is not None:
+            self.kind, self.rate = "exp", rate
+            self.inv_psi = lambda t0: math.exp(-rate * t0)
+        elif psi_expr.has(T) and _is_affine(psi_expr):
+            self.kind, self.rate = "affine", float(psi_expr.diff(T))
+        else:
+            # 1/psi' in s = t - t0 (psi = t makes w = s), for the jets of t
+            self.inv_dpsi = program(1 / psi_expr.diff(T), T)
+
+    def _emit(self, step, degree) -> _Node:
+        self.steps.append(step)
+        return _Node(len(self.steps) - 1, 0.0, degree)
+
+    def node(self, e: sp.Expr) -> _Node:
+        got = self.memo.get(e)
+        if got is None:
+            got = self.memo[e] = self._node(e)
+        return got
+
+    def _node(self, e: sp.Expr) -> _Node:
+        if not e.has(T):
+            others = e.free_symbols
+            if others:
+                names = ", ".join(sorted(str(s) for s in others))
+                raise DomainError(f"psi-jets of a function of t, but {e} depends on {names}")
+            try:
+                v = float(e)
+            except TypeError:
+                raise NumericsError(f"constant {e} is not a real number") from None
+            if not math.isfinite(v):
+                raise NumericsError(f"constant {e} is not finite")
+            return _Node(None, v, 0)
+        if e == T:
+            return self._t()
+        if e.is_Add:
+            return self._add(e)
+        if e.is_Mul:
+            return self._mul(e)
+        if e.is_Pow:
+            return self._pow(e)
+        if isinstance(e, (sp.exp, sp.log, sp.sin, sp.cos)):
+            return self._elementary(e)
+        raise DomainError(f"psi-jets: unsupported {type(e).__name__} node {e}")
+
+    # -- t and the powers of psi ---------------------------------------------
+
+    def _t(self):
+        if self.kind == "affine":
+            slope = 1.0 / self.rate
+            return self._emit(lambda r, pt, size: _affine(pt[0], slope, size), 1)
+        if self.kind == "power":
+            return self._psi_power(1.0 / self.rate, lambda t0: t0)
+        if self.kind == "exp":
+            rate = self.rate
+            return self._emit(lambda r, pt, size: _log_shift(pt, rate, size), None)
+        inv_dpsi = self.inv_dpsi
+        return self._emit(lambda r, pt, size: _t_by_jets(pt[0], inv_dpsi, size), None)
+
+    def _psi_power(self, q: float, value: Callable[[float], float]) -> _Node:
+        """psi^q at t0 + w: value(t0) (1 + w/psi0)^q."""
+        degree = int(q) if q >= 0 and q.is_integer() else None
+        return self._emit(
+            lambda r, pt, size: value(pt[0]) * _binomials(q, size) * pt[1] ** _index(size)[0],
+            degree,
+        )
+
+    # -- arithmetic ------------------------------------------------------------
+
+    def _add(self, e):
+        c, regs, degree = 0.0, [], 0
+        for a in e.args:
+            n = self.node(a)
+            if n.reg is None:
+                c += n.value
+                continue
+            regs.append(n.reg)
+            degree = None if degree is None or n.degree is None else max(degree, n.degree)
+        regs = tuple(regs)
+
+        def step(r, pt, size):
+            out = r[regs[0]]
+            for i in regs[1:]:
+                out = out + r[i]
+            if c:
+                out = out.copy()
+                out[0] += c
+            return out
+
+        return self._emit(step, degree)
+
+    def _mul(self, e):
+        c, regs, degree = 1.0, [], 0
+        for a in e.args:
+            n = self.node(a)
+            if n.reg is None:
+                c *= n.value
+                continue
+            regs.append(n.reg)
+            degree = None if degree is None or n.degree is None else degree + n.degree
+        regs = tuple(regs)
+
+        def step(r, pt, size):
+            out = r[regs[0]]
+            for i in regs[1:]:
+                out = np.convolve(out, r[i])[:size]
+            return out if c == 1.0 else c * out
+
+        return self._emit(step, degree)
+
+    def _pow(self, e):
+        base, ex = e.base, e.exp
+        if ex.has(T):
+            raise DomainError(f"psi-jets: exponent of {e} depends on t")
+        p = float(ex)
+        if base == T and self.kind == "power":
+            return self._psi_power(p / self.rate, lambda t0: _positive(t0) ** p)
+        b = self.node(base)
+        whole = p >= 0 and p.is_integer()
+        degree = b.degree * int(p) if whole and b.degree is not None else None
+        i = b.reg
+        if b.affine:
+            return self._emit(lambda r, pt, size: _pow_affine(r[i], p, size), degree)
+        if whole:
+            n = int(p)
+            return self._emit(lambda r, pt, size: _pow_int(r[i], n, size), degree)
+        return self._emit(lambda r, pt, size: _pow_series(r[i], p, size), degree)
+
+    def _elementary(self, e):
+        (arg,) = e.args
+        k = _exp_rate(e)
+        if k is not None and self.kind == "exp":
+            return self._psi_power(k / self.rate, lambda t0: math.exp(k * t0))
+        a = self.node(arg)
+        # exp of c_0 + c_1 w has a closed form; the rest take the recurrences
+        fn = _exp_affine if a.affine and isinstance(e, sp.exp) else _SERIES[type(e).__name__]
+        i = a.reg
+        return self._emit(lambda r, pt, size: fn(r[i], size), None)
+
+
+def _exp_rate(e: sp.Expr) -> Optional[float]:
+    """k when e is exp(k t), else None."""
+    if isinstance(e, sp.exp):
+        k, rest = e.args[0].as_coeff_Mul()
+        if rest == T:
+            return float(k)
+    return None
+
+
+def _is_affine(e: sp.Expr) -> bool:
+    """e is c t + d, structurally."""
+    if e == T or not e.has(T):
+        return True
+    if e.is_Add:
+        return all(_is_affine(a) for a in e.args)
+    if e.is_Mul:
+        return sum(a.has(T) for a in e.args) == 1 and all(_is_affine(a) for a in e.args)
+    return False
+
+
+def _positive(t0: float) -> float:
+    if not t0 > 0.0:
+        raise NumericsError(f"the power kernel's psi-jets need t > 0, got t = {t0}")
+    return t0
+
+
+@lru_cache(maxsize=64)
+def _index(size: int):
+    """k and k! as floats, and the lag matrix i - j + 1 of :func:`_t_by_jets`
+    (a negative lag reads index size, a zero appended after the series)."""
+    i = np.arange(size)
+    lag = i[:, None] - i[None, :] + 1
+    lag[lag < 0] = size
+    return i.astype(float), np.array([float(math.factorial(k)) for k in range(size)]), lag
+
+
+@lru_cache(maxsize=256)
+def _binomials(q: float, size: int) -> np.ndarray:
+    """binom(q, k) for k < size; exactly 0 past q when q is a whole number."""
+    out = [1.0]
+    for k in range(1, size):
+        out.append(out[-1] * ((q - k + 1) / k))
+    return np.array(out)
+
+
+def _affine(c0: float, c1: float, size: int) -> np.ndarray:
+    out = np.zeros(size)
+    out[0] = c0
+    if size > 1:
+        out[1] = c1
+    return out
+
+
+def _log_shift(pt, rate: float, size: int) -> np.ndarray:
+    """t0 + log(1 + w/psi0) / rate."""
+    t0, r = pt
+    ks = _index(size)[0]
+    out = np.empty(size)
+    out[0] = t0
+    out[1:] = -((-r) ** ks[1:]) / (rate * ks[1:])
+    return out
+
+
+def _t_by_jets(t0: float, inv_dpsi: Program, size: int) -> np.ndarray:
+    """t0 + sum_m t^{[m]} w^m / m!, the psi-jets of t taken in s = t - t0:
+    t^{[m]} is the constant term of (P d/ds)^m (t0 + s), P = 1/psi'."""
+    ks, factorials, lag = _index(size)
+    # (P dG/ds)_i = sum_{j=1..i+1} P_{i-j+1} j G_j, as a matrix on G
+    A = np.append(inv_dpsi.series(t0, size), 0.0)[lag] * ks
+    jets = np.empty(size)
+    G = _affine(t0, 1.0, size)
+    jets[0] = t0
+    # (P d/ds)^m G is exact in its first size - m coefficients
+    for m in range(1, size):
+        G = A[: size - m, : size - m + 1] @ G
+        jets[m] = G[0]
+    return jets / factorials
+
+
+# -- closed forms for an argument affine in w, b0 + b1 w ----------------------
+
+
+def _linear(b):
+    return float(b[0]), (float(b[1]) if len(b) > 1 else 0.0)
+
+
+def _pow_affine(b, p, size):
+    b0, b1 = _linear(b)
+    if p >= 0 and p.is_integer():
+        n = int(p)
+        out = np.zeros(size)
+        for k in range(min(n, size - 1) + 1):
+            out[k] = math.comb(n, k) * b0 ** (n - k) * b1**k
+        return out
+    _check_base(b0, p)
+    # binom(p, k) b0^p (b1 / b0)^k
+    return b0**p * _binomials(p, size) * (b1 / b0) ** _index(size)[0]
+
+
+def _exp_affine(b, size):
+    b0, b1 = _linear(b)
+    ks, factorials, _ = _index(size)
+    return math.exp(b0) * b1**ks / factorials
+
+
+# -- recurrences for any argument ---------------------------------------------
+
+
+def _check_base(b0, p):
+    if b0 == 0.0 or (b0 < 0.0 and not float(p).is_integer()):
+        raise NumericsError(f"power {p} of a series with value {b0} at the point")
+
+
+def _pow_int(b, n, size):
+    out = None
+    while n:
+        if n & 1:
+            out = b if out is None else np.convolve(out, b)[:size]
+        n >>= 1
+        if n:
+            b = np.convolve(b, b)[:size]
+    return out if out is not None else _affine(1.0, 0.0, size)
+
+
+def _pow_series(b, p, size):
+    # b y' = p b' y: k b0 y_k = sum_{j=1..k} ((p + 1) j - k) b_j y_{k-j}
+    b0 = float(b[0])
+    _check_base(b0, p)
+    y = np.empty(size)
+    y[0] = b0**p
+    js = _index(size)[0]
+    for k in range(1, size):
+        y[k] = (((p + 1.0) * js[1:k + 1] - k) * b[1:k + 1]) @ y[k - 1::-1] / (k * b0)
+    return y
+
+
+def _exp_series(b, size):
+    # y' = b' y: k y_k = sum_{j=1..k} j b_j y_{k-j}
+    y = np.empty(size)
+    y[0] = math.exp(b[0])
+    jb = _index(size)[0] * b
+    for k in range(1, size):
+        y[k] = jb[1:k + 1] @ y[k - 1::-1] / k
+    return y
+
+
+def _log_series(b, size):
+    # b y' = b': k b0 y_k = k b_k - sum_{j=1..k-1} j y_j b_{k-j}
+    b0 = float(b[0])
+    if not b0 > 0.0:
+        raise NumericsError(f"log of a series with value {b0} at the point")
+    y = np.empty(size)
+    y[0] = math.log(b0)
+    js = _index(size)[0]
+    for k in range(1, size):
+        y[k] = (b[k] - (js[1:k] * y[1:k]) @ b[k - 1:0:-1] / k) / b0
+    return y
+
+
+def _sincos_series(b, size):
+    # s' = b' c and c' = -b' s
+    s, c = np.empty(size), np.empty(size)
+    s[0], c[0] = math.sin(b[0]), math.cos(b[0])
+    jb = _index(size)[0] * b
+    for k in range(1, size):
+        s[k] = jb[1:k + 1] @ c[k - 1::-1] / k
+        c[k] = -(jb[1:k + 1] @ s[k - 1::-1]) / k
+    return s, c
+
+
+_SERIES = {
+    "exp": _exp_series,
+    "log": _log_series,
+    "sin": lambda b, size: _sincos_series(b, size)[0],
+    "cos": lambda b, size: _sincos_series(b, size)[1],
+}

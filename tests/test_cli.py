@@ -1,14 +1,20 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from psifrac import cli
 from psifrac import symmetry as sy
 from psifrac.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
     EXIT_NUMERIC,
     EXIT_PASS,
+    EXIT_PIPE,
     main,
 )
 
@@ -399,3 +405,23 @@ def test_unused_zero_parameter_is_accepted(capsys):
     code, _ = run(capsys, "verify", "gfbe", "--case", "g=u", "--table", "X2",
                   "--p", "0", "--bpar", "0")
     assert code == EXIT_PASS
+
+
+# -- closed output ------------------------------------------------------------------
+
+
+def test_closed_pipe_ends_quietly_with_its_own_exit_code():
+    # as `psifrac selftest | head -1`: the reader closes after one line, and
+    # selftest, unbuffered, writes its next line into the closed pipe
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen([sys.executable, "-u", "-m", "psifrac.cli", "selftest"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    code = proc.wait(timeout=120)
+    assert first.startswith(b"[ 1]")
+    assert code == EXIT_PIPE
+    assert EXIT_PIPE not in (EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_NUMERIC)
+    assert err == b""

@@ -32,10 +32,11 @@ def _combine(children):
     )
 
 
-# The symbolic psi-jets expand every denominator that is a sum, so their
-# cost grows steeply with the order (seconds at order 5 for 1/(t-1)).
-# Specs with such denominators are drawn with orders below 3, where their
-# jets are cheap; the others range over the whole (0, 6).
+# The quadrature's symbolic psi-jets expand every denominator that is a
+# sum, so their cost grows steeply with the order (seconds at order 5 for
+# 1/(t-1)).  Specs with such denominators are drawn with orders below 3,
+# where their jets are cheap; the others range over the whole (0, 6).  The
+# series takes Taylor-mode jets, so --terms ranges over [0, MAX_TERMS].
 def _orders(top):
     return st.floats(0.01, top).filter(lambda a: not a.is_integer())
 
@@ -53,13 +54,14 @@ SPEC_ALPHA = st.one_of(
     kernel=st.sampled_from(["identity", "power", "exponential", "affine"]),
     spec_alpha=SPEC_ALPHA,
     t=st.floats(0.0, 2.0, exclude_min=True),
+    terms=st.integers(0, MAX_TERMS),
 )
-def test_eval_ends_in_documented_exit_code(op, kernel, spec_alpha, t):
+def test_eval_ends_in_documented_exit_code(op, kernel, spec_alpha, t, terms):
     spec, alpha = spec_alpha
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["eval", op, f"--f={spec}", "--t", repr(t), "--psi", kernel,
-                     "--alpha", repr(alpha), "--terms", "3", "--format", "csv"])
+                     "--alpha", repr(alpha), "--terms", str(terms), "--format", "csv"])
     out, err = out.getvalue(), err.getvalue()
     assert code in (EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_NUMERIC)
     if code in (EXIT_CONFIG, EXIT_NUMERIC):

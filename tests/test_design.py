@@ -1,6 +1,7 @@
 """Design guards: every sympy-to-float callable comes from one cached
 compile, so equal requests share one callable and compile once; the
-psi-jets have one owner, fracops, above the compile cache; the
+psi-jets have one owner, fracops, above the compile cache; the series
+backend takes its jets without symbolic differentiation; the
 determining systems keep sympy out of their grid loops, and the
 prolongation sums out of their m-loops; every CLI setting is read; and
 the library runs on numpy and sympy alone."""
@@ -14,6 +15,7 @@ from pathlib import Path
 import sympy as sp
 
 import psifrac
+from psifrac import fracops as fo
 from psifrac.cli import RunConfig
 from psifrac.jets import T, JetFunction, compiled
 from psifrac.psi import builtin
@@ -86,6 +88,24 @@ def test_no_symbolic_work_in_the_prolongation_sums():
                            and getattr(n.func.value, "id", None) == "sp"]
             assert not sympy_calls, (name, sympy_calls)
             assert not set(_called_names(loop)) & JET_CALLS, (name, loop.lineno)
+
+
+def test_series_backend_does_no_symbolic_work(monkeypatch):
+    # a fresh f is compiled for Taylor arithmetic, never differentiated,
+    # expanded or lambdified
+    kernels = [builtin(name, 0.5, 1.5) for name in ("identity", "power", "exponential")]
+    for psi in kernels:
+        psi(1.0)  # psi's own compile happens once per kernel
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("symbolic work on the series path")
+
+    for name in ("diff", "expand", "lambdify"):
+        monkeypatch.setattr(sp, name, refuse)
+    f = JetFunction.of_t(sp.exp(T) * T**2 - sp.Rational(31, 7) / (T + 3))
+    for psi in kernels:
+        value = fo.frac_op_series(f, psi, 0.7, 1.2, 30).value
+        assert value == value  # not NaN
 
 
 def test_jets_imports_nothing_from_fracops():

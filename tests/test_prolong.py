@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ import sympy as sp
 from psifrac import fracops as fo
 from psifrac import prolong as pr
 from psifrac.errors import DomainError
-from psifrac.jets import JetFunction, SolutionJet, T, U, W, X
+from psifrac.jets import JetFunction, SolutionJet, T, U, W, X, compiled
 from psifrac.psi import builtin
 from psifrac.selftest import _classical_eta_ref
 from psifrac.special import rgamma
@@ -134,6 +138,29 @@ def test_eta_m_psi_is_the_prolongation_in_s_equal_psi():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+_SEED_CODE = """
+from psifrac import prolong as pr
+from psifrac.jets import SolutionJet, T, U, X
+from psifrac.psi import builtin
+inf = pr.Infinitesimals.from_exprs(X, 2 * T / 0.6, -U)
+jet = SolutionJet.from_expr(X**2 * T + T**2)
+psi = builtin("power", 0.5, 2.0)
+print([repr(pr.eta_m_psi(m, inf, jet, psi, x, t))
+       for m in (0, 1) for x in (0.3, 0.7, 1.0) for t in (0.8, 1.1, 1.7)])
+"""
+
+
+def test_eta_m_psi_does_not_depend_on_the_hash_seed():
+    src = Path(pr.__file__).resolve().parents[1]
+    outs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        run = subprocess.run([sys.executable, "-c", _SEED_CODE], env=env,
+                             capture_output=True, text=True, check=True)
+        outs.add(run.stdout)
+    assert len(outs) == 1, outs
+
+
 def test_gamma_contributes_only_with_quadratic_tau():
     def reduced(c2):
         return pr.ReducedInfinitesimals(
@@ -236,6 +263,25 @@ def test_mu_vanishes_iff_eta_linear_in_u(psi):
     assert pr.mu_term(linear, jet, psi, ALPHA, x, t, M=10) == 0.0
     quadratic = pr.Infinitesimals.from_exprs(0, 0, U**2)
     assert abs(pr.mu_term(quadratic, jet, psi, ALPHA, x, t, M=10)) > 1e-6
+
+
+def test_mu_term_compiles_only_the_jets_its_sums_read(monkeypatch):
+    # the sums start at n = 2, so jets 0 and 1 of the powers of u go unread
+    inf = pr.Infinitesimals.from_exprs(X, 2 * T / ALPHA, U**3 + X * U)
+    jet = SolutionJet.from_expr(X**2 * T + T**3 + 1)
+    every_jet = pr._jets
+
+    def one_call(jets):
+        monkeypatch.setattr(pr, "_jets", jets)
+        for cache in (fo._psi_jet_expr, fo._psi_jet_fn, compiled):
+            cache.cache_clear()
+        value = pr.mu_term(inf, jet, POWER, ALPHA, 0.7, 1.1, M=8)
+        return compiled.cache_info().misses, value
+
+    read, value = one_call(every_jet)
+    from_zero, value_from_zero = one_call(lambda *args, start=0: every_jet(*args))
+    assert read < from_zero
+    assert repr(value) == repr(value_from_zero)
 
 
 def test_mu_quadratic_slope_coefficient():
