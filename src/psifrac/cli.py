@@ -39,8 +39,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_PIPE = 141
 
-#: largest --terms, --N entry and jet depth of alpha: each costs one symbolic
-#: psi-jet in the quadrature or the prolongation
+#: largest --terms, --N entry and jet depth of alpha; only the depth costs
+#: symbolic psi-jets, one per order in the quadrature (prolong's omega is
+#: two quadrature derivatives), and the --terms jets are Taylor mode
 MAX_TERMS = 40
 
 

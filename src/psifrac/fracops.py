@@ -28,13 +28,13 @@ Two independent backends are provided for each operator:
   :func:`jet_series`, runs over a list of float jets and is shared with
   the prolongation formulas.
 
-This module owns the psi-jets.  The quadrature backend and
-:mod:`psifrac.prolong` take symbolic ones: :func:`_psi_jet_expr` builds
-them and :func:`_psi_jet_fn` compiles them (through
-:func:`~psifrac.jets.compiled`), up to order ceil(alpha) for the
-quadrature.  The series backend reads one Taylor-mode table per point,
+This module owns the psi-jets.  Only the quadrature backend takes
+symbolic ones: :func:`_psi_jet_expr` builds them and :func:`_psi_jet_fn`
+compiles them (through :func:`~psifrac.jets.compiled`), up to order
+ceil(alpha).  The series backend reads one Taylor-mode table per point,
 shared by both series there and by the Leibniz and product-integral
-sums.  The two backends share only the expression of f.
+sums; :mod:`psifrac.prolong` builds its tables by the same Taylor mode.
+The two backends share only the expression of f.
 
 Also here: the product-integral expansion, the Leibniz rule for the
 fractional derivative of a product, and the exact power rule for power
@@ -101,18 +101,19 @@ def _psi_jet_expr(f_expr: sp.Expr, psi_expr: sp.Expr, m: int) -> sp.Expr:
     """(1/psi' d/dt)^m f_expr; any symbol other than t is held fixed."""
     if m == 0:
         return f_expr
-    # expanding keeps the expression a flat sum, so repeated
-    # differentiation stays linear in the term count
+    # distributing products keeps the expression a flat sum, so repeated
+    # differentiation stays linear in the term count; a denominator that
+    # is a sum stays a product, not a long expanded polynomial
     prev = _psi_jet_expr(f_expr, psi_expr, m - 1)
-    return sp.expand(sp.diff(prev, T) / sp.diff(psi_expr, T))
+    return sp.expand_mul(sp.diff(prev, T) / sp.diff(psi_expr, T))
 
 
 # one lookup per jet on the hot paths, where _psi_jet_expr and compiled
 # would take two
 @lru_cache(maxsize=1024)
-def _psi_jet_fn(f_expr: sp.Expr, psi_expr: sp.Expr, m: int, vars: tuple = None):
-    """Compiled (1/psi' d/dt)^m f_expr as a function of vars (None: t)."""
-    return compiled(_psi_jet_expr(f_expr, psi_expr, m), vars)
+def _psi_jet_fn(f_expr: sp.Expr, psi_expr: sp.Expr, m: int):
+    """Compiled (1/psi' d/dt)^m f_expr as a function of t."""
+    return compiled(_psi_jet_expr(f_expr, psi_expr, m))
 
 
 def _jet_fn(f: JetFunction, psi: PsiFunction, m: int) -> Callable[[float], float]:

@@ -8,10 +8,10 @@ expression, never from finite differences.
 :func:`compiled` turns an expression, or one of its mixed partials, into
 a float callable; every lambdified callable in the package comes from
 it, so equal requests share one compile.  The symbolic psi-jets of the
-quadrature backend and of the prolongation are built in
-:mod:`psifrac.fracops`, which sits above this module, and are compiled
-here like any other expression; the series backend's psi-jets are never
-compiled (Taylor arithmetic, :mod:`psifrac.taylor`).
+quadrature backend are built in :mod:`psifrac.fracops`, which sits above
+this module, and are compiled here like any other expression; the psi-jets
+of the series backend and of the prolongation are never compiled (Taylor
+arithmetic, :mod:`psifrac.taylor`).
 """
 
 from __future__ import annotations

@@ -10,10 +10,11 @@ t = a).
 
 All chain-rule expansions are exact sympy manipulations along the jet,
 done before any sum: each factor becomes a table of its float psi-jets at
-the point (:func:`_jets`, from the psi-jets :mod:`psifrac.fracops` builds
-and compiles), and the sums run over those tables.  Fractional pieces use
-the terminating jet series :func:`~psifrac.fracops.jet_series`, except
-omega, which is the difference of two quadrature derivatives:
+the point, by Taylor mode (:func:`_jets`, :mod:`psifrac.taylor`, the
+engine of the series backend), and the sums run over those tables; no
+table is differentiated symbolically.  Fractional pieces use the
+terminating jet series :func:`~psifrac.fracops.jet_series`, except omega,
+which is the difference of two quadrature derivatives:
 D^{alpha;psi} D_t^{1;psi} u - D^{alpha+1;psi} u.
 """
 
@@ -26,16 +27,11 @@ from typing import Union
 import sympy as sp
 
 from .errors import DomainError
-from .fracops import (
-    QuadratureSpec,
-    _psi_jet_expr,
-    _psi_jet_fn,
-    frac_derivative,
-    jet_series,
-)
+from .fracops import QuadratureSpec, _psi_jet_expr, frac_derivative, jet_series
 from .jets import T, U, W, X, JetFunction, SolutionJet, compiled
 from .psi import PsiFunction
 from .special import gen_binom, rgamma
+from .taylor import program
 
 __all__ = [
     "Infinitesimals",
@@ -130,32 +126,20 @@ class ReducedInfinitesimals:
 _dt_expr = _psi_jet_expr
 _fn_xt = _fn_xtu = compiled
 
-_XT = (X, T)
-_XTU = (X, T, U)
 
-
-def _at(d: sp.Expr, x: float, t: float, *u: float):
-    """d at (x, t), for d in (x, t) or, with u given, in (x, t, u).  Keyed
-    by the expression itself: the jets of different expressions along a
-    solution often coincide."""
-    return compiled(d, _XTU if u else _XT)(x, t, *u)
-
-
-def _jets(
-    expr: sp.Expr, psi: PsiFunction, upto: int, x: float, t: float, *u, start: int = 0
-) -> list:
+def _jets(expr: sp.Expr, psi: PsiFunction, upto: int, x: float, t: float, *u) -> list:
     """The psi-jets 0..upto of expr at (x, t), as floats, for expr in (x, t)
     fully composed along the solution or, with u given, in (x, t, u) with
-    u held fixed.  The list stops before the first jet that vanishes
-    identically, as every later one does.  Entries below start, which no
-    sum reads, are None and are never compiled."""
-    vars = _XTU if u else _XT
-    out = []
-    for m in range(upto + 1):
-        if _psi_jet_expr(expr, psi.expr, m) == 0:
-            break
-        out.append(_psi_jet_fn(expr, psi.expr, m, vars)(x, t, *u) if m >= start else None)
-    return out
+    u held fixed.  x (and u) enter as numbers, and the jets of what is left,
+    a function of t, come by Taylor mode (:func:`psifrac.taylor.program`).
+    The list ends at the degree of expr in psi(t) - psi(a), past which
+    every jet vanishes exactly; an expression that is 0 there gives []."""
+    at = {X: sp.Float(x), U: sp.Float(u[0])} if u else {X: sp.Float(x)}
+    prog = program(expr.xreplace(at), psi.expr)
+    if prog.constant == 0.0:
+        return []
+    top = upto if prog.degree is None else min(upto, prog.degree)
+    return prog.jets(t, top + 1).tolist()
 
 
 def _nth(jets: list, m: int) -> float:
@@ -193,7 +177,7 @@ def eta_integer(
         + xi_c * sp.diff(uexpr, X, i + 1)
         + tau_c * sp.diff(sp.diff(uexpr, T), X, i)
     )
-    return float(_at(sp.expand(e), x, t))
+    return JetFunction.of_xt(sp.expand(e))(x, t)
 
 
 def eta_m_psi(
@@ -215,10 +199,12 @@ def eta_m_psi(
     xi_c, tau_c, q = _characteristic(inf, uexpr)
     # three float terms: one expanded sympy sum would round in an order
     # that follows the interpreter's hash seed
-    q_m = _psi_jet_fn(q, psi.expr, m, _XT)(x, t)
-    ux_m = _psi_jet_fn(sp.expand(sp.diff(uexpr, X)), psi.expr, m, _XT)(x, t)
-    u_m1 = _psi_jet_fn(sp.expand(uexpr), psi.expr, m + 1, _XT)(x, t)
-    return float(q_m + _at(xi_c, x, t) * ux_m + _at(tau_c, x, t) * psi.deriv(t) * u_m1)
+    q_m = _nth(_jets(q, psi, m, x, t), m)
+    ux_m = _nth(_jets(sp.expand(sp.diff(uexpr, X)), psi, m, x, t), m)
+    u_m1 = _nth(_jets(sp.expand(uexpr), psi, m + 1, x, t), m + 1)
+    xi_v = _nth(_jets(xi_c, psi, 0, x, t), 0)
+    tau_v = _nth(_jets(tau_c, psi, 0, x, t), 0)
+    return q_m + xi_v * ux_m + tau_v * psi.deriv(t) * u_m1
 
 
 def mu_term(
@@ -242,7 +228,6 @@ def mu_term(
     alpha = float(order)
     w = psi(t) - psi(psi.a)
     uexpr = jet.expr
-    uval = float(_at(uexpr, x, t))
     # u-partials of eta; the sum over k stops once they vanish identically
     eta_k = {}
     for k in range(2, M + 1):
@@ -253,10 +238,10 @@ def mu_term(
     if not eta_k:
         return 0.0
     kmax = max(eta_k)
-    # the jet tables: t-partials of eta_k with u fixed, psi-jets of u^j
+    # the jet tables: psi-jets of u^j, t-partials of eta_k with u fixed
+    upow = {j: _jets(sp.expand(uexpr**j), psi, M, x, t) for j in range(1, kmax + 1)}
+    uval = _nth(upow[1], 0)
     ek = {k: _jets(d, psi, M - 2, x, t, uval) for k, d in eta_k.items()}
-    upow = {j: _jets(sp.expand(uexpr**j), psi, M, x, t, start=2)
-            for j in range(1, kmax + 1)}
     acc = 0.0
     for m in range(2, M + 1):
         cm = gen_binom(alpha, m) * w ** (m - alpha) * rgamma(m + 1 - alpha)
@@ -346,18 +331,18 @@ def eta_alpha_psi(
     """
     alpha = float(order)
     uexpr = jet.expr
-    uval = float(_at(uexpr, x, t))
     w = psi(t) - psi(psi.a)
     xi_c = sp.expand(inf.xi.expr.subs(U, uexpr))
     tau_c = sp.expand(inf.tau.expr.subs(U, uexpr))
     etau = sp.expand(sp.diff(inf.eta.expr, U))
     # the jet tables: eta and eta_u with u fixed, the rest along the solution
+    u_j = _jets(sp.expand(uexpr), psi, terms, x, t)
+    uval = _nth(u_j, 0)
     eta_j = _jets(inf.eta.expr, psi, terms, x, t, uval)
     etau_j = _jets(etau, psi, terms, x, t, uval)
-    etau_c_j = _jets(sp.expand(etau.subs(U, uexpr)), psi, terms, x, t, start=1)
-    xi_j = _jets(xi_c, psi, terms, x, t, start=1)
-    tau_j = _jets(tau_c, psi, terms + 1, x, t, start=1)
-    u_j = _jets(sp.expand(uexpr), psi, terms, x, t)
+    etau_c_j = _jets(sp.expand(etau.subs(U, uexpr)), psi, terms, x, t)
+    xi_j = _jets(xi_c, psi, terms, x, t)
+    tau_j = _jets(tau_c, psi, terms + 1, x, t)
     ux_j = _jets(sp.expand(sp.diff(uexpr, X)), psi, terms, x, t)
 
     acc = jet_series(eta_j, alpha, w).value
@@ -402,7 +387,8 @@ def eta_alpha_psi_compact(
     ux_j = _jets(sp.expand(sp.diff(uexpr, X)), psi, terms, x, t)
     u_j = _jets(sp.expand(uexpr), psi, terms, x, t)
     acc = jet_series(q_j, alpha, w).value
-    acc += _at(xi_c, x, t) * jet_series(ux_j, alpha, w).value
-    acc += _at(tau_c, x, t) * psi.deriv(t) * jet_series(u_j, alpha + 1.0, w).value
+    acc += _nth(_jets(xi_c, psi, 0, x, t), 0) * jet_series(ux_j, alpha, w).value
+    acc += (_nth(_jets(tau_c, psi, 0, x, t), 0) * psi.deriv(t)
+            * jet_series(u_j, alpha + 1.0, w).value)
     u_t = JetFunction.of_t(uexpr.subs(X, x))
     return acc + omega_term(inf, u_t, psi, alpha, x, t, quad)

@@ -378,12 +378,9 @@ def test_operators_reject_t_at_or_below_a():
     "alpha, where",
     [(0.5, "b"), (1.5, "b"), (1.5, "a+1e-7"), (5.5, "mid"), (5.5, "b")],
 )
-def test_derivative_exact_at_interval_ends_and_high_order(request, psi, alpha, where):
-    if psi is POWER and alpha > 5:
-        # the expanded order-6 jets of w^(5/2) cancel catastrophically near
-        # t = a (sums like t^6 - 0.75 t^4 + ... for (t^2 - 1/4)^3); the
-        # fault is in the symbolic jets, which the nodes near x = 0 sample
-        request.applymarker(pytest.mark.xfail(strict=True, reason="jet cancellation"))
+def test_derivative_exact_at_interval_ends_and_high_order(psi, alpha, where):
+    # on the power kernel the order-6 jets of w^(5/2) would cancel
+    # catastrophically near t = a if each step multiplied out (t^2 - 1/4)^3
     fw = 1 + W**2 + W ** sp.Rational(5, 2)
     f = JetFunction.of_t(fw.subs(W, _w_expr(psi)))
     t = {"b": psi.b, "a+1e-7": psi.a + 1e-7, "mid": 0.5 * (psi.a + psi.b)}[where]

@@ -11,8 +11,8 @@ import sympy as sp
 from psifrac import fracops as fo
 from psifrac import prolong as pr
 from psifrac.errors import DomainError
-from psifrac.jets import JetFunction, SolutionJet, T, U, W, X, compiled
-from psifrac.psi import builtin
+from psifrac.jets import JetFunction, SolutionJet, T, U, W, X
+from psifrac.psi import PsiFunction, builtin
 from psifrac.selftest import _classical_eta_ref
 from psifrac.special import rgamma
 
@@ -142,11 +142,14 @@ _SEED_CODE = """
 from psifrac import prolong as pr
 from psifrac.jets import SolutionJet, T, U, X
 from psifrac.psi import builtin
-inf = pr.Infinitesimals.from_exprs(X, 2 * T / 0.6, -U)
-jet = SolutionJet.from_expr(X**2 * T + T**2)
 psi = builtin("power", 0.5, 2.0)
-print([repr(pr.eta_m_psi(m, inf, jet, psi, x, t))
-       for m in (0, 1) for x in (0.3, 0.7, 1.0) for t in (0.8, 1.1, 1.7)])
+jet = SolutionJet.from_expr(X**2 * T + T**2)
+points = [(x, t) for x in (0.3, 0.7, 1.0) for t in (0.8, 1.1, 1.7)]
+inf = pr.Infinitesimals.from_exprs(X, 2 * T / 0.6, -U)
+print([repr(pr.eta_m_psi(m, inf, jet, psi, x, t)) for m in (0, 1) for x, t in points])
+quadratic = pr.Infinitesimals.from_exprs(X, T**2 - 0.25, U**2 + X * U)
+for f in (pr.eta_alpha_psi, pr.eta_alpha_psi_compact, pr.mu_term):
+    print([repr(f(g, jet, psi, 0.6, x, t)) for g in (inf, quadratic) for x, t in points])
 """
 
 
@@ -265,23 +268,53 @@ def test_mu_vanishes_iff_eta_linear_in_u(psi):
     assert abs(pr.mu_term(quadratic, jet, psi, ALPHA, x, t, M=10)) > 1e-6
 
 
-def test_mu_term_compiles_only_the_jets_its_sums_read(monkeypatch):
-    # the sums start at n = 2, so jets 0 and 1 of the powers of u go unread
-    inf = pr.Infinitesimals.from_exprs(X, 2 * T / ALPHA, U**3 + X * U)
-    jet = SolutionJet.from_expr(X**2 * T + T**3 + 1)
-    every_jet = pr._jets
+def test_prolongation_tables_need_no_symbolic_psi_jets(monkeypatch):
+    # every table is a Taylor-mode one; the symbolic psi-jets serve only
+    # the quadrature, which omega alone reads and which tau(a) = 0 skips
+    def refuse(*args, **kwargs):
+        raise AssertionError("symbolic psi-jet in a prolongation table")
 
-    def one_call(jets):
-        monkeypatch.setattr(pr, "_jets", jets)
-        for cache in (fo._psi_jet_expr, fo._psi_jet_fn, compiled):
-            cache.cache_clear()
-        value = pr.mu_term(inf, jet, POWER, ALPHA, 0.7, 1.1, M=8)
-        return compiled.cache_info().misses, value
+    for mod, name in ((fo, "_psi_jet_expr"), (fo, "_psi_jet_fn"), (pr, "_psi_jet_expr"),
+                      (pr, "_dt_expr"), (pr, "_fn_xt"), (pr, "_fn_xtu"), (pr, "compiled")):
+        monkeypatch.setattr(mod, name, refuse)
+    for psi in (IDENTITY, POWER, builtin("exponential", 0.0, 1.0)):
+        wa = _w_expr(psi)
+        inf = pr.Infinitesimals.from_exprs(X, T - psi.a, U**2 + X * U)
+        jet = SolutionJet.from_expr(sp.expand(X * wa + wa**2 + 1))
+        x, t = 0.7, psi.a + 0.6 * (psi.b - psi.a)
+        values = [
+            pr.eta_alpha_psi(inf, jet, psi, ALPHA, x, t),
+            pr.eta_alpha_psi_compact(inf, jet, psi, ALPHA, x, t),
+            pr.mu_term(inf, jet, psi, ALPHA, x, t),
+            pr.eta_m_psi(2, inf, jet, psi, x, t),
+        ]
+        assert all(math.isfinite(v) for v in values), (psi.name, values)
 
-    read, value = one_call(every_jet)
-    from_zero, value_from_zero = one_call(lambda *args, start=0: every_jet(*args))
-    assert read < from_zero
-    assert repr(value) == repr(value_from_zero)
+
+def test_prolongation_on_a_kernel_given_by_its_expression():
+    # psi = t + t^3 is given only by its expression, with no closed-form
+    # inverse; its symbolic psi-jets grow past what lambdify can compile
+    # within the default 12 orders, and its Taylor jets take the general path
+    psi = PsiFunction("cubic", 0.1, 2.0, expr=T + T**3)
+    wa = _w_expr(psi)
+    uexpr = sp.expand(X * wa + wa**2)
+    inf = pr.Infinitesimals.from_exprs(X, T - 0.1, U**2 + X * U)
+    jet = SolutionJet.from_expr(uexpr)
+    x, t = 0.7, 1.2
+    expanded = pr.eta_alpha_psi(inf, jet, psi, ALPHA, x, t)
+    mu = pr.mu_term(inf, jet, psi, ALPHA, x, t)
+    compact = pr.eta_alpha_psi_compact(inf, jet, psi, ALPHA, x, t, terms=40)
+    assert all(math.isfinite(v) for v in (expanded, mu, compact))
+    # D^alpha Q + xi D^alpha u_x + tau psi' D^{alpha+1} u, by the quadrature
+    quad = fo.QuadratureSpec(128)
+    q = uexpr**2 + X * uexpr - X * sp.diff(uexpr, X) - (T - 0.1) * sp.diff(uexpr, T)
+
+    def d(e, nu):
+        return fo.frac_derivative(JetFunction.of_t(e.subs(X, x)), psi, nu, t, quad)
+
+    want = (d(q, ALPHA) + x * d(sp.diff(uexpr, X), ALPHA)
+            + (t - 0.1) * psi.deriv(t) * d(uexpr, ALPHA + 1))
+    assert compact == pytest.approx(want, rel=1e-6)
 
 
 def test_mu_quadratic_slope_coefficient():
