@@ -112,10 +112,16 @@ class ReducedInfinitesimals:
         )
 
     def to_general(self, psi: PsiFunction) -> Infinitesimals:
+        """The same generator as (xi, tau, eta) in t-units.
+
+        tau is (c0 + c1 w + c2 w^2) / psi'(t), expanded and not simplified:
+        every consumer differentiates or compiles it, and for psi = t it is
+        already a polynomial in t, which simplify, by far the slowest step
+        here, would only factor."""
         w = psi.expr - psi.expr.subs(T, psi.a)
         tau_t = (self.c0 + self.c1 * w + self.c2 * w**2) / sp.diff(psi.expr, T)
         return Infinitesimals.from_exprs(
-            self.xi.expr, sp.simplify(tau_t), sp.expand(self.eta_expr(psi))
+            self.xi.expr, sp.expand(tau_t), sp.expand(self.eta_expr(psi))
         )
 
 
@@ -130,16 +136,16 @@ _fn_xt = _fn_xtu = compiled
 def _jets(expr: sp.Expr, psi: PsiFunction, upto: int, x: float, t: float, *u) -> list:
     """The psi-jets 0..upto of expr at (x, t), as floats, for expr in (x, t)
     fully composed along the solution or, with u given, in (x, t, u) with
-    u held fixed.  x (and u) enter as numbers, and the jets of what is left,
-    a function of t, come by Taylor mode (:func:`psifrac.taylor.program`).
-    The list ends at the degree of expr in psi(t) - psi(a), past which
-    every jet vanishes exactly; an expression that is 0 there gives []."""
-    at = {X: sp.Float(x), U: sp.Float(u[0])} if u else {X: sp.Float(x)}
-    prog = program(expr.xreplace(at), psi.expr)
+    u held fixed.  The jets come by Taylor mode, from one program per
+    expression that takes x (and u) as run-time inputs
+    (:func:`psifrac.taylor.program`).  The list ends at the degree of expr
+    in psi(t) - psi(a), past which every jet vanishes exactly; an
+    expression that is 0 gives []."""
+    prog = program(expr, psi.expr, (X, U) if u else (X,))
     if prog.constant == 0.0:
         return []
     top = upto if prog.degree is None else min(upto, prog.degree)
-    return prog.jets(t, top + 1).tolist()
+    return prog.jets(t, top + 1, x, *u).tolist()
 
 
 def _nth(jets: list, m: int) -> float:
@@ -228,10 +234,12 @@ def mu_term(
     alpha = float(order)
     w = psi(t) - psi(psi.a)
     uexpr = jet.expr
-    # u-partials of eta; the sum over k stops once they vanish identically
+    # u-partials of eta, each one derivative from the order before; the sum
+    # over k stops once they vanish identically
     eta_k = {}
+    d = sp.diff(inf.eta.expr, U)
     for k in range(2, M + 1):
-        d = sp.expand(sp.diff(inf.eta.expr, U, k))
+        d = sp.expand(sp.diff(d, U))
         if d == 0:
             break
         eta_k[k] = d

@@ -16,7 +16,10 @@ The grid loops make float calls only.  Each system builds its symbolic
 pieces once per call, before the loop: D^{alpha;psi} rho (or, in the
 expanded system, of the u-fixed combination eta - u eta_u) comes from
 :func:`~psifrac.fracops.power_rule_expr` and is compiled with
-:func:`~psifrac.jets.compiled` like every other equation.
+:func:`~psifrac.jets.compiled` like every other equation.  That set-up
+is the cost of a check, so it stays lean: no ``simplify``, each higher
+t-derivative of the expanded system's family one step from the order
+before, and :func:`builtin_table` built once per parameter set.
 
 :data:`CASES` is the one registry of the g(u) and K(u) cases: each
 :class:`Case` names its coefficient, its family, its :func:`builtin_table`
@@ -398,12 +401,7 @@ def detsys_gazizov_rl(
     eq4 = 2 * sp.diff(xi, X) - alpha * taup
     xtu = (X, T, U)
     f3, f4 = compiled(eq3, xtu), compiled(eq4, xtu)
-    fam = []
-    for n in range(1, terms + 1):
-        e = gen_binom(alpha, n) * sp.diff(etau, T, n) - gen_binom(
-            alpha, n + 1
-        ) * sp.diff(tau, T, n + 1)
-        fam.append(compiled(e, xtu))
+    fam = [compiled(e, xtu) for e in _gazizov_family(etau, taup, alpha, terms)]
     # the u-fixed fractional combination, with w = t classically
     frac5 = compiled(power_rule_expr((eta - U * etau).subs(T, W), alpha), (X, W, U))
     eta_x, eta_xx = inf.eta._fn((1, 0, 0)), inf.eta._fn((2, 0, 0))
@@ -421,6 +419,21 @@ def detsys_gazizov_rl(
                 e5 = frac5(x, t, u) - eta_xx(x, t, u) - gfn(u) * eta_x(x, t, u)
                 _keep_max(r, "v", abs(e5))
     return ResidualReport(r, tol, _grid_desc(grid))
+
+
+def _gazizov_family(etau: sp.Expr, taup: sp.Expr, alpha: float, terms: int) -> list:
+    """binom(alpha,n) D_t^n(eta_u) - binom(alpha,n+1) D_t^{n+1}(tau) for
+    n = 1..terms, given eta_u and D_t tau.  Each derivative is one step from
+    the order before; the list ends where both vanish, since every later
+    equation is then 0 too."""
+    fam = []
+    dn_etau, dn1_tau = etau, taup
+    for n in range(1, terms + 1):
+        dn_etau, dn1_tau = sp.diff(dn_etau, T), sp.diff(dn1_tau, T)
+        if dn_etau == 0 and dn1_tau == 0:
+            break
+        fam.append(gen_binom(alpha, n) * dn_etau - gen_binom(alpha, n + 1) * dn1_tau)
+    return fam
 
 
 # -- classical reduced two-equation system ------------------------------------
@@ -568,9 +581,18 @@ def builtin_table(
 ) -> list:
     """Published generators as machine-readable fixtures:
     (case label, candidate) pairs for the Burgers cases, the constant
-    diffusivity basis and the power-law diffusivity equation."""
+    diffusivity basis and the power-law diffusivity equation.
+
+    The table is built once per parameter set; each call returns a new
+    list of the shared (immutable) candidates."""
+    return list(_table(alpha, p, b, c1))
+
+
+# typed: p = 2 and p = 2.0 label their rows differently ("u^2", "u^2.0")
+@lru_cache(maxsize=64, typed=True)
+def _table(alpha: float, p: float, b: float, c1: float) -> tuple:
     two = 2.0 / alpha
-    return [
+    return (
         ("arbitrary g", _x_translation(alpha)),
         ("g=u", _generator(alpha, "X2: x dx + (2w/a) dpsi - u du", X, two, -1)),
         ("g=u^p", _generator(alpha, f"X2 for u^{p}", X, two,
@@ -587,7 +609,7 @@ def builtin_table(
         # power-law diffusivity K = (c1 + 3u)^(-4/3)
         ("K=(c1+3u)^(-4/3)", _generator(alpha, "X2: x^2 dx - x(c1+3u) du", X**2,
                                         0.0, -3 * X, -_rational(c1) * X)),
-    ]
+    )
 
 
 def solve_ansatz(equation: EvolutionEquation, case: str, **params) -> list:

@@ -27,6 +27,10 @@ exp(c t)), the maximum over a sum, the sum over a product and the multiple
 under a non-negative integer power.  Anything else has no degree (None).
 The psi-jets of f vanish past its degree, so a jet table ends there
 exactly, whatever rounding the coefficients before it carry.
+
+Other symbols may be named as run-time inputs (the prolongation's x and a
+fixed u): each is a leaf of degree 0 whose value comes with the point, so
+one program serves every (t0, x, u).
 """
 
 from __future__ import annotations
@@ -55,28 +59,30 @@ class Program(NamedTuple):
     #: t0 -> 1/psi(t0), for the power and exponential kernels
     inv_psi: Optional[Callable[[float], float]]
 
-    def series(self, t0: float, size: int) -> np.ndarray:
-        """c_0 .. c_{size-1} of the expansion in w at t0."""
+    def series(self, t0: float, size: int, *values: float) -> np.ndarray:
+        """c_0 .. c_{size-1} of the expansion in w at t0, with the run-time
+        inputs of :func:`program` at values."""
         if self.constant is not None:
             out = np.zeros(size)
             out[0] = self.constant
             return out
-        point = (t0, self.inv_psi(t0) if self.inv_psi else 0.0)
+        point = (t0, self.inv_psi(t0) if self.inv_psi else 0.0, *values)
         regs = []
         for step in self.steps:
             regs.append(step(regs, point, size))
         return regs[-1]
 
-    def jets(self, t0: float, size: int) -> np.ndarray:
+    def jets(self, t0: float, size: int, *values: float) -> np.ndarray:
         """The psi-jets 0 .. size-1 at t0: m! c_m."""
-        return self.series(t0, size) * _index(size)[1]
+        return self.series(t0, size, *values) * _index(size)[1]
 
 
 @lru_cache(maxsize=1024)
-def program(expr: sp.Expr, psi_expr: sp.Expr) -> Program:
+def program(expr: sp.Expr, psi_expr: sp.Expr, params: tuple = ()) -> Program:
     """expr compiled for truncated Taylor arithmetic in w for the kernel
-    psi_expr, with its degree in w."""
-    c = _Compiler(psi_expr)
+    psi_expr, with its degree in w.  The symbols in params are run-time
+    inputs, given to :meth:`Program.jets` in the same order."""
+    c = _Compiler(psi_expr, params)
     node = c.node(expr)
     if node.reg is None:
         return Program((), 0, node.value, None)
@@ -95,9 +101,10 @@ class _Node(NamedTuple):
 
 
 class _Compiler:
-    def __init__(self, psi_expr: sp.Expr):
+    def __init__(self, psi_expr: sp.Expr, params: tuple = ()):
         self.steps: list = []
         self.memo: dict = {}
+        self.params = params
         self.kind = None  # "affine", "power", "exp", or None for any other kernel
         self.inv_psi = None
         rate = _exp_rate(psi_expr)
@@ -125,7 +132,7 @@ class _Compiler:
         return got
 
     def _node(self, e: sp.Expr) -> _Node:
-        if not e.has(T):
+        if not e.has(T, *self.params):
             others = e.free_symbols
             if others:
                 names = ", ".join(sorted(str(s) for s in others))
@@ -139,6 +146,9 @@ class _Compiler:
             return _Node(None, v, 0)
         if e == T:
             return self._t()
+        if e in self.params:
+            k = 2 + self.params.index(e)  # its place in the point
+            return self._emit(lambda r, pt, size: _affine(pt[k], 0.0, size), 0)
         if e.is_Add:
             return self._add(e)
         if e.is_Mul:
@@ -218,6 +228,8 @@ class _Compiler:
         base, ex = e.base, e.exp
         if ex.has(T):
             raise DomainError(f"psi-jets: exponent of {e} depends on t")
+        if self.params and ex.has(*self.params):
+            return self._pow_at_run_time(base, ex)
         p = float(ex)
         if base == T and self.kind == "power":
             return self._psi_power(p / self.rate, lambda t0: _positive(t0) ** p)
@@ -231,6 +243,20 @@ class _Compiler:
             n = int(p)
             return self._emit(lambda r, pt, size: _pow_int(r[i], n, size), degree)
         return self._emit(lambda r, pt, size: _pow_series(r[i], p, size), degree)
+
+    def _pow_at_run_time(self, base, ex):
+        """base**ex with ex a run-time input: its value is read at the point."""
+        b, k = self.node(base), self.node(ex).reg
+        i, b0 = b.reg, b.value
+
+        def step(r, pt, size):
+            p = float(r[k][0])
+            s = r[i] if i is not None else _affine(b0, 0.0, size)
+            if p >= 0 and p.is_integer():
+                return _pow_int(s, int(p), size)
+            return _pow_series(s, p, size)
+
+        return self._emit(step, 0 if b.degree == 0 else None)
 
     def _elementary(self, e):
         (arg,) = e.args
@@ -299,7 +325,7 @@ def _affine(c0: float, c1: float, size: int) -> np.ndarray:
 
 def _log_shift(pt, rate: float, size: int) -> np.ndarray:
     """t0 + log(1 + w/psi0) / rate."""
-    t0, r = pt
+    t0, r = pt[0], pt[1]
     ks = _index(size)[0]
     out = np.empty(size)
     out[0] = t0

@@ -3,7 +3,8 @@ compile, so equal requests share one callable and compile once; the
 psi-jets have one owner, fracops, above the compile cache; the series
 backend takes its jets without symbolic differentiation; the
 determining systems keep sympy out of their grid loops, and the
-prolongation sums out of their m-loops; every CLI setting is read; and
+prolongation sums out of their m-loops; the classical checks never
+simplify; every CLI setting is read; and
 the library runs on numpy and sympy alone."""
 
 import ast
@@ -106,6 +107,25 @@ def test_series_backend_does_no_symbolic_work(monkeypatch):
     for psi in kernels:
         value = fo.frac_op_series(f, psi, 0.7, 1.2, 30).value
         assert value == value  # not NaN
+
+
+def test_classical_checks_do_not_simplify(monkeypatch):
+    # criterion 9's panel: to_general and both classical systems build
+    # their equations without sympy's simplify
+    from psifrac import selftest as st
+    from psifrac import symmetry as sy
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simplify in a classical check")
+
+    monkeypatch.setattr(sp, "simplify", refuse)
+    alpha = 0.5
+    psi = builtin("identity", 0.0, 10.0)
+    eq = sy.lookup_case("g=u").equation(alpha, psi, **sy.CASE_DEFAULTS)
+    for cand in st._panel(alpha):
+        sy.detsys_zhang_rl(cand, eq, alpha)
+        gen = sy.GeneratorCandidate(cand.label, general=cand.reduced.to_general(psi))
+        sy.detsys_gazizov_rl(gen, eq.g, alpha)
 
 
 def test_jets_imports_nothing_from_fracops():

@@ -15,6 +15,7 @@ from psifrac.jets import JetFunction, SolutionJet, T, U, W, X
 from psifrac.psi import PsiFunction, builtin
 from psifrac.selftest import _classical_eta_ref
 from psifrac.special import rgamma
+from psifrac.taylor import program
 
 IDENTITY = builtin("identity", 0.0, 2.0)
 POWER = builtin("power", 0.5, 2.0)
@@ -53,6 +54,19 @@ def test_reduced_to_general_round_trip():
     assert sp.simplify(gen.tau.expr - 2 * T / ALPHA) == 0
     assert sp.simplify(gen.eta.expr + U) == 0
     assert red.tau_tilde(IDENTITY) == 0.0
+
+
+@pytest.mark.parametrize("psi", [IDENTITY, POWER, builtin("exponential", 0.0, 1.0)],
+                         ids=lambda p: p.name)
+def test_to_general_tau_equals_the_simplified_form(psi):
+    # to_general expands tau instead of simplifying it; both are the same
+    # function of t, with every tau coefficient nonzero
+    red = pr.ReducedInfinitesimals(
+        ALPHA, JetFunction(X, (X,)), 0.75, 2.0 / ALPHA, 0.5,
+        JetFunction(sp.Integer(-1), (X,)), JetFunction(X * W, (X, W)))
+    w = psi.expr - psi.expr.subs(T, psi.a)
+    tau_t = (red.c0 + red.c1 * w + red.c2 * w**2) / sp.diff(psi.expr, T)
+    assert sp.expand(red.to_general(psi).tau.expr - sp.simplify(tau_t)) == 0
 
 
 def test_tau_tilde_reflects_c0():
@@ -289,6 +303,18 @@ def test_prolongation_tables_need_no_symbolic_psi_jets(monkeypatch):
             pr.eta_m_psi(2, inf, jet, psi, x, t),
         ]
         assert all(math.isfinite(v) for v in values), (psi.name, values)
+
+
+def test_prolongation_compiles_each_table_once_per_generator():
+    # x and u are run-time inputs of the Taylor programs, so new points
+    # reuse the programs of the first one
+    inf = pr.Infinitesimals.from_exprs(X, 1.3 * T + 0.4, 0.8 * X * U - U + 0.6 * U**2)
+    jet = SolutionJet.from_expr(1 + 0.7 * X * T + T**2)
+    pr.eta_alpha_psi(inf, jet, IDENTITY, ALPHA, 0.3, 0.4)
+    misses = program.cache_info().misses
+    for x, t in ((0.5, 0.9), (0.8, 1.3), (1.1, 0.6)):
+        pr.eta_alpha_psi(inf, jet, IDENTITY, ALPHA, x, t)
+    assert program.cache_info().misses == misses
 
 
 def test_prolongation_on_a_kernel_given_by_its_expression():

@@ -336,6 +336,41 @@ def test_quadratic_tau_alone_fails_family_equations():
     assert rep.equations["family"] > 1e-3
 
 
+def test_gazizov_family_matches_from_scratch_derivatives():
+    # each equation of the family against binom(alpha, n) d^n eta_u/dt^n
+    # - binom(alpha, n+1) d^{n+1} tau/dt^{n+1} taken from scratch; the
+    # family stops where both derivatives vanish, so its tail is 0
+    from psifrac.special import gen_binom
+
+    cases = [
+        (X * U * T**3 + U * sp.exp(2 * T), T**4 / 3 + sp.cos(T)),
+        (U**2 * T**2 + X * U, 2 * T / ALPHA),
+        (-U, sp.Integer(0)),
+    ]
+    terms = 8
+    for eta, tau in cases:
+        etau = sp.diff(eta, U)
+        got = sy._gazizov_family(etau, sp.diff(tau, T), ALPHA, terms)
+        assert len(got) <= terms
+        for n in range(1, terms + 1):
+            want = (gen_binom(ALPHA, n) * sp.diff(etau, T, n)
+                    - gen_binom(ALPHA, n + 1) * sp.diff(tau, T, n + 1))
+            have = got[n - 1] if n <= len(got) else 0
+            assert sp.expand(have - want) == 0, (eta, tau, n)
+
+
+def test_builtin_table_hands_out_a_fresh_list():
+    first = sy.builtin_table(ALPHA)
+    rows = list(first)
+    first.clear()
+    first.append(("junk", None))
+    again = sy.builtin_table(ALPHA)
+    assert again == rows and again is not first
+    # int and float parameters label their rows as given
+    assert sy.builtin_table(ALPHA, p=3)[2][1].label == "X2 for u^3"
+    assert sy.builtin_table(ALPHA, p=3.0)[2][1].label == "X2 for u^3.0"
+
+
 def test_both_classical_methods_agree_on_panel():
     psi = builtin("identity", 0.0, 10.0)
     g = JetFunction.of_u(U)

@@ -1,16 +1,18 @@
 """The Taylor-mode psi-jets: values against the definition, exact ends on
-power sums, and the nodes the engine refuses."""
+power sums, run-time inputs, and the nodes the engine refuses."""
 
 import math
 
+import numpy as np
 import pytest
 import sympy as sp
 
 from psifrac import fracops as fo
 from psifrac.cli import _as_f_of_t
 from psifrac.errors import DomainError, NumericsError
-from psifrac.jets import T, W, JetFunction
+from psifrac.jets import T, U, W, X, JetFunction
 from psifrac.psi import PsiFunction, builtin
+from psifrac.taylor import program
 
 KERNELS = {
     "identity": builtin("identity", 0.0, 2.0),
@@ -114,3 +116,36 @@ def test_psi_deriv_m_reads_the_jets_of_psi_jets():
     deep = fo.psi_jets(f, psi, 0.5, 12)
     assert [fo.psi_deriv_m(f, psi, 0.5, m) for m in range(13)] == deep
     assert math.isfinite(deep[-1]) and deep[-1] != 0.0
+
+
+RUN_TIME_SHAPES = {
+    "polynomial": X * T**2 + U,
+    "rational": X**2 * U * sp.exp(T) - 3 * U**2 / (1 + T),
+    "elementary": sp.exp(X * T) + sp.sin(U * T) * sp.cos(X),
+    "input-exponent": T**X + (X + T) ** U,
+    "log": sp.log(X + U + T) * X / U,
+    "free-of-t": X * U + 2,
+}
+
+
+@pytest.mark.parametrize("kernel", ["identity", "power", "exponential", "affine"])
+@pytest.mark.parametrize("shape", sorted(RUN_TIME_SHAPES))
+def test_run_time_inputs_match_the_numbers_put_in(kernel, shape):
+    # one program serves every (x, u); its jets are those of the expression
+    # with the numbers put in, up to rounding
+    psi, expr = KERNELS[kernel], RUN_TIME_SHAPES[shape]
+    t = psi.a + 0.6 * (psi.b - psi.a)
+    prog = program(expr, psi.expr, (X, U))
+    for x, u in ((0.7, 1.3), (1.9, 0.4)):
+        got = prog.jets(t, 8, x, u)
+        want = program(expr.xreplace({X: sp.Float(x), U: sp.Float(u)}), psi.expr).jets(t, 8)
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13), (x, u, got, want)
+
+
+def test_run_time_inputs_keep_the_degree():
+    psi = KERNELS["identity"]
+    prog = program(X * T**3 + U**2 * T, psi.expr, (X, U))
+    assert prog.degree == 3
+    assert program(X * U, psi.expr, (X, U)).degree == 0
+    with pytest.raises(DomainError, match="x"):
+        program(X * T, psi.expr, (U,))
