@@ -43,6 +43,9 @@ EXIT_PIPE = 141
 #: symbolic psi-jets, one per order in the quadrature (prolong's omega is
 #: two quadrature derivatives), and the --terms jets are Taylor mode
 MAX_TERMS = 40
+#: largest --nodes; the quadrature caches its nodes and the jet values
+#: there per point, so this also caps what one cached table holds
+MAX_NODES = 20000
 
 
 @dataclass(frozen=True)
@@ -126,6 +129,8 @@ def _build_config(args) -> RunConfig:
         depth = math.ceil(cfg.alpha) + (args.command == "prolong" and not cfg.alpha.is_integer())
         if depth > MAX_TERMS:
             raise DomainError(f"alpha = {cfg.alpha} needs {depth} psi-jets, over {MAX_TERMS}")
+    if not 4 <= cfg.nodes <= MAX_NODES:
+        raise DomainError(f"nodes must be in [4, {MAX_NODES}], got {cfg.nodes}")
     if not 0 <= cfg.terms <= MAX_TERMS:
         raise DomainError(f"terms must be in [0, {MAX_TERMS}], got {cfg.terms}")
     if not (math.isfinite(cfg.tol) and cfg.tol >= 0):

@@ -15,8 +15,12 @@ Two independent backends are provided for each operator:
           / Gamma(beta+1-m+j) int_0^1 (1-x)^{beta-1} x^j f^{[j]}_psi(s_x) dx,
 
   with s_x = psi^{-1}(psi(a) + V x) (Kilbas, Srivastava & Trujillo 2006,
-  sec. 2.5); all m + 1 integrals share the nodes and one inversion of psi
-  per node;
+  sec. 2.5).  The nodes s_x and the jet values there depend on (psi, t,
+  n) and not on the order: they are kept per point (:func:`_nodes`,
+  :func:`_node_values`), so every quadrature at t, of any order and in
+  the Leibniz and product-integral sums too, shares one inversion of psi
+  and one evaluation of each jet per node; only the rule's weights and
+  one dot product per moment are taken per order;
 
 * series: the expansion in psi-jet derivatives
   f^{[m]}_psi = (1/psi' d/dt)^m f with generalized binomial coefficients,
@@ -166,10 +170,13 @@ def _table(f: JetFunction, psi: PsiFunction, t: float, n: int) -> tuple:
 
 @lru_cache(maxsize=16)
 def _chebyshev_points(n: int):
-    """cos(theta_j), theta_j = (j + 1/2) pi / n, and the twiddle factors
-    exp(i k pi / 2n) that turn the cosine sums over them into one FFT."""
+    """y_j = cos(theta_j), theta_j = (j + 1/2) pi / n, the same points
+    x_j = (y_j + 1)/2 in [0, 1], and the twiddle factors exp(i k pi / 2n)
+    that turn the cosine sums over them into one FFT."""
     theta = (np.arange(n) + 0.5) * (math.pi / n)
-    return tuple(np.cos(theta).tolist()), np.exp(0.5j * math.pi / n * np.arange(n))
+    ys = tuple(np.cos(theta).tolist())
+    xs = tuple(0.5 * (y + 1.0) for y in ys)
+    return ys, xs, np.exp(0.5j * math.pi / n * np.arange(n))
 
 
 def _jacobi_rule(n: int, a: float):
@@ -183,7 +190,7 @@ def _jacobi_rule(n: int, a: float):
     (Waldvogel, BIT 46, 2006).  r_k = (-1)^k M_k follows QUADPACK's DQMOMO
     recurrence, which is stable forward.
     """
-    ys, twiddle = _chebyshev_points(n)
+    ys, _, twiddle = _chebyshev_points(n)
     two = 2.0 ** (a + 1.0)
     r = two / (a + 1.0)
     moments = [0.5 * r]
@@ -197,31 +204,63 @@ def _jacobi_rule(n: int, a: float):
     return ys, ws.tolist()
 
 
-def _jacobi_moments(
-    f: JetFunction, psi: PsiFunction, m: int, beta: float, t: float, quad
-):
-    """V = psi(t) - psi(a) and, for j = 0..m, the moments
-    int_0^1 (1-x)^{beta-1} x^j f^{[j]}_psi(psi^{-1}(psi(a) + V x)) dx."""
-    if not t > psi.a:
-        raise DomainError(f"need t > a = {psi.a}, got t={t}")
-    fns = [_jet_fn(f, psi, j) for j in range(m + 1)]
+# nodes and jet values are kept per point, for every order there: a caller
+# takes the integral and the derivative of f at one t, and the Leibniz and
+# product-integral sums take up to terms + 1 quadratures of g at that t;
+# few points are revisited after that, so small bounds suffice
+@lru_cache(maxsize=64)
+def _nodes(psi: PsiFunction, t: float, n: int):
+    """V = psi(t) - psi(a) and the nodes psi^{-1}(psi(a) + V x_i) of the
+    n-point rule at t (x_i from :func:`_chebyshev_points`).
+
+    Keyed on the kernel itself: its equality includes the inverse, so two
+    kernels that differ only there never share nodes."""
     va = psi(psi.a)
     V = psi(t) - va
     if not V > 0:
         raise NumericsError(f"psi(t) - psi(a) = {V} is not positive")
-    ys, ws = _jacobi_rule(quad.nodes, beta - 1.0)
-    acc = [0.0] * (m + 1)
-    # python floats: numpy scalar arithmetic would dominate this loop
-    for yi, wi in zip(ys, ws):
-        x = 0.5 * (yi + 1.0)
-        s = psi.invert(va + V * x)
-        c = wi
-        for j, fn in enumerate(fns):
-            acc[j] += c * fn(s)
-            c *= x
+    return V, tuple(psi.invert(va + V * x) for x in _chebyshev_points(n)[1])
+
+
+@lru_cache(maxsize=128)
+def _node_values(f_expr: sp.Expr, psi: PsiFunction, t: float, n: int, j: int):
+    """f^{[j]}_psi at each node of :func:`_nodes` (psi, t, n)."""
+    return tuple(map(_psi_jet_fn(f_expr, psi.expr, j), _nodes(psi, t, n)[1]))
+
+
+def _jacobi_moments(
+    f: JetFunction, psi: PsiFunction, m: int, beta: float, t: float, quad
+):
+    """V = psi(t) - psi(a) and, for j = 0..m, the moments
+    int_0^1 (1-x)^{beta-1} x^j f^{[j]}_psi(psi^{-1}(psi(a) + V x)) dx.
+
+    The nodes and the jet values there are shared by every quadrature at
+    the point (:func:`_nodes`, :func:`_node_values`); only the weights
+    w_i x_i^j and one dot product per moment are taken for this order.
+    Each moment is the sequential sum of the products in node order, with
+    x_i^j by repeated multiplication, so its bits do not depend on what
+    the caches held."""
+    if not t > psi.a:
+        raise DomainError(f"need t > a = {psi.a}, got t={t}")
+    if not isinstance(f, JetFunction):
+        raise DomainError("the fractional operators need f as a JetFunction")
+    t = float(t)
+    n = quad.nodes
+    V, _ = _nodes(psi, t, n)
+    _, xs, _ = _chebyshev_points(n)
+    _, cs = _jacobi_rule(n, beta - 1.0)
     # the rule's weight is (1 - y)^{beta-1} in y = 2x - 1
     scale = 0.5**beta
-    return V, [a * scale for a in acc]
+    out = []
+    # python floats: numpy scalar arithmetic would dominate these loops
+    for j in range(m + 1):
+        if j:
+            cs = [c * x for c, x in zip(cs, xs)]
+        acc = 0.0
+        for c, v in zip(cs, _node_values(f.expr, psi, t, n, j)):
+            acc += c * v
+        out.append(acc * scale)
+    return V, out
 
 
 def frac_integral(

@@ -41,7 +41,9 @@ def compiled(expr: sp.Expr, vars: tuple = None, orders: tuple = ()):
     vars None stands for (t,): hashing a sympy symbol runs Python code, and
     the hot callers, psi and the psi-jets of f(t), look up on every call.
     Pass every argument positionally: the cache keys on the arguments as
-    given.
+    given.  An expression or partial that is exactly 0 (as many partials
+    of the determining systems are) is not compiled: every such request
+    shares one constant callable.
 
     ``docstring_limit=0`` keeps lambdify from printing the expression a
     second time, into the callable's ``__doc__`` (about a quarter of a
@@ -53,7 +55,15 @@ def compiled(expr: sp.Expr, vars: tuple = None, orders: tuple = ()):
     for v, o in zip(vars, orders):
         if o:
             e = sp.diff(e, v, o)
+    if e is sp.S.Zero:
+        return _zero
     return sp.lambdify(vars, e, "math", docstring_limit=0)
+
+
+def _zero(*args):
+    """The compiled form of an expression that is exactly 0: it returns
+    the int 0, as the lambdified ``return 0`` does."""
+    return 0
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from psifrac.cli import (
     EXIT_NUMERIC,
     EXIT_PASS,
     EXIT_PIPE,
+    MAX_NODES,
     main,
 )
 
@@ -154,6 +155,10 @@ def test_eval_gate_is_relative_to_the_value(capsys):
     ["leibniz", "--f", "t", "--g", "t", "--t", "1", "--N", "1", "--alpha", "40.5"],
     ["prolong", "--xi", "x", "--tau", "4*t+1", "--eta", "0-u", "--u", "x*psi+1",
      "--x", "0.5", "--t", "1", "--alpha", "39.5"],
+    # a node count past cli.MAX_NODES would allocate without bound
+    ["eval", "integral", "--f", "t", "--t", "1", "--nodes", "1000000000000"],
+    ["eval", "derivative", "--f", "t", "--t", "1", "--nodes", "20001"],
+    ["eval", "integral", "--f", "t", "--t", "1", "--nodes", "3"],
     # non-finite case parameters
     ["solve", "--case", "g=e^(b u)", "--bpar", "inf"],
     ["solve", "--case", "g=u^p", "--p", "inf"],
@@ -213,6 +218,22 @@ def test_config_file_sets_defaults_and_flags_override(tmp_path, capsys):
     code, out = run(capsys, "eval", "integral", "--f", "1", "--t", "3",
                     "--config", str(cfg), "--alpha", "2")
     assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(4.5)
+
+
+def test_config_file_node_count_is_bounded_like_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nodes = 1000000000000\n")
+    code = main(["eval", "integral", "--f", "t", "--t", "1", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_eval_accepts_max_nodes(capsys):
+    code, _ = run(capsys, "eval", "integral", "--f", "t", "--t", "1",
+                  "--nodes", str(MAX_NODES))
+    assert code == EXIT_PASS
 
 
 def test_config_file_unknown_key_is_config_error(tmp_path, capsys):

@@ -4,8 +4,8 @@ psi-jets have one owner, fracops, above the compile cache; the series
 backend takes its jets without symbolic differentiation; the
 determining systems keep sympy out of their grid loops, and the
 prolongation sums out of their m-loops; the classical checks never
-simplify; every CLI setting is read; and
-the library runs on numpy and sympy alone."""
+simplify; every CLI setting is read; every
+cache has a finite bound; and the library runs on numpy and sympy alone."""
 
 import ast
 import dataclasses
@@ -171,6 +171,34 @@ def test_equal_builtin_kernels_share_one_compiled_callable():
     assert second._fn(3) is fn
     assert second.deriv(1.3, 3) == first.deriv(1.3, 3)
     assert compiled.cache_info().misses == misses
+
+
+def _cache_decorators(tree):
+    """(function name, decorator) for each functools cache decorator."""
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for d in n.decorator_list:
+                f = d.func if isinstance(d, ast.Call) else d
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name in ("lru_cache", "cache"):
+                    yield n.name, d
+
+
+def test_every_cache_is_bounded():
+    # the caches live as long as the process; an unbounded one grows with
+    # every new point, order or expression of a long run
+    found = 0
+    for path in SRC.glob("*.py"):
+        for name, d in _cache_decorators(ast.parse(path.read_text())):
+            found += 1
+            where = f"{path.name}:{name}"
+            assert isinstance(d, ast.Call), f"{where} has no explicit maxsize"
+            sizes = [k.value for k in d.keywords if k.arg == "maxsize"] + d.args[:1]
+            assert len(sizes) == 1, where
+            size = sizes[0]
+            assert isinstance(size, ast.Constant), where
+            assert type(size.value) is int and size.value > 0, where
+    assert found
 
 
 def test_import_does_not_load_scipy():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -8,14 +9,17 @@ import scipy.special
 import sympy as sp
 
 from psifrac import fracops as fo
+from psifrac import prolong as pr
 from psifrac.errors import DomainError
 from psifrac.jets import JetFunction, T, U, W, X, compiled
-from psifrac.psi import builtin
+from psifrac.psi import PsiFunction, builtin
 from psifrac.special import gamma, gen_binom, rgamma
 
 IDENTITY = builtin("identity", 0.0, 2.0)
 POWER = builtin("power", 0.5, 2.0)
 EXPONENTIAL = builtin("exponential", 0.0, 1.0)
+# given by its expression alone: inverted by bisection and secant
+CUBIC = PsiFunction("t + t^3", 0.0, 1.5, expr=T + T**3)
 
 
 def _w_expr(psi):
@@ -73,6 +77,106 @@ def test_rule_agrees_with_gauss_jacobi(a):
 def test_rule_is_not_cached_per_exponent():
     # the weights cost O(n) per exponent, so no per-order cache is kept
     assert not hasattr(fo._jacobi_rule, "cache_info")
+
+
+# -- node tables -----------------------------------------------------------------
+
+
+def _clear_node_tables():
+    fo._nodes.cache_clear()
+    fo._node_values.cache_clear()
+
+
+def _reference_moments(f, psi, m, beta, t, n=64):
+    """The per-node loop the node tables replace: invert psi at each node,
+    evaluate every jet there, and accumulate c * f^{[j]} with c = w_i x_i^j
+    by repeated multiplication."""
+    fns = [fo._psi_jet_fn(f.expr, psi.expr, j) for j in range(m + 1)]
+    va = psi(psi.a)
+    V = psi(t) - va
+    ys, ws = fo._jacobi_rule(n, beta - 1.0)
+    acc = [0.0] * (m + 1)
+    for yi, wi in zip(ys, ws):
+        x = 0.5 * (yi + 1.0)
+        s = psi.invert(va + V * x)
+        c = wi
+        for j, fn in enumerate(fns):
+            acc[j] += c * fn(s)
+            c *= x
+    scale = 0.5**beta
+    return V, [a * scale for a in acc]
+
+
+@pytest.mark.parametrize("psi", [IDENTITY, POWER, EXPONENTIAL, CUBIC],
+                         ids=lambda p: p.name)
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_moments_equal_the_per_node_loop(psi, m):
+    f = JetFunction.of_t(sp.exp(T) * T + 1 / (T + 2))
+    quad = fo.QuadratureSpec()
+    for where in (0.2, 0.9):
+        t = psi.a + where * (psi.b - psi.a)
+        for beta in (0.3, 0.85, 1.0, 2.4):
+            want = _reference_moments(f, psi, m, beta, t)
+            assert fo._jacobi_moments(f, psi, m, beta, t, quad) == want, (t, beta)
+
+
+def _point_ops(psi, t):
+    f = JetFunction.of_t(sp.exp(T) + T**2)
+    g = JetFunction.of_t(T**3 + sp.Rational(1, 3) * T)
+    return {
+        "frac_integral": lambda: fo.frac_integral(f, psi, 0.7, t),
+        "frac_derivative": lambda: fo.frac_derivative(f, psi, 1.3, t),
+        "leibniz_product": lambda: fo.leibniz_product(f, g, psi, 0.6, t, 6),
+        "product_integral": lambda: fo.product_integral(f, g, psi, 0.6, t, 6),
+        "omega_commutator": lambda: pr.omega_commutator(g, psi, 0.45, t),
+        # the warm-up: other orders of f and g at the same point
+        "other orders": lambda: [op(h, psi, nu, t) for h in (f, g)
+                                 for op in (fo.frac_integral, fo.frac_derivative)
+                                 for nu in (0.25, 1.75, 2.5)],
+    }
+
+
+@pytest.mark.parametrize("psi", [IDENTITY, POWER, EXPONENTIAL, CUBIC],
+                         ids=lambda p: p.name)
+@pytest.mark.parametrize("name", ["frac_integral", "frac_derivative", "leibniz_product",
+                                  "product_integral", "omega_commutator"])
+def test_warm_node_tables_give_the_cold_values(psi, name):
+    t = psi.a + 0.55 * (psi.b - psi.a)
+    ops = _point_ops(psi, t)
+    _clear_node_tables()
+    cold = ops[name]()
+    _clear_node_tables()
+    ops["other orders"]()
+    hits = fo._nodes.cache_info().hits
+    warm = ops[name]()
+    assert fo._nodes.cache_info().hits > hits  # the op read the shared nodes
+    assert warm == cold
+
+
+def test_new_kernels_share_no_node_entries():
+    f = JetFunction.of_t(sp.exp(T))
+    _clear_node_tables()
+    # each builtin identity or power kernel carries its own inverse
+    for name in ("identity", "power"):
+        first, second = builtin(name, 0.5, 2.0), builtin(name, 0.5, 2.0)
+        fo.frac_integral(f, first, 0.5, 1.2)
+        nodes, values = fo._nodes.cache_info(), fo._node_values.cache_info()
+        fo.frac_integral(f, second, 0.5, 1.2)
+        assert fo._nodes.cache_info().misses == nodes.misses + 1, name
+        assert fo._node_values.cache_info().misses == values.misses + 1, name
+    # kernels that differ only in the inverse, analytic or by bisection:
+    # here the two inversions differ in the last bits, and each kernel
+    # keeps its own
+    numeric = dataclasses.replace(EXPONENTIAL, inverse=None)
+    _clear_node_tables()
+    cold = fo.frac_integral(f, numeric, 0.5, 0.9)
+    _clear_node_tables()
+    assert fo.frac_integral(f, EXPONENTIAL, 0.5, 0.9) != cold
+    assert fo.frac_integral(f, numeric, 0.5, 0.9) == cold
+    # an equal kernel is the same inversion, and reads the same nodes
+    misses = fo._nodes.cache_info().misses
+    fo.frac_integral(f, dataclasses.replace(EXPONENTIAL), 0.5, 0.9)
+    assert fo._nodes.cache_info().misses == misses
 
 
 # -- power rule ----------------------------------------------------------------

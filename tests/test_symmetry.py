@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from psifrac import fracops as fo
+from psifrac import jets
 from psifrac import prolong as pr
 from psifrac import selftest as st
 from psifrac import symmetry as sy
@@ -53,6 +55,47 @@ def test_grid_probes_are_deterministic():
     g2 = sy.GridSpec.default(IDENTITY)
     assert g1.jet_probes() == g2.jet_probes()
     assert g1.u_probe_coeffs() == g2.u_probe_coeffs()
+
+
+class _SympyWithoutZero:
+    """sympy as jets.compiled sees it, but with no exact zero to skip, so
+    every partial is lambdified."""
+
+    class S:
+        Zero = object()
+
+    def __getattr__(self, name):
+        return getattr(sp, name)
+
+
+def test_zero_partials_skip_lambdify(monkeypatch):
+    # xi = x, a constant theta and rho = 0: xi'', theta', theta'', rho and
+    # its partials are exactly 0
+    cand = _scaling(-sp.Rational(5, 4), xi=X + sp.Rational(3, 11))
+    g = JetFunction.of_u(U**2 + U / 7)
+    calls = []
+    lambdify = sp.lambdify
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return lambdify(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "lambdify", counting)
+
+    def run():
+        compiled.cache_clear()
+        fo._psi_jet_fn.cache_clear()
+        calls.clear()
+        rep = sy.detsys_gfbe(cand, g, IDENTITY, ALPHA)
+        return len(calls), repr(sorted(rep.equations.items()))
+
+    skipped, residuals = run()
+    assert sp.S.Zero not in calls
+    monkeypatch.setattr(jets, "sp", _SympyWithoutZero())
+    compiled_all, want = run()
+    assert sp.S.Zero in calls
+    assert skipped < compiled_all
+    assert residuals == want
 
 
 def test_equation_rejects_constant_g():
