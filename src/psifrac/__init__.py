@@ -50,7 +50,6 @@ from .special import gamma, gen_binom, rgamma
 from .symmetry import (
     EvolutionEquation,
     GeneratorCandidate,
-    GridSpec,
     ResidualReport,
     builtin_table,
     detsys_diffusion,
@@ -76,7 +75,7 @@ __all__ = [
     "Infinitesimals", "ReducedInfinitesimals",
     "eta_integer", "eta_m_psi", "mu_term", "omega_commutator", "omega_term",
     "eta_alpha_psi", "eta_alpha_psi_compact",
-    "EvolutionEquation", "GeneratorCandidate", "GridSpec", "ResidualReport",
+    "EvolutionEquation", "GeneratorCandidate", "ResidualReport",
     "detsys_gfbe", "detsys_diffusion", "detsys_gazizov_rl", "detsys_zhang_rl",
     "builtin_table", "solve_ansatz", "diffusion_rho_fixture",
     "parse_expr", "ParseError",

@@ -81,7 +81,8 @@ _CONFIG_FIELDS = {
 
 
 def _load_config(path: str) -> dict:
-    """Plain key = value document; keys match the CLI flag names."""
+    """Plain key = value document; keys match the CLI flag names, except
+    the power exponent's, ``rho``, whose flag is ``--psi-rho``."""
     cp = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -160,34 +161,33 @@ def _fmt_cell(v) -> str:
     return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
-def emit(cfg: RunConfig, command: str, columns, rows, extra=None, out=None):
+def emit(cfg: RunConfig, command: str, columns, rows, extra=None):
     for r in rows:
         for v in r:
             if isinstance(v, float) and not math.isfinite(v):
                 raise NumericsError(f"{command}: non-finite result {v}")
-    out = out if out is not None else sys.stdout
     if cfg.fmt == "json":
         doc = {"command": command, "columns": list(columns),
                "rows": [list(r) for r in rows]}
         if extra:
             doc.update(extra)
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")), file=out)
+        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         return
     if cfg.fmt == "csv":
-        print(",".join(columns), file=out)
+        print(",".join(columns))
         for r in rows:
-            print(",".join(_fmt_cell(v) for v in r), file=out)
+            print(",".join(_fmt_cell(v) for v in r))
         return
     cells = [[_fmt_cell(v) if not isinstance(v, float) else f"{v: .10e}" for v in r]
              for r in rows]
     widths = [max(len(c), *(len(row[i]) for row in cells)) if cells else len(c)
               for i, c in enumerate(columns)]
-    print("  ".join(c.ljust(w) for c, w in zip(columns, widths)), file=out)
+    print("  ".join(c.ljust(w) for c, w in zip(columns, widths)))
     for row in cells:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)), file=out)
+        print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     if extra:
         for k, v in extra.items():
-            print(f"{k}: {v}", file=out)
+            print(f"{k}: {v}")
 
 
 # -- spec -> object helpers ------------------------------------------------------

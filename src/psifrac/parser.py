@@ -13,6 +13,10 @@ Grammar (whitespace-insensitive)::
 literals; everything else that needs non-integer powers is expressed via
 ``exp`` or left to the library API.  Deliberately not sympify(): the input
 surface stays small and injection-proof.
+
+Nesting of ``(``, ``exp(`` and unary ``-``, counted together, stops at
+:data:`MAX_DEPTH`: sympy recurses once per level, and deeper specs exhaust
+the stack.
 """
 
 from __future__ import annotations
@@ -25,7 +29,10 @@ import sympy as sp
 from .errors import DomainError
 from .jets import T, U, W, X
 
-__all__ = ["parse_expr", "ParseError"]
+__all__ = ["parse_expr", "ParseError", "MAX_DEPTH"]
+
+#: deepest nesting of '(', 'exp(' and unary '-' in one spec
+MAX_DEPTH = 32
 
 
 class ParseError(DomainError):
@@ -73,6 +80,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     @property
     def cur(self) -> _Token:
@@ -87,6 +95,17 @@ class _Parser:
         if self.cur.kind != "op" or self.cur.text != text:
             raise ParseError(f"expected {text!r} at position {self.cur.pos} in {self.src!r}")
         self.advance()
+
+    def nested(self, parse) -> sp.Expr:
+        """parse() one nesting level below the token just read."""
+        if self.depth == MAX_DEPTH:
+            pos = self.tokens[self.i - 1].pos
+            raise ParseError(
+                f"nesting deeper than {MAX_DEPTH} levels at position {pos} in {self.src!r}")
+        self.depth += 1
+        e = parse()
+        self.depth -= 1
+        return e
 
     def parse(self) -> sp.Expr:
         e = self.expr()
@@ -115,7 +134,7 @@ class _Parser:
     def unary(self) -> sp.Expr:
         if self.cur.kind == "op" and self.cur.text == "-":
             self.advance()
-            return -self.unary()
+            return -self.nested(self.unary)
         return self.power()
 
     def power(self) -> sp.Expr:
@@ -144,7 +163,7 @@ class _Parser:
             self.advance()
             if tok.text == "exp":
                 self.expect("(")
-                arg = self.expr()
+                arg = self.nested(self.expr)
                 self.expect(")")
                 return sp.exp(arg)
             try:
@@ -155,7 +174,7 @@ class _Parser:
                 ) from None
         if tok.kind == "op" and tok.text == "(":
             self.advance()
-            e = self.expr()
+            e = self.nested(self.expr)
             self.expect(")")
             return e
         raise ParseError(f"unexpected token {tok.text!r} at position {tok.pos} in {self.src!r}")

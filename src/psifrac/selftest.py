@@ -457,13 +457,13 @@ CRITERIA = [
 ]
 
 
-def run_all(stream=sys.stdout) -> int:
+def run_all() -> int:
     t0 = time.perf_counter()
     results = []
     for index, name, fn in CRITERIA:
         res = _timed(index, name, fn)
         results.append(res)
-        print(res.line(), file=stream)
+        print(res.line())
     total = time.perf_counter() - t0
     all_pass = all(r.passed for r in results)
     final = CriterionResult(
@@ -474,7 +474,7 @@ def run_all(stream=sys.stdout) -> int:
         "(needs 9/9 and < 120s)",
         total,
     )
-    print(final.line(), file=stream)
+    print(final.line())
     return 0 if final.passed else 1
 
 

@@ -5,6 +5,10 @@ candidate generator it evaluates every equation of the system on a grid
 of (x, t, u) nodes and reports the max-abs residual per equation.  A
 candidate is accepted when every residual is below tolerance.
 
+The grid is fixed: 5 x 5 x 5 equispaced nodes with x and t - a in
+[0.2, 1] and u in [0.5, 2], two fixed (u_x, u_xx) probes for the free jet
+coordinates, and a fixed cubic in w as the omega equation's u.
+
 Four systems are provided: the psi-fractional Burgers system and the
 psi-fractional diffusion system (reduced-form candidates, arbitrary
 admissible psi), and the two classical formulations (reduced two-equation
@@ -46,13 +50,12 @@ from .prolong import (
     ReducedInfinitesimals,
     omega_commutator,
 )
-from .psi import PsiFunction, builtin
+from .psi import PsiFunction
 from .special import gamma, gen_binom
 
 __all__ = [
     "UX",
     "UXX",
-    "GridSpec",
     "EvolutionEquation",
     "GeneratorCandidate",
     "ResidualReport",
@@ -73,38 +76,26 @@ UX = sp.Symbol("u_x", real=True)
 UXX = sp.Symbol("u_xx", real=True)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Sample nodes for residual evaluation plus the probe seed."""
+# the residual grid: x and u nodes, and the t nodes as offsets from a
+_XS = tuple(np.linspace(0.2, 1.0, 5))
+_US = tuple(np.linspace(0.5, 2.0, 5))
 
-    xs: tuple
-    ts: tuple
-    us: tuple
-    seed: int = 20230815
 
-    @classmethod
-    def default(cls, psi: PsiFunction, n: int = 5, seed: int = 20230815) -> "GridSpec":
-        a = psi.a
-        return cls(
-            tuple(np.linspace(0.2, 1.0, n)),
-            tuple(a + np.linspace(0.2, 1.0, n)),
-            tuple(np.linspace(0.5, 2.0, n)),
-            seed,
-        )
+def _ts(a: float) -> tuple:
+    return tuple(a + np.linspace(0.2, 1.0, 5))
 
-    def __post_init__(self):
-        if not (self.xs and self.ts and self.us):
-            raise DomainError("grid must have at least one node per axis")
 
-    def jet_probes(self, count: int = 2):
-        """Seeded (u_x, u_xx) probe pairs, independent jet coordinates."""
-        rng = np.random.default_rng(self.seed)
-        return [tuple(rng.uniform(-1.5, 1.5, size=2)) for _ in range(count)]
+# the seeded draws that bench/refs.py and bench/workloads.omega_probe_u_at_a
+# mirror, written out so that no generator runs: default_rng(20230815)'s
+# uniform(-1.5, 1.5, size=2) twice as (u_x, u_xx), and the coefficients c_k
+# of the omega probe sum c_k w^k, default_rng(20230816).uniform(0.5, 1.5, 4)
+_JET_PROBES = ((-0.5445168242207112, 1.086291606832349),
+               (0.5304325123377174, 0.10457819184325934))
+_U_PROBE = (0.5337648579355345, 0.7190222608575713, 1.1823201539498678,
+            1.207848357003816)
 
-    def u_probe_coeffs(self, degree: int = 3):
-        """Seeded coefficients for the u(t) probe, polynomial in w."""
-        rng = np.random.default_rng(self.seed + 1)
-        return tuple(rng.uniform(0.5, 1.5, size=degree + 1))
+# equations n = 1.._GAZIZOV_TERMS of the expanded system's family
+_GAZIZOV_TERMS = 8
 
 
 @dataclass(frozen=True)
@@ -211,18 +202,16 @@ def _omega_residual(
     red: ReducedInfinitesimals,
     psi: PsiFunction,
     alpha: float,
-    grid: GridSpec,
     quad: QuadratureSpec,
 ) -> float:
-    """Max |omega| over the t nodes with a seeded non-constant u probe.
+    """Max |omega| over the t nodes with the non-constant u probe.
     Zero exactly when the tau component vanishes at t = a (c0 = 0)."""
     if red.c0 == 0.0:
         return 0.0
-    coeffs = grid.u_probe_coeffs()
     w = psi.expr - psi.expr.subs(T, psi.a)
-    probe = JetFunction.of_t(sum(c * w**k for k, c in enumerate(coeffs)))
+    probe = JetFunction.of_t(sum(c * w**k for k, c in enumerate(_U_PROBE)))
     r = {"v": 0.0}
-    for t in grid.ts:
+    for t in _ts(psi.a):
         _keep_max(r, "v", abs(red.c0 * omega_commutator(probe, psi, alpha, t, quad)))
     return r["v"]
 
@@ -240,7 +229,6 @@ def detsys_gfbe(
     g: JetFunction,
     psi: PsiFunction,
     alpha: float,
-    grid: GridSpec = None,
     tol: float = 1e-8,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> ResidualReport:
@@ -256,8 +244,7 @@ def detsys_gfbe(
       (v)   omega = 0
     """
     red = _reduced(candidate)
-    if grid is None:
-        grid = GridSpec.default(psi)
+    ts = _ts(psi.a)
     gam = red.gamma
     gfn, gpfn = g._fn((0,)), g._fn((1,))
     theta, th1, th2 = red.theta._fn((0,)), red.theta._fn((1,)), red.theta._fn((2,))
@@ -266,15 +253,15 @@ def detsys_gfbe(
     frac_rho = _frac_rho(red, alpha)
     r = {"i": 0.0, "ii": 0.0, "iii": 0.0, "iv": 0.0, "v": 0.0}
     worst = ""
-    for x in grid.xs:
-        for t in grid.ts:
+    for x in _XS:
+        for t in ts:
             w = psi(t) - psi(psi.a)
             dtau = red.dtau_psi(w)
             e1 = abs(frac_rho(x, w) - rho_xx(x, w))
             if _keep_max(r, "i", e1):
                 worst = f"i @ x={x:.3g}, t={t:.3g}"
             _keep_max(r, "ii", abs(alpha * dtau - 2.0 * xi1(x)))
-            for u in grid.us:
+            for u in _US:
                 e3 = abs((th1(x) * u + rho_x(x, w)) * gfn(u) + th2(x) * u)
                 _keep_max(r, "iii", e3)
                 e4 = abs(
@@ -284,8 +271,8 @@ def detsys_gfbe(
                     - 2.0 * th1(x)
                 )
                 _keep_max(r, "iv", e4)
-    r["v"] = _omega_residual(red, psi, alpha, grid, quad)
-    return ResidualReport(r, tol, _grid_desc(grid), worst)
+    r["v"] = _omega_residual(red, psi, alpha, quad)
+    return ResidualReport(r, tol, _grid_desc(ts), worst)
 
 
 # -- psi-fractional diffusion system ------------------------------------------
@@ -296,7 +283,6 @@ def detsys_diffusion(
     K: JetFunction,
     psi: PsiFunction,
     alpha: float,
-    grid: GridSpec = None,
     tol: float = 1e-8,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> ResidualReport:
@@ -311,8 +297,7 @@ def detsys_diffusion(
     if not 0.0 < alpha <= 2.0:
         raise DomainError(f"diffusion system needs 0 < alpha <= 2, got {alpha}")
     red = _reduced(candidate)
-    if grid is None:
-        grid = GridSpec.default(psi)
+    ts = _ts(psi.a)
     gam = red.gamma
     kfn, k1fn, k2fn = K._fn((0,)), K._fn((1,)), K._fn((2,))
     constant_k = sp.diff(K.expr, U) == 0
@@ -322,12 +307,12 @@ def detsys_diffusion(
     frac_rho = _frac_rho(red, alpha)
     r = {"i": 0.0, "ii": 0.0, "iii": 0.0, "iv": 0.0, "v": 0.0}
     worst = ""
-    for x in grid.xs:
-        for t in grid.ts:
+    for x in _XS:
+        for t in ts:
             w = psi(t) - psi(psi.a)
             dtau = red.dtau_psi(w)
             dfrac = frac_rho(x, w)
-            for u in grid.us:
+            for u in _US:
                 e1 = abs((th2(x) * u + rho_xx(x, w)) * kfn(u) - dfrac)
                 if _keep_max(r, "i", e1):
                     worst = f"i @ x={x:.3g}, t={t:.3g}, u={u:.3g}"
@@ -346,8 +331,8 @@ def detsys_diffusion(
                         xi2(x) - 2 * th1(x)
                     ) * kfn(u)
                     _keep_max(r, "iv", abs(e4))
-    r["v"] = _omega_residual(red, psi, alpha, grid, quad)
-    return ResidualReport(r, tol, _grid_desc(grid), worst)
+    r["v"] = _omega_residual(red, psi, alpha, quad)
+    return ResidualReport(r, tol, _grid_desc(ts), worst)
 
 
 # -- classical expanded system (five blocks) ----------------------------------
@@ -357,16 +342,14 @@ def detsys_gazizov_rl(
     candidate: GeneratorCandidate,
     g: JetFunction,
     alpha: float,
-    grid: GridSpec = None,
     tol: float = 1e-8,
-    terms: int = 8,
 ) -> ResidualReport:
     """Classical (psi = t, a = 0) expanded determining system for
     D^alpha u = g(u) u_x + u_xx with a general candidate:
 
       structure:  xi_u = xi_t = tau_u = tau_x = eta_uu = 0
       family(n):  binom(alpha,n) D_t^n(eta_u)
-                  - binom(alpha,n+1) D_t^{n+1}(tau) = 0,  n = 1..terms
+                  - binom(alpha,n+1) D_t^{n+1}(tau) = 0,  n = 1..8
       (iii)  xi'' - alpha g tau' - 2 eta_xu + g xi' - eta g' = 0
       (iv)   2 xi' - alpha tau' = 0
       (v)    d_t^alpha(eta) - u d_t^alpha(eta_u) - eta_xx - g eta_x = 0
@@ -378,9 +361,7 @@ def detsys_gazizov_rl(
     if candidate.general is None:
         raise DomainError(f"candidate '{candidate.label}' must be in general form")
     inf = candidate.general
-    psi = builtin("identity", 0.0, 10.0)
-    if grid is None:
-        grid = GridSpec.default(psi)
+    ts = _ts(0.0)  # psi = t, a = 0
     xi, tau, eta = inf.xi.expr, inf.tau.expr, inf.eta.expr
     etau = sp.diff(eta, U)
     f_struct = [
@@ -401,15 +382,15 @@ def detsys_gazizov_rl(
     eq4 = 2 * sp.diff(xi, X) - alpha * taup
     xtu = (X, T, U)
     f3, f4 = compiled(eq3, xtu), compiled(eq4, xtu)
-    fam = [compiled(e, xtu) for e in _gazizov_family(etau, taup, alpha, terms)]
+    fam = [compiled(e, xtu) for e in _gazizov_family(etau, taup, alpha, _GAZIZOV_TERMS)]
     # the u-fixed fractional combination, with w = t classically
     frac5 = compiled(power_rule_expr((eta - U * etau).subs(T, W), alpha), (X, W, U))
     eta_x, eta_xx = inf.eta._fn((1, 0, 0)), inf.eta._fn((2, 0, 0))
     gfn = g._fn((0,))
     r = {"structure": 0.0, "family": 0.0, "iii": 0.0, "iv": 0.0, "v": 0.0}
-    for x in grid.xs:
-        for t in grid.ts:
-            for u in grid.us:
+    for x in _XS:
+        for t in ts:
+            for u in _US:
                 for f in f_struct:
                     _keep_max(r, "structure", abs(f(x, t, u)))
                 for f in fam:
@@ -418,7 +399,7 @@ def detsys_gazizov_rl(
                 _keep_max(r, "iv", abs(f4(x, t, u)))
                 e5 = frac5(x, t, u) - eta_xx(x, t, u) - gfn(u) * eta_x(x, t, u)
                 _keep_max(r, "v", abs(e5))
-    return ResidualReport(r, tol, _grid_desc(grid))
+    return ResidualReport(r, tol, _grid_desc(ts))
 
 
 def _gazizov_family(etau: sp.Expr, taup: sp.Expr, alpha: float, terms: int) -> list:
@@ -443,7 +424,6 @@ def detsys_zhang_rl(
     candidate: GeneratorCandidate,
     equation: EvolutionEquation,
     alpha: float,
-    grid: GridSpec = None,
     tol: float = 1e-8,
 ) -> ResidualReport:
     """Classical (psi = t, a = 0) reduced two-equation determining system
@@ -460,9 +440,7 @@ def detsys_zhang_rl(
     red = _reduced(candidate)
     if red.c0 != 0.0:
         raise DomainError("classical reduced system requires tau(0) = 0")
-    psi = builtin("identity", 0.0, 10.0)
-    if grid is None:
-        grid = GridSpec.default(psi)
+    ts = _ts(0.0)  # psi = t, a = 0
     gam = red.gamma
     # symbolic candidate pieces (w = t classically)
     xi = red.xi.expr
@@ -500,27 +478,26 @@ def detsys_zhang_rl(
     f1 = compiled(sp.expand(eq1), (X, T, U, UX, UXX))
     f2 = compiled(sp.expand(eq2), (X, T, U, UX, UXX))
     frac_rho = _frac_rho(red, alpha)
-    probes = grid.jet_probes()
     r = {"1": 0.0, "2": 0.0}
     worst = ""
-    for x in grid.xs:
-        for t in grid.ts:
+    for x in _XS:
+        for t in ts:
             dfrac = frac_rho(x, t)
-            for u in grid.us:
-                for ux, uxx in probes:
+            for u in _US:
+                for ux, uxx in _JET_PROBES:
                     e1 = abs(dfrac + f1(x, t, u, ux, uxx))
                     if _keep_max(r, "1", e1):
                         worst = f"1 @ x={x:.3g}, t={t:.3g}"
                     _keep_max(r, "2", abs(f2(x, t, u, ux, uxx)))
-    return ResidualReport(r, tol, _grid_desc(grid), worst)
+    return ResidualReport(r, tol, _grid_desc(ts), worst)
 
 
-def _grid_desc(grid: GridSpec) -> str:
+def _grid_desc(ts: tuple) -> str:
     return (
-        f"{len(grid.xs)}x{len(grid.ts)}x{len(grid.us)} nodes, "
-        f"x in [{grid.xs[0]:.3g}, {grid.xs[-1]:.3g}], "
-        f"t in [{grid.ts[0]:.3g}, {grid.ts[-1]:.3g}], "
-        f"u in [{grid.us[0]:.3g}, {grid.us[-1]:.3g}]"
+        f"{len(_XS)}x{len(ts)}x{len(_US)} nodes, "
+        f"x in [{_XS[0]:.3g}, {_XS[-1]:.3g}], "
+        f"t in [{ts[0]:.3g}, {ts[-1]:.3g}], "
+        f"u in [{_US[0]:.3g}, {_US[-1]:.3g}]"
     )
 
 

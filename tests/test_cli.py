@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from psifrac import cli
+from psifrac import selftest as st
 from psifrac import symmetry as sy
 from psifrac.cli import (
     EXIT_CONFIG,
@@ -18,6 +21,7 @@ from psifrac.cli import (
     MAX_NODES,
     main,
 )
+from psifrac.parser import MAX_DEPTH
 
 
 def run(capsys, *argv):
@@ -426,6 +430,49 @@ def test_unused_zero_parameter_is_accepted(capsys):
     code, _ = run(capsys, "verify", "gfbe", "--case", "g=u", "--table", "X2",
                   "--p", "0", "--bpar", "0")
     assert code == EXIT_PASS
+
+
+# -- nesting -----------------------------------------------------------------------
+
+
+def nested_spec(form, depth):
+    """A function spec that nests depth levels of one form; test_cli_fuzz draws these too."""
+    return {"paren": "(" * depth + "t" + ")" * depth,
+            "minus": "-" * depth + "t",
+            "exp": "exp(0-" * depth + "t" + ")" * depth}[form]
+
+
+def _nested(form, depth):
+    """An eval command whose spec nests depth levels of one form."""
+    op = "derivative" if form == "exp" else "integral"
+    return ["eval", op, f"--f={nested_spec(form, depth)}", "--t", "1.0"]
+
+
+@pytest.mark.parametrize("form", ["paren", "minus", "exp"])
+def test_nesting_past_the_bound_is_one_line_config_error(capsys, form):
+    code = main(_nested(form, MAX_DEPTH + 1))
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("form", ["paren", "minus", "exp"])
+def test_nesting_at_the_bound_runs(capsys, form):
+    code = main(_nested(form, MAX_DEPTH))
+    assert code in (EXIT_PASS, EXIT_FAIL, EXIT_NUMERIC), capsys.readouterr().err
+
+
+# -- output streams -----------------------------------------------------------------
+
+
+def test_selftest_writes_to_the_current_stdout(monkeypatch):
+    monkeypatch.setattr(st, "CRITERIA", st.CRITERIA[:1])
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        main(["selftest"])
+    lines = buf.getvalue().splitlines()
+    assert [line[:4] for line in lines] == ["[ 1]", "[10]"]
 
 
 # -- closed output ------------------------------------------------------------------

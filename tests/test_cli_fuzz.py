@@ -16,6 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from psifrac.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERIC, EXIT_PASS, MAX_TERMS, main
+from psifrac.parser import MAX_DEPTH
+from test_cli import nested_spec
 
 _ATOMS = st.sampled_from(["t", "psi", "1", "2", "0.5", "3.25"])
 
@@ -40,13 +42,21 @@ def _orders(top):
     return st.floats(0.01, top).filter(lambda a: not a.is_integer())
 
 
+# Up to twice the parser's nesting bound, in each form that nests: the
+# nested exp is an order below 1, since each psi-jet order multiplies its
+# symbolic derivative's size by about the depth.
+_DEPTHS = st.integers(1, 2 * MAX_DEPTH)
+
 SPEC_ALPHA = st.one_of(
     st.tuples(st.recursive(_ATOMS, _combine, max_leaves=4), _orders(5.99)),
     st.tuples(st.sampled_from(["1/(t-1)", "psi^-1", "1/0", "0^-1"]), _orders(5.99)),
+    st.tuples(st.builds(nested_spec, st.sampled_from(["paren", "minus"]), _DEPTHS),
+              _orders(5.99)),
+    st.tuples(st.builds(nested_spec, st.just("exp"), _DEPTHS), _orders(0.99)),
 )
 
 
-@settings(max_examples=50, deadline=None,
+@settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(
     op=st.sampled_from(["integral", "derivative"]),

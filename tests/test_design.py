@@ -5,7 +5,8 @@ backend takes its jets without symbolic differentiation; the
 determining systems keep sympy out of their grid loops, and the
 prolongation sums out of their m-loops; the classical checks never
 simplify; every CLI setting is read; every
-cache has a finite bound; and the library runs on numpy and sympy alone."""
+cache has a finite bound; the determining systems load no random
+generator; and the library runs on numpy and sympy alone."""
 
 import ast
 import dataclasses
@@ -63,10 +64,9 @@ def test_no_sympy_in_the_determining_system_grid_loops():
     systems = [f for name, f in helpers.items() if name.startswith("detsys_")]
     assert len(systems) == 4
     for system in systems:
-        # the outer loop over grid.xs holds every node of the grid
+        # the outer loop over the x nodes holds every node of the grid
         loops = [n for n in ast.walk(system) if isinstance(n, ast.For)
-                 and isinstance(n.iter, ast.Attribute)
-                 and getattr(n.iter.value, "id", None) == "grid"]
+                 and getattr(n.iter, "id", None) == "_XS"]
         assert loops, system.name
         for loop in loops:
             assert not symbolic(loop, set()), (system.name, loop.lineno)
@@ -216,3 +216,20 @@ def test_import_does_not_load_scipy():
         cwd=SRC.parent,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_determining_systems_do_not_load_numpy_random():
+    # the probes are literal: loading numpy.random costs a fresh process
+    # milliseconds, and a run that checks a candidate needs none of it
+    code = (
+        "import sys\n"
+        "from psifrac import cli\n"
+        "cli.main(['verify', 'zhang', '--case', 'g=u', '--table', 'X2'])\n"
+        "cli.main(['verify', 'gfbe', '--case', 'g=u', '--xi', 'x', '--c0', '1'])\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        cwd=SRC.parent,
+    )
+    assert out.stdout.splitlines()[-1] == "False"

@@ -50,11 +50,19 @@ def _scaling(theta, rho=0, c1=None, xi=X):
 # -- plumbing ----------------------------------------------------------------
 
 
-def test_grid_probes_are_deterministic():
-    g1 = sy.GridSpec.default(IDENTITY)
-    g2 = sy.GridSpec.default(IDENTITY)
-    assert g1.jet_probes() == g2.jet_probes()
-    assert g1.u_probe_coeffs() == g2.u_probe_coeffs()
+def test_probes_are_the_seeded_draws_the_benchmark_mirrors():
+    rng = np.random.default_rng(20230815)
+    assert sy._JET_PROBES == tuple(tuple(rng.uniform(-1.5, 1.5, size=2))
+                                   for _ in range(2))
+    assert sy._U_PROBE == tuple(np.random.default_rng(20230816).uniform(0.5, 1.5, size=4))
+
+
+def test_report_names_its_grid():
+    # t runs from a + 0.2 to a + 1 on the kernel's own interval
+    psi = builtin("power", 0.5, 2.0)
+    cand = _table("g=u")[0]
+    rep = sy.detsys_gfbe(cand, JetFunction.of_u(U), psi, ALPHA)
+    assert rep.grid == "5x5x5 nodes, x in [0.2, 1], t in [0.7, 1.5], u in [0.5, 2]"
 
 
 class _SympyWithoutZero:
