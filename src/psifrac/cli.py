@@ -1,12 +1,16 @@
 """Command-line front end.
 
-Commands: ``eval``, ``leibniz``, ``prolong``, ``verify``, ``solve``,
-``selftest``.  Exit codes: 0 pass, 1 verification failure, 2 configuration
-error, 3 numerical error (an arithmetic fault or a non-finite result
-included), 141 standard output closed by its reader (as in ``psifrac
-selftest | head -1``; the shell reports a writer killed by SIGPIPE as
-128 + 13).  Output formats: ``human`` (aligned table), ``json``
-(canonical, byte-stable round trip), ``csv`` (17 significant digits).
+Commands ``eval``, ``leibniz``, ``prolong``, ``verify`` and ``solve`` take
+``--config FILE`` and the flags of the :data:`SETTINGS` they read, and no
+other; ``selftest`` takes none, and ``verify zhang`` and ``gazizov``, on
+psi = t on [0, 10], no kernel or quadrature flag.  Exit codes: 0 pass,
+1 verification failure, 2 configuration error (one line, whatever the
+input error), 3 numerical error (an arithmetic fault or a non-finite
+result included), 141 standard output closed by its reader (as in
+``psifrac selftest | head -1``; the shell reports a writer killed by
+SIGPIPE as 128 + 13).  Output formats: ``human`` (aligned table),
+``json`` (canonical, byte-stable round trip), ``csv`` (17 significant
+digits).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 import sympy as sp
@@ -31,7 +35,7 @@ from .jets import JetFunction, SolutionJet, T, U, W, X
 from .parser import ParseError, parse_expr
 from .psi import builtin
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main", "SETTINGS"]
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -48,41 +52,41 @@ MAX_TERMS = 40
 MAX_NODES = 20000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    psi: str = "identity"
-    a: float = 0.0
-    b: float = 2.0
-    rho: float = 2.0  # exponent of the power kernel family
-    alpha: float = 0.5
-    nodes: int = 64
-    terms: int = 20
-    tol: float = 1e-8
-    fmt: str = "human"
+class Setting(NamedTuple):
+    """A run setting: its flag, type, default, help text, the commands
+    that read it, and the values it may take when they are few."""
 
-    def psi_fn(self):
-        return builtin(self.psi, self.a, self.b, rho=self.rho)
-
-    def quad(self):
-        return fo.QuadratureSpec(self.nodes)
+    flag: str
+    type: type
+    default: object
+    help: str
+    commands: tuple
+    choices: Optional[tuple] = None
 
 
-_CONFIG_FIELDS = {
-    "psi": str,
-    "a": float,
-    "b": float,
-    "rho": float,
-    "alpha": float,
-    "nodes": int,
-    "terms": int,
-    "tol": float,
-    "format": str,
+_KERNEL = ("eval", "leibniz", "prolong", "verify")  # the commands that take a kernel
+_ALL = _KERNEL + ("solve",)
+
+#: every run setting, by config key; a command takes only the flags of those naming it
+SETTINGS = {
+    "format": Setting("--format", str, "human", "output format", _ALL, ("human", "json", "csv")),
+    "psi": Setting("--psi", str, "identity", "kernel psi(t)", _KERNEL,
+                   ("identity", "power", "exponential")),
+    "a": Setting("--a", float, 0.0, "left end of the interval, the base point", _KERNEL),
+    "b": Setting("--b", float, 2.0, "right end of the interval", _KERNEL),
+    "rho": Setting("--psi-rho", float, 2.0, "power kernel exponent, finite and > 0", _KERNEL),
+    "alpha": Setting("--alpha", float, 0.5, "order, finite and > 0", _ALL),
+    "nodes": Setting("--nodes", int, 64, f"quadrature nodes, in [4, {MAX_NODES}]", _KERNEL),
+    "terms": Setting("--terms", int, 20, f"series terms, in [0, {MAX_TERMS}]",
+                     ("eval", "prolong")),
+    "tol": Setting("--tol", float, 1e-8, "pass bound, finite and >= 0",
+                   ("eval", "leibniz", "verify")),
 }
 
 
 def _load_config(path: str) -> dict:
-    """Plain key = value document; keys match the CLI flag names, except
-    the power exponent's, ``rho``, whose flag is ``--psi-rho``."""
+    """Plain key = value document, keyed as :data:`SETTINGS`.  It may hold
+    settings a command does not read, so one file serves every command."""
     cp = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -93,35 +97,33 @@ def _load_config(path: str) -> dict:
         raise DomainError(f"malformed config {path}: {e}") from None
     out = {}
     for key, raw in cp["run"].items():
-        if key not in _CONFIG_FIELDS:
+        if key not in SETTINGS:
             raise DomainError(f"unknown config key '{key}' in {path}")
+        s = SETTINGS[key]
         try:
-            out[key] = _CONFIG_FIELDS[key](raw)
+            out[key] = s.type(raw)
+            if s.choices and out[key] not in s.choices:
+                raise ValueError
         except ValueError:
             raise DomainError(f"bad value for '{key}' in {path}: {raw!r}") from None
     return out
 
 
-def _build_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        file_vals = _load_config(args.config)
-        if "format" in file_vals:
-            file_vals["fmt"] = file_vals.pop("format")
-        cfg = replace(cfg, **file_vals)
-    # explicit flags override the config file
-    overrides = {}
-    for flag, field in (
-        ("psi", "psi"), ("a", "a"), ("b", "b"), ("psi_rho", "rho"),
-        ("alpha", "alpha"), ("nodes", "nodes"), ("terms", "terms"),
-        ("tol", "tol"), ("format", "fmt"),
-    ):
-        val = getattr(args, flag, None)
-        if val is not None:
-            overrides[field] = val
-    cfg = replace(cfg, **overrides)
-    if cfg.fmt not in ("human", "json", "csv"):
-        raise DomainError(f"unknown format '{cfg.fmt}'")
+def _build_config(args) -> argparse.Namespace:
+    """Each setting's default, overridden by the config file, overridden by
+    the flag, and validated before any work."""
+    given = {n: getattr(args, n) for n in SETTINGS if getattr(args, n, None) is not None}
+    cfg = argparse.Namespace(**{n: s.default for n, s in SETTINGS.items()})
+    if getattr(args, "config", None):
+        vars(cfg).update(_load_config(args.config))
+    vars(cfg).update(given)
+    fixed = [n for n in given if n in ("psi", "a", "b", "rho", "nodes")]
+    if fixed and getattr(args, "equation", None) in ("zhang", "gazizov"):
+        raise DomainError(f"verify {args.equation} runs on psi = t on [0, 10] without "
+                          f"quadrature; {SETTINGS[fixed[0]].flag} does nothing")
+    if "rho" in given and cfg.psi != "power":
+        raise DomainError(f"{SETTINGS['rho'].flag} is the power kernel's exponent; "
+                          f"the kernel is {cfg.psi}")
     if not (math.isfinite(cfg.alpha) and cfg.alpha > 0):
         raise DomainError(f"alpha must be finite and > 0, got {cfg.alpha}")
     # a derivative of order alpha takes ceil(alpha) psi-jets; prolong's omega
@@ -161,19 +163,19 @@ def _fmt_cell(v) -> str:
     return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
-def emit(cfg: RunConfig, command: str, columns, rows, extra=None):
+def emit(cfg: argparse.Namespace, command: str, columns, rows, extra=None):
     for r in rows:
         for v in r:
             if isinstance(v, float) and not math.isfinite(v):
                 raise NumericsError(f"{command}: non-finite result {v}")
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         doc = {"command": command, "columns": list(columns),
                "rows": [list(r) for r in rows]}
         if extra:
             doc.update(extra)
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         return
-    if cfg.fmt == "csv":
+    if cfg.format == "csv":
         print(",".join(columns))
         for r in rows:
             print(",".join(_fmt_cell(v) for v in r))
@@ -193,6 +195,10 @@ def emit(cfg: RunConfig, command: str, columns, rows, extra=None):
 # -- spec -> object helpers ------------------------------------------------------
 
 
+def _psi(cfg: argparse.Namespace):
+    return builtin(cfg.psi, cfg.a, cfg.b, rho=cfg.rho)
+
+
 def _as_f_of_t(spec: str, psi) -> JetFunction:
     expr = parse_expr(spec)
     if expr.has(X) or expr.has(U):
@@ -209,7 +215,7 @@ def _as_jet(spec: str, psi) -> SolutionJet:
     return SolutionJet.from_expr(sp.expand(expr.subs(W, wa)))
 
 
-def _t_list(raw: str, cfg: RunConfig):
+def _t_list(raw: str, cfg: argparse.Namespace):
     try:
         ts = [float(s) for s in raw.split(",") if s.strip()]
     except ValueError:
@@ -225,16 +231,17 @@ def _t_list(raw: str, cfg: RunConfig):
 # -- commands ---------------------------------------------------------------------
 
 
-def cmd_eval(cfg: RunConfig, args) -> int:
-    psi = cfg.psi_fn()
+def cmd_eval(cfg: argparse.Namespace, args) -> int:
+    psi = _psi(cfg)
     f = _as_f_of_t(args.f, psi)
+    rule = fo.QuadratureSpec(cfg.nodes)
     rows = []
     for t in _t_list(args.t, cfg):
         if args.op == "integral":
-            quad = fo.frac_integral(f, psi, cfg.alpha, t, cfg.quad())
+            quad = fo.frac_integral(f, psi, cfg.alpha, t, rule)
             series = fo.frac_integral_series(f, psi, cfg.alpha, t, cfg.terms).value
         else:
-            quad = fo.frac_derivative(f, psi, cfg.alpha, t, cfg.quad())
+            quad = fo.frac_derivative(f, psi, cfg.alpha, t, rule)
             series = fo.frac_derivative_series(f, psi, cfg.alpha, t, cfg.terms).value
         rows.append((t, quad, series, abs(quad - series)))
     emit(cfg, f"eval {args.op}", ("t", "quadrature", "series", "discrepancy"), rows)
@@ -244,17 +251,18 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def cmd_leibniz(cfg: RunConfig, args) -> int:
-    psi = cfg.psi_fn()
+def cmd_leibniz(cfg: argparse.Namespace, args) -> int:
+    psi = _psi(cfg)
     f = _as_f_of_t(args.f, psi)
     g = _as_f_of_t(args.g, psi)
     n_list = _n_list(args.N)
     fg = JetFunction.of_t(sp.expand(f.expr * g.expr))
+    quad = fo.QuadratureSpec(cfg.nodes)
     rows, ok = [], True
     for t in _t_list(args.t, cfg):
-        direct = fo.frac_derivative(fg, psi, cfg.alpha, t, cfg.quad())
+        direct = fo.frac_derivative(fg, psi, cfg.alpha, t, quad)
         for n in n_list:
-            approx = fo.leibniz_product(f, g, psi, cfg.alpha, t, n, cfg.quad())
+            approx = fo.leibniz_product(f, g, psi, cfg.alpha, t, n, quad)
             err = abs(approx - direct)
             rows.append((t, n, approx, direct, err))
         if err > cfg.tol:  # error at the largest N, the last, decides the exit code
@@ -263,8 +271,8 @@ def cmd_leibniz(cfg: RunConfig, args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def cmd_prolong(cfg: RunConfig, args) -> int:
-    psi = cfg.psi_fn()
+def cmd_prolong(cfg: argparse.Namespace, args) -> int:
+    psi = _psi(cfg)
     xi = parse_expr(args.xi)
     tau = parse_expr(args.tau)
     eta = parse_expr(args.eta)
@@ -273,15 +281,16 @@ def cmd_prolong(cfg: RunConfig, args) -> int:
             raise DomainError(f"{name} spec must use x, t, u (not psi)")
     inf = pr.Infinitesimals.from_exprs(xi, tau, eta)
     jet = _as_jet(args.u, psi)
+    quad = fo.QuadratureSpec(cfg.nodes)
     rows = []
     for t in _t_list(args.t, cfg):
         full = pr.eta_alpha_psi(inf, jet, psi, cfg.alpha, args.x, t,
-                                terms=cfg.terms, quad=cfg.quad())
+                                terms=cfg.terms, quad=quad)
         mu = pr.mu_term(inf, jet, psi, cfg.alpha, args.x, t, M=cfg.terms)
         u_t = JetFunction.of_t(jet.expr.subs(X, args.x))
-        omega = pr.omega_term(inf, u_t, psi, cfg.alpha, args.x, t, cfg.quad())
+        omega = pr.omega_term(inf, u_t, psi, cfg.alpha, args.x, t, quad)
         compact = pr.eta_alpha_psi_compact(inf, jet, psi, cfg.alpha, args.x, t,
-                                           terms=cfg.terms, quad=cfg.quad())
+                                           terms=cfg.terms, quad=quad)
         rows.append((t, full, mu, omega, compact, abs(full - compact)))
     emit(cfg, "prolong",
          ("t", "eta_alpha", "mu", "omega", "compact", "discrepancy"), rows)
@@ -292,9 +301,9 @@ def _case_params(args) -> dict:
     return {"p": args.p, "b": args.bpar, "c1": args.c1}
 
 
-def _candidate_from_args(cfg: RunConfig, args, case: sy.Case) -> sy.GeneratorCandidate:
+def _candidate_from_args(alpha: float, args, case: sy.Case) -> sy.GeneratorCandidate:
     if args.table:
-        rows = case.rows(cfg.alpha, **_case_params(args))
+        rows = case.rows(alpha, **_case_params(args))
         matches = [c for c in rows if c.label.startswith(args.table)]
         if not matches:
             raise DomainError(
@@ -302,11 +311,11 @@ def _candidate_from_args(cfg: RunConfig, args, case: sy.Case) -> sy.GeneratorCan
         return matches[0]
     xi = parse_expr(args.xi)
     theta = parse_expr(args.theta)
-    rho = parse_expr(args.rho)
+    rho = parse_expr(args.cand_rho)
     if xi.has(T, U, W) or theta.has(T, U, W) or rho.has(T, U):
         raise DomainError("reduced candidate: xi(x), theta(x), rho(x, psi)")
     red = pr.ReducedInfinitesimals(
-        cfg.alpha, sy._jx(xi), args.c0, args.ctau1, args.ctau2,
+        alpha, sy._jx(xi), args.c0, args.ctau1, args.ctau2,
         sy._jx(theta), sy._jxw(rho),
     )
     return sy.GeneratorCandidate("explicit", reduced=red)
@@ -317,26 +326,22 @@ def _report_rows(rep: sy.ResidualReport):
             for name, res in rep.equations.items()]
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
-    psi = cfg.psi_fn()
+def cmd_verify(cfg: argparse.Namespace, args) -> int:
+    psi = _psi(cfg)
     kind = "diffusion" if args.equation == "diffusion" else "gfbe"
     case = sy.lookup_case(args.case, kind)
     params = _case_params(args)
-    cand = _candidate_from_args(cfg, args, case)
-    if args.equation == "gfbe":
-        rep = sy.detsys_gfbe(cand, case.jet(**params), psi, cfg.alpha,
-                             tol=cfg.tol, quad=cfg.quad())
-    elif args.equation == "diffusion":
-        rep = sy.detsys_diffusion(cand, case.jet(**params), psi, cfg.alpha,
-                                  tol=cfg.tol, quad=cfg.quad())
-    elif args.equation == "gazizov":
+    cand = _candidate_from_args(cfg.alpha, args, case)
+    if args.equation in ("gfbe", "diffusion"):
+        system = sy.detsys_gfbe if kind == "gfbe" else sy.detsys_diffusion
+        rep = system(cand, case.jet(**params), psi, cfg.alpha,
+                     tol=cfg.tol, quad=fo.QuadratureSpec(cfg.nodes))
+    elif args.equation == "gazizov":  # the classical systems: psi = t on [0, 10]
         psi_cl = builtin("identity", 0.0, 10.0)
-        gen = sy.GeneratorCandidate(cand.label,
-                                    general=cand.reduced.to_general(psi_cl))
+        gen = sy.GeneratorCandidate(cand.label, general=cand.reduced.to_general(psi_cl))
         rep = sy.detsys_gazizov_rl(gen, case.jet(**params), cfg.alpha, tol=cfg.tol)
     else:  # zhang
-        psi_cl = builtin("identity", 0.0, 10.0)
-        eq = case.equation(cfg.alpha, psi_cl, **params)
+        eq = case.equation(cfg.alpha, builtin("identity", 0.0, 10.0), **params)
         rep = sy.detsys_zhang_rl(cand, eq, cfg.alpha, tol=cfg.tol)
     emit(cfg, f"verify {args.equation}", ("equation", "max_residual", "status"),
          _report_rows(rep),
@@ -352,11 +357,13 @@ def _describe(cand: sy.GeneratorCandidate):
             f"{r.c2:.17g}", str(r.theta.expr), str(r.rho.expr))
 
 
-def cmd_solve(cfg: RunConfig, args) -> int:
-    psi = cfg.psi_fn()
+def cmd_solve(cfg: argparse.Namespace, args) -> int:
     case = sy.lookup_case(args.case)
+    if case.params is None:
+        raise DomainError(f"solve has no ansatz for case '{case.name}'")
     params = _case_params(args)
-    basis = case.solve(cfg.alpha, psi, **params)
+    # the solver never reads the equation's kernel
+    basis = case.solve(cfg.alpha, builtin("identity", 0.0, 10.0), **params)
     ok = st._same_span(basis, case.published(cfg.alpha, **params))
     emit(cfg, f"solve {case.name}",
          ("label", "xi", "c0", "c1", "c2", "theta", "rho"),
@@ -365,25 +372,34 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def cmd_selftest(cfg: RunConfig, args) -> int:
+def cmd_selftest(cfg: argparse.Namespace, args) -> int:
     return st.run_all()
 
 
 # -- argument parsing --------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--format", choices=("human", "json", "csv"))
-    p.add_argument("--psi", choices=("identity", "power", "exponential", "affine"))
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--psi-rho", dest="psi_rho", type=float,
-                   help="power-kernel exponent")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--terms", type=int)
+class _Parser(argparse.ArgumentParser):
+    """Every parse error is one config error line."""
+
+    def error(self, message):
+        raise DomainError(f"{self.prog}: {message}")
+
+
+def _command(sub, name: str, run, help: str) -> argparse.ArgumentParser:
+    """The parser of command name, which run carries out: --config and the
+    flags of the settings it reads, if any, unabbreviated (solve's --a is
+    an error, not its --alpha)."""
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    p.set_defaults(run=run)
+    reads = [(key, s) for key, s in SETTINGS.items() if name in s.commands]
+    if reads:
+        p.add_argument("--config", help="key = value file of settings, keyed "
+                       + ", ".join(SETTINGS) + "; a flag overrides it")
+    for key, s in reads:
+        p.add_argument(s.flag, dest=key, type=s.type, choices=s.choices,
+                       help=f"{s.help} (default {s.default})")
+    return p
 
 
 def _param_row(key: str) -> str:
@@ -392,46 +408,43 @@ def _param_row(key: str) -> str:
 
 
 def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="psifrac",
+    ap = _Parser(
+        prog="psifrac", allow_abbrev=False,
         description="Fractional operators with respect to a kernel function, "
                     "their symmetry prolongation and determining systems.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="evaluate an operator with both backends")
+    p = _command(sub, "eval", cmd_eval, "evaluate an operator with both backends")
     p.add_argument("op", choices=("integral", "derivative"))
     p.add_argument("--f", required=True, help="function spec in t, psi")
     p.add_argument("--t", required=True, help="comma-separated t values")
-    _add_common(p)
 
-    p = sub.add_parser("leibniz", help="product-rule convergence table")
+    p = _command(sub, "leibniz", cmd_leibniz, "product-rule convergence table")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--t", required=True)
     p.add_argument("--N", default="1,2,3,5,8,10", help="comma-separated term counts")
-    _add_common(p)
 
-    p = sub.add_parser("prolong", help="alpha-th prolongation coefficient")
+    p = _command(sub, "prolong", cmd_prolong, "alpha-th prolongation coefficient")
     p.add_argument("--xi", required=True, help="spec in x, t, u")
     p.add_argument("--tau", required=True)
     p.add_argument("--eta", required=True)
     p.add_argument("--u", required=True, help="solution jet spec in x, t, psi")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--t", required=True)
-    _add_common(p)
 
-    for name in ("verify", "solve"):
-        p = sub.add_parser(
-            name,
-            help="check a generator against a determining system"
-            if name == "verify" else "solve the reduced-ansatz system",
-        )
+    for name, run, help in (
+            ("verify", cmd_verify, "check a generator against a determining system"),
+            ("solve", cmd_solve, "solve the reduced-ansatz system")):
+        p = _command(sub, name, run, help)
         if name == "verify":
             p.add_argument("equation",
                            choices=("gfbe", "diffusion", "gazizov", "zhang"))
-        p.add_argument("--case", required=True, help="one of " + ", ".join(
-            repr(c.name) for c in sy.CASES))
+        # solve has an ansatz for the cases whose solver parameters it knows
+        cases = [c for c in sy.CASES if name == "verify" or c.params is not None]
+        p.add_argument("--case", required=True,
+                       help="one of " + ", ".join(repr(c.name) for c in cases))
         for flag, key in (("--p", "p"), ("--bpar", "b"), ("--c1", "c1")):
             p.add_argument(flag, type=float, default=sy.CASE_DEFAULTS[key],
                            help=f"{key} in {_param_row(key)}")
@@ -442,34 +455,20 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--ctau1", type=float, default=0.0)
             p.add_argument("--ctau2", type=float, default=0.0)
             p.add_argument("--theta", default="0")
-            p.add_argument("--rho", default="0")
-        _add_common(p)
+            p.add_argument("--rho", dest="cand_rho", default="0")
 
-    p = sub.add_parser("selftest", help="run the acceptance criteria")
-    _add_common(p)
+    _command(sub, "selftest", cmd_selftest, "run the acceptance criteria")
     return ap
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         cfg = _build_config(args)
-    except (DomainError, ParseError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    handler = {
-        "eval": cmd_eval,
-        "leibniz": cmd_leibniz,
-        "prolong": cmd_prolong,
-        "verify": cmd_verify,
-        "solve": cmd_solve,
-        "selftest": cmd_selftest,
-    }[args.command]
-    try:
         # emit turns a non-finite value into exit 3 with one line; numpy's
         # floating-point warnings would only add lines to it
         with np.errstate(all="ignore"):
-            code = handler(cfg, args)
+            code = args.run(cfg, args)
         # buffered output reaches a closed pipe here, not at interpreter exit
         sys.stdout.flush()
         return code

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -185,6 +187,61 @@ def test_bad_numeric_flags_are_config_errors(capsys, argv):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+def _one_line_config_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1, captured.err
+    assert captured.err.startswith("config error: ")
+    return captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "integral", "--f", "t", "--t", "1", "--alhpa", "0.5"],
+    ["eval", "integral", "--f", "t", "--t", "1", "--alpha", "abc"],
+    ["eval", "integral", "--f", "t", "--t", "1", "--nodes", "6.5"],
+    ["eval", "integral", "--f", "t", "--t", "1", "--psi", "affine"],
+    ["eval", "sum", "--f", "t", "--t", "1"],
+    ["eval", "integral", "--f", "t"],
+    ["verify", "--case", "g=u", "--table", "X2"],
+    ["fit"],
+    [],
+], ids=("unknown-flag", "bad-float", "bad-int", "bad-kernel", "bad-op", "missing-t",
+        "missing-equation", "unknown-command", "no-command"))
+def test_parse_errors_are_one_config_error_line(capsys, argv):
+    # argparse's own report is a usage block and a SystemExit
+    _one_line_config_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["solve", "--case", "g=u", "--tol", "1e-6"], "--tol"),
+    (["solve", "--case", "g=u", "--a", "1"], "--a"),  # not an abbreviated --alpha
+    (["selftest", "--alpha", "3"], "--alpha"),
+    (["leibniz", "--f", "t", "--g", "t", "--t", "1", "--terms", "5"], "--terms"),
+    (["prolong", "--xi", "x", "--tau", "4*t", "--eta", "0-u", "--u", "x*psi",
+      "--x", "0.5", "--t", "1", "--tol", "1e-3"], "--tol"),
+    (["verify", "zhang", "--case", "g=u", "--table", "X2", "--psi", "power"], "--psi"),
+    (["verify", "gazizov", "--case", "g=u", "--table", "X2", "--nodes", "64"], "--nodes"),
+    (["eval", "integral", "--f", "t", "--t", "1", "--psi-rho", "3"], "--psi-rho"),
+    (["eval", "integral", "--f", "t", "--t", "1", "--psi", "exponential",
+      "--psi-rho", "3"], "--psi-rho"),
+])
+def test_a_flag_that_would_change_nothing_is_config_error(capsys, argv, flag):
+    assert flag in _one_line_config_error(capsys, argv)
+
+
+def test_power_exponent_flag_with_the_power_kernel_from_the_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("psi = power\na = 1\n")
+    code, out = run(capsys, "eval", "integral", "--f", "1", "--t", "1.5",
+                    "--config", str(cfg), "--psi-rho", "3", "--format", "csv")
+    assert code == EXIT_PASS
+    # I^alpha 1 = (psi(t) - psi(a))^alpha / Gamma(alpha + 1), psi = t^3
+    want = (1.5**3 - 1) ** 0.5 / math.gamma(1.5)
+    assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(want, rel=1e-12)
+
+
 # -- formats -----------------------------------------------------------------------
 
 
@@ -238,6 +295,27 @@ def test_eval_accepts_max_nodes(capsys):
     code, _ = run(capsys, "eval", "integral", "--f", "t", "--t", "1",
                   "--nodes", str(MAX_NODES))
     assert code == EXIT_PASS
+
+
+def test_one_config_file_serves_every_command(tmp_path, capsys):
+    # solve reads neither the kernel nor the quadrature settings; the file
+    # may hold them all the same, and its values are checked all the same
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("psi = power\na = 1\nrho = 3\nnodes = 32\nterms = 10\n"
+                   "tol = 1e-6\nformat = json\n")
+    code, out = run(capsys, "solve", "--case", "g=u", "--config", str(cfg))
+    assert code == EXIT_PASS
+    assert json.loads(out)["matches_published"] is True
+    cfg.write_text("nodes = 3\n")
+    _one_line_config_error(capsys, ["solve", "--case", "g=u", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("line", ["psi = affine", "format = xml", "nodes = 6.5"])
+def test_config_file_bad_value_is_config_error(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    _one_line_config_error(capsys, ["eval", "integral", "--f", "t", "--t", "1",
+                                    "--config", str(cfg)])
 
 
 def test_config_file_unknown_key_is_config_error(tmp_path, capsys):
@@ -426,6 +504,18 @@ def test_degenerate_case_parameter_is_config_error(capsys, argv):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+def test_solve_offers_only_the_cases_it_has_an_ansatz_for(capsys):
+    err = _one_line_config_error(capsys, ["solve", "--case", "arbitrary g"])
+    assert "no ansatz" in err
+    # --help still prints the usage and exits 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(["solve", "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: psifrac solve")
+    assert "'g=u'" in out and "arbitrary g" not in out
+
+
 def test_unused_zero_parameter_is_accepted(capsys):
     code, _ = run(capsys, "verify", "gfbe", "--case", "g=u", "--table", "X2",
                   "--p", "0", "--bpar", "0")
@@ -493,3 +583,33 @@ def test_closed_pipe_ends_quietly_with_its_own_exit_code():
     assert code == EXIT_PIPE
     assert EXIT_PIPE not in (EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_NUMERIC)
     assert err == b""
+
+
+# -- README ---------------------------------------------------------------------------
+
+
+def _readme_commands():
+    """(argv, exit code) of each psifrac command in the README's CLI block;
+    the exit code is 0 unless the line's comment names another."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        if line.startswith("psifrac "):
+            exit_named = re.search(r"#.*\bexit (\d+)", line)
+            yield (shlex.split(line, comments=True)[1:],
+                   int(exit_named.group(1)) if exit_named else EXIT_PASS)
+
+
+README_COMMANDS = list(_readme_commands())
+
+
+def test_readme_has_a_command_for_each_cli_command():
+    assert {argv[0] for argv, _ in README_COMMANDS} == {
+        "eval", "leibniz", "prolong", "verify", "solve", "selftest"}
+
+
+# selftest runs in tests/test_acceptance.py, criterion by criterion
+@pytest.mark.parametrize("argv, code", [c for c in README_COMMANDS if c[0] != ["selftest"]],
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_readme_command_runs_as_documented(capsys, argv, code):
+    assert main(argv) == code, capsys.readouterr().err

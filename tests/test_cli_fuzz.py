@@ -4,18 +4,22 @@ Whatever the operator, kernel, order, point or function spec, ``eval``
 ends in a documented exit code without an escaping exception: exit 2 or 3
 prints one line on stderr, and exit 0 prints only finite numbers.  Bad
 numeric flags (``--alpha``, ``--terms``, ``--tol``, ``--N``) are a
-configuration error of one line, whatever the command; ``--terms`` and
-each ``--N`` entry must lie in [0, MAX_TERMS].
+configuration error of one line, whichever command reads them; ``--terms``
+and each ``--N`` entry must lie in [0, MAX_TERMS].  A setting's flag given
+to a command that does not read it is a configuration error of one line
+too.
 """
 
 import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from psifrac.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERIC, EXIT_PASS, MAX_TERMS, main
+from psifrac.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERIC, EXIT_PASS, MAX_TERMS,
+                         SETTINGS, main)
 from psifrac.parser import MAX_DEPTH
 from test_cli import nested_spec
 
@@ -60,7 +64,7 @@ SPEC_ALPHA = st.one_of(
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(
     op=st.sampled_from(["integral", "derivative"]),
-    kernel=st.sampled_from(["identity", "power", "exponential", "affine"]),
+    kernel=st.sampled_from(["identity", "power", "exponential"]),
     spec_alpha=SPEC_ALPHA,
     t=st.floats(0.0, 2.0, exclude_min=True),
     terms=st.integers(0, MAX_TERMS),
@@ -94,6 +98,10 @@ _COMMANDS = {
 }
 
 
+def _reads(command, name):
+    return command in SETTINGS[name].commands
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     command=st.sampled_from(sorted(_COMMANDS)),
@@ -104,8 +112,12 @@ _COMMANDS = {
 )
 def test_numeric_flags_are_validated_before_any_work(command, alpha, terms, tol,
                                                      n_list):
-    argv = [*_COMMANDS[command], f"--alpha={alpha!r}", f"--terms={terms}",
-            f"--tol={tol!r}", "--format", "csv"]
+    # each command gets the numeric flags of the settings it reads
+    argv = [*_COMMANDS[command], f"--alpha={alpha!r}", "--format", "csv"]
+    if _reads(command, "terms"):
+        argv.append(f"--terms={terms}")
+    if _reads(command, "tol"):
+        argv.append(f"--tol={tol!r}")
     if command == "leibniz":
         argv.append(f"--N={n_list}")
     try:
@@ -113,8 +125,9 @@ def test_numeric_flags_are_validated_before_any_work(command, alpha, terms, tol,
         n_ok = bool(ns) and min(ns) >= 0 and max(ns) <= MAX_TERMS
     except ValueError:
         n_ok = False
-    valid = (math.isfinite(alpha) and alpha > 0 and 0 <= terms <= MAX_TERMS
-             and math.isfinite(tol) and tol >= 0
+    valid = (math.isfinite(alpha) and alpha > 0
+             and (not _reads(command, "terms") or 0 <= terms <= MAX_TERMS)
+             and (not _reads(command, "tol") or math.isfinite(tol) and tol >= 0)
              and (command != "leibniz" or n_ok))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -128,3 +141,38 @@ def test_numeric_flags_are_validated_before_any_work(command, alpha, terms, tol,
         assert code in (EXIT_PASS, EXIT_FAIL, EXIT_NUMERIC), err
         if code == EXIT_NUMERIC:
             assert len(err.strip().splitlines()) == 1, err
+
+
+# a valid command of each kind; verify zhang and gazizov run on psi = t
+# on [0, 10] without quadrature, so they read fewer settings than verify
+_VALID = {
+    **_COMMANDS,
+    "prolong": ["prolong", "--xi", "x", "--tau", "4*t", "--eta", "0-u", "--u", "x*psi",
+                "--x", "0.5", "--t", "1"],
+    "verify": ["verify", "gfbe", "--case", "g=u", "--table", "X2"],
+    "verify zhang": ["verify", "zhang", "--case", "g=u", "--table", "X2"],
+    "verify gazizov": ["verify", "gazizov", "--case", "g=u", "--table", "X2"],
+    "selftest": ["selftest"],
+}
+_CLASSICAL_UNREAD = ("psi", "a", "b", "rho", "nodes")
+
+
+def _unread(command):
+    base = command.split()[0]
+    return [name for name in SETTINGS if not _reads(base, name)
+            or command != base and name in _CLASSICAL_UNREAD]
+
+
+@pytest.mark.parametrize("command, name", [(c, n) for c in _VALID for n in _unread(c)])
+def test_a_flag_the_command_does_not_read_is_one_line_config_error(command, name):
+    # the setting's own default (a kernel other than psi = t for --psi), so
+    # that only the flag itself is wrong
+    value = "power" if name == "psi" else str(SETTINGS[name].default)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*_VALID[command], SETTINGS[name].flag, value])
+    assert code == EXIT_CONFIG
+    assert out.getvalue() == ""
+    err = err.getvalue()
+    assert len(err.strip().splitlines()) == 1, err
+    assert SETTINGS[name].flag in err

@@ -4,12 +4,13 @@ psi-jets have one owner, fracops, above the compile cache; the series
 backend takes its jets without symbolic differentiation; the
 determining systems keep sympy out of their grid loops, and the
 prolongation sums out of their m-loops; the classical checks never
-simplify; every CLI setting is read; every
-cache has a finite bound; the determining systems load no random
-generator; and the library runs on numpy and sympy alone."""
+simplify; each CLI command takes the flags of the settings it reads,
+and reads every one of them; every cache has a finite bound; the
+determining systems load no random generator; and the library runs on
+numpy and sympy alone."""
 
+import argparse
 import ast
-import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ import sympy as sp
 
 import psifrac
 from psifrac import fracops as fo
-from psifrac.cli import RunConfig
+from psifrac import cli
 from psifrac.jets import T, JetFunction, compiled
 from psifrac.psi import builtin
 
@@ -141,14 +142,30 @@ def test_jets_imports_nothing_from_fracops():
         assert not any("fracops" in m for m in names), ast.dump(n)
 
 
-def test_every_run_config_field_is_read():
-    # a setting no command reads is a knob that does nothing
+def _settings_read(func, funcs, seen):
+    """The cfg.<name> attributes that func, or a cli function it calls, reads."""
+    read = {n.attr for n in ast.walk(func) if isinstance(n, ast.Attribute)
+            and isinstance(n.ctx, ast.Load) and getattr(n.value, "id", None) == "cfg"}
+    for name in set(_called_names(func)) & funcs.keys() - seen:
+        seen.add(name)
+        read |= _settings_read(funcs[name], funcs, seen)
+    return read
+
+
+def test_each_command_takes_exactly_the_settings_it_reads():
+    # a flag that a command takes but never reads is a knob that does nothing
     tree = ast.parse((SRC / "cli.py").read_text())
-    read = {n.attr for n in ast.walk(tree)
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
-            and getattr(n.value, "id", None) in ("cfg", "self")}
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    assert fields <= read, fields - read
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    sub = next(a for a in cli._parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(n[4:] for n in funcs if n.startswith("cmd_"))
+    for command, parser in sub.choices.items():
+        row = {name for name, s in cli.SETTINGS.items() if command in s.commands}
+        flags = {a.dest for a in parser._actions if a.dest in cli.SETTINGS}
+        assert flags == row, command
+        assert _settings_read(funcs[f"cmd_{command}"], funcs, set()) == row, command
+        # --config comes with the settings, and a command without any has none
+        assert any(a.dest == "config" for a in parser._actions) == bool(row), command
 
 
 def test_equal_jet_functions_share_one_compiled_callable():
