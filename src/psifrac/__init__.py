@@ -8,7 +8,11 @@ Quick start::
     psi = builtin("power", 0.5, 2.0)       # psi(t) = t^2 on [0.5, 2]
     f = JetFunction.of_t(T**2)
     frac_derivative(f, psi, 0.5, 1.0)
+
+sympy, and the modules that need it, load on first use.
 """
+
+import importlib
 
 from .errors import (
     DomainError,
@@ -32,33 +36,33 @@ from .fracops import (
     psi_deriv_m,
     psi_jets,
 )
-from .jets import JetFunction, SolutionJet, T, U, W, X
+from .jets import JetFunction, SolutionJet
 from .parser import ParseError, parse_expr
-from .prolong import (
-    Infinitesimals,
-    ReducedInfinitesimals,
-    eta_alpha_psi,
-    eta_alpha_psi_compact,
-    eta_integer,
-    eta_m_psi,
-    mu_term,
-    omega_commutator,
-    omega_term,
-)
 from .psi import PsiFunction, builtin, validate
 from .special import gamma, gen_binom, rgamma
-from .symmetry import (
-    EvolutionEquation,
-    GeneratorCandidate,
-    ResidualReport,
-    builtin_table,
-    detsys_diffusion,
-    detsys_gazizov_rl,
-    detsys_gfbe,
-    detsys_zhang_rl,
-    diffusion_rho_fixture,
-    solve_ansatz,
-)
+
+# the prolongation, the determining systems and the sympy symbols load
+# sympy: they are imported on first access (PEP 562), so that a process
+# that only evaluates operators never loads it
+_LAZY = {
+    "jets": ("X", "T", "U", "W"),
+    "prolong": ("Infinitesimals", "ReducedInfinitesimals", "eta_alpha_psi",
+                "eta_alpha_psi_compact", "eta_integer", "eta_m_psi", "mu_term",
+                "omega_commutator", "omega_term"),
+    "symmetry": ("EvolutionEquation", "GeneratorCandidate", "ResidualReport",
+                 "builtin_table", "detsys_diffusion", "detsys_gazizov_rl", "detsys_gfbe",
+                 "detsys_zhang_rl", "diffusion_rho_fixture", "solve_ansatz"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    # not cached here: a patch or a tracer replaces the attribute of the
+    # module that defines it, and a copy here would outlive the patch
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -24,15 +24,12 @@ import sys
 from typing import NamedTuple, Optional
 
 import numpy as np
-import sympy as sp
 
 from . import fracops as fo
-from . import prolong as pr
-from . import selftest as st
-from . import symmetry as sy
+from . import tree as tr
 from .errors import DomainError, NumericsError, PoleError, PsifracError
-from .jets import JetFunction, SolutionJet, T, U, W, X
-from .parser import ParseError, parse_expr
+from .jets import JetFunction, SolutionJet
+from .parser import ParseError, parse, parse_expr
 from .psi import builtin
 
 __all__ = ["main", "SETTINGS"]
@@ -43,9 +40,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_PIPE = 141
 
-#: largest --terms, --N entry and jet depth of alpha; only the depth costs
-#: symbolic psi-jets, one per order in the quadrature (prolong's omega is
-#: two quadrature derivatives), and the --terms jets are Taylor mode
+#: largest --terms, --N entry and jet depth of alpha: an input bound.  The
+#: quadrature's forward-mode jets of a spec cost O(depth^2) series terms
+#: per node of its tree, and prolong's omega, two quadrature derivatives,
+#: takes symbolic jets, one per order; the --terms jets are Taylor mode
 MAX_TERMS = 40
 #: largest --nodes; the quadrature caches its nodes and the jet values
 #: there per point, so this also caps what one cached table holds
@@ -199,20 +197,25 @@ def _psi(cfg: argparse.Namespace):
     return builtin(cfg.psi, cfg.a, cfg.b, rho=cfg.rho)
 
 
+def _in_t(spec: str, psi, with_x: bool) -> tuple:
+    """The tree of a spec in t, psi and, with_x, x, with psi(t) - psi(a)
+    put in for psi."""
+    e = parse(spec)
+    if tr.names(e) - ({"t", "w", "x"} if with_x else {"t", "w"}):
+        kind, names = ("jet", "x, t and psi") if with_x else ("function", "t and psi")
+        raise DomainError(f"{kind} spec {spec!r} must use only {names}")
+    va = psi(psi.a)
+    return tr.subs(e, "w", ("add", psi.tree, tr.num(-va)) if va else psi.tree)
+
+
 def _as_f_of_t(spec: str, psi) -> JetFunction:
-    expr = parse_expr(spec)
-    if expr.has(X) or expr.has(U):
-        raise DomainError(f"function spec {spec!r} must use only t and psi")
-    wa = sp.expand(psi.expr - psi.expr.subs(T, psi.a))
-    return JetFunction.of_t(sp.expand(expr.subs(W, wa)))
+    return JetFunction.of_t(_in_t(spec, psi, False))
 
 
 def _as_jet(spec: str, psi) -> SolutionJet:
-    expr = parse_expr(spec)
-    if expr.has(U):
-        raise DomainError(f"jet spec {spec!r} must use only x, t and psi")
-    wa = sp.expand(psi.expr - psi.expr.subs(T, psi.a))
-    return SolutionJet.from_expr(sp.expand(expr.subs(W, wa)))
+    import sympy as sp
+
+    return SolutionJet.from_expr(sp.expand(tr.to_sympy(_in_t(spec, psi, True))))
 
 
 def _t_list(raw: str, cfg: argparse.Namespace):
@@ -256,7 +259,7 @@ def cmd_leibniz(cfg: argparse.Namespace, args) -> int:
     f = _as_f_of_t(args.f, psi)
     g = _as_f_of_t(args.g, psi)
     n_list = _n_list(args.N)
-    fg = JetFunction.of_t(sp.expand(f.expr * g.expr))
+    fg = JetFunction.of_t(("mul", f.tree, g.tree))
     quad = fo.QuadratureSpec(cfg.nodes)
     rows, ok = [], True
     for t in _t_list(args.t, cfg):
@@ -272,6 +275,9 @@ def cmd_leibniz(cfg: argparse.Namespace, args) -> int:
 
 
 def cmd_prolong(cfg: argparse.Namespace, args) -> int:
+    from . import prolong as pr
+    from .jets import X, W
+
     psi = _psi(cfg)
     xi = parse_expr(args.xi)
     tau = parse_expr(args.tau)
@@ -301,7 +307,11 @@ def _case_params(args) -> dict:
     return {"p": args.p, "b": args.bpar, "c1": args.c1}
 
 
-def _candidate_from_args(alpha: float, args, case: sy.Case) -> sy.GeneratorCandidate:
+def _candidate_from_args(alpha: float, args, case):
+    from . import prolong as pr
+    from . import symmetry as sy
+    from .jets import T, U, W
+
     if args.table:
         rows = case.rows(alpha, **_case_params(args))
         matches = [c for c in rows if c.label.startswith(args.table)]
@@ -321,12 +331,14 @@ def _candidate_from_args(alpha: float, args, case: sy.Case) -> sy.GeneratorCandi
     return sy.GeneratorCandidate("explicit", reduced=red)
 
 
-def _report_rows(rep: sy.ResidualReport):
+def _report_rows(rep):
     return [(name, res, "pass" if res <= rep.tol else "FAIL")
             for name, res in rep.equations.items()]
 
 
 def cmd_verify(cfg: argparse.Namespace, args) -> int:
+    from . import symmetry as sy
+
     psi = _psi(cfg)
     kind = "diffusion" if args.equation == "diffusion" else "gfbe"
     case = sy.lookup_case(args.case, kind)
@@ -351,13 +363,16 @@ def cmd_verify(cfg: argparse.Namespace, args) -> int:
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
 
-def _describe(cand: sy.GeneratorCandidate):
+def _describe(cand):
     r = cand.reduced
     return (cand.label, str(r.xi.expr), f"{r.c0:.17g}", f"{r.c1:.17g}",
             f"{r.c2:.17g}", str(r.theta.expr), str(r.rho.expr))
 
 
 def cmd_solve(cfg: argparse.Namespace, args) -> int:
+    from . import selftest as st
+    from . import symmetry as sy
+
     case = sy.lookup_case(args.case)
     if case.params is None:
         raise DomainError(f"solve has no ansatz for case '{case.name}'")
@@ -373,6 +388,8 @@ def cmd_solve(cfg: argparse.Namespace, args) -> int:
 
 
 def cmd_selftest(cfg: argparse.Namespace, args) -> int:
+    from . import selftest as st
+
     return st.run_all()
 
 
@@ -380,17 +397,30 @@ def cmd_selftest(cfg: argparse.Namespace, args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Every parse error is one config error line."""
+    """Every parse error is one config error line.  later(parser), if
+    given, adds the arguments that need the case registry, which loads
+    sympy, when the parser is first used: a run of another command never
+    loads it."""
+
+    def __init__(self, *args, later=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.later = later
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.later:
+            later, self.later = self.later, None
+            later(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         raise DomainError(f"{self.prog}: {message}")
 
 
-def _command(sub, name: str, run, help: str) -> argparse.ArgumentParser:
+def _command(sub, name: str, run, help: str, later=None) -> argparse.ArgumentParser:
     """The parser of command name, which run carries out: --config and the
     flags of the settings it reads, if any, unabbreviated (solve's --a is
     an error, not its --alpha)."""
-    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    p = sub.add_parser(name, help=help, allow_abbrev=False, later=later)
     p.set_defaults(run=run)
     reads = [(key, s) for key, s in SETTINGS.items() if name in s.commands]
     if reads:
@@ -402,9 +432,29 @@ def _command(sub, name: str, run, help: str) -> argparse.ArgumentParser:
     return p
 
 
-def _param_row(key: str) -> str:
-    """The table row of the case whose solver reads parameter key."""
-    return next(c.row for c in sy.CASES if key in (c.params or ()))
+def _case_arguments(p: argparse.ArgumentParser) -> None:
+    """--case and the case parameters of verify and solve, and verify's
+    candidate flags."""
+    from . import symmetry as sy
+
+    verify = p.prog.endswith("verify")
+    # solve has an ansatz for the cases whose solver parameters it knows
+    cases = [c for c in sy.CASES if verify or c.params is not None]
+    p.add_argument("--case", required=True,
+                   help="one of " + ", ".join(repr(c.name) for c in cases))
+    for flag, key in (("--p", "p"), ("--bpar", "b"), ("--c1", "c1")):
+        # the table row of the case whose solver reads the parameter
+        row = next(c.row for c in sy.CASES if key in (c.params or ()))
+        p.add_argument(flag, type=float, default=sy.CASE_DEFAULTS[key],
+                       help=f"{key} in {row}")
+    if verify:
+        p.add_argument("--table", help="builtin table row label prefix, e.g. X2")
+        p.add_argument("--xi", default="0", help="explicit candidate: xi(x)")
+        p.add_argument("--c0", type=float, default=0.0)
+        p.add_argument("--ctau1", type=float, default=0.0)
+        p.add_argument("--ctau2", type=float, default=0.0)
+        p.add_argument("--theta", default="0")
+        p.add_argument("--rho", dest="cand_rho", default="0")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -434,28 +484,10 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--t", required=True)
 
-    for name, run, help in (
-            ("verify", cmd_verify, "check a generator against a determining system"),
-            ("solve", cmd_solve, "solve the reduced-ansatz system")):
-        p = _command(sub, name, run, help)
-        if name == "verify":
-            p.add_argument("equation",
-                           choices=("gfbe", "diffusion", "gazizov", "zhang"))
-        # solve has an ansatz for the cases whose solver parameters it knows
-        cases = [c for c in sy.CASES if name == "verify" or c.params is not None]
-        p.add_argument("--case", required=True,
-                       help="one of " + ", ".join(repr(c.name) for c in cases))
-        for flag, key in (("--p", "p"), ("--bpar", "b"), ("--c1", "c1")):
-            p.add_argument(flag, type=float, default=sy.CASE_DEFAULTS[key],
-                           help=f"{key} in {_param_row(key)}")
-        if name == "verify":
-            p.add_argument("--table", help="builtin table row label prefix, e.g. X2")
-            p.add_argument("--xi", default="0", help="explicit candidate: xi(x)")
-            p.add_argument("--c0", type=float, default=0.0)
-            p.add_argument("--ctau1", type=float, default=0.0)
-            p.add_argument("--ctau2", type=float, default=0.0)
-            p.add_argument("--theta", default="0")
-            p.add_argument("--rho", dest="cand_rho", default="0")
+    p = _command(sub, "verify", cmd_verify, "check a generator against a determining system",
+                 _case_arguments)
+    p.add_argument("equation", choices=("gfbe", "diffusion", "gazizov", "zhang"))
+    _command(sub, "solve", cmd_solve, "solve the reduced-ansatz system", _case_arguments)
 
     _command(sub, "selftest", cmd_selftest, "run the acceptance criteria")
     return ap

@@ -32,13 +32,18 @@ Two independent backends are provided for each operator:
   :func:`jet_series`, runs over a list of float jets and is shared with
   the prolongation formulas.
 
-This module owns the psi-jets.  Only the quadrature backend takes
-symbolic ones: :func:`_psi_jet_expr` builds them and :func:`_psi_jet_fn`
-compiles them (through :func:`~psifrac.jets.compiled`), up to order
-ceil(alpha).  The series backend reads one Taylor-mode table per point,
-shared by both series there and by the Leibniz and product-integral
-sums; :mod:`psifrac.prolong` builds its tables by the same Taylor mode.
-The two backends share only the expression of f.
+This module owns the psi-jets.  The quadrature backend takes them, up to
+order ceil(alpha), at every node at once: for f given as a tree (a parsed
+spec), by forward mode (:mod:`psifrac.forward`: truncated Taylor series
+in psi(t) - psi(s), vectorised over the nodes s, with t by series
+reversion), with no sympy; for f given in sympy, symbolically
+(:func:`_psi_jet_expr` builds them and :func:`_psi_jet_fn` compiles them,
+through :func:`~psifrac.jets.compiled`).  The series backend reads one
+Taylor-mode table per point, shared by both series there and by the
+Leibniz and product-integral sums; :mod:`psifrac.prolong` builds its
+tables by the same Taylor mode.  The two backends share only the
+expression of f, and the forward mode shares with Taylor mode only the
+tree.
 
 Also here: the product-integral expansion, the Leibniz rule for the
 fractional derivative of a product, and the exact power rule for power
@@ -50,13 +55,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-import sympy as sp
 
+from . import forward
 from .errors import DomainError, NumericsError
-from .jets import T, W, JetFunction, compiled
+from .jets import JetFunction, compiled, symbol
 from .psi import PsiFunction
 from .special import gamma, gen_binom, rgamma
 from .taylor import program
@@ -101,37 +106,51 @@ class SeriesValue(NamedTuple):
 
 
 @lru_cache(maxsize=16384)
-def _psi_jet_expr(f_expr: sp.Expr, psi_expr: sp.Expr, m: int) -> sp.Expr:
-    """(1/psi' d/dt)^m f_expr; any symbol other than t is held fixed."""
+def _psi_jet_expr(f_expr, psi_expr, m: int):
+    """(1/psi' d/dt)^m f_expr, in sympy; any symbol other than t is held
+    fixed."""
     if m == 0:
         return f_expr
+    import sympy as sp
+
     # distributing products keeps the expression a flat sum, so repeated
     # differentiation stays linear in the term count; a denominator that
     # is a sum stays a product, not a long expanded polynomial
     prev = _psi_jet_expr(f_expr, psi_expr, m - 1)
-    return sp.expand_mul(sp.diff(prev, T) / sp.diff(psi_expr, T))
+    t = symbol("t")
+    return sp.expand_mul(sp.diff(prev, t) / sp.diff(psi_expr, t))
 
 
 # one lookup per jet on the hot paths, where _psi_jet_expr and compiled
 # would take two
 @lru_cache(maxsize=1024)
-def _psi_jet_fn(f_expr: sp.Expr, psi_expr: sp.Expr, m: int):
+def _psi_jet_fn(f_expr, psi_expr, m: int):
     """Compiled (1/psi' d/dt)^m f_expr as a function of t."""
     return compiled(_psi_jet_expr(f_expr, psi_expr, m))
 
 
-def _jet_fn(f: JetFunction, psi: PsiFunction, m: int) -> Callable[[float], float]:
-    """Compiled f^{[m]}_psi, for f a JetFunction of t."""
+def _jets_at(f: JetFunction, psi: PsiFunction, points: tuple, m: int, start: int = 0) -> list:
+    """f^{[j]}_psi at each point, for j = start..m: a list of lists of
+    floats.  points are the points as a tuple of floats and as an array."""
     if not isinstance(f, JetFunction):
         raise DomainError("the fractional operators need f as a JetFunction")
-    return _psi_jet_fn(f.expr, psi.expr, m)
+    ts, s = points
+    if f.symbolic:
+        return [list(map(_psi_jet_fn(f.expr, psi.expr, j), ts)) for j in range(start, m + 1)]
+    return [jet.tolist() for jet in forward.jets(f.tree, psi, s, m)[start:]]
+
+
+def _jet_at(f: JetFunction, psi: PsiFunction, t: float, m: int) -> float:
+    """f^{[m]}_psi(t), for the quadrature backend's integer orders."""
+    t = float(t)
+    return float(_jets_at(f, psi, ((t,), np.array([t])), m, m)[0][0])
 
 
 # a table is built once per (f, psi, t, n) and read by both series at the
 # point and by the Leibniz sums after them; few points are ever revisited
 @lru_cache(maxsize=64)
-def _jet_table(f_expr: sp.Expr, psi_expr: sp.Expr, t: float, n: int) -> tuple:
-    prog = program(f_expr, psi_expr)
+def _jet_table(f: JetFunction, psi: PsiFunction, t: float, n: int) -> tuple:
+    prog = program(f.tree, psi.tree)
     # the jets past the degree of f in psi(t) - psi(a) vanish exactly
     top = n if prog.degree is None else min(n, prog.degree)
     return tuple(prog.jets(t, top + 1).tolist()) + (0.0,) * (n - top)
@@ -162,7 +181,7 @@ def _table(f: JetFunction, psi: PsiFunction, t: float, n: int) -> tuple:
         raise DomainError("the psi-jets need f as a JetFunction")
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _jet_table(f.expr, psi.expr, float(t), n)
+    return _jet_table(f, psi, float(t), n)
 
 
 # -- quadrature backend -----------------------------------------------------
@@ -211,7 +230,8 @@ def _jacobi_rule(n: int, a: float):
 @lru_cache(maxsize=64)
 def _nodes(psi: PsiFunction, t: float, n: int):
     """V = psi(t) - psi(a) and the nodes psi^{-1}(psi(a) + V x_i) of the
-    n-point rule at t (x_i from :func:`_chebyshev_points`).
+    n-point rule at t (x_i from :func:`_chebyshev_points`), as a tuple of
+    floats and as an array.
 
     Keyed on the kernel itself: its equality includes the inverse, so two
     kernels that differ only there never share nodes."""
@@ -219,13 +239,26 @@ def _nodes(psi: PsiFunction, t: float, n: int):
     V = psi(t) - va
     if not V > 0:
         raise NumericsError(f"psi(t) - psi(a) = {V} is not positive")
-    return V, tuple(psi.invert(va + V * x) for x in _chebyshev_points(n)[1])
+    nodes = tuple(psi.invert(va + V * x) for x in _chebyshev_points(n)[1])
+    return V, nodes, np.array(nodes)
 
 
 @lru_cache(maxsize=128)
-def _node_values(f_expr: sp.Expr, psi: PsiFunction, t: float, n: int, j: int):
-    """f^{[j]}_psi at each node of :func:`_nodes` (psi, t, n)."""
-    return tuple(map(_psi_jet_fn(f_expr, psi.expr, j), _nodes(psi, t, n)[1]))
+def _node_values(f: JetFunction, psi: PsiFunction, t: float, n: int) -> list:
+    """The psi-jets of f at the nodes of :func:`_nodes` (psi, t, n) taken so
+    far, of orders 0, 1, ...: every quadrature of f at the point reads
+    this one table, and one that needs a higher order extends it
+    (:func:`_node_jets`)."""
+    return []
+
+
+def _node_jets(f: JetFunction, psi: PsiFunction, t: float, n: int, m: int) -> list:
+    """The table of :func:`_node_values`, holding the orders 0..m at least;
+    a jet's values do not depend on the highest order taken with it."""
+    table = _node_values(f, psi, t, n)
+    if len(table) <= m:
+        table += _jets_at(f, psi, _nodes(psi, t, n)[1:], m, len(table))
+    return table
 
 
 def _jacobi_moments(
@@ -246,18 +279,18 @@ def _jacobi_moments(
         raise DomainError("the fractional operators need f as a JetFunction")
     t = float(t)
     n = quad.nodes
-    V, _ = _nodes(psi, t, n)
+    V = _nodes(psi, t, n)[0]
     _, xs, _ = _chebyshev_points(n)
     _, cs = _jacobi_rule(n, beta - 1.0)
     # the rule's weight is (1 - y)^{beta-1} in y = 2x - 1
     scale = 0.5**beta
     out = []
     # python floats: numpy scalar arithmetic would dominate these loops
-    for j in range(m + 1):
+    for j, values in enumerate(_node_jets(f, psi, t, n, m)[:m + 1]):
         if j:
             cs = [c * x for c, x in zip(cs, xs)]
         acc = 0.0
-        for c, v in zip(cs, _node_values(f.expr, psi, t, n, j)):
+        for c, v in zip(cs, values):
             acc += c * v
         out.append(acc * scale)
     return V, out
@@ -303,7 +336,7 @@ def frac_derivative(
     if alpha <= 0:
         raise DomainError(f"fractional order must be positive, got {alpha}")
     if alpha.is_integer():
-        return float(_jet_fn(f, psi, int(alpha))(t))
+        return _jet_at(f, psi, t, int(alpha))
     m = math.floor(alpha) + 1
     beta = m - alpha
     V, moments = _jacobi_moments(f, psi, m, beta, t, quad)
@@ -391,14 +424,14 @@ def frac_op(
     if nu > 0:
         return frac_derivative(f, psi, nu, t, quad)
     if nu == 0:
-        return float(_jet_fn(f, psi, 0)(t))
+        return _jet_at(f, psi, t, 0)
     return frac_integral(f, psi, -nu, t, quad)
 
 
 # -- exact power rule -------------------------------------------------------
 
 
-def frac_deriv_psi_powers(expr_in_w: sp.Expr, order: float, w: float) -> float:
+def frac_deriv_psi_powers(expr_in_w, order: float, w: float) -> float:
     """Exact D^{nu;psi} of a finite sum of powers c * (psi(t)-psi(a))^p,
     at one w; the coefficients c must be numbers.
 
@@ -415,7 +448,7 @@ def frac_deriv_psi_powers(expr_in_w: sp.Expr, order: float, w: float) -> float:
     return acc
 
 
-def power_rule_expr(expr_in_w: sp.Expr, order: float) -> sp.Expr:
+def power_rule_expr(expr_in_w, order: float):
     """D^{nu;psi} of a finite sum of powers c * w^p, as an expression in w:
 
         sum c Gamma(p+1)/Gamma(p+1-nu) w^{p-nu},
@@ -428,6 +461,8 @@ def power_rule_expr(expr_in_w: sp.Expr, order: float) -> sp.Expr:
     Raises DomainError, here rather than at evaluation, when the
     expression is not a power sum in w.
     """
+    import sympy as sp
+
     nu = float(order)
     terms = []
     for c, p in _power_terms(expr_in_w):
@@ -436,13 +471,15 @@ def power_rule_expr(expr_in_w: sp.Expr, order: float) -> sp.Expr:
             continue
         k, rest = c.as_coeff_Mul()
         ratio = float(k) * gamma(p + 1.0) * r
-        terms.append(sp.Float(ratio, 17) * rest * W ** sp.Float(p - nu, 17))
+        terms.append(sp.Float(ratio, 17) * rest * symbol("w") ** sp.Float(p - nu, 17))
     return sp.Add(*terms)
 
 
-def _power_terms(expr_in_w: sp.Expr) -> list:
+def _power_terms(expr_in_w) -> list:
     """(c, p) for each term c * w**p of the expanded expression, c a sympy
     expression free of w and p > -1 a float."""
+    import sympy as sp
+
     e = sp.expand(sp.sympify(expr_in_w))
     if e == 0:
         return []
@@ -455,13 +492,14 @@ def _power_terms(expr_in_w: sp.Expr) -> list:
     return out
 
 
-def _match_power(term: sp.Expr):
-    c, rest = term.as_independent(W)
+def _match_power(term):
+    w = symbol("w")
+    c, rest = term.as_independent(w)
     if rest == 1:
         return c, 0.0
-    if rest == W:
+    if rest == w:
         return c, 1.0
-    if rest.is_Pow and rest.base == W and rest.exp.is_number:
+    if rest.is_Pow and rest.base == w and rest.exp.is_number:
         return c, float(rest.exp)
     raise DomainError(f"term {term} is not of the form c*w**p")
 

@@ -8,15 +8,17 @@ Grammar (whitespace-insensitive)::
     power  := atom ('^' signed-integer)?
     atom   := NUMBER | 't' | 'x' | 'u' | 'psi' | 'exp' '(' expr ')' | '(' expr ')'
 
-``psi`` denotes the shifted kernel value psi(t) - psi(a) and maps to the
-:data:`psifrac.jets.W` placeholder symbol.  Exponents must be integer
-literals; everything else that needs non-integer powers is expressed via
-``exp`` or left to the library API.  Deliberately not sympify(): the input
-surface stays small and injection-proof.
+:func:`parse` returns an expression tree (:mod:`psifrac.tree`), with no
+sympy; :func:`parse_expr` converts it to sympy.  ``psi`` denotes the
+shifted kernel value psi(t) - psi(a) and maps to the variable ``w`` (the
+:data:`psifrac.jets.W` symbol in sympy), to be replaced by the caller.
+Exponents must be integer literals; everything else that needs non-integer
+powers is expressed via ``exp`` or left to the library API.  Deliberately
+not sympify(): the input surface stays small and injection-proof.
 
 Nesting of ``(``, ``exp(`` and unary ``-``, counted together, stops at
-:data:`MAX_DEPTH`: sympy recurses once per level, and deeper specs exhaust
-the stack.
+:data:`MAX_DEPTH`: sympy and the tree walks recurse once per level, and
+deeper specs exhaust the stack.
 """
 
 from __future__ import annotations
@@ -24,12 +26,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-import sympy as sp
-
 from .errors import DomainError
-from .jets import T, U, W, X
+from .tree import T, U, W, X, num, to_sympy
 
-__all__ = ["parse_expr", "ParseError", "MAX_DEPTH"]
+__all__ = ["parse", "parse_expr", "ParseError", "MAX_DEPTH"]
 
 #: deepest nesting of '(', 'exp(' and unary '-' in one spec
 MAX_DEPTH = 32
@@ -96,7 +96,7 @@ class _Parser:
             raise ParseError(f"expected {text!r} at position {self.cur.pos} in {self.src!r}")
         self.advance()
 
-    def nested(self, parse) -> sp.Expr:
+    def nested(self, parse) -> tuple:
         """parse() one nesting level below the token just read."""
         if self.depth == MAX_DEPTH:
             pos = self.tokens[self.i - 1].pos
@@ -107,7 +107,7 @@ class _Parser:
         self.depth -= 1
         return e
 
-    def parse(self) -> sp.Expr:
+    def parse(self) -> tuple:
         e = self.expr()
         if self.cur.kind != "end":
             raise ParseError(
@@ -115,29 +115,29 @@ class _Parser:
             )
         return e
 
-    def expr(self) -> sp.Expr:
+    def expr(self) -> tuple:
         e = self.term()
         while self.cur.kind == "op" and self.cur.text in "+-":
             op = self.advance().text
             rhs = self.term()
-            e = e + rhs if op == "+" else e - rhs
+            e = ("add", e, rhs if op == "+" else _neg(rhs))
         return e
 
-    def term(self) -> sp.Expr:
+    def term(self) -> tuple:
         e = self.unary()
         while self.cur.kind == "op" and self.cur.text in "*/":
             op = self.advance().text
             rhs = self.unary()
-            e = e * rhs if op == "*" else e / rhs
+            e = ("mul", e, rhs if op == "*" else ("pow", rhs, num(-1)))
         return e
 
-    def unary(self) -> sp.Expr:
+    def unary(self) -> tuple:
         if self.cur.kind == "op" and self.cur.text == "-":
             self.advance()
-            return -self.nested(self.unary)
+            return _neg(self.nested(self.unary))
         return self.power()
 
-    def power(self) -> sp.Expr:
+    def power(self) -> tuple:
         base = self.atom()
         if self.cur.kind == "op" and self.cur.text == "^":
             self.advance()
@@ -151,21 +151,22 @@ class _Parser:
                     f"exponent must be an integer literal at position {tok.pos} in {self.src!r}"
                 )
             self.advance()
-            return base ** (sign * int(tok.text))
+            return ("pow", base, num(sign * int(tok.text)))
         return base
 
-    def atom(self) -> sp.Expr:
+    def atom(self) -> tuple:
         tok = self.cur
         if tok.kind == "num":
             self.advance()
-            return sp.Integer(int(tok.text)) if "." not in tok.text else sp.Float(tok.text)
+            # a decimal stays text: sympy reads it at the precision its digits give
+            return num(int(tok.text) if "." not in tok.text else tok.text)
         if tok.kind == "name":
             self.advance()
             if tok.text == "exp":
                 self.expect("(")
                 arg = self.nested(self.expr)
                 self.expect(")")
-                return sp.exp(arg)
+                return ("exp", arg)
             try:
                 return _NAMES[tok.text]
             except KeyError:
@@ -180,12 +181,21 @@ class _Parser:
         raise ParseError(f"unexpected token {tok.text!r} at position {tok.pos} in {self.src!r}")
 
 
-def parse_expr(spec: str) -> sp.Expr:
+def _neg(e: tuple) -> tuple:
+    return ("mul", num(-1), e)
+
+
+def parse(spec: str) -> tuple:
+    """Parse a function spec into a tree over x, t, u and w (``psi``)."""
+    if not spec or not spec.strip():
+        raise ParseError("empty function spec")
+    return _Parser(spec).parse()
+
+
+def parse_expr(spec: str):
     """Parse a function spec into a sympy expression over x, t, u and psi.
 
     ``psi`` is returned as the :data:`psifrac.jets.W` symbol, to be
     substituted with ``psi(t) - psi(a)`` by the caller.
     """
-    if not spec or not spec.strip():
-        raise ParseError("empty function spec")
-    return _Parser(spec).parse()
+    return to_sympy(parse(spec))

@@ -32,6 +32,7 @@ from .jets import T, U, W, X, JetFunction, SolutionJet, compiled
 from .psi import PsiFunction
 from .special import gen_binom, rgamma
 from .taylor import program
+from .tree import from_sympy
 
 __all__ = [
     "Infinitesimals",
@@ -138,10 +139,10 @@ def _jets(expr: sp.Expr, psi: PsiFunction, upto: int, x: float, t: float, *u) ->
     fully composed along the solution or, with u given, in (x, t, u) with
     u held fixed.  The jets come by Taylor mode, from one program per
     expression that takes x (and u) as run-time inputs
-    (:func:`psifrac.taylor.program`).  The list ends at the degree of expr
+    (:func:`psifrac.taylor.program`, through the tree of expr).  The list ends at the degree of expr
     in psi(t) - psi(a), past which every jet vanishes exactly; an
     expression that is 0 gives []."""
-    prog = program(expr, psi.expr, (X, U) if u else (X,))
+    prog = program(from_sympy(expr), psi.tree, ("x", "u") if u else ("x",))
     if prog.constant == 0.0:
         return []
     top = upto if prog.degree is None else min(upto, prog.degree)

@@ -3,11 +3,12 @@ differentiation.
 
 The psi-jets of f at t0 are its plain derivatives in w,
 f^{[m]}_psi(t0) = m! c_m for f = sum_m c_m w^m near t0.  :func:`program`
-compiles a sympy expression in t once, for one kernel psi, into a flat
-list of steps over truncated Taylor series (Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).  It handles Add,
-Mul, Pow with any real exponent, exp, log, sin and cos; any other node is
-a DomainError that names it.  Running the program at t0 gives c_0 ..
+compiles a tree in t (:mod:`psifrac.tree`: a parsed spec, or a sympy
+expression through :func:`~psifrac.tree.from_sympy`) once, for one kernel
+psi, given by its tree too, into a flat list of steps over truncated
+Taylor series (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
+SIAM 2008, ch. 13).  It handles sums, products, powers with any real
+exponent, exp, log, sin and cos.  Running the program at t0 gives c_0 ..
 c_{L-1} in numpy, and no sympy runs.
 
 t enters through psi^{-1}(psi(t0) + w), in closed form for the built-in
@@ -21,10 +22,10 @@ any other kernel, t itself comes from applying (1/psi') d/ds to t m
 times, with 1/psi' a truncated series in s = t - t0.
 
 Each node also carries its degree as a polynomial in w: 0 for constants,
-q for psi^q with q a non-negative integer (in the forms sympy writes them:
-t for the identity and affine kernels, t**(q rho) for t^rho, exp(q c t) for
-exp(c t)), the maximum over a sum, the sum over a product and the multiple
-under a non-negative integer power.  Anything else has no degree (None).
+q for psi^q with q a non-negative integer (t for the identity and affine
+kernels, t**(q rho) for t^rho, exp(q c t) for exp(c t)), the maximum over
+a sum, the sum over a product and the multiple under a non-negative
+integer power.  Anything else has no degree (None).
 The psi-jets of f vanish past its degree, so a jet table ends there
 exactly, whatever rounding the coefficients before it carry.
 
@@ -40,10 +41,9 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import sympy as sp
 
 from .errors import DomainError, NumericsError
-from .jets import T
+from .tree import T, names
 
 __all__ = ["Program", "program"]
 
@@ -78,11 +78,11 @@ class Program(NamedTuple):
 
 
 @lru_cache(maxsize=1024)
-def program(expr: sp.Expr, psi_expr: sp.Expr, params: tuple = ()) -> Program:
-    """expr compiled for truncated Taylor arithmetic in w for the kernel
-    psi_expr, with its degree in w.  The symbols in params are run-time
-    inputs, given to :meth:`Program.jets` in the same order."""
-    c = _Compiler(psi_expr, params)
+def program(expr: tuple, psi_tree: tuple, params: tuple = ()) -> Program:
+    """The tree expr compiled for truncated Taylor arithmetic in w for the
+    kernel psi_tree, with its degree in w.  The variables named in params
+    are run-time inputs, given to :meth:`Program.jets` in the same order."""
+    c = _Compiler(psi_tree, params)
     node = c.node(expr)
     if node.reg is None:
         return Program((), 0, node.value, None)
@@ -101,63 +101,60 @@ class _Node(NamedTuple):
 
 
 class _Compiler:
-    def __init__(self, psi_expr: sp.Expr, params: tuple = ()):
+    def __init__(self, psi_tree: tuple, params: tuple = ()):
         self.steps: list = []
         self.memo: dict = {}
         self.params = params
         self.kind = None  # "affine", "power", "exp", or None for any other kernel
         self.inv_psi = None
-        rate = _exp_rate(psi_expr)
-        if psi_expr.is_Pow and psi_expr.base == T and psi_expr.exp.is_number:
-            rho = float(psi_expr.exp)
+        rate = _exp_rate(psi_tree)
+        slope = _slope(psi_tree)
+        if psi_tree[0] == "pow" and psi_tree[1] == T and psi_tree[2][0] == "num":
+            rho = float(psi_tree[2][1])
             self.kind, self.rate = "power", rho
             self.inv_psi = lambda t0: _positive(t0) ** -rho
         elif rate is not None:
             self.kind, self.rate = "exp", rate
             self.inv_psi = lambda t0: math.exp(-rate * t0)
-        elif psi_expr.has(T) and _is_affine(psi_expr):
-            self.kind, self.rate = "affine", float(psi_expr.diff(T))
+        elif slope:
+            self.kind, self.rate = "affine", slope
         else:
             # 1/psi' in s = t - t0 (psi = t makes w = s), for the jets of t
-            self.inv_dpsi = program(1 / psi_expr.diff(T), T)
+            self.inv_dpsi = program(_reciprocal_derivative(psi_tree), T)
 
     def _emit(self, step, degree) -> _Node:
         self.steps.append(step)
         return _Node(len(self.steps) - 1, 0.0, degree)
 
-    def node(self, e: sp.Expr) -> _Node:
+    def node(self, e: tuple) -> _Node:
         got = self.memo.get(e)
         if got is None:
             got = self.memo[e] = self._node(e)
         return got
 
-    def _node(self, e: sp.Expr) -> _Node:
-        if not e.has(T, *self.params):
-            others = e.free_symbols
-            if others:
-                names = ", ".join(sorted(str(s) for s in others))
-                raise DomainError(f"psi-jets of a function of t, but {e} depends on {names}")
-            try:
-                v = float(e)
-            except TypeError:
-                raise NumericsError(f"constant {e} is not a real number") from None
+    def _node(self, e: tuple) -> _Node:
+        op = e[0]
+        if op == "num":
+            v = float(e[1])
             if not math.isfinite(v):
-                raise NumericsError(f"constant {e} is not finite")
+                raise NumericsError(f"constant {e[1]} is not finite")
             return _Node(None, v, 0)
         if e == T:
             return self._t()
-        if e in self.params:
-            k = 2 + self.params.index(e)  # its place in the point
+        if op == "sym":
+            if e[1] not in self.params:
+                raise DomainError(f"psi-jets of a function of t, but it depends on {e[1]}")
+            k = 2 + self.params.index(e[1])  # its place in the point
             return self._emit(lambda r, pt, size: _affine(pt[k], 0.0, size), 0)
-        if e.is_Add:
-            return self._add(e)
-        if e.is_Mul:
-            return self._mul(e)
-        if e.is_Pow:
-            return self._pow(e)
-        if isinstance(e, (sp.exp, sp.log, sp.sin, sp.cos)):
-            return self._elementary(e)
-        raise DomainError(f"psi-jets: unsupported {type(e).__name__} node {e}")
+        if op == "add":
+            return self._add(e[1:])
+        if op == "mul":
+            return self._mul(e[1:])
+        if op == "pow":
+            return self._pow(*e[1:])
+        if op not in _SERIES:
+            raise DomainError(f"psi-jets: unsupported {op} node")
+        return self._elementary(e)
 
     # -- t and the powers of psi ---------------------------------------------
 
@@ -183,15 +180,17 @@ class _Compiler:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _add(self, e):
+    def _add(self, args):
         c, regs, degree = 0.0, [], 0
-        for a in e.args:
+        for a in args:
             n = self.node(a)
             if n.reg is None:
                 c += n.value
                 continue
             regs.append(n.reg)
             degree = None if degree is None or n.degree is None else max(degree, n.degree)
+        if not regs:
+            return _Node(None, c, 0)
         regs = tuple(regs)
 
         def step(r, pt, size):
@@ -205,15 +204,17 @@ class _Compiler:
 
         return self._emit(step, degree)
 
-    def _mul(self, e):
+    def _mul(self, args):
         c, regs, degree = 1.0, [], 0
-        for a in e.args:
+        for a in args:
             n = self.node(a)
             if n.reg is None:
                 c *= n.value
                 continue
             regs.append(n.reg)
             degree = None if degree is None or n.degree is None else degree + n.degree
+        if not regs:
+            return _Node(None, c, 0)
         regs = tuple(regs)
 
         def step(r, pt, size):
@@ -224,16 +225,18 @@ class _Compiler:
 
         return self._emit(step, degree)
 
-    def _pow(self, e):
-        base, ex = e.base, e.exp
-        if ex.has(T):
-            raise DomainError(f"psi-jets: exponent of {e} depends on t")
-        if self.params and ex.has(*self.params):
+    def _pow(self, base, ex):
+        inputs = names(ex)
+        if "t" in inputs:
+            raise DomainError("psi-jets: an exponent depends on t")
+        if inputs:
             return self._pow_at_run_time(base, ex)
-        p = float(ex)
+        p = self.node(ex).value
         if base == T and self.kind == "power":
             return self._psi_power(p / self.rate, lambda t0: _positive(t0) ** p)
         b = self.node(base)
+        if b.reg is None:
+            return _Node(None, b.value ** p, 0)
         whole = p >= 0 and p.is_integer()
         degree = b.degree * int(p) if whole and b.degree is not None else None
         i = b.reg
@@ -259,35 +262,63 @@ class _Compiler:
         return self._emit(step, 0 if b.degree == 0 else None)
 
     def _elementary(self, e):
-        (arg,) = e.args
+        op, arg = e
         k = _exp_rate(e)
         if k is not None and self.kind == "exp":
             return self._psi_power(k / self.rate, lambda t0: math.exp(k * t0))
         a = self.node(arg)
+        if a.reg is None:
+            return _Node(None, getattr(math, op)(a.value), 0)
         # exp of c_0 + c_1 w has a closed form; the rest take the recurrences
-        fn = _exp_affine if a.affine and isinstance(e, sp.exp) else _SERIES[type(e).__name__]
+        fn = _exp_affine if a.affine and op == "exp" else _SERIES[op]
         i = a.reg
         return self._emit(lambda r, pt, size: fn(r[i], size), None)
 
 
-def _exp_rate(e: sp.Expr) -> Optional[float]:
+def _exp_rate(e: tuple) -> Optional[float]:
     """k when e is exp(k t), else None."""
-    if isinstance(e, sp.exp):
-        k, rest = e.args[0].as_coeff_Mul()
-        if rest == T:
-            return float(k)
+    if e[0] == "exp":
+        arg = e[1]
+        if arg == T:
+            return 1.0
+        if arg[0] == "mul" and len(arg) == 3 and arg[1][0] == "num" and arg[2] == T:
+            return float(arg[1][1])
     return None
 
 
-def _is_affine(e: sp.Expr) -> bool:
-    """e is c t + d, structurally."""
-    if e == T or not e.has(T):
-        return True
-    if e.is_Add:
-        return all(_is_affine(a) for a in e.args)
-    if e.is_Mul:
-        return sum(a.has(T) for a in e.args) == 1 and all(_is_affine(a) for a in e.args)
-    return False
+def _slope(e: tuple) -> Optional[float]:
+    """c when e is c t + d, structurally (0.0 for a number), else None."""
+    if e[0] == "num":
+        return 0.0
+    if e == T:
+        return 1.0
+    if e[0] not in ("add", "mul"):
+        return None
+    slopes = [_slope(a) for a in e[1:]]
+    if None in slopes:
+        return None
+    if e[0] == "add":
+        return sum(slopes)
+    # numbers times one factor in t
+    moving = [c for a, c in zip(e[1:], slopes) if a[0] != "num"]
+    if len(moving) != 1:
+        return None
+    c = moving[0]
+    for a in e[1:]:
+        if a[0] == "num":
+            c *= float(a[1])
+    return c
+
+
+def _reciprocal_derivative(psi_tree: tuple) -> tuple:
+    """1/psi' as a tree, for a kernel given by an expression (one that has
+    no closed form here, and so came from sympy)."""
+    import sympy as sp
+
+    from .jets import symbol
+    from .tree import from_sympy, to_sympy
+
+    return from_sympy(1 / sp.diff(to_sympy(psi_tree), symbol("t")))
 
 
 def _positive(t0: float) -> float:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from psifrac import cli
+from psifrac import fracops as fo
 from psifrac import selftest as st
 from psifrac import symmetry as sy
 from psifrac.cli import (
@@ -122,6 +123,18 @@ def test_eval_backend_gap_above_tol_fails(capsys):
                     "--a", "0", "--format", "csv")
     assert code == EXIT_FAIL
     assert float(out.splitlines()[1].split(",")[3]) > 1.0
+
+
+@pytest.mark.parametrize("op, nu", [("integral", 1.5), ("derivative", -1.5)])
+def test_power_kernel_singular_at_the_default_a_runs(capsys, op, nu):
+    # psi = t^1.5 from a = 0: psi'' is infinite at a, and the quadrature
+    # reads psi only at its nodes, inside (a, t).  f = t is w^(2/3), not
+    # smooth at a, so the series misses the exact value and eval exits 1
+    code, out = run(capsys, "eval", op, "--f", "t", "--t", "1", "--psi", "power",
+                    "--psi-rho", "1.5", "--alpha", "1.5", "--format", "csv")
+    assert code == EXIT_FAIL
+    want = math.gamma(5 / 3) / math.gamma(5 / 3 + nu)
+    assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(want, rel=1e-6)
 
 
 def test_eval_gate_is_relative_to_the_value(capsys):
@@ -553,6 +566,17 @@ def test_nesting_at_the_bound_runs(capsys, form):
     assert code in (EXIT_PASS, EXIT_FAIL, EXIT_NUMERIC), capsys.readouterr().err
 
 
+def test_nested_exp_at_the_bound_takes_no_symbolic_jets(capsys):
+    # order 1.5 takes the psi-jets to order 2, of a parsed spec by forward
+    # mode: the nested exp's symbolic jets grew with the depth at each order
+    misses = fo._psi_jet_expr.cache_info().misses
+    code = main([*_nested("exp", MAX_DEPTH), "--alpha", "1.5", "--format", "json"])
+    ((t, quad, series, gap),) = json.loads(capsys.readouterr().out)["rows"]
+    assert code == EXIT_PASS
+    assert gap == abs(quad - series) <= 1e-8 * (1 + abs(quad))
+    assert fo._psi_jet_expr.cache_info().misses == misses
+
+
 # -- output streams -----------------------------------------------------------------
 
 
@@ -606,6 +630,40 @@ README_COMMANDS = list(_readme_commands())
 def test_readme_has_a_command_for_each_cli_command():
     assert {argv[0] for argv, _ in README_COMMANDS} == {
         "eval", "leibniz", "prolong", "verify", "solve", "selftest"}
+
+
+# stdout of the README's eval and leibniz commands, and of the benchmark's
+# accuracy panel, as the symbolic psi-jets printed them: on psi = t with
+# a = 0 the forward-mode jets are the same floats
+PINNED = {
+    'eval derivative --f "exp(t)" --t 0.5,1.0 --alpha 0.5': (
+        "t                  quadrature         series             discrepancy      \n"
+        " 5.0000000000e-01   1.9234492478e+00   1.9234492478e+00   4.4408920985e-16\n"
+        " 1.0000000000e+00   2.8548878359e+00   2.8548878359e+00   1.7763568394e-15\n"),
+    'leibniz --f "psi^2+1" --g "psi^3" --t 1.5 --N 1,2,3,5,8,10': (
+        "t                  N   leibniz            direct             error            \n"
+        " 1.5000000000e+00  1    1.9367414893e+01   1.9189732188e+01   1.7768270544e-01\n"
+        + "".join(f" 1.5000000000e+00  {n:<3d}  1.9189732188e+01   1.9189732188e+01   "
+                  "1.0658141036e-14\n" for n in (2, 3, 5, 8, 10))),
+    'eval derivative --f "1 + psi^2" --psi identity --a 0 --b 2 --alpha 1.5'
+    " --t 0.4,0.8,1.2,1.6 --format json": (
+        '{"columns":["t","quadrature","series","discrepancy"],"command":"eval derivative",'
+        '"rows":[[0.4,0.31222172032673456,0.3122217203267351,5.551115123125783e-16],'
+        '[0.8,1.624266561050478,1.624266561050478,0.0],'
+        '[1.2,2.257558114046642,2.257558114046641,8.881784197001252e-16],'
+        '[1.6,2.7152138892699984,2.715213889269999,4.440892098500626e-16]]}\n'),
+}
+
+
+def test_the_readme_eval_and_leibniz_commands_are_pinned():
+    readme = [argv for argv, _ in README_COMMANDS if argv[0] in ("eval", "leibniz")]
+    assert readme == [shlex.split(c) for c in list(PINNED)[:2]]
+
+
+@pytest.mark.parametrize("command", list(PINNED))
+def test_pinned_stdout_is_unchanged(capsys, command):
+    main(shlex.split(command))
+    assert capsys.readouterr().out == PINNED[command]
 
 
 # selftest runs in tests/test_acceptance.py, criterion by criterion

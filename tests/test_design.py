@@ -5,9 +5,9 @@ backend takes its jets without symbolic differentiation; the
 determining systems keep sympy out of their grid loops, and the
 prolongation sums out of their m-loops; the classical checks never
 simplify; each CLI command takes the flags of the settings it reads,
-and reads every one of them; every cache has a finite bound; the
-determining systems load no random generator; and the library runs on
-numpy and sympy alone."""
+and reads every one of them; every cache has a finite bound; and a run
+loads no module it does not use: no scipy, no random generator for the
+determining systems, and no sympy for the operators on a parsed spec."""
 
 import argparse
 import ast
@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import sympy as sp
 
 import psifrac
@@ -22,6 +23,7 @@ from psifrac import fracops as fo
 from psifrac import cli
 from psifrac.jets import T, JetFunction, compiled
 from psifrac.psi import builtin
+from test_cli import README_COMMANDS
 
 SRC = Path(psifrac.__file__).resolve().parent
 
@@ -218,35 +220,39 @@ def test_every_cache_is_bounded():
     assert found
 
 
-def test_import_does_not_load_scipy():
-    code = (
-        "import sys, psifrac\n"
-        "from psifrac.fracops import frac_integral\n"
-        "from psifrac.psi import builtin\n"
-        "from psifrac.jets import JetFunction, T\n"
-        "f = JetFunction.of_t(T)\n"
-        "frac_integral(f, builtin('identity', 0.0, 2.0), 0.5, 1.0)\n"
-        "print('scipy' in sys.modules)\n"
-    )
+# operator runs on a parsed spec: the README's eval and leibniz commands, and
+# both operators on the kernels other than psi = t
+OPERATOR_RUNS = [argv for argv, _ in README_COMMANDS if argv[0] in ("eval", "leibniz")] + [
+    ["eval", op, "--f", "(1 + psi)*exp(t) - t^2/2", "--t", "0.7,1.3", "--psi", kernel,
+     "--a", "0.5", "--alpha", alpha]
+    for kernel in ("power", "exponential") for op in ("integral", "derivative")
+    for alpha in ("0.6", "1.4")]
+
+# each module a run must not load, and the run: scipy serves only the tests
+# as a reference; the determining systems' probes are literal, so they need
+# no random generator; the operators on a parsed spec need no sympy, whose
+# import is most of a cold CLI call
+RUNS = {
+    "scipy": "import psifrac\n"
+             "from psifrac.fracops import frac_integral\n"
+             "from psifrac.psi import builtin\n"
+             "from psifrac.jets import JetFunction, T\n"
+             "frac_integral(JetFunction.of_t(T), builtin('identity', 0.0, 2.0), 0.5, 1.0)\n",
+    "numpy.random": "from psifrac import cli\n"
+                    "cli.main(['verify', 'zhang', '--case', 'g=u', '--table', 'X2'])\n"
+                    "cli.main(['verify', 'gfbe', '--case', 'g=u', '--xi', 'x', '--c0', '1'])\n",
+    "sympy": "import psifrac\n"
+             "from psifrac import cli\n"
+             f"for argv in {OPERATOR_RUNS!r}:\n"
+             "    cli.main(argv)\n",
+}
+
+
+@pytest.mark.parametrize("module", sorted(RUNS))
+def test_a_run_does_not_load(module):
+    code = f"import sys\n{RUNS[module]}print({module!r} in sys.modules)\n"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         cwd=SRC.parent,
     )
-    assert out.stdout.strip() == "False"
-
-
-def test_determining_systems_do_not_load_numpy_random():
-    # the probes are literal: loading numpy.random costs a fresh process
-    # milliseconds, and a run that checks a candidate needs none of it
-    code = (
-        "import sys\n"
-        "from psifrac import cli\n"
-        "cli.main(['verify', 'zhang', '--case', 'g=u', '--table', 'X2'])\n"
-        "cli.main(['verify', 'gfbe', '--case', 'g=u', '--xi', 'x', '--c0', '1'])\n"
-        "print('numpy.random' in sys.modules)\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        cwd=SRC.parent,
-    )
-    assert out.stdout.splitlines()[-1] == "False"
+    assert out.stdout.splitlines()[-1] == "False", out.stderr

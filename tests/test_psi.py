@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -63,6 +64,17 @@ def test_numeric_inversion_without_analytic_inverse():
     psi = PsiFunction("cubic-ish", 0.0, 2.0, expr=t + t**3)
     v = psi(1.2)
     assert invert_numeric(psi, v) == pytest.approx(1.2, abs=1e-10)
+
+
+def test_replace_keeps_a_kernel_given_in_sympy():
+    t = sp.Symbol("t", real=True)
+    psi = PsiFunction("cubic-ish", 0.0, 1.5, expr=t + t**3)
+    wider = dataclasses.replace(psi, b=2.0)
+    assert (wider.b, wider.expr) == (2.0, t + t**3)
+    assert wider.deriv(1.8) == psi.deriv(1.8) == 1 + 3 * 1.8**2
+    # a tree is still checked against the built-in shapes
+    with pytest.raises(DomainError):
+        dataclasses.replace(builtin("exponential", 0.0, 1.0), source=("exp", ("exp", ("sym", "t"))))
 
 
 def test_decreasing_kernel_fails_validation():

@@ -13,6 +13,7 @@ from psifrac.errors import DomainError, NumericsError
 from psifrac.jets import T, U, W, X, JetFunction
 from psifrac.psi import PsiFunction, builtin
 from psifrac.taylor import program
+from psifrac.tree import from_sympy
 
 KERNELS = {
     "identity": builtin("identity", 0.0, 2.0),
@@ -135,17 +136,18 @@ def test_run_time_inputs_match_the_numbers_put_in(kernel, shape):
     # with the numbers put in, up to rounding
     psi, expr = KERNELS[kernel], RUN_TIME_SHAPES[shape]
     t = psi.a + 0.6 * (psi.b - psi.a)
-    prog = program(expr, psi.expr, (X, U))
+    prog = program(from_sympy(expr), psi.tree, ("x", "u"))
     for x, u in ((0.7, 1.3), (1.9, 0.4)):
         got = prog.jets(t, 8, x, u)
-        want = program(expr.xreplace({X: sp.Float(x), U: sp.Float(u)}), psi.expr).jets(t, 8)
+        want = program(from_sympy(expr.xreplace({X: sp.Float(x), U: sp.Float(u)})),
+                       psi.tree).jets(t, 8)
         assert np.allclose(got, want, rtol=1e-13, atol=1e-13), (x, u, got, want)
 
 
 def test_run_time_inputs_keep_the_degree():
     psi = KERNELS["identity"]
-    prog = program(X * T**3 + U**2 * T, psi.expr, (X, U))
+    prog = program(from_sympy(X * T**3 + U**2 * T), psi.tree, ("x", "u"))
     assert prog.degree == 3
-    assert program(X * U, psi.expr, (X, U)).degree == 0
+    assert program(from_sympy(X * U), psi.tree, ("x", "u")).degree == 0
     with pytest.raises(DomainError, match="x"):
-        program(X * T, psi.expr, (U,))
+        program(from_sympy(X * T), psi.tree, ("u",))
