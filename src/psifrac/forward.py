@@ -10,19 +10,26 @@ t is s + h(w), h the inverse series of psi(s + h) - psi(s), reverted from
 the kernel's own derivatives at s (no closed-form inverse, unlike the
 series backend's).
 
-:func:`jets` writes this once per tree, depth and kernel as straight-line
-numpy code, vectorised over the points, and runs it.  A coefficient is a
-float where it is the same at every point (on psi = t, those of t are s,
-1, 0, ...; psi's own derivatives are taken at the points, and those that
-are floats are constants), folded when the code is written, and an array
-otherwise; a term with a coefficient that is 0 by structure is left out.
-Written once, the float work is not repeated at every call: walking the
-tree at each call instead, with the same arithmetic, cut the kernels_warm
+:func:`jets` writes this once per shape, depth and kernel, the spec's
+numbers passed at run time, as straight-line numpy code, vectorised over
+the points, and runs it.  The shape of a tree is the tree with its numbers
+taken out, save those the code depends on (exponents, 0 and 1, and the
+kernel's own subtree), so specs that differ only in their coefficients,
+or in psi(a), share one function, as a recorded tape is replayed at new
+inputs (Griewank & Walther).  A coefficient is a float where it is the
+same at every point and known when the code is written (on psi = t, those
+of t are s, 1, 0, ...; psi's own derivatives are taken at the points, and
+those that are floats are constants), folded then; a scalar where it is
+the same at every point and made of the spec's numbers, taken at run time
+by the Python float operation folding would take; and an array otherwise.
+A term with a coefficient that is 0 by structure is left out.  Written
+once, the float work is not repeated at every call: walking the tree at
+each call instead, with the same arithmetic, cut the kernels_warm
 benchmark's operations per second by 10%.  Powers and exp are taken in
 Python's float arithmetic, point by point, as the compiled symbolic jets
 take them (:func:`~psifrac.psi.pow_each`): numpy's round differently in
-the last bit.  The module shares with the series
-backend (:mod:`psifrac.taylor`) only the tree.
+the last bit.  The module shares with the series backend
+(:mod:`psifrac.taylor`) only the tree.
 """
 
 from __future__ import annotations
@@ -45,26 +52,69 @@ def jets(tree: tuple, psi, s: np.ndarray, m: int) -> list:
     of m + 1 arrays.  The values of a jet do not depend on m."""
     d = psi.derivatives(s, range(m + 1))
     known = tuple(x if isinstance(x, float) else None for x in d)
-    out = _code(tree, m + 1, psi.tree, known)(s, d)
+    shape, numbers = _shape(tree, psi.tree)
+    out = _code(shape, m + 1, psi.tree, known)(s, d, numbers)
     return [j if isinstance(j, np.ndarray) else np.full(len(s), j) for j in out]
 
 
-# one function per spec, depth and kernel; a run evaluates few specs
+# looked up at every call, where walking the tree would take longer
 @lru_cache(maxsize=256)
-def _code(tree: tuple, size: int, psi_tree: tuple, known: tuple):
-    """The jets 0..size-1 of tree as a function of the points s and the
-    list d of psi's derivatives there, those in known (the floats) folded
-    in."""
+def _shape(tree: tuple, psi_tree: tuple) -> tuple:
+    """The shape of tree and its numbers: the i-th number, in the order of
+    a walk, becomes ("in", i), and a subtree that recurs (psi, put in as
+    psi(t) - psi(a)) recurs in the shape, so the writer takes it once.
+    Exponents, the numbers 0 and 1 (the writer drops terms by them) and the
+    kernel's own subtree (found by equality) stay as they are."""
+    slots: list = []
+    seen: dict = {}
+
+    def walk(e: tuple) -> tuple:
+        op = e[0]
+        if op == "sym" or e == psi_tree:
+            return e
+        if op == "num":
+            v = float(e[1])
+            if v in (0.0, 1.0):
+                return ("num", v)
+            slots.append(v)
+            return ("in", len(slots) - 1)
+        if e not in seen:
+            seen[e] = (op, walk(e[1]), e[2]) if op == "pow" else (op, *map(walk, e[1:]))
+        return seen[e]
+
+    return walk(tree), tuple(slots)
+
+
+# once per shape, the spec's numbers passed at run time: 2,400 operations
+# of the series_cold benchmark (three kernels, orders 0 to 2) write 121 to
+# 143 functions by the seed, where one per spec wrote 17,997; 256 holds them
+@lru_cache(maxsize=256)
+def _code(shape: tuple, size: int, psi_tree: tuple, known: tuple):
+    """The jets 0..size-1 of a tree of this shape as a function of the
+    points s, the list d of psi's derivatives there, those in known (the
+    floats) folded in, and the tuple p of the tree's numbers."""
     c = _Writer(size, psi_tree, known)
-    out = ", ".join(map(c.ref, c.jets(c.node(tree))))
-    body = "".join(f"    {line}\n" for line in c.lines)
-    ns = {"pow_each": pow_each, "exp_each": exp_each, **c.consts}
-    exec(f"def _jets(s, d):\n{body}    return [{out}]\n", ns)
+    out = ", ".join(map(c.ref, c.jets(c.node(shape))))
+    body = "".join(f"    {line}\n" for line in c.scalars + c.lines)
+    ns = {"pow_each": pow_each, "exp_each": exp_each, "exp": math.exp, **c.consts}
+    exec(f"def _jets(s, d, p):\n{body}    return [{out}]\n", ns)
     return ns["_jets"]
 
 
+class _Scalar(str):
+    """The name of a float known at run time only: one of the tree's
+    numbers, or made of them.  zero: it is 0 whatever the numbers are."""
+
+    zero = False
+
+
+def _number(x) -> bool:
+    """The same at every point: a float, or a run-time scalar."""
+    return isinstance(x, (float, _Scalar))
+
+
 def _zero(x) -> bool:
-    return isinstance(x, float) and x == 0.0
+    return x == 0.0 if isinstance(x, float) else isinstance(x, _Scalar) and x.zero
 
 
 def _one(x) -> bool:
@@ -72,11 +122,16 @@ def _one(x) -> bool:
 
 
 class _Writer:
-    """Writes the code: a coefficient is a float or the name of an array,
-    and a series a list of size coefficients."""
+    """Writes the code: a coefficient is a float, a run-time scalar
+    (:class:`_Scalar`) or the name of an array, and a series a list of size
+    coefficients.  Where two floats fold, a scalar and a float or two
+    scalars are taken at run time by the same Python float operation, in
+    lines written before any array's, so the result and any error are the
+    ones folding gives."""
 
     def __init__(self, size: int, psi_tree: tuple, known: tuple):
         self.size, self.psi_tree = size, psi_tree
+        self.scalars: list = []
         self.lines: list = []
         self.consts: dict = {}
         self.memo: dict = {}
@@ -93,13 +148,23 @@ class _Writer:
 
     def let(self, expr: str) -> str:
         """A name for the array expr, written as the next line."""
-        name = f"v{len(self.lines)}"
+        name = f"v{len(self.scalars) + len(self.lines)}"
         self.lines.append(f"{name} = {expr}")
+        return name
+
+    def scalar(self, expr: str, zero: bool) -> _Scalar:
+        """A name for the run-time float expr, written as the next scalar
+        line."""
+        name = _Scalar(f"v{len(self.scalars) + len(self.lines)}")
+        self.scalars.append(f"{name} = {expr}")
+        name.zero = zero
         return name
 
     def add(self, a, b):
         if isinstance(a, float) and isinstance(b, float):
             return a + b
+        if _number(a) and _number(b):
+            return self.scalar(f"{self.ref(a)} + {self.ref(b)}", _zero(a) and _zero(b))
         if _zero(a):
             return b
         if _zero(b):
@@ -109,6 +174,8 @@ class _Writer:
     def mul(self, a, b):
         if isinstance(a, float) and isinstance(b, float):
             return a * b
+        if _number(a) and _number(b):
+            return self.scalar(f"{self.ref(a)} * {self.ref(b)}", _zero(a) or _zero(b))
         if _zero(a) or _zero(b):
             return 0.0
         if _one(a):
@@ -120,6 +187,8 @@ class _Writer:
     def div(self, a, b):
         if isinstance(a, float) and isinstance(b, float):
             return a / b
+        if _number(a) and _number(b):
+            return self.scalar(f"{self.ref(a)} / {self.ref(b)}", _zero(a))
         if _zero(a):
             return 0.0
         if _one(b):
@@ -134,6 +203,8 @@ class _Writer:
             return x
         if isinstance(x, float):
             return x**p
+        if isinstance(x, _Scalar):
+            return self.scalar(f"{x} ** {self.ref(float(p))}", x.zero and p > 0)
         return self.let(f"pow_each({self.ref(x)}, {self.ref(float(p))})")
 
     # -- series --------------------------------------------------------------
@@ -163,6 +234,8 @@ class _Writer:
         op, size = e[0], self.size
         if op == "num":
             return self.constant(float(e[1]))
+        if op == "in":
+            return self.constant(_Scalar(f"p[{e[1]}]"))
         if e == T:
             return self.t()
         if e == self.psi_tree:
@@ -190,8 +263,8 @@ class _Writer:
     def power(self, b: list, p: float) -> list:
         size = self.size
         whole = p >= 0 and p.is_integer()
-        if all(isinstance(x, float) for x in b):
-            return self.constant(b[0] ** p)
+        if all(map(_number, b)):
+            return self.constant(self.pow(b[0], p))
         if all(map(_zero, b[2:])):
             # b0 + b1 w: binom(p, k) b1^k b0^(p-k), exactly 0 past a whole p
             out = [0.0] * size
@@ -219,6 +292,8 @@ class _Writer:
     def exp(self, b: list) -> list:
         if isinstance(b[0], float):
             y = [math.exp(b[0])]
+        elif isinstance(b[0], _Scalar):
+            y = [self.scalar(f"exp({b[0]})", False)]
         else:
             y = [self.let(f"exp_each({self.ref(b[0])})")]
         # y' = b' y: k y_k = sum_{j=1..k} j b_j y_{k-j}

@@ -652,7 +652,31 @@ PINNED = {
         '[0.8,1.624266561050478,1.624266561050478,0.0],'
         '[1.2,2.257558114046642,2.257558114046641,8.881784197001252e-16],'
         '[1.6,2.7152138892699984,2.715213889269999,4.440892098500626e-16]]}\n'),
+    # numbers the forward-mode jets once folded as they were written, now
+    # passed at run time: a cancellation, a product, 0 and 1, a constant
+    'eval derivative --f "t*0.5-0.5*t" --psi power --t 0.5,1.0 --alpha 1.5 --format csv': (
+        "t,quadrature,series,discrepancy\n0.5,0,0,0\n1,0,0,0\n"),
+    'eval derivative --f "2*0.5*psi + 0.1+0.2-0.3" --psi exponential --t 0.5,1.0 --alpha 1.5'
+    " --format csv": (
+        "t,quadrature,series,discrepancy\n"
+        "0.5,0.70048041083621715,0.70048041083621682,3.3306690738754696e-16\n"
+        "1,0.43040555215423593,0.43040555215423576,1.6653345369377348e-16\n"),
+    'eval derivative --f "0*exp(t) + 1*psi" --psi exponential --t 0.5,1.0 --alpha 1.5'
+    " --format csv": (
+        "t,quadrature,series,discrepancy\n"
+        "0.5,0.70048041083621715,0.70048041083621682,3.3306690738754696e-16\n"
+        "1,0.43040555215423593,0.43040555215423582,1.1102230246251565e-16\n"),
+    'eval derivative --f "3.25" --psi power --a 0.5 --t 1.0 --alpha 0.5 --format csv': (
+        "t,quadrature,series,discrepancy\n"
+        "1,2.1172775515793201,2.1172775515793196,4.4408920985006262e-16\n"),
+    # exits 1: the series converges slowly here
+    'eval integral --f "(1 + 0.5*psi)*exp(0.25*t)" --psi power --a 0.5 --t 1.0,1.5 --alpha 0.7'
+    " --format csv": (
+        "t,quadrature,series,discrepancy\n"
+        "1,1.3530793534628287,1.3530794862324771,1.3276964838659921e-07\n"
+        "1.5,3.8538845628742631,3.8539069497148777,2.2386840614618819e-05\n"),
 }
+PINNED_EXIT = {command: EXIT_FAIL for command in PINNED if command.startswith("eval integral")}
 
 
 def test_the_readme_eval_and_leibniz_commands_are_pinned():
@@ -662,8 +686,18 @@ def test_the_readme_eval_and_leibniz_commands_are_pinned():
 
 @pytest.mark.parametrize("command", list(PINNED))
 def test_pinned_stdout_is_unchanged(capsys, command):
-    main(shlex.split(command))
+    assert main(shlex.split(command)) == PINNED_EXIT.get(command, EXIT_PASS)
     assert capsys.readouterr().out == PINNED[command]
+
+
+@pytest.mark.parametrize("command, err", [
+    ('eval derivative --f "exp(800)" --t 1.0', "OverflowError: math range error"),
+    ('eval derivative --f "exp(700)*t" --psi power --t 1.0 --alpha 1.5',
+     "eval derivative: non-finite result -inf"),
+])
+def test_pinned_overflow_is_one_numerical_error_line(capsys, command, err):
+    assert main(shlex.split(command)) == EXIT_NUMERIC
+    assert capsys.readouterr().err == f"numerical error: {err}\n"
 
 
 # selftest runs in tests/test_acceptance.py, criterion by criterion
