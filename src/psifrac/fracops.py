@@ -354,15 +354,18 @@ def jet_series(jets: Sequence[float], nu: float, w: float) -> SeriesValue:
     of D^{nu;psi} (an integral for nu < 0) with w = psi(t) - psi(a).
 
     jets[m] is the m-th psi-jet at the point; a list that ends early ends
-    the sum, as where the next jet vanishes identically.  The tail
-    estimate is the magnitude of the last term.
+    the sum, as where the next jet vanishes identically.  A term at a pole
+    of 1/Gamma (integer nu, m < nu) is 0, so at w = 0 an integer nu >= 0
+    gives jets[nu].  The tail estimate is the magnitude of the last term.
     """
     acc = 0.0
     last = 0.0
     num = 1.0  # nu (nu - 1) ... (nu - m + 1), the numerator of gen_binom(nu, m)
+    pole = float(nu).is_integer()
     for m, d in enumerate(jets):
-        last = num / math.factorial(m) * w ** (m - nu) * rgamma(m + 1 - nu) * d
-        acc += last
+        if not pole or m >= nu:  # w ** (m - nu) is not taken at a pole
+            last = num / math.factorial(m) * w ** (m - nu) * rgamma(m + 1 - nu) * d
+            acc += last
         num *= nu - m
     return SeriesValue(acc, abs(last))
 

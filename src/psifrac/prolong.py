@@ -6,7 +6,8 @@ on derivatives of u: the integer x-prolongations eta^(i), the psi-time
 prolongations eta^(m;psi), and the full alpha-th order coefficient
 eta^(alpha;psi) together with its two correction terms mu (nonlinearity
 of eta in u) and omega (moving lower limit when tau does not vanish at
-t = a).
+t = a).  eta^(m;psi) is the compact form of eta^(alpha;psi) at the
+integer order alpha = m, where it holds for any eta.
 
 All chain-rule expansions are exact sympy manipulations along the jet,
 done before any sum: each factor becomes a table of its float psi-jets at
@@ -58,10 +59,6 @@ class Infinitesimals:
     @classmethod
     def from_exprs(cls, xi, tau, eta) -> "Infinitesimals":
         return cls(*(JetFunction.of_xtu(e) for e in (xi, tau, eta)))
-
-    def tau_tilde(self, x: float, a: float, u_at_a: float) -> float:
-        """tau restricted to the lower limit t = a."""
-        return self.tau(x, a, u_at_a)
 
 
 @dataclass(frozen=True)
@@ -199,19 +196,11 @@ def eta_m_psi(
     eta^(m;psi) = D_t^{m;psi}(eta - xi u_x - tau u_t)
                   + xi D_t^{m;psi} u_x + tau psi'(t) D_t^{m+1;psi} u,
 
-    the last term being tau d/dt D_t^{m;psi} u; at m = 0 it is eta."""
+    the last term being tau d/dt D_t^{m;psi} u; at m = 0 it is eta.  It
+    is the compact form at the integer order m, for any eta."""
     if m < 0:
         raise DomainError(f"m must be non-negative, got {m}")
-    uexpr = jet.expr
-    xi_c, tau_c, q = _characteristic(inf, uexpr)
-    # three float terms: one expanded sympy sum would round in an order
-    # that follows the interpreter's hash seed
-    q_m = _nth(_jets(q, psi, m, x, t), m)
-    ux_m = _nth(_jets(sp.expand(sp.diff(uexpr, X)), psi, m, x, t), m)
-    u_m1 = _nth(_jets(sp.expand(uexpr), psi, m + 1, x, t), m + 1)
-    xi_v = _nth(_jets(xi_c, psi, 0, x, t), 0)
-    tau_v = _nth(_jets(tau_c, psi, 0, x, t), 0)
-    return q_m + xi_v * ux_m + tau_v * psi.deriv(t) * u_m1
+    return eta_alpha_psi_compact(inf, jet, psi, m, x, t, terms=m + 1)
 
 
 def mu_term(
@@ -304,12 +293,14 @@ def omega_term(
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Lower-limit correction omega = psi'(a) tau~ [D^{alpha;psi}, D_t^{1;psi}] u,
-    tau~ = tau at t = a.  Exactly zero when tau~ = 0 (the commutator is
-    never evaluated in that case)."""
+    tau~ = tau at t = a.  Exactly zero at an integer order, where tau~ is
+    not read, and when tau~ = 0, where the commutator is not evaluated."""
+    if float(order).is_integer():
+        return 0.0
     if isinstance(inf, ReducedInfinitesimals):
         tau_tilde = inf.tau_tilde(psi)
     else:
-        tau_tilde = inf.tau_tilde(x, psi.a, u(psi.a))
+        tau_tilde = inf.tau(x, psi.a, u(psi.a))
     if tau_tilde == 0.0:
         return 0.0
     return psi.deriv(psi.a) * tau_tilde * omega_commutator(u, psi, order, t, quad)
@@ -381,7 +372,8 @@ def eta_alpha_psi_compact(
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Compact form of the alpha-th prolongation coefficient, valid when
-    eta is linear in u:
+    eta is linear in u, and at an integer order m equal to eta^(m;psi)
+    (:func:`eta_m_psi`) for any eta:
 
     D^{alpha;psi}(eta - xi u_x - tau u_t) + xi D^{alpha;psi} u_x
       + tau psi'(t) D^{alpha+1;psi} u + omega,

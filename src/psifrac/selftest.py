@@ -1,8 +1,9 @@
 """Acceptance self-test: ten numbered criteria, one pass/fail line each.
 
-Shared between ``psifrac selftest`` and the acceptance test suite.  Every
-criterion returns a :class:`CriterionResult`; :func:`run_all` prints one
-line per criterion and returns a process exit code (0 iff all pass).
+Shared between ``psifrac selftest`` and the acceptance test suite, which
+both take the results from :func:`criterion_results`; :func:`run_all`
+prints one line per criterion and returns a process exit code (0 iff all
+pass).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .jets import JetFunction, SolutionJet, T, U, W, X
 from .psi import builtin
 from .special import gen_binom, rgamma
 
-__all__ = ["CriterionResult", "run_all", "CRITERIA"]
+__all__ = ["CriterionResult", "criterion_results", "run_all", "CRITERIA"]
 
 # psi families with intervals on which the series backend (N = 30)
 # converges geometrically for non-polynomial f: the jet series in
@@ -50,13 +51,6 @@ class CriterionResult:
             f"[{self.index:2d}] {flag}  {self.name}: {self.detail} "
             f"({self.seconds:.1f}s)"
         )
-
-
-def _timed(index, name, fn) -> CriterionResult:
-    t0 = time.perf_counter()
-    passed, detail = fn()
-    return CriterionResult(index, name, bool(passed), detail,
-                           time.perf_counter() - t0)
 
 
 # -- 1: power rule -------------------------------------------------------------
@@ -457,25 +451,30 @@ CRITERIA = [
 ]
 
 
-def run_all() -> int:
+def criterion_results():
+    """The ten criteria, each yielded as it finishes: 1 to 9 from
+    CRITERIA, then 10, their aggregate under the wall-time budget."""
     t0 = time.perf_counter()
-    results = []
+    passed = 0
     for index, name, fn in CRITERIA:
-        res = _timed(index, name, fn)
-        results.append(res)
-        print(res.line())
+        t1 = time.perf_counter()
+        ok, detail = fn()
+        passed += bool(ok)
+        yield CriterionResult(index, name, bool(ok), detail, time.perf_counter() - t1)
     total = time.perf_counter() - t0
-    all_pass = all(r.passed for r in results)
-    final = CriterionResult(
+    yield CriterionResult(
         10,
         "selftest wall time and overall status",
-        all_pass and total < 120.0,
-        f"{sum(1 for r in results if r.passed)}/9 criteria passed in {total:.1f}s "
-        "(needs 9/9 and < 120s)",
+        passed == len(CRITERIA) and total < 120.0,
+        f"{passed}/9 criteria passed in {total:.1f}s (needs 9/9 and < 120s)",
         total,
     )
-    print(final.line())
-    return 0 if final.passed else 1
+
+
+def run_all() -> int:
+    for res in criterion_results():
+        print(res.line())
+    return 0 if res.passed else 1
 
 
 if __name__ == "__main__":

@@ -2,34 +2,18 @@
 
 Each test prints the same one-line pass/fail summary that
 ``psifrac selftest`` emits, then asserts the criterion.  Criteria are
-computed once per session; the final criterion aggregates the other nine
-plus the wall-time budget.
+computed once per session, by the generator the selftest itself runs;
+the final criterion aggregates the other nine plus the wall-time budget.
 """
-
-import time
 
 import pytest
 
-from psifrac.selftest import CRITERIA, CriterionResult, _timed
+from psifrac.selftest import criterion_results
 
 
 @pytest.fixture(scope="session")
 def results():
-    out = {}
-    t0 = time.perf_counter()
-    for index, name, fn in CRITERIA:
-        out[index] = _timed(index, name, fn)
-    total = time.perf_counter() - t0
-    all_pass = all(r.passed for r in out.values())
-    out[10] = CriterionResult(
-        10,
-        "selftest wall time and overall status",
-        all_pass and total < 120.0,
-        f"{sum(1 for r in out.values() if r.passed)}/9 criteria passed "
-        f"in {total:.1f}s (needs 9/9 and < 120s)",
-        total,
-    )
-    return out
+    return {res.index: res for res in criterion_results()}
 
 
 def _check(results, index):

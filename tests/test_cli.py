@@ -394,6 +394,25 @@ def test_prolong_nonlinear_eta_has_mu(capsys):
     assert abs(float(out.splitlines()[1].split(",")[2])) > 1e-6
 
 
+# tau = 1/t has its pole at the lower limit a = 0, where omega reads tau
+TAU_POLE_AT_A = ("prolong", "--xi", "x", "--tau", "1/t", "--eta", "0-u",
+                 "--u", "x*psi + psi^2", "--x", "0.5", "--t", "1.0")
+
+
+@pytest.mark.parametrize("alpha", ["1", "2"])
+def test_prolong_at_an_integer_order_does_not_read_tau_at_a(capsys, alpha):
+    # omega vanishes at every integer order, before tau(a) is taken
+    code, out = run(capsys, *TAU_POLE_AT_A, "--alpha", alpha, "--format", "csv")
+    assert code == EXIT_PASS
+    assert float(out.splitlines()[1].split(",")[3]) == 0.0
+
+
+def test_prolong_omega_at_a_pole_of_tau_is_one_numerical_error(capsys):
+    code = main([*TAU_POLE_AT_A, "--alpha", "0.5"])
+    assert code == EXIT_NUMERIC
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
 # -- verify / solve -----------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 compile, so equal requests share one callable and compile once; the
 psi-jets have one owner, fracops, above the compile cache; the series
 backend takes its jets without symbolic differentiation; the
+psi-time prolongation is the compact form at an integer order; the
 determining systems keep sympy out of their grid loops, and the
 prolongation sums out of their m-loops; the classical checks never
 simplify; each CLI command takes the flags of the settings it reads,
@@ -22,7 +23,7 @@ import psifrac
 from psifrac import fracops as fo
 from psifrac import cli
 from psifrac.jets import T, JetFunction, compiled
-from psifrac.psi import builtin
+from psifrac.psi import PsiFunction, builtin
 from test_cli import README_COMMANDS
 
 SRC = Path(psifrac.__file__).resolve().parent
@@ -92,6 +93,17 @@ def test_no_symbolic_work_in_the_prolongation_sums():
                            and getattr(n.func.value, "id", None) == "sp"]
             assert not sympy_calls, (name, sympy_calls)
             assert not set(_called_names(loop)) & JET_CALLS, (name, loop.lineno)
+
+
+def test_eta_m_psi_is_the_compact_form_at_an_integer_order():
+    # one formula for the psi-time prolongation: eta_m_psi builds no table
+    # of its own
+    tree = ast.parse((SRC / "prolong.py").read_text())
+    func = next(n for n in tree.body
+                if isinstance(n, ast.FunctionDef) and n.name == "eta_m_psi")
+    called = set(_called_names(func))
+    assert "eta_alpha_psi_compact" in called
+    assert not called & {"_jets", "_characteristic", "jet_series"}, called
 
 
 def test_series_backend_does_no_symbolic_work(monkeypatch):
@@ -182,11 +194,13 @@ def test_equal_jet_functions_share_one_compiled_callable():
     assert compiled.cache_info().misses == misses
 
 
-def test_equal_builtin_kernels_share_one_compiled_callable():
-    first = builtin("power", 1.0, 2.0, rho=2.5)
+def test_equal_expression_kernels_share_one_compiled_callable():
+    # a built-in kernel is evaluated in closed form; one given by its
+    # expression is compiled
+    first = PsiFunction("cubic", 0.1, 2.0, expr=T + T**3)
     fn = first._fn(3)
     misses = compiled.cache_info().misses
-    second = builtin("power", 1.0, 2.0, rho=2.5)
+    second = PsiFunction("cubic", 0.1, 2.0, expr=T + T**3)
     assert second._fn(3) is fn
     assert second.deriv(1.3, 3) == first.deriv(1.3, 3)
     assert compiled.cache_info().misses == misses

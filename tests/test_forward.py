@@ -1,7 +1,8 @@
 """The quadrature's forward-mode psi-jets of a parsed spec against the
 symbolic jets, which stay the reference: every shape of the grammar, every
-built-in kernel, orders 0 to 3, at the 64 nodes of one point; and one
-written function per shape, whatever the spec's numbers."""
+built-in kernel, orders 0 to 3, at the 64 nodes of one point, and a kernel
+given by its expression; and one written function per shape, whatever the
+spec's numbers."""
 
 import random
 import re
@@ -12,7 +13,8 @@ import pytest
 from psifrac import forward
 from psifrac import fracops as fo
 from psifrac.cli import _as_f_of_t
-from psifrac.psi import builtin
+from psifrac.jets import T
+from psifrac.psi import PsiFunction, builtin
 from test_taylor import KERNELS, SHAPES
 
 # w^(5/2) is built in sympy: the grammar has no psi and no fractional power
@@ -33,6 +35,33 @@ def test_forward_jets_equal_the_symbolic_jets(kernel, spec):
         want = np.array([float(fo._psi_jet_fn(f.expr, psi.expr, j)(x)) for x in nodes])
         err = np.abs(got[j] - want) / (1 + np.abs(want))
         assert err.max() <= 1e-12, (j, err.max())
+
+
+# no closed form: psi's derivatives at the points come from its compiled
+# expression, and t from reverting the series of psi
+CUBIC = PsiFunction("cubic", 0.1, 2.0, expr=T + T**3)
+
+
+@pytest.mark.parametrize("spec", ["t^2+3*t", "exp(t)*t", "(1+0.5*psi)^3", "psi^2+psi",
+                                  "1/(t+1)"])
+def test_forward_jets_on_a_kernel_given_by_its_expression(spec):
+    f = _as_f_of_t(spec, CUBIC)
+    s = np.array([0.3, 0.7, 1.2])
+    got = forward.jets(f.tree, CUBIC, s, 3)
+    for j in range(4):
+        want = np.array([float(fo._psi_jet_fn(f.expr, CUBIC.expr, j)(x)) for x in s])
+        err = np.abs(got[j] - want) / (1 + np.abs(want))
+        assert err.max() <= 1e-13, (j, err.max())
+
+
+@pytest.mark.parametrize("spec", ["(1+0.5*psi)^3", "psi^2+psi"])
+def test_backends_agree_on_a_kernel_given_by_its_expression(spec):
+    # f is a polynomial in psi(t) - psi(a), so the series terminates
+    f = _as_f_of_t(spec, CUBIC)
+    for alpha in (0.6, 1.4):
+        quad = fo.frac_derivative(f, CUBIC, alpha, 1.2)
+        series = fo.frac_derivative_series(f, CUBIC, alpha, 1.2, 40).value
+        assert abs(quad - series) <= 1e-12 * (1 + abs(series)), alpha
 
 
 def test_a_jet_does_not_depend_on_the_depth_taken():

@@ -378,10 +378,20 @@ def test_jet_series_matches_the_binomial_form_bit_for_bit():
               [3.0 - m for m in range(5)],  # ends early, as at a vanishing jet
               [])
     for jets in tables:
-        for nu in (-2.3, -0.5, 0.25, 1.5, 4.75):
+        # at an integer nu > 0 the terms m < nu, at poles of 1/Gamma, are 0
+        for nu in (-2.3, -0.5, 0.25, 1.0, 1.5, 2.0, 4.75):
             for w in (0.3, 1.7):
                 got = fo.jet_series(jets, nu, w)
                 assert repr(got) == repr(reference(jets, nu, w))
+
+
+def test_jet_series_at_an_integer_order_and_the_lower_limit():
+    # at w = 0 the terms m < nu sit at poles of 1/Gamma and are 0, with w
+    # never raised to m - nu < 0; the term m = nu is jets[nu] itself
+    jets = [1.5, -0.25, 3.0, 0.75, -2.0]
+    for nu in (1, 2.0, 4):
+        assert fo.jet_series(jets, nu, 0.0).value == jets[int(nu)]
+        assert fo.jet_series(jets[:int(nu)], nu, 0.0).value == 0.0
 
 
 # -- operator laws ----------------------------------------------------------------

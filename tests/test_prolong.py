@@ -152,6 +152,20 @@ def test_eta_m_psi_is_the_prolongation_in_s_equal_psi():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("psi, want", [
+    (IDENTITY, [1.0, 0.7, 0.9799999999999999]),
+    (POWER, [0.9999999999999998, -1.3999999999999995, -8.219999999999999]),
+    (builtin("exponential", 0.0, 1.0), [1.0000000000000007, 0.0, -3.719999999999999]),
+], ids=("identity", "power", "exponential"))
+def test_eta_m_psi_at_the_lower_limit(psi, want):
+    # at t = a, w = 0: the jet series of order m keeps its one term, jets[m],
+    # and omega, which would read tau(a), vanishes at the integer order
+    inf = pr.Infinitesimals.from_exprs(X, T + 1, U**2)
+    wa = _w_expr(psi)
+    jet = SolutionJet.from_expr(sp.expand(X * wa + wa**2 + 1))
+    assert [pr.eta_m_psi(m, inf, jet, psi, 0.7, psi.a) for m in range(3)] == want
+
+
 _SEED_CODE = """
 from psifrac import prolong as pr
 from psifrac.jets import SolutionJet, T, U, X
@@ -200,8 +214,12 @@ def test_gamma_contributes_only_with_quadratic_tau():
         (sp.sympify(X), 2 * T / ALPHA, -U),
         (X**2, T, X * U),
         (sp.Integer(1), T**2, U**2),
+        # xi depends on t, so the xi-sum over D_t^{m;psi} xi has terms
+        (X * T, T, -U),
+        (X * T**2, 2 * T / ALPHA, -U),
+        (X + T**2, T, X * U),
     ],
-    ids=("scaling", "shear", "nonlinear-eta"),
+    ids=("scaling", "shear", "nonlinear-eta", "xi=xt", "xi=xt^2", "xi=x+t^2"),
 )
 @pytest.mark.parametrize("uexpr", [X**2 * T + T**2, 1 + X * T**3], ids=("u1", "u2"))
 def test_expanded_form_reduces_to_classical(gen, uexpr):
@@ -214,12 +232,14 @@ def test_expanded_form_reduces_to_classical(gen, uexpr):
 
 
 def test_compact_equals_expanded_for_identity_kernel():
-    inf = pr.Infinitesimals.from_exprs(X, 2 * T / ALPHA, -U)
+    # linear eta and tau(0) = 0; the second generator's xi depends on t
     jet = SolutionJet.from_expr(X**2 * T + T**2)
     x, t = 0.7, 1.1
-    full = pr.eta_alpha_psi(inf, jet, IDENTITY, ALPHA, x, t)
-    compact = pr.eta_alpha_psi_compact(inf, jet, IDENTITY, ALPHA, x, t)
-    assert compact == pytest.approx(full, abs=1e-8)
+    for xi in (X, X * T**2):
+        inf = pr.Infinitesimals.from_exprs(xi, 2 * T / ALPHA, -U)
+        full = pr.eta_alpha_psi(inf, jet, IDENTITY, ALPHA, x, t)
+        compact = pr.eta_alpha_psi_compact(inf, jet, IDENTITY, ALPHA, x, t)
+        assert compact == pytest.approx(full, abs=1e-8), xi
 
 
 def test_compact_and_expanded_differ_off_identity():
