@@ -19,8 +19,9 @@ Two independent backends are provided for each operator:
   n) and not on the order: they are kept per point (:func:`_nodes`,
   :func:`_node_values`), so every quadrature at t, of any order and in
   the Leibniz and product-integral sums too, shares one inversion of psi
-  and one evaluation of each jet per node; only the rule's weights and
-  one dot product per moment are taken per order;
+  and one evaluation of each jet per node; the rule's weights are per
+  exponent, computed once while it recurs, and one dot product per
+  moment is taken per order;
 
 * series: the expansion in psi-jet derivatives
   f^{[m]}_psi = (1/psi' d/dt)^m f with generalized binomial coefficients,
@@ -190,37 +191,45 @@ def _table(f: JetFunction, psi: PsiFunction, t: float, n: int) -> tuple:
 @lru_cache(maxsize=16)
 def _chebyshev_points(n: int):
     """y_j = cos(theta_j), theta_j = (j + 1/2) pi / n, the same points
-    x_j = (y_j + 1)/2 in [0, 1], and the twiddle factors exp(i k pi / 2n)
-    that turn the cosine sums over them into one FFT."""
+    x_j = (y_j + 1)/2 in [0, 1], the twiddle factors (-1)^k exp(i k pi / 2n)
+    that turn the cosine sums over them into one FFT, and the moment
+    recurrence's (k, k - 1) as floats, for k = 2..n-1."""
     theta = (np.arange(n) + 0.5) * (math.pi / n)
     ys = tuple(np.cos(theta).tolist())
     xs = tuple(0.5 * (y + 1.0) for y in ys)
-    return ys, xs, np.exp(0.5j * math.pi / n * np.arange(n))
+    twiddle = np.exp(0.5j * math.pi / n * np.arange(n))
+    twiddle[1::2] = -twiddle[1::2]
+    return ys, xs, twiddle, tuple((float(k), float(k - 1)) for k in range(2, n))
 
 
+# a point's Leibniz and product-integral sums ask for one exponent again
+# and again: at most 32 exponents of n floats each, about 20 MB at
+# --nodes 20000, the same order as the node tables below
+@lru_cache(maxsize=32)
 def _jacobi_rule(n: int, a: float):
     """Fejer's first rule for int_{-1}^{1} (1 - y)^a g(y) dy, a > -1: the
     n Chebyshev points (a tuple shared by all calls with this n) and their
-    weights (a list), as Python floats for the node loop.
+    weights (a tuple), as Python floats for the node loop; computed once
+    per exponent while it recurs, keyed on (n, a) exactly.
 
     It integrates the interpolant sum_{k<n} c_k T_k of g exactly, so the
     weights are w_j = (2/n) sum_k' M_k cos(k theta_j) (the k = 0 term
     halved), with the modified moments M_k = int (1 - y)^a T_k(y) dy
     (Waldvogel, BIT 46, 2006).  r_k = (-1)^k M_k follows QUADPACK's DQMOMO
-    recurrence, which is stable forward.
+    recurrence, which is stable forward; the sign (-1)^k is in the twiddles.
     """
-    ys, _, twiddle = _chebyshev_points(n)
+    ys, _, twiddle, ks = _chebyshev_points(n)
     two = 2.0 ** (a + 1.0)
     r = two / (a + 1.0)
     moments = [0.5 * r]
     r *= a / (a + 2.0)
-    moments.append(-r)
-    for k in range(2, n):
-        r = -(two + k * (k - a - 2.0) * r) / ((k - 1) * (k + a + 1.0))
-        moments.append(-r if k & 1 else r)
+    moments.append(r)
+    for k, k1 in ks:
+        r = -(two + k * (k - a - 2.0) * r) / (k1 * (k + a + 1.0))
+        moments.append(r)
     # sum_k c_k cos(k theta_j) = Re sum_k c_k e^{i k pi / 2n} e^{2 pi i k j / 2n}
     ws = 4.0 * np.fft.ifft(twiddle * moments, 2 * n)[:n].real
-    return ys, ws.tolist()
+    return ys, tuple(ws.tolist())
 
 
 # nodes and jet values are kept per point, for every order there: a caller
@@ -268,7 +277,8 @@ def _jacobi_moments(
     int_0^1 (1-x)^{beta-1} x^j f^{[j]}_psi(psi^{-1}(psi(a) + V x)) dx.
 
     The nodes and the jet values there are shared by every quadrature at
-    the point (:func:`_nodes`, :func:`_node_values`); only the weights
+    the point (:func:`_nodes`, :func:`_node_values`), the weights w_i by
+    every one of exponent beta - 1 (computed once while it recurs); only
     w_i x_i^j and one dot product per moment are taken for this order.
     Each moment is the sequential sum of the products in node order, with
     x_i^j by repeated multiplication, so its bits do not depend on what
@@ -280,7 +290,7 @@ def _jacobi_moments(
     t = float(t)
     n = quad.nodes
     V = _nodes(psi, t, n)[0]
-    _, xs, _ = _chebyshev_points(n)
+    xs = _chebyshev_points(n)[1]
     _, cs = _jacobi_rule(n, beta - 1.0)
     # the rule's weight is (1 - y)^{beta-1} in y = 2x - 1
     scale = 0.5**beta

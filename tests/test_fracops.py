@@ -8,6 +8,7 @@ import scipy.integrate
 import scipy.special
 import sympy as sp
 
+from psifrac import cli
 from psifrac import fracops as fo
 from psifrac import prolong as pr
 from psifrac.errors import DomainError
@@ -74,9 +75,51 @@ def test_rule_agrees_with_gauss_jacobi(a):
         assert float(np.dot(ws, g(np.array(ys)))) == pytest.approx(want, rel=1e-11)
 
 
-def test_rule_is_not_cached_per_exponent():
-    # the weights cost O(n) per exponent, so no per-order cache is kept
-    assert not hasattr(fo._jacobi_rule, "cache_info")
+def test_rule_is_computed_once_per_exponent(monkeypatch):
+    # a Leibniz sum asks for one exponent at several orders (D^{0.6} and
+    # I^{0.4} both weigh by (1 - y)^{-0.6}); each (n, exponent) is computed once
+    f = JetFunction.of_t(sp.exp(T) + T**2)
+    g = JetFunction.of_t(T**3 + sp.Rational(1, 3) * T)
+    rule, asked = fo._jacobi_rule, []
+    monkeypatch.setattr(fo, "_jacobi_rule", lambda n, a: asked.append((n, a)) or rule(n, a))
+
+    def sums():
+        fo.leibniz_product(f, g, IDENTITY, 0.6, 1.1, 6)
+        fo.product_integral(f, g, IDENTITY, 0.6, 1.1, 6)
+
+    rule.cache_clear()
+    sums()
+    assert len(asked) > len(set(asked))
+    misses = rule.cache_info().misses
+    assert misses == len(set(asked))
+    asked.clear()
+    sums()
+    assert asked and rule.cache_info().misses == misses
+
+
+def _scalar_rule(n, a):
+    """The weights by the moment recurrence in its plain scalar form:
+    integer k, the sign (-1)^k taken per moment, plain twiddles."""
+    twiddle = np.exp(0.5j * math.pi / n * np.arange(n))
+    two = 2.0 ** (a + 1.0)
+    r = two / (a + 1.0)
+    moments = [0.5 * r]
+    r *= a / (a + 2.0)
+    moments.append(-r)
+    for k in range(2, n):
+        r = -(two + k * (k - a - 2.0) * r) / ((k - 1) * (k + a + 1.0))
+        moments.append(-r if k & 1 else r)
+    return (4.0 * np.fft.ifft(twiddle * moments, 2 * n)[:n].real).tolist()
+
+
+@pytest.mark.parametrize("n", [4, 17, 64, 513, cli.MAX_NODES])
+def test_rule_bits_equal_the_scalar_recurrence(n):
+    for a in (-0.999, -0.7, -0.3, 0.0, 0.0018, 0.7, 1.95, 11.3):
+        ys, ws = fo._jacobi_rule(n, a)
+        assert isinstance(ws, tuple)  # a cached rule no caller can change
+        assert list(ws) == _scalar_rule(n, a), a
+        assert ys == fo._chebyshev_points(n)[0]
+    fo._jacobi_rule.cache_clear()
 
 
 # -- node tables -----------------------------------------------------------------
@@ -85,6 +128,7 @@ def test_rule_is_not_cached_per_exponent():
 def _clear_node_tables():
     fo._nodes.cache_clear()
     fo._node_values.cache_clear()
+    fo._jacobi_rule.cache_clear()
 
 
 def _reference_moments(f, psi, m, beta, t, n=64):
@@ -129,10 +173,11 @@ def _point_ops(psi, t):
         "leibniz_product": lambda: fo.leibniz_product(f, g, psi, 0.6, t, 6),
         "product_integral": lambda: fo.product_integral(f, g, psi, 0.6, t, 6),
         "omega_commutator": lambda: pr.omega_commutator(g, psi, 0.45, t),
-        # the warm-up: other orders of f and g at the same point
+        # the warm-up: other orders of f and g at the same point, two of them
+        # (D^{0.3}, D^{0.4}) with the rule's exponents -0.3 and -0.4 above
         "other orders": lambda: [op(h, psi, nu, t) for h in (f, g)
                                  for op in (fo.frac_integral, fo.frac_derivative)
-                                 for nu in (0.25, 1.75, 2.5)],
+                                 for nu in (0.25, 0.3, 0.4, 1.75, 2.5)],
     }
 
 
@@ -147,9 +192,10 @@ def test_warm_node_tables_give_the_cold_values(psi, name):
     cold = ops[name]()
     _clear_node_tables()
     ops["other orders"]()
-    hits = fo._nodes.cache_info().hits
+    hits, rule_hits = fo._nodes.cache_info().hits, fo._jacobi_rule.cache_info().hits
     warm = ops[name]()
     assert fo._nodes.cache_info().hits > hits  # the op read the shared nodes
+    assert fo._jacobi_rule.cache_info().hits > rule_hits  # and a shared rule
     assert warm == cold
 
 
