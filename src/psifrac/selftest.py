@@ -316,12 +316,12 @@ def _same_generator(a, b) -> bool:
     if ra is None or rb is None:
         return False
     return (
-        sp.simplify(ra.xi.expr - rb.xi.expr) == 0
+        sp.expand(ra.xi.expr - rb.xi.expr) == 0
         and abs(ra.c0 - rb.c0) < 1e-12
         and abs(ra.c1 - rb.c1) < 1e-12
         and abs(ra.c2 - rb.c2) < 1e-12
-        and sp.simplify(ra.theta.expr - rb.theta.expr) == 0
-        and sp.simplify(ra.rho.expr - rb.rho.expr) == 0
+        and sp.expand(ra.theta.expr - rb.theta.expr) == 0
+        and sp.expand(ra.rho.expr - rb.rho.expr) == 0
     )
 
 

@@ -16,14 +16,15 @@ form and the expanded five-block form) used for cross-method agreement
 checks.  A small ansatz solver reproduces the closed-form generator
 bases case by case.
 
-The grid loops make float calls only.  Each system builds its symbolic
-pieces once per call, before the loop: D^{alpha;psi} rho (or, in the
-expanded system, of the u-fixed combination eta - u eta_u) comes from
-:func:`~psifrac.fracops.power_rule_expr` and is compiled with
-:func:`~psifrac.jets.compiled` like every other equation.  That set-up
-is the cost of a check, so it stays lean: no ``simplify``, each higher
-t-derivative of the expanded system's family one step from the order
-before, and :func:`builtin_table` built once per parameter set.
+The grid loops make float calls only.  The psi-fractional systems build
+their symbolic pieces once per call, before the loop; the classical ones
+once per generator shape (its floats taken out), taking alpha and those
+floats at run time.  D^{alpha;psi} rho (or, in the expanded system, of
+eta - u eta_u, u fixed) comes from :func:`~psifrac.fracops.power_rule_expr`
+per call and is compiled with :func:`~psifrac.jets.compiled` like every
+other equation.  That set-up is the cost of a check, so it stays lean: no
+``simplify``, each higher t-derivative of the expanded system's family one
+step from the order before, and one :func:`builtin_table` per parameter set.
 
 :data:`CASES` is the one registry of the g(u) and K(u) cases: each
 :class:`Case` names its coefficient, its family, its :func:`builtin_table`
@@ -221,6 +222,17 @@ def _frac_rho(red: ReducedInfinitesimals, alpha: float):
     return compiled(power_rule_expr(red.rho.expr, alpha), (X, W))
 
 
+def _numbers_out(exprs: tuple) -> tuple:
+    """(shapes, numbers): exprs with each sp.Float replaced by a
+    placeholder, in order of first appearance in a preorder walk (equal
+    floats share one), and the floats by their placeholders, in order."""
+    floats = dict.fromkeys(n for e in exprs for n in sp.preorder_traversal(e)
+                           if isinstance(n, sp.Float))
+    numbers = dict(zip(sp.symbols(f"num_:{len(floats)}", real=True, seq=True), floats))
+    out = {f: s for s, f in numbers.items()}
+    return tuple(e.xreplace(out) for e in exprs), numbers
+
+
 # -- psi-fractional Burgers system --------------------------------------------
 
 
@@ -354,66 +366,84 @@ def detsys_gazizov_rl(
       (iv)   2 xi' - alpha tau' = 0
       (v)    d_t^alpha(eta) - u d_t^alpha(eta_u) - eta_xx - g eta_x = 0
 
-    Fractional t-partials in (v) hold u fixed and are evaluated by the
-    exact power rule, so eta must be a power sum in t (DomainError
-    otherwise, before any node is evaluated).
+    All is built once per generator shape and g (:func:`_gazizov_system`)
+    but the fractional t-partials in (v): they hold u fixed and come from
+    the exact power rule, per call, so eta must be a power sum in t
+    (DomainError otherwise, before any node is evaluated).
     """
     if candidate.general is None:
         raise DomainError(f"candidate '{candidate.label}' must be in general form")
     inf = candidate.general
     ts = _ts(0.0)  # psi = t, a = 0
-    xi, tau, eta = inf.xi.expr, inf.tau.expr, inf.eta.expr
-    etau = sp.diff(eta, U)
-    f_struct = [
-        inf.xi._fn((0, 0, 1)),
-        inf.xi._fn((0, 1, 0)),
-        inf.tau._fn((0, 0, 1)),
-        inf.tau._fn((1, 0, 0)),
-        inf.eta._fn((0, 0, 2)),
-    ]
-    taup = sp.diff(tau, T)
-    eq3 = (
-        sp.diff(xi, X, 2)
-        - alpha * g.expr * taup
-        - 2 * sp.diff(etau, X)
-        + g.expr * sp.diff(xi, X)
-        - eta * sp.diff(g.expr, U)
-    )
-    eq4 = 2 * sp.diff(xi, X) - alpha * taup
-    xtu = (X, T, U)
-    f3, f4 = compiled(eq3, xtu), compiled(eq4, xtu)
-    fam = [compiled(e, xtu) for e in _gazizov_family(etau, taup, alpha, _GAZIZOV_TERMS)]
-    # the u-fixed fractional combination, with w = t classically
-    frac5 = compiled(power_rule_expr((eta - U * etau).subs(T, W), alpha), (X, W, U))
-    eta_x, eta_xx = inf.eta._fn((1, 0, 0)), inf.eta._fn((2, 0, 0))
+    shapes, numbers = _numbers_out((inf.xi.expr, inf.tau.expr, inf.eta.expr))
+    f_struct, fam, f3, f4, eta_x, eta_xx, fixed = _gazizov_system(
+        shapes, g.expr, tuple(numbers))
+    # (v)'s u-fixed fractional combination, with its numbers put back
+    frac5 = compiled(power_rule_expr(fixed.xreplace(numbers), alpha), (X, W, U))
+    args = (alpha, *[gen_binom(alpha, n) for n in range(1, _GAZIZOV_TERMS + 2)],
+            *map(float, numbers.values()))
     gfn = g._fn((0,))
     r = {"structure": 0.0, "family": 0.0, "iii": 0.0, "iv": 0.0, "v": 0.0}
     for x in _XS:
         for t in ts:
             for u in _US:
                 for f in f_struct:
-                    _keep_max(r, "structure", abs(f(x, t, u)))
+                    _keep_max(r, "structure", abs(f(x, t, u, *args)))
                 for f in fam:
-                    _keep_max(r, "family", abs(f(x, t, u)))
-                _keep_max(r, "iii", abs(f3(x, t, u)))
-                _keep_max(r, "iv", abs(f4(x, t, u)))
-                e5 = frac5(x, t, u) - eta_xx(x, t, u) - gfn(u) * eta_x(x, t, u)
+                    _keep_max(r, "family", abs(f(x, t, u, *args)))
+                _keep_max(r, "iii", abs(f3(x, t, u, *args)))
+                _keep_max(r, "iv", abs(f4(x, t, u, *args)))
+                e5 = frac5(x, t, u) - eta_xx(x, t, u, *args) - gfn(u) * eta_x(x, t, u, *args)
                 _keep_max(r, "v", abs(e5))
     return ResidualReport(r, tol, _grid_desc(ts))
 
 
-def _gazizov_family(etau: sp.Expr, taup: sp.Expr, alpha: float, terms: int) -> list:
-    """binom(alpha,n) D_t^n(eta_u) - binom(alpha,n+1) D_t^{n+1}(tau) for
-    n = 1..terms, given eta_u and D_t tau.  Each derivative is one step from
-    the order before; the list ends where both vanish, since every later
-    equation is then 0 too."""
+# the run-time arguments of the classical systems: alpha, binom(alpha, n)
+# for n = 1.._GAZIZOV_TERMS + 1, and a reduced candidate's c1, c2 and gamma
+_ALPHA, _C1, _C2, _GAMMA = sp.symbols("alpha_ c1_ c2_ gamma_", real=True)
+_BINOMS = sp.symbols(f"binom_1:{_GAZIZOV_TERMS + 2}", real=True)
+
+
+# one entry per generator shape and g: a run meets a handful of shapes,
+# however many alphas it sweeps, so the bound keeps every one of them
+@lru_cache(maxsize=64)
+def _gazizov_system(shapes: tuple, gexpr: sp.Expr, placeholders: tuple) -> tuple:
+    """The structure block, the family, (iii), (iv), eta_x and eta_xx for xi,
+    tau, eta = shapes and g, compiled over (x, t, u, alpha, binoms, numbers);
+    and (v)'s u-fixed part eta - u eta_u in w = t, uncompiled."""
+    xi, tau, eta = shapes
+    args = (X, T, U, _ALPHA, *_BINOMS, *placeholders)
+    etau = sp.diff(eta, U)
+    # a structure equation that is exactly 0 has residual 0 at every node
+    struct = (sp.diff(xi, U), sp.diff(xi, T), sp.diff(tau, U), sp.diff(tau, X), sp.diff(etau, U))
+    f_struct = tuple(compiled(e, args) for e in struct if e != 0)
+    taup = sp.diff(tau, T)
+    eq3 = (
+        sp.diff(xi, X, 2)
+        - _ALPHA * gexpr * taup
+        - 2 * sp.diff(etau, X)
+        + gexpr * sp.diff(xi, X)
+        - eta * sp.diff(gexpr, U)
+    )
+    eq4 = 2 * sp.diff(xi, X) - _ALPHA * taup
+    fam = tuple(compiled(e, args) for e in _gazizov_family(etau, taup, _BINOMS))
+    return (f_struct, fam, compiled(eq3, args), compiled(eq4, args),
+            compiled(eta, args, (1,)), compiled(eta, args, (2,)),
+            sp.expand(eta - U * etau).subs(T, W))
+
+
+def _gazizov_family(etau: sp.Expr, taup: sp.Expr, binoms: tuple) -> list:
+    """binom(alpha,n) D_t^n(eta_u) - binom(alpha,n+1) D_t^{n+1}(tau), with
+    binoms[n-1] = binom(alpha,n), for n = 1..len(binoms)-1, given eta_u and
+    D_t tau.  Each derivative is one step from the order before; the list
+    ends where both vanish, since every later equation is then 0 too."""
     fam = []
     dn_etau, dn1_tau = etau, taup
-    for n in range(1, terms + 1):
+    for n in range(1, len(binoms)):
         dn_etau, dn1_tau = sp.diff(dn_etau, T), sp.diff(dn1_tau, T)
         if dn_etau == 0 and dn1_tau == 0:
             break
-        fam.append(gen_binom(alpha, n) * dn_etau - gen_binom(alpha, n + 1) * dn1_tau)
+        fam.append(binoms[n - 1] * dn_etau - binoms[n] * dn1_tau)
     return fam
 
 
@@ -435,19 +465,42 @@ def detsys_zhang_rl(
           - sum_{W\\V} H_{u_i} eta^(i) = 0,
 
     with V the H terms linear in a jet coordinate with u-free coefficient.
-    The candidate is reduced with c0 = 0 (tau = c1 t + c2 t^2).
+    The candidate is reduced with c0 = 0 (tau = c1 t + c2 t^2).  All but
+    D^alpha rho (per call) is built once per shape (:func:`_zhang_system`).
     """
     red = _reduced(candidate)
     if red.c0 != 0.0:
         raise DomainError("classical reduced system requires tau(0) = 0")
     ts = _ts(0.0)  # psi = t, a = 0
-    gam = red.gamma
+    shapes, numbers = _numbers_out((red.xi.expr, red.theta.expr, red.rho.expr))
+    f1, f2 = _zhang_system(equation.terms(), *shapes, tuple(numbers))
+    args = (alpha, red.c1, red.c2, red.gamma, *map(float, numbers.values()))
+    frac_rho = _frac_rho(red, alpha)
+    r = {"1": 0.0, "2": 0.0}
+    worst = ""
+    for x in _XS:
+        for t in ts:
+            dfrac = frac_rho(x, t)
+            for u in _US:
+                for ux, uxx in _JET_PROBES:
+                    e1 = abs(dfrac + f1(x, t, u, ux, uxx, *args))
+                    if _keep_max(r, "1", e1):
+                        worst = f"1 @ x={x:.3g}, t={t:.3g}"
+                    _keep_max(r, "2", abs(f2(x, t, u, ux, uxx, *args)))
+    return ResidualReport(r, tol, _grid_desc(ts), worst)
+
+
+# one entry per shape of H and of the candidate, as for _gazizov_system
+@lru_cache(maxsize=64)
+def _zhang_system(terms: tuple, xi, theta, rho, placeholders: tuple) -> tuple:
+    """(1) but its D^alpha rho, and (2), for H's terms and xi, theta, rho
+    (:func:`_numbers_out`), compiled over (x, t, u, u_x, u_xx, alpha, c1,
+    c2, gamma, numbers)."""
     # symbolic candidate pieces (w = t classically)
-    xi = red.xi.expr
-    tau = red.c1 * T + red.c2 * T**2
+    tau = _C1 * T + _C2 * T**2
     taup = sp.diff(tau, T)
-    eta = red.theta.expr * U + red.rho.expr.subs(W, T) + gam * taup * U
-    rho = red.rho.expr.subs(W, T)
+    rho = rho.subs(W, T)
+    eta = theta * U + rho + _GAMMA * taup * U
     etau = sp.diff(eta, U)
     xi1 = sp.diff(xi, X)
     # first and second x-prolongations for xi = xi(x), tau = tau(t)
@@ -460,10 +513,10 @@ def detsys_zhang_rl(
     )
     prolong_of = {0: eta, 1: zeta1, 2: zeta2}
     eq1 = eq2 = sp.Integer(0)
-    for term in equation.terms():
+    for term in terms:
         h_x = sp.diff(term, X)
         h_t = sp.diff(term, T)
-        eq2 += (etau - alpha * taup) * term - xi * h_x - tau * h_t
+        eq2 += (etau - _ALPHA * taup) * term - xi * h_x - tau * h_t
         linear = EvolutionEquation.is_linear_term(term)
         for i, v in ((0, U), (1, UX), (2, UXX)):
             c = sp.diff(term, v)
@@ -475,21 +528,8 @@ def detsys_zhang_rl(
                 eq2 -= c * (prolong_of[i] - rho_i)
             else:
                 eq2 -= c * prolong_of[i]
-    f1 = compiled(sp.expand(eq1), (X, T, U, UX, UXX))
-    f2 = compiled(sp.expand(eq2), (X, T, U, UX, UXX))
-    frac_rho = _frac_rho(red, alpha)
-    r = {"1": 0.0, "2": 0.0}
-    worst = ""
-    for x in _XS:
-        for t in ts:
-            dfrac = frac_rho(x, t)
-            for u in _US:
-                for ux, uxx in _JET_PROBES:
-                    e1 = abs(dfrac + f1(x, t, u, ux, uxx))
-                    if _keep_max(r, "1", e1):
-                        worst = f"1 @ x={x:.3g}, t={t:.3g}"
-                    _keep_max(r, "2", abs(f2(x, t, u, ux, uxx)))
-    return ResidualReport(r, tol, _grid_desc(ts), worst)
+    args = (X, T, U, UX, UXX, _ALPHA, _C1, _C2, _GAMMA, *placeholders)
+    return compiled(sp.expand(eq1), args), compiled(sp.expand(eq2), args)
 
 
 def _grid_desc(ts: tuple) -> str:

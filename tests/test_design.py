@@ -8,7 +8,8 @@ prolongation sums out of their m-loops; the classical checks never
 simplify; each CLI command takes the flags of the settings it reads,
 and reads every one of them; every cache has a finite bound; and a run
 loads no module it does not use: no scipy, no random generator for the
-determining systems, and no sympy for the operators on a parsed spec."""
+determining systems, no sympy for the operators on a parsed spec, and no
+sympy.physics for the solver."""
 
 import argparse
 import ast
@@ -245,7 +246,8 @@ OPERATOR_RUNS = [argv for argv, _ in README_COMMANDS if argv[0] in ("eval", "lei
 # each module a run must not load, and the run: scipy serves only the tests
 # as a reference; the determining systems' probes are literal, so they need
 # no random generator; the operators on a parsed spec need no sympy, whose
-# import is most of a cold CLI call
+# import is most of a cold CLI call; and solve compares bases without
+# simplify, which would load sympy.physics
 RUNS = {
     "scipy": "import psifrac\n"
              "from psifrac.fracops import frac_integral\n"
@@ -259,6 +261,8 @@ RUNS = {
              "from psifrac import cli\n"
              f"for argv in {OPERATOR_RUNS!r}:\n"
              "    cli.main(argv)\n",
+    "sympy.physics": "from psifrac import cli\n"
+                     "cli.main(['solve', '--case', 'K=1'])\n",
 }
 
 

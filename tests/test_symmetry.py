@@ -13,6 +13,7 @@ from psifrac.errors import DomainError
 from psifrac.fracops import frac_deriv_psi_powers
 from psifrac.jets import JetFunction, T, U, W, X, compiled
 from psifrac.psi import builtin
+from psifrac.special import gen_binom
 from psifrac.symmetry import UX, UXX
 
 ALPHA = 0.5
@@ -391,8 +392,6 @@ def test_gazizov_family_matches_from_scratch_derivatives():
     # each equation of the family against binom(alpha, n) d^n eta_u/dt^n
     # - binom(alpha, n+1) d^{n+1} tau/dt^{n+1} taken from scratch; the
     # family stops where both derivatives vanish, so its tail is 0
-    from psifrac.special import gen_binom
-
     cases = [
         (X * U * T**3 + U * sp.exp(2 * T), T**4 / 3 + sp.cos(T)),
         (U**2 * T**2 + X * U, 2 * T / ALPHA),
@@ -401,7 +400,8 @@ def test_gazizov_family_matches_from_scratch_derivatives():
     terms = 8
     for eta, tau in cases:
         etau = sp.diff(eta, U)
-        got = sy._gazizov_family(etau, sp.diff(tau, T), ALPHA, terms)
+        binoms = [gen_binom(ALPHA, n) for n in range(1, terms + 2)]
+        got = sy._gazizov_family(etau, sp.diff(tau, T), binoms)
         assert len(got) <= terms
         for n in range(1, terms + 1):
             want = (gen_binom(ALPHA, n) * sp.diff(etau, T, n)
@@ -461,6 +461,13 @@ KERNELS = [IDENTITY, POWER, builtin("exponential", 0.0, 1.0)]
 CLASSICAL = builtin("identity", 0.0, 10.0)
 
 
+def _clear_builders():
+    """Empty the classical systems' build caches, whose entries hold
+    callables from symmetry.compiled."""
+    sy._zhang_system.cache_clear()
+    sy._gazizov_system.cache_clear()
+
+
 def _per_node_reference(run, expr, alpha, node):
     """run() with D^{alpha;psi} of expr, the power sum of the system's
     fractional equation, taken node by node as the systems once did: the
@@ -481,10 +488,14 @@ def _per_node_reference(run, expr, alpha, node):
 
         return at
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sy, "power_rule_expr", lambda *_: marker)
-        mp.setattr(sy, "compiled", compiled_or_per_node)
-        return run()
+    _clear_builders()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sy, "power_rule_expr", lambda *_: marker)
+            mp.setattr(sy, "compiled", compiled_or_per_node)
+            return run()
+    finally:
+        _clear_builders()
 
 
 def _assert_same_maxima(run, expr, alpha, node=(X, W)):
@@ -560,6 +571,209 @@ def test_systems_reject_a_fractional_part_that_is_no_power_sum():
         sy.detsys_gazizov_rl(sy.GeneratorCandidate("sin", general=inf), g, ALPHA)
 
 
+# -- one build per generator shape ------------------------------------------------
+
+
+def _concrete_zhang(candidate, equation, alpha, tol=1e-8):
+    """detsys_zhang_rl built per call, with alpha and the candidate's
+    numbers in the expressions: the reference for the build per shape."""
+    red = sy._reduced(candidate)
+    if red.c0 != 0.0:
+        raise DomainError("classical reduced system requires tau(0) = 0")
+    ts = sy._ts(0.0)
+    gam = red.gamma
+    xi = red.xi.expr
+    tau = red.c1 * T + red.c2 * T**2
+    taup = sp.diff(tau, T)
+    eta = red.theta.expr * U + red.rho.expr.subs(W, T) + gam * taup * U
+    rho = red.rho.expr.subs(W, T)
+    etau = sp.diff(eta, U)
+    xi1 = sp.diff(xi, X)
+    zeta1 = sp.diff(eta, X) + (etau - xi1) * UX
+    zeta2 = (
+        sp.diff(eta, X, 2)
+        + (2 * sp.diff(etau, X) - sp.diff(xi, X, 2)) * UX
+        + sp.diff(etau, U) * UX**2
+        + (etau - 2 * xi1) * UXX
+    )
+    prolong_of = {0: eta, 1: zeta1, 2: zeta2}
+    eq1 = eq2 = sp.Integer(0)
+    for term in equation.terms():
+        h_x = sp.diff(term, X)
+        h_t = sp.diff(term, T)
+        eq2 += (etau - alpha * taup) * term - xi * h_x - tau * h_t
+        linear = sy.EvolutionEquation.is_linear_term(term)
+        for i, v in ((0, U), (1, UX), (2, UXX)):
+            c = sp.diff(term, v)
+            if c == 0:
+                continue
+            if linear:
+                rho_i = sp.diff(rho, X, i)
+                eq1 -= c * rho_i
+                eq2 -= c * (prolong_of[i] - rho_i)
+            else:
+                eq2 -= c * prolong_of[i]
+    f1 = compiled(sp.expand(eq1), (X, T, U, UX, UXX))
+    f2 = compiled(sp.expand(eq2), (X, T, U, UX, UXX))
+    frac_rho = sy._frac_rho(red, alpha)
+    r = {"1": 0.0, "2": 0.0}
+    for x in sy._XS:
+        for t in ts:
+            dfrac = frac_rho(x, t)
+            for u in sy._US:
+                for ux, uxx in sy._JET_PROBES:
+                    sy._keep_max(r, "1", abs(dfrac + f1(x, t, u, ux, uxx)))
+                    sy._keep_max(r, "2", abs(f2(x, t, u, ux, uxx)))
+    return sy.ResidualReport(r, tol, sy._grid_desc(ts))
+
+
+def _concrete_family(etau, taup, alpha, terms):
+    fam = []
+    dn_etau, dn1_tau = etau, taup
+    for n in range(1, terms + 1):
+        dn_etau, dn1_tau = sp.diff(dn_etau, T), sp.diff(dn1_tau, T)
+        if dn_etau == 0 and dn1_tau == 0:
+            break
+        fam.append(gen_binom(alpha, n) * dn_etau - gen_binom(alpha, n + 1) * dn1_tau)
+    return fam
+
+
+def _concrete_gazizov(candidate, g, alpha, tol=1e-8):
+    """detsys_gazizov_rl built per call, with alpha, the binomials and the
+    generator's numbers in the expressions."""
+    inf = candidate.general
+    ts = sy._ts(0.0)
+    xi, tau, eta = inf.xi.expr, inf.tau.expr, inf.eta.expr
+    etau = sp.diff(eta, U)
+    f_struct = [inf.xi._fn((0, 0, 1)), inf.xi._fn((0, 1, 0)), inf.tau._fn((0, 0, 1)),
+                inf.tau._fn((1, 0, 0)), inf.eta._fn((0, 0, 2))]
+    taup = sp.diff(tau, T)
+    eq3 = (
+        sp.diff(xi, X, 2)
+        - alpha * g.expr * taup
+        - 2 * sp.diff(etau, X)
+        + g.expr * sp.diff(xi, X)
+        - eta * sp.diff(g.expr, U)
+    )
+    eq4 = 2 * sp.diff(xi, X) - alpha * taup
+    xtu = (X, T, U)
+    f3, f4 = compiled(eq3, xtu), compiled(eq4, xtu)
+    fam = [compiled(e, xtu) for e in _concrete_family(etau, taup, alpha, sy._GAZIZOV_TERMS)]
+    frac5 = compiled(fo.power_rule_expr((eta - U * etau).subs(T, W), alpha), (X, W, U))
+    eta_x, eta_xx = inf.eta._fn((1, 0, 0)), inf.eta._fn((2, 0, 0))
+    gfn = g._fn((0,))
+    r = {"structure": 0.0, "family": 0.0, "iii": 0.0, "iv": 0.0, "v": 0.0}
+    for x in sy._XS:
+        for t in ts:
+            for u in sy._US:
+                for f in f_struct:
+                    sy._keep_max(r, "structure", abs(f(x, t, u)))
+                for f in fam:
+                    sy._keep_max(r, "family", abs(f(x, t, u)))
+                sy._keep_max(r, "iii", abs(f3(x, t, u)))
+                sy._keep_max(r, "iv", abs(f4(x, t, u)))
+                e5 = frac5(x, t, u) - eta_xx(x, t, u) - gfn(u) * eta_x(x, t, u)
+                sy._keep_max(r, "v", abs(e5))
+    return sy.ResidualReport(r, tol, sy._grid_desc(ts))
+
+
+def _assert_agree(got, want):
+    assert got.passed == want.passed, (str(got), str(want))
+    assert got.equations.keys() == want.equations.keys()
+    for eq, w in want.equations.items():
+        g = got.equations[eq]
+        same = math.isnan(g) and math.isnan(w) or abs(g - w) <= 1e-14 * (1 + abs(w))
+        assert same, (eq, g, w)
+
+
+def _assert_both_systems_agree(cand, eq, g, alpha):
+    """Both classical systems on a reduced candidate (zhang needs c0 = 0)
+    against their per-call builds."""
+    if cand.reduced.c0 == 0.0:
+        _assert_agree(sy.detsys_zhang_rl(cand, eq, alpha), _concrete_zhang(cand, eq, alpha))
+    gen = sy.GeneratorCandidate(cand.label, general=cand.reduced.to_general(CLASSICAL))
+    _assert_agree(sy.detsys_gazizov_rl(gen, g, alpha), _concrete_gazizov(gen, g, alpha))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.79, 1.5])
+def test_classical_panel_matches_the_per_call_build(alpha):
+    eq = sy.lookup_case("g=u").equation(alpha, CLASSICAL, **sy.CASE_DEFAULTS)
+    for cand in st._panel(alpha):
+        _assert_both_systems_agree(cand, eq, eq.g, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.79])
+@pytest.mark.parametrize("params", [dict(sy.CASE_DEFAULTS), dict(sy.CASE_DEFAULTS, p=3, b=0.5)],
+                         ids=("defaults", "p3-b0.5"))
+def test_classical_table_rows_match_the_per_call_build(alpha, params):
+    for case in sy.CASES:
+        if case.kind == "gfbe":
+            eq = case.equation(alpha, CLASSICAL, **params)
+            for cand in case.rows(alpha, **params):
+                _assert_both_systems_agree(cand, eq, eq.g, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.79])
+def test_classical_reduced_system_matches_the_per_call_build_on_float_powers(alpha):
+    # the K=1 rows, whose X4 rho carries floats as coefficient and exponents
+    eq = sy.lookup_case("K=1").equation(alpha, CLASSICAL, **sy.CASE_DEFAULTS)
+    for cand in sy.lookup_case("K=1").rows(alpha, **sy.CASE_DEFAULTS):
+        _assert_agree(sy.detsys_zhang_rl(cand, eq, alpha), _concrete_zhang(cand, eq, alpha))
+
+
+def test_classical_candidates_of_this_file_match_the_per_call_build():
+    g = JetFunction.of_u(U)
+    eq = sy.EvolutionEquation("gfbe", ALPHA, CLASSICAL, g=g)
+    panel = [_scaling(0, c1=0.0, xi=1), _scaling(-1), _scaling(+1), _scaling(-1, c1=1.0),
+             _scaling(0, rho=1, c1=0.0, xi=1), _scaling(-1, rho=X * W**sp.Float(0.37)),
+             _scaling(-sp.Rational(5, 4), xi=X + sp.Rational(3, 11))]
+    for cand in panel + _table("g=u"):
+        _assert_both_systems_agree(cand, eq, g, ALPHA)
+    general = [
+        (X, 2 * T / ALPHA, sp.Integer(-1), sp.exp(U)),
+        (0, T**2, 0, U),
+        (X, 2 * T / ALPHA, U**2 * T**2 + X * U, U),
+        (X, sp.Float(1.25) * T, sp.Float(-0.75) * U + sp.Float(0.5) * T**sp.Float(1.5), U**2),
+        (1, 0, -U, U),
+    ]
+    for xi, tau, eta, gexpr in general:
+        gen = sy.GeneratorCandidate("general",
+                                    general=pr.Infinitesimals.from_exprs(xi, tau, eta))
+        gj = JetFunction.of_u(gexpr)
+        _assert_agree(sy.detsys_gazizov_rl(gen, gj, ALPHA), _concrete_gazizov(gen, gj, ALPHA))
+
+
+def _classical_panel_runs(alpha):
+    """(label, run) for both classical systems on criterion 9's panel."""
+    eq = sy.lookup_case("g=u").equation(alpha, CLASSICAL, **sy.CASE_DEFAULTS)
+    runs = []
+    for cand in st._panel(alpha):
+        gen = sy.GeneratorCandidate(cand.label, general=cand.reduced.to_general(CLASSICAL))
+        runs.append((cand.label, lambda c=cand: sy.detsys_zhang_rl(c, eq, alpha)))
+        runs.append((cand.label, lambda c=gen: sy.detsys_gazizov_rl(c, eq.g, alpha)))
+    return runs
+
+
+@pytest.mark.parametrize("first,second", [(0.5, 0.79), (0.79, 0.3)])
+def test_one_build_serves_every_alpha(monkeypatch, first, second):
+    # at a second alpha, the panel compiles nothing but the power rule of
+    # the one candidate whose fractional part is nonzero: (1)'s and (v)'s
+    # (and nothing is left compiled from other tests at the second alpha)
+    compiled.cache_clear()
+    _clear_builders()
+    for _, run in _classical_panel_runs(first):
+        run()
+    calls = []
+    lambdify = sp.lambdify
+    monkeypatch.setattr(sp, "lambdify", lambda *a, **k: calls.append((label, a[1]))
+                        or lambdify(*a, **k))
+    for label, run in _classical_panel_runs(second):
+        run()
+    assert len(calls) <= 2, calls
+    for label_of_call, expr in calls:
+        assert label_of_call == "constant shift" and expr.has(W), (label_of_call, expr)
+
+
 # -- ansatz solver ------------------------------------------------------------------
 
 
@@ -628,3 +842,33 @@ def test_solver_rejects_bad_parameters():
         sy.solve_ansatz(eq, "g=u^p", p=0.5)
     with pytest.raises(DomainError):
         sy.solve_ansatz(eq, "nonsense")
+
+
+def _same_span_by_simplify(basis_a, basis_b):
+    """selftest._same_span with sympy's simplify in place of expand."""
+    def same(a, b):
+        ra, rb = a.reduced, b.reduced
+        return (all(sp.simplify(p - q) == 0 for p, q in (
+            (ra.xi.expr, rb.xi.expr), (ra.theta.expr, rb.theta.expr),
+            (ra.rho.expr, rb.rho.expr)))
+            and all(abs(p - q) < 1e-12 for p, q in (
+                (ra.c0, rb.c0), (ra.c1, rb.c1), (ra.c2, rb.c2))))
+
+    return (all(any(same(g, h) for h in basis_b) for g in basis_a)
+            and all(any(same(h, g) for g in basis_a) for h in basis_b))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.79])
+@pytest.mark.parametrize("params", [dict(sy.CASE_DEFAULTS), {"p": 3.0, "b": 0.5, "c1": 0.5}],
+                         ids=("defaults", "p3-b0.5-c0.5"))
+def test_span_comparison_by_expand_agrees_with_simplify(alpha, params):
+    # each solved basis against its own published basis, and against every
+    # other case's, so that both verdicts occur
+    cases = [c for c in sy.CASES if c.params is not None]
+    solved = {c.name: c.solve(alpha, IDENTITY, **params) for c in cases}
+    for case in cases:
+        published = case.published(alpha, **params)
+        for name, basis in solved.items():
+            want = _same_span_by_simplify(basis, published)
+            assert st._same_span(basis, published) == want, (case.name, name)
+            assert want == (name == case.name), (case.name, name)
