@@ -93,10 +93,6 @@ class ReducedInfinitesimals:
         """(alpha - 1)/2 when c2 != 0, else 0."""
         return 0.5 * (self.alpha - 1.0) if self.c2 != 0.0 else 0.0
 
-    def dtau_psi(self, w: float) -> float:
-        """D_t^{1;psi} of tau, a polynomial identity in w."""
-        return self.c1 + 2.0 * self.c2 * w
-
     def tau_tilde(self, psi: PsiFunction) -> float:
         """tau in t-units at t = a: c0 / psi'(a)."""
         return self.c0 / psi.deriv(psi.a)

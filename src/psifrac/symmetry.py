@@ -16,15 +16,13 @@ form and the expanded five-block form) used for cross-method agreement
 checks.  A small ansatz solver reproduces the closed-form generator
 bases case by case.
 
-The grid loops make float calls only.  The psi-fractional systems build
-their symbolic pieces once per call, before the loop; the classical ones
-once per generator shape (its floats taken out), taking alpha and those
-floats at run time.  D^{alpha;psi} rho (or, in the expanded system, of
-eta - u eta_u, u fixed) comes from :func:`~psifrac.fracops.power_rule_expr`
-per call and is compiled with :func:`~psifrac.jets.compiled` like every
-other equation.  That set-up is the cost of a check, so it stays lean: no
-``simplify``, each higher t-derivative of the expanded system's family one
-step from the order before, and one :func:`builtin_table` per parameter set.
+Each system is a table of named sympy equations, compiled once per
+coefficient and generator shape (its floats taken out) with alpha, the
+generator's floats and the like as run-time arguments; one float-only
+loop, :func:`_grid_max`, evaluates any table over the grid.  Per call
+come only D^{alpha;psi} rho (or, in the expanded system, of eta - u eta_u,
+u fixed), from :func:`~psifrac.fracops.power_rule_expr`, and the omega
+quadrature.  Nothing calls ``simplify``.
 
 :data:`CASES` is the one registry of the g(u) and K(u) cases: each
 :class:`Case` names its coefficient, its family, its :func:`builtin_table`
@@ -218,8 +216,8 @@ def _omega_residual(
 
 
 def _frac_rho(red: ReducedInfinitesimals, alpha: float):
-    """D^{alpha;psi} rho by the exact power rule, compiled over (x, w)."""
-    return compiled(power_rule_expr(red.rho.expr, alpha), (X, W))
+    """D^{alpha;psi} rho by the exact power rule, compiled over (x, w, u)."""
+    return compiled(power_rule_expr(red.rho.expr, alpha), (X, W, U))
 
 
 def _numbers_out(exprs: tuple) -> tuple:
@@ -233,7 +231,53 @@ def _numbers_out(exprs: tuple) -> tuple:
     return tuple(e.xreplace(out) for e in exprs), numbers
 
 
-# -- psi-fractional Burgers system --------------------------------------------
+# -- tables and the grid --------------------------------------------------------
+
+# the run-time arguments of the tables: alpha, a reduced candidate's c1, c2
+# and gamma, and binom(alpha, n) for n = 1.._GAZIZOV_TERMS + 1
+_ALPHA, _C1, _C2, _GAMMA = sp.symbols("alpha_ c1_ c2_ gamma_", real=True)
+_BINOMS = sp.symbols(f"binom_1:{_GAZIZOV_TERMS + 2}", real=True)
+
+
+def _compile(table: dict, args: tuple) -> MappingProxyType:
+    """A table of named equations, each name holding a tuple of sympy
+    expressions, with each compiled over args; one that is exactly 0 is
+    left out, as its residual is 0 at every node."""
+    return MappingProxyType({name: tuple(compiled(e, args) for e in eqs if e != 0)
+                             for name, eqs in table.items()})
+
+
+def _grid_max(table, nodes: tuple, args: tuple, frac=None, probes=((),)) -> tuple:
+    """(r, at): the max |residual| r[name] of each name of a compiled table
+    over the grid, and the node (x, t, u) where the first name's maximum
+    was last raised (None if never).  Each callable of the table takes
+    (x, w, u, *probe, *args); nodes are the (t, w) of the t nodes, probes
+    the (u_x, u_xx) probes (one empty probe for a table without them), and
+    frac = (name, f) adds f(x, w, u), built per call, to name's equation."""
+    r = dict.fromkeys(table, 0.0)
+    first = next(iter(r))
+    add, fn = frac or (None, None)
+    tails = [(*p, *args) for p in probes]
+    # the fractional term counts where the rest of its equation is 0 too
+    items = tuple((name, eqs if eqs or name != add else (lambda *_: 0.0,))
+                  for name, eqs in table.items())
+    at = None
+    for x in _XS:
+        for t, w in nodes:
+            for u in _US:
+                extra = fn(x, w, u) if fn else 0.0
+                for tail in tails:
+                    for name, eqs in items:
+                        for f in eqs:
+                            e = f(x, w, u, *tail)
+                            if name == add:
+                                e = extra + e
+                            if _keep_max(r, name, abs(e)) and name == first:
+                                at = (x, t, u)
+    return r, at
+
+
+# -- psi-fractional Burgers and diffusion systems ---------------------------------
 
 
 def detsys_gfbe(
@@ -254,40 +298,11 @@ def detsys_gfbe(
             + (gamma D^{1;psi} tau u + theta u + rho) g'(u)
             - xi'' - 2 theta' = 0
       (v)   omega = 0
+
+    (i)-(iv) come from :func:`_fractional_equations`, compiled once per g
+    and generator shape; D^{alpha;psi} rho and (v) per call.
     """
-    red = _reduced(candidate)
-    ts = _ts(psi.a)
-    gam = red.gamma
-    gfn, gpfn = g._fn((0,)), g._fn((1,))
-    theta, th1, th2 = red.theta._fn((0,)), red.theta._fn((1,)), red.theta._fn((2,))
-    xi1, xi2 = red.xi._fn((1,)), red.xi._fn((2,))
-    rho, rho_x, rho_xx = red.rho._fn((0, 0)), red.rho._fn((1, 0)), red.rho._fn((2, 0))
-    frac_rho = _frac_rho(red, alpha)
-    r = {"i": 0.0, "ii": 0.0, "iii": 0.0, "iv": 0.0, "v": 0.0}
-    worst = ""
-    for x in _XS:
-        for t in ts:
-            w = psi(t) - psi(psi.a)
-            dtau = red.dtau_psi(w)
-            e1 = abs(frac_rho(x, w) - rho_xx(x, w))
-            if _keep_max(r, "i", e1):
-                worst = f"i @ x={x:.3g}, t={t:.3g}"
-            _keep_max(r, "ii", abs(alpha * dtau - 2.0 * xi1(x)))
-            for u in _US:
-                e3 = abs((th1(x) * u + rho_x(x, w)) * gfn(u) + th2(x) * u)
-                _keep_max(r, "iii", e3)
-                e4 = abs(
-                    (alpha * dtau - xi1(x)) * gfn(u)
-                    + (gam * dtau * u + theta(x) * u + rho(x, w)) * gpfn(u)
-                    - xi2(x)
-                    - 2.0 * th1(x)
-                )
-                _keep_max(r, "iv", e4)
-    r["v"] = _omega_residual(red, psi, alpha, quad)
-    return ResidualReport(r, tol, _grid_desc(ts), worst)
-
-
-# -- psi-fractional diffusion system ------------------------------------------
+    return _fractional("gfbe", candidate, g, psi, alpha, tol, quad)
 
 
 def detsys_diffusion(
@@ -298,53 +313,67 @@ def detsys_diffusion(
     tol: float = 1e-8,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> ResidualReport:
-    """Determining system for D^{alpha;psi} u = (K(u) u_x)_x, 0 < alpha <= 2.
+    """Determining system for D^{alpha;psi} u = (K(u) u_x)_x, 0 < alpha <= 2,
+    built as :func:`detsys_gfbe` is, from :func:`_fractional_equations`.
 
     K'(u) = 0 dispatches to the shorter constant-diffusivity system.  The
     K'' equation is evaluated with the K' bracket added rather than
     subtracted; the subtracted variant rejects the system's own closed
-    form solutions (see the third example below), so the sign as printed
-    is treated as a typo.
+    form solution K = (3u)^(-4/3), xi = x^2, theta = -3x (pinned by
+    tests/test_symmetry.py::test_k_double_prime_bracket_is_added), so the
+    sign as printed is treated as a typo.
     """
     if not 0.0 < alpha <= 2.0:
         raise DomainError(f"diffusion system needs 0 < alpha <= 2, got {alpha}")
+    return _fractional("diffusion", candidate, K, psi, alpha, tol, quad)
+
+
+def _fractional(kind, candidate, coef, psi, alpha, tol, quad) -> ResidualReport:
+    """The psi-fractional system of kind ('gfbe' or 'diffusion') with the
+    coefficient coef (g or K) on a reduced candidate."""
     red = _reduced(candidate)
     ts = _ts(psi.a)
-    gam = red.gamma
-    kfn, k1fn, k2fn = K._fn((0,)), K._fn((1,)), K._fn((2,))
-    constant_k = sp.diff(K.expr, U) == 0
-    theta, th1, th2 = red.theta._fn((0,)), red.theta._fn((1,)), red.theta._fn((2,))
-    xi1, xi2 = red.xi._fn((1,)), red.xi._fn((2,))
-    rho, rho_x, rho_xx = red.rho._fn((0, 0)), red.rho._fn((1, 0)), red.rho._fn((2, 0))
-    frac_rho = _frac_rho(red, alpha)
-    r = {"i": 0.0, "ii": 0.0, "iii": 0.0, "iv": 0.0, "v": 0.0}
-    worst = ""
-    for x in _XS:
-        for t in ts:
-            w = psi(t) - psi(psi.a)
-            dtau = red.dtau_psi(w)
-            dfrac = frac_rho(x, w)
-            for u in _US:
-                e1 = abs((th2(x) * u + rho_xx(x, w)) * kfn(u) - dfrac)
-                if _keep_max(r, "i", e1):
-                    worst = f"i @ x={x:.3g}, t={t:.3g}, u={u:.3g}"
-                lin = gam * dtau * u + theta(x) * u + rho(x, w)
-                if constant_k:
-                    _keep_max(r, "ii", abs((alpha * dtau - 2 * xi1(x)) * kfn(u)))
-                    _keep_max(r, "iii", abs((xi2(x) - 2 * th1(x)) * kfn(u)))
-                else:
-                    e2 = lin * k1fn(u) + (alpha * dtau - 2 * xi1(x)) * kfn(u)
-                    _keep_max(r, "ii", abs(e2))
-                    e3 = lin * k2fn(u) + (
-                        (alpha + gam) * dtau - 2 * xi1(x) + theta(x)
-                    ) * k1fn(u)
-                    _keep_max(r, "iii", abs(e3))
-                    e4 = 2 * (th1(x) * u + rho_x(x, w)) * k1fn(u) - (
-                        xi2(x) - 2 * th1(x)
-                    ) * kfn(u)
-                    _keep_max(r, "iv", abs(e4))
+    shapes, numbers = _numbers_out((red.xi.expr, red.theta.expr, red.rho.expr))
+    table = _fractional_system(kind, coef.expr, *shapes, tuple(numbers))
+    args = (alpha, red.c1, red.c2, red.gamma, *map(float, numbers.values()))
+    r, at = _grid_max(table, tuple((t, psi(t) - psi(psi.a)) for t in ts), args,
+                      ("i", _frac_rho(red, alpha)))
     r["v"] = _omega_residual(red, psi, alpha, quad)
-    return ResidualReport(r, tol, _grid_desc(ts), worst)
+    worst = "i @ x={:.3g}, t={:.3g}" + (", u={:.3g}" if kind == "diffusion" else "")
+    return ResidualReport(r, tol, _grid_desc(ts), worst.format(*at) if at else "")
+
+
+# one entry per kind, coefficient and generator shape, as for _zhang_system
+@lru_cache(maxsize=64)
+def _fractional_system(kind: str, coef, xi, theta, rho, placeholders: tuple):
+    """:func:`_fractional_equations` compiled over (x, w, u, alpha, c1, c2,
+    gamma, numbers)."""
+    return _compile(_fractional_equations(kind, coef, xi, theta, rho),
+                    (X, W, U, _ALPHA, _C1, _C2, _GAMMA, *placeholders))
+
+
+def _fractional_equations(kind: str, coef, xi, theta, rho) -> dict:
+    """(i)-(iv) of the psi-fractional system of kind for the coefficient
+    coef(u) (g or K) and xi(x), theta(x), rho(x, w), in the symbols alpha_,
+    c1_, c2_ and gamma_; (i) without its D^{alpha;psi} rho, which is added
+    per call."""
+    dtau = _C1 + 2 * _C2 * W  # D^{1;psi} tau, a polynomial identity in w
+    xi1, xi2 = sp.diff(xi, X), sp.diff(xi, X, 2)
+    th1, th2 = sp.diff(theta, X), sp.diff(theta, X, 2)
+    rho_x, rho_xx = sp.diff(rho, X), sp.diff(rho, X, 2)
+    lin = _GAMMA * dtau * U + theta * U + rho
+    k1 = sp.diff(coef, U)
+    if kind == "gfbe":
+        eqs = (-rho_xx, _ALPHA * dtau - 2 * xi1, (th1 * U + rho_x) * coef + th2 * U,
+               (_ALPHA * dtau - xi1) * coef + lin * k1 - xi2 - 2 * th1)
+    elif k1 == 0:  # constant diffusivity
+        eqs = (-(th2 * U + rho_xx) * coef, (_ALPHA * dtau - 2 * xi1) * coef,
+               (xi2 - 2 * th1) * coef, sp.Integer(0))
+    else:
+        eqs = (-(th2 * U + rho_xx) * coef, lin * k1 + (_ALPHA * dtau - 2 * xi1) * coef,
+               lin * sp.diff(coef, U, 2) + ((_ALPHA + _GAMMA) * dtau - 2 * xi1 + theta) * k1,
+               2 * (th1 * U + rho_x) * k1 - (xi2 - 2 * th1) * coef)
+    return {name: (e,) for name, e in zip(("i", "ii", "iii", "iv"), eqs)}
 
 
 # -- classical expanded system (five blocks) ----------------------------------
@@ -366,69 +395,47 @@ def detsys_gazizov_rl(
       (iv)   2 xi' - alpha tau' = 0
       (v)    d_t^alpha(eta) - u d_t^alpha(eta_u) - eta_xx - g eta_x = 0
 
-    All is built once per generator shape and g (:func:`_gazizov_system`)
-    but the fractional t-partials in (v): they hold u fixed and come from
-    the exact power rule, per call, so eta must be a power sum in t
-    (DomainError otherwise, before any node is evaluated).
+    The table is built once per generator shape and g
+    (:func:`_gazizov_system`) but the fractional t-partials in (v): they
+    hold u fixed and come from the exact power rule, per call, so eta must
+    be a power sum in t (DomainError otherwise, before any node is
+    evaluated).
     """
     if candidate.general is None:
         raise DomainError(f"candidate '{candidate.label}' must be in general form")
     inf = candidate.general
     ts = _ts(0.0)  # psi = t, a = 0
     shapes, numbers = _numbers_out((inf.xi.expr, inf.tau.expr, inf.eta.expr))
-    f_struct, fam, f3, f4, eta_x, eta_xx, fixed = _gazizov_system(
-        shapes, g.expr, tuple(numbers))
+    table, fixed = _gazizov_system(shapes, g.expr, tuple(numbers))
     # (v)'s u-fixed fractional combination, with its numbers put back
     frac5 = compiled(power_rule_expr(fixed.xreplace(numbers), alpha), (X, W, U))
     args = (alpha, *[gen_binom(alpha, n) for n in range(1, _GAZIZOV_TERMS + 2)],
             *map(float, numbers.values()))
-    gfn = g._fn((0,))
-    r = {"structure": 0.0, "family": 0.0, "iii": 0.0, "iv": 0.0, "v": 0.0}
-    for x in _XS:
-        for t in ts:
-            for u in _US:
-                for f in f_struct:
-                    _keep_max(r, "structure", abs(f(x, t, u, *args)))
-                for f in fam:
-                    _keep_max(r, "family", abs(f(x, t, u, *args)))
-                _keep_max(r, "iii", abs(f3(x, t, u, *args)))
-                _keep_max(r, "iv", abs(f4(x, t, u, *args)))
-                e5 = frac5(x, t, u) - eta_xx(x, t, u, *args) - gfn(u) * eta_x(x, t, u, *args)
-                _keep_max(r, "v", abs(e5))
+    r, _ = _grid_max(table, tuple(zip(ts, ts)), args, ("v", frac5))
     return ResidualReport(r, tol, _grid_desc(ts))
-
-
-# the run-time arguments of the classical systems: alpha, binom(alpha, n)
-# for n = 1.._GAZIZOV_TERMS + 1, and a reduced candidate's c1, c2 and gamma
-_ALPHA, _C1, _C2, _GAMMA = sp.symbols("alpha_ c1_ c2_ gamma_", real=True)
-_BINOMS = sp.symbols(f"binom_1:{_GAZIZOV_TERMS + 2}", real=True)
 
 
 # one entry per generator shape and g: a run meets a handful of shapes,
 # however many alphas it sweeps, so the bound keeps every one of them
 @lru_cache(maxsize=64)
 def _gazizov_system(shapes: tuple, gexpr: sp.Expr, placeholders: tuple) -> tuple:
-    """The structure block, the family, (iii), (iv), eta_x and eta_xx for xi,
-    tau, eta = shapes and g, compiled over (x, t, u, alpha, binoms, numbers);
-    and (v)'s u-fixed part eta - u eta_u in w = t, uncompiled."""
+    """The table of the structure block, the family, (iii), (iv) and (v)
+    but its fractional part, for xi, tau, eta = shapes and g, compiled over
+    (x, t, u, alpha, binoms, numbers) (t in w's place); and (v)'s u-fixed
+    part eta - u eta_u in w = t, uncompiled."""
     xi, tau, eta = shapes
-    args = (X, T, U, _ALPHA, *_BINOMS, *placeholders)
     etau = sp.diff(eta, U)
-    # a structure equation that is exactly 0 has residual 0 at every node
     struct = (sp.diff(xi, U), sp.diff(xi, T), sp.diff(tau, U), sp.diff(tau, X), sp.diff(etau, U))
-    f_struct = tuple(compiled(e, args) for e in struct if e != 0)
     taup = sp.diff(tau, T)
-    eq3 = (
-        sp.diff(xi, X, 2)
-        - _ALPHA * gexpr * taup
-        - 2 * sp.diff(etau, X)
-        + gexpr * sp.diff(xi, X)
-        - eta * sp.diff(gexpr, U)
-    )
-    eq4 = 2 * sp.diff(xi, X) - _ALPHA * taup
-    fam = tuple(compiled(e, args) for e in _gazizov_family(etau, taup, _BINOMS))
-    return (f_struct, fam, compiled(eq3, args), compiled(eq4, args),
-            compiled(eta, args, (1,)), compiled(eta, args, (2,)),
+    table = {
+        "structure": struct,
+        "family": _gazizov_family(etau, taup, _BINOMS),
+        "iii": (sp.diff(xi, X, 2) - _ALPHA * gexpr * taup - 2 * sp.diff(etau, X)
+                + gexpr * sp.diff(xi, X) - eta * sp.diff(gexpr, U),),
+        "iv": (2 * sp.diff(xi, X) - _ALPHA * taup,),
+        "v": (-sp.diff(eta, X, 2) - gexpr * sp.diff(eta, X),),
+    }
+    return (_compile(table, (X, T, U, _ALPHA, *_BINOMS, *placeholders)),
             sp.expand(eta - U * etau).subs(T, W))
 
 
@@ -465,41 +472,31 @@ def detsys_zhang_rl(
           - sum_{W\\V} H_{u_i} eta^(i) = 0,
 
     with V the H terms linear in a jet coordinate with u-free coefficient.
-    The candidate is reduced with c0 = 0 (tau = c1 t + c2 t^2).  All but
-    D^alpha rho (per call) is built once per shape (:func:`_zhang_system`).
+    The candidate is reduced with c0 = 0 (tau = c1 t + c2 t^2).  The table
+    is built once per shape (:func:`_zhang_system`), D^alpha rho per call,
+    and both equations are evaluated at the fixed (u_x, u_xx) probes too.
     """
     red = _reduced(candidate)
     if red.c0 != 0.0:
         raise DomainError("classical reduced system requires tau(0) = 0")
     ts = _ts(0.0)  # psi = t, a = 0
     shapes, numbers = _numbers_out((red.xi.expr, red.theta.expr, red.rho.expr))
-    f1, f2 = _zhang_system(equation.terms(), *shapes, tuple(numbers))
+    table = _zhang_system(equation.terms(), *shapes, tuple(numbers))
     args = (alpha, red.c1, red.c2, red.gamma, *map(float, numbers.values()))
-    frac_rho = _frac_rho(red, alpha)
-    r = {"1": 0.0, "2": 0.0}
-    worst = ""
-    for x in _XS:
-        for t in ts:
-            dfrac = frac_rho(x, t)
-            for u in _US:
-                for ux, uxx in _JET_PROBES:
-                    e1 = abs(dfrac + f1(x, t, u, ux, uxx, *args))
-                    if _keep_max(r, "1", e1):
-                        worst = f"1 @ x={x:.3g}, t={t:.3g}"
-                    _keep_max(r, "2", abs(f2(x, t, u, ux, uxx, *args)))
+    r, at = _grid_max(table, tuple(zip(ts, ts)), args, ("1", _frac_rho(red, alpha)),
+                      _JET_PROBES)
+    worst = "1 @ x={:.3g}, t={:.3g}".format(*at) if at else ""
     return ResidualReport(r, tol, _grid_desc(ts), worst)
 
 
 # one entry per shape of H and of the candidate, as for _gazizov_system
 @lru_cache(maxsize=64)
-def _zhang_system(terms: tuple, xi, theta, rho, placeholders: tuple) -> tuple:
-    """(1) but its D^alpha rho, and (2), for H's terms and xi, theta, rho
-    (:func:`_numbers_out`), compiled over (x, t, u, u_x, u_xx, alpha, c1,
-    c2, gamma, numbers)."""
-    # symbolic candidate pieces (w = t classically)
-    tau = _C1 * T + _C2 * T**2
-    taup = sp.diff(tau, T)
-    rho = rho.subs(W, T)
+def _zhang_system(terms: tuple, xi, theta, rho, placeholders: tuple):
+    """The table of (1) but its D^alpha rho, and (2), for H's terms and xi,
+    theta, rho (:func:`_numbers_out`), compiled over (x, w, u, u_x, u_xx,
+    alpha, c1, c2, gamma, numbers), w = t classically."""
+    tau = _C1 * W + _C2 * W**2
+    taup = sp.diff(tau, W)
     eta = theta * U + rho + _GAMMA * taup * U
     etau = sp.diff(eta, U)
     xi1 = sp.diff(xi, X)
@@ -515,7 +512,7 @@ def _zhang_system(terms: tuple, xi, theta, rho, placeholders: tuple) -> tuple:
     eq1 = eq2 = sp.Integer(0)
     for term in terms:
         h_x = sp.diff(term, X)
-        h_t = sp.diff(term, T)
+        h_t = sp.diff(term, W)
         eq2 += (etau - _ALPHA * taup) * term - xi * h_x - tau * h_t
         linear = EvolutionEquation.is_linear_term(term)
         for i, v in ((0, U), (1, UX), (2, UXX)):
@@ -528,8 +525,8 @@ def _zhang_system(terms: tuple, xi, theta, rho, placeholders: tuple) -> tuple:
                 eq2 -= c * (prolong_of[i] - rho_i)
             else:
                 eq2 -= c * prolong_of[i]
-    args = (X, T, U, UX, UXX, _ALPHA, _C1, _C2, _GAMMA, *placeholders)
-    return compiled(sp.expand(eq1), args), compiled(sp.expand(eq2), args)
+    return _compile({"1": (sp.expand(eq1),), "2": (sp.expand(eq2),)},
+                    (X, W, U, UX, UXX, _ALPHA, _C1, _C2, _GAMMA, *placeholders))
 
 
 def _grid_desc(ts: tuple) -> str:

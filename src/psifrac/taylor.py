@@ -23,9 +23,9 @@ times, with 1/psi' a truncated series in s = t - t0.
 
 Each node also carries its degree as a polynomial in w: 0 for constants,
 q for psi^q with q a non-negative integer (t for the identity and affine
-kernels, t**(q rho) for t^rho, exp(q c t) for exp(c t)), the maximum over
-a sum, the sum over a product and the multiple under a non-negative
-integer power.  Anything else has no degree (None).
+kernels, t**(q rho) for t^rho, exp(q c t) for exp(c t), and psi itself on
+any other kernel), the maximum over a sum, the sum over a product and the
+multiple under a non-negative integer power.  Anything else has none (None).
 The psi-jets of f vanish past its degree, so a jet table ends there
 exactly, whatever rounding the coefficients before it carry.
 
@@ -106,7 +106,7 @@ class _Compiler:
         self.memo: dict = {}
         self.params = params
         self.kind = None  # "affine", "power", "exp", or None for any other kernel
-        self.inv_psi = None
+        self.inv_psi = self.psi_tree = None
         rate = _exp_rate(psi_tree)
         slope = _slope(psi_tree)
         if psi_tree[0] == "pow" and psi_tree[1] == T and psi_tree[2][0] == "num":
@@ -121,6 +121,7 @@ class _Compiler:
         else:
             # 1/psi' in s = t - t0 (psi = t makes w = s), for the jets of t
             self.inv_dpsi = program(_reciprocal_derivative(psi_tree), T)
+            self.psi_tree, self.psi_at = psi_tree, program(psi_tree, T)
 
     def _emit(self, step, degree) -> _Node:
         self.steps.append(step)
@@ -141,6 +142,9 @@ class _Compiler:
             return _Node(None, v, 0)
         if e == T:
             return self._t()
+        if e == self.psi_tree:  # psi(t0) + w, on a kernel given by an expression
+            at = self.psi_at
+            return self._emit(lambda r, pt, size: _affine(at.series(pt[0], 1)[0], 1.0, size), 1)
         if op == "sym":
             if e[1] not in self.params:
                 raise DomainError(f"psi-jets of a function of t, but it depends on {e[1]}")

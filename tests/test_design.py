@@ -3,8 +3,8 @@ compile, so equal requests share one callable and compile once; the
 psi-jets have one owner, fracops, above the compile cache; the series
 backend takes its jets without symbolic differentiation; the
 psi-time prolongation is the compact form at an integer order; the
-determining systems keep sympy out of their grid loops, and the
-prolongation sums out of their m-loops; the classical checks never
+determining systems share one grid loop with no sympy in it, and the
+prolongation sums keep it out of their m-loops; the classical checks never
 simplify; each CLI command takes the flags of the settings it reads,
 and reads every one of them; every cache has a finite bound; and a run
 loads no module it does not use: no scipy, no random generator for the
@@ -39,7 +39,7 @@ def test_lambdify_is_called_in_one_place():
     assert sites["jets.py"] == 1
 
 
-# symbolic work a determining system does once per call, before its grid
+# symbolic work a determining system does outside its grid
 SYMBOLIC_CALLS = {"subs", "expand", "diff", "frac_deriv_psi_powers",
                   "power_rule_expr", "compiled"}
 
@@ -52,29 +52,33 @@ def _called_names(node):
 
 
 def test_no_sympy_in_the_determining_system_grid_loops():
+    # one function in symmetry.py loops over the grid's x nodes; it does no
+    # symbolic work, itself or in the module functions it calls, and every
+    # determining system reaches it
     tree = ast.parse((SRC / "symmetry.py").read_text())
     helpers = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
 
-    def symbolic(node, seen):
-        """SYMBOLIC_CALLS made in node or in the module functions it calls."""
+    def reached(node, seen):
+        """The names node calls, with those the module functions it calls
+        call, transitively."""
         found = set()
         for name in _called_names(node):
-            if name in SYMBOLIC_CALLS:
-                found.add(name)
-            elif name in helpers and name not in seen:
+            found.add(name)
+            if name in helpers and name not in seen:
                 seen.add(name)
-                found |= symbolic(helpers[name], seen)
+                found |= reached(helpers[name], seen)
         return found
 
-    systems = [f for name, f in helpers.items() if name.startswith("detsys_")]
+    looping = {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+               and any(isinstance(n, (ast.For, ast.comprehension))
+                       and getattr(n.iter, "id", None) == "_XS" for n in ast.walk(f))}
+    assert len(looping) == 1, looping
+    (grid,) = looping
+    assert not reached(helpers[grid], set()) & SYMBOLIC_CALLS
+    systems = [name for name in helpers if name.startswith("detsys_")]
     assert len(systems) == 4
-    for system in systems:
-        # the outer loop over the x nodes holds every node of the grid
-        loops = [n for n in ast.walk(system) if isinstance(n, ast.For)
-                 and getattr(n.iter, "id", None) == "_XS"]
-        assert loops, system.name
-        for loop in loops:
-            assert not symbolic(loop, set()), (system.name, loop.lineno)
+    for name in systems:
+        assert grid in reached(helpers[name], set()), name
 
 
 # symbolic work, or a jet build, that a prolongation sum does before its loop

@@ -94,6 +94,7 @@ def test_zero_partials_skip_lambdify(monkeypatch):
     def run():
         compiled.cache_clear()
         fo._psi_jet_fn.cache_clear()
+        _clear_builders()
         calls.clear()
         rep = sy.detsys_gfbe(cand, g, IDENTITY, ALPHA)
         return len(calls), repr(sorted(rep.equations.items()))
@@ -270,6 +271,24 @@ def test_power_law_diffusivity_projective_generator(psi):
     (cand,) = _table("K=(c1+3u)^(-4/3)")
     rep = sy.detsys_diffusion(cand, K, psi, ALPHA, tol=1e-10)
     assert rep.passed, str(rep)
+
+
+def test_k_double_prime_bracket_is_added():
+    # K = (3u)^(-4/3) with the published xi = x^2, theta = -3x (the
+    # K=(c1+3u)^(-4/3) row at c1 = 0, tau = 0): (iii) as implemented, with
+    # the K' bracket added, vanishes identically; the printed sign,
+    # subtracting it, leaves -56 3^(2/3) x / (27 u^(7/3))
+    K = (3 * U) ** sp.Rational(-4, 3)
+    xi, theta = X**2, -3 * X
+    (iii,) = sy._fractional_equations("diffusion", K, xi, theta, sp.Integer(0))["iii"]
+    iii = iii.subs({sy._C1: 0, sy._C2: 0})
+    lin, bracket = theta * U, theta - 2 * sp.diff(xi, X)
+    k1, k2 = sp.diff(K, U), sp.diff(K, U, 2)
+    assert sp.simplify(iii - (lin * k2 + bracket * k1)) == 0
+    assert sp.simplify(iii) == 0
+    printed = lin * k2 - bracket * k1
+    assert sp.simplify(printed + 56 * 3 ** sp.Rational(2, 3) * X
+                       / (27 * U ** sp.Rational(7, 3))) == 0
 
 
 def test_diffusion_rejects_wrong_projective_theta():
@@ -462,8 +481,9 @@ CLASSICAL = builtin("identity", 0.0, 10.0)
 
 
 def _clear_builders():
-    """Empty the classical systems' build caches, whose entries hold
-    callables from symmetry.compiled."""
+    """Empty the systems' build caches, whose entries hold callables from
+    symmetry.compiled."""
+    sy._fractional_system.cache_clear()
     sy._zhang_system.cache_clear()
     sy._gazizov_system.cache_clear()
 
@@ -615,7 +635,7 @@ def _concrete_zhang(candidate, equation, alpha, tol=1e-8):
                 eq2 -= c * prolong_of[i]
     f1 = compiled(sp.expand(eq1), (X, T, U, UX, UXX))
     f2 = compiled(sp.expand(eq2), (X, T, U, UX, UXX))
-    frac_rho = sy._frac_rho(red, alpha)
+    frac_rho = compiled(fo.power_rule_expr(red.rho.expr, alpha), (X, W))
     r = {"1": 0.0, "2": 0.0}
     for x in sy._XS:
         for t in ts:
@@ -743,6 +763,132 @@ def test_classical_candidates_of_this_file_match_the_per_call_build():
         _assert_agree(sy.detsys_gazizov_rl(gen, gj, ALPHA), _concrete_gazizov(gen, gj, ALPHA))
 
 
+def _concrete_gfbe(candidate, g, psi, alpha, tol=1e-8, quad=fo.QuadratureSpec()):
+    """detsys_gfbe as a loop over the candidate's compiled partials, per
+    call: the reference for the table built once per shape."""
+    red = sy._reduced(candidate)
+    ts = sy._ts(psi.a)
+    gam = red.gamma
+    gfn, gpfn = g._fn((0,)), g._fn((1,))
+    theta, th1, th2 = red.theta._fn((0,)), red.theta._fn((1,)), red.theta._fn((2,))
+    xi1, xi2 = red.xi._fn((1,)), red.xi._fn((2,))
+    rho, rho_x, rho_xx = red.rho._fn((0, 0)), red.rho._fn((1, 0)), red.rho._fn((2, 0))
+    frac_rho = compiled(fo.power_rule_expr(red.rho.expr, alpha), (X, W))
+    r = {"i": 0.0, "ii": 0.0, "iii": 0.0, "iv": 0.0, "v": 0.0}
+    worst = ""
+    for x in sy._XS:
+        for t in ts:
+            w = psi(t) - psi(psi.a)
+            dtau = red.c1 + 2.0 * red.c2 * w
+            e1 = abs(frac_rho(x, w) - rho_xx(x, w))
+            if sy._keep_max(r, "i", e1):
+                worst = f"i @ x={x:.3g}, t={t:.3g}"
+            sy._keep_max(r, "ii", abs(alpha * dtau - 2.0 * xi1(x)))
+            for u in sy._US:
+                e3 = abs((th1(x) * u + rho_x(x, w)) * gfn(u) + th2(x) * u)
+                sy._keep_max(r, "iii", e3)
+                e4 = abs(
+                    (alpha * dtau - xi1(x)) * gfn(u)
+                    + (gam * dtau * u + theta(x) * u + rho(x, w)) * gpfn(u)
+                    - xi2(x)
+                    - 2.0 * th1(x)
+                )
+                sy._keep_max(r, "iv", e4)
+    r["v"] = sy._omega_residual(red, psi, alpha, quad)
+    return sy.ResidualReport(r, tol, sy._grid_desc(ts), worst)
+
+
+def _concrete_diffusion(candidate, K, psi, alpha, tol=1e-8, quad=fo.QuadratureSpec()):
+    """detsys_diffusion as a loop over compiled partials, per call."""
+    red = sy._reduced(candidate)
+    ts = sy._ts(psi.a)
+    gam = red.gamma
+    kfn, k1fn, k2fn = K._fn((0,)), K._fn((1,)), K._fn((2,))
+    constant_k = sp.diff(K.expr, U) == 0
+    theta, th1, th2 = red.theta._fn((0,)), red.theta._fn((1,)), red.theta._fn((2,))
+    xi1, xi2 = red.xi._fn((1,)), red.xi._fn((2,))
+    rho, rho_x, rho_xx = red.rho._fn((0, 0)), red.rho._fn((1, 0)), red.rho._fn((2, 0))
+    frac_rho = compiled(fo.power_rule_expr(red.rho.expr, alpha), (X, W))
+    r = {"i": 0.0, "ii": 0.0, "iii": 0.0, "iv": 0.0, "v": 0.0}
+    worst = ""
+    for x in sy._XS:
+        for t in ts:
+            w = psi(t) - psi(psi.a)
+            dtau = red.c1 + 2.0 * red.c2 * w
+            dfrac = frac_rho(x, w)
+            for u in sy._US:
+                e1 = abs((th2(x) * u + rho_xx(x, w)) * kfn(u) - dfrac)
+                if sy._keep_max(r, "i", e1):
+                    worst = f"i @ x={x:.3g}, t={t:.3g}, u={u:.3g}"
+                lin = gam * dtau * u + theta(x) * u + rho(x, w)
+                if constant_k:
+                    sy._keep_max(r, "ii", abs((alpha * dtau - 2 * xi1(x)) * kfn(u)))
+                    sy._keep_max(r, "iii", abs((xi2(x) - 2 * th1(x)) * kfn(u)))
+                else:
+                    e2 = lin * k1fn(u) + (alpha * dtau - 2 * xi1(x)) * kfn(u)
+                    sy._keep_max(r, "ii", abs(e2))
+                    e3 = lin * k2fn(u) + (
+                        (alpha + gam) * dtau - 2 * xi1(x) + theta(x)
+                    ) * k1fn(u)
+                    sy._keep_max(r, "iii", abs(e3))
+                    e4 = 2 * (th1(x) * u + rho_x(x, w)) * k1fn(u) - (
+                        xi2(x) - 2 * th1(x)
+                    ) * kfn(u)
+                    sy._keep_max(r, "iv", abs(e4))
+    r["v"] = sy._omega_residual(red, psi, alpha, quad)
+    return sy.ResidualReport(r, tol, sy._grid_desc(ts), worst)
+
+
+def _reduced_candidate(alpha, xi, c0, c1, c2, theta, rho=0):
+    return sy.GeneratorCandidate("candidate", reduced=pr.ReducedInfinitesimals(
+        alpha, sy._jx(xi), c0, c1, c2, sy._jx(theta), sy._jxw(rho)))
+
+
+def _fractional_reports(alpha, params):
+    """(kind, candidate, coefficient) for every table row, the g = u
+    scaling row with theta, c1 or c0 moved, and power-law and constant
+    diffusivity candidates off the table: with theta moved, with c2 != 0
+    (the gamma path) and c0 != 0, and with c2 != 0 alone."""
+    two = 2.0 / alpha
+    runs = []
+    for row, cand in sy.builtin_table(alpha, **params):
+        case = next(c for c in sy.CASES if c.row == row)
+        runs.append((case.kind, cand, case.jet(**params)))
+    g = JetFunction.of_u(U)
+    for c0, c1, theta in ((0.0, two, -0.8), (0.0, two + 0.3, -1), (0.4, two, -1)):
+        runs.append(("gfbe", _reduced_candidate(alpha, X, c0, c1, 0.0, theta), g))
+    c1 = sy._rational(params["c1"])
+    power_law = sy.lookup_case("K=power-law").jet(**params)
+    runs += [
+        ("diffusion", _reduced_candidate(alpha, X**2, 0.0, 0.0, 0.0, -2.5 * X, -c1 * X),
+         power_law),
+        ("diffusion", _reduced_candidate(alpha, X**2, 0.4, 0.0, 0.3, -3 * X, -c1 * X),
+         power_law),
+        ("diffusion", _reduced_candidate(alpha, X, 0.0, two, 0.5, 0, X**2 * W),
+         sy.lookup_case("K=1").jet(**params)),
+    ]
+    return runs
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.79, 1.5])
+@pytest.mark.parametrize("params", [dict(sy.CASE_DEFAULTS), {"p": 3, "b": 0.5, "c1": 0.5}],
+                         ids=("defaults", "p3-b0.5-c0.5"))
+def test_fractional_systems_match_the_per_call_loops(alpha, params):
+    # equal verdicts, residuals within 1e-14 (1 + |reference|), and the
+    # same worst node wherever (i) is more than rounding
+    systems = {"gfbe": (sy.detsys_gfbe, _concrete_gfbe),
+               "diffusion": (sy.detsys_diffusion, _concrete_diffusion)}
+    runs = _fractional_reports(alpha, params)
+    assert len(runs) == 16
+    for psi in KERNELS:
+        for kind, cand, coef in runs:
+            system, reference = systems[kind]
+            got, want = system(cand, coef, psi, alpha), reference(cand, coef, psi, alpha)
+            _assert_agree(got, want)
+            if want.equations["i"] > 1e-14:
+                assert got.worst == want.worst, (kind, cand.label, psi.name)
+
+
 def _classical_panel_runs(alpha):
     """(label, run) for both classical systems on criterion 9's panel."""
     eq = sy.lookup_case("g=u").equation(alpha, CLASSICAL, **sy.CASE_DEFAULTS)
@@ -754,24 +900,41 @@ def _classical_panel_runs(alpha):
     return runs
 
 
-@pytest.mark.parametrize("first,second", [(0.5, 0.79), (0.79, 0.3)])
-def test_one_build_serves_every_alpha(monkeypatch, first, second):
-    # at a second alpha, the panel compiles nothing but the power rule of
-    # the one candidate whose fractional part is nonzero: (1)'s and (v)'s
-    # (and nothing is left compiled from other tests at the second alpha)
+def _fractional_runs(alpha):
+    """(label, run) for both psi-fractional systems on the candidates of
+    :func:`_fractional_reports`, on each kernel."""
+    systems = {"gfbe": sy.detsys_gfbe, "diffusion": sy.detsys_diffusion}
+    return [(cand.label, lambda k=kind, c=cand, j=coef, p=psi: systems[k](c, j, p, alpha))
+            for psi in KERNELS
+            for kind, cand, coef in _fractional_reports(alpha, dict(sy.CASE_DEFAULTS))]
+
+
+@pytest.mark.parametrize("first,second,runs,only", [
+    pytest.param(0.5, 0.79, _classical_panel_runs, "constant shift", id="0.5-0.79"),
+    pytest.param(0.79, 0.3, _classical_panel_runs, "constant shift", id="0.79-0.3"),
+    pytest.param(0.6, 0.79, _fractional_runs, None, id="fractional-0.6-0.79"),
+    pytest.param(0.79, 0.3, _fractional_runs, None, id="fractional-0.79-0.3"),
+])
+def test_one_build_serves_every_alpha(monkeypatch, first, second, runs, only):
+    # at a second alpha, the systems compile nothing but power rules; on
+    # criterion 9's panel, only those of the one candidate whose fractional
+    # part is nonzero: (1)'s and (v)'s (and nothing is left compiled from
+    # other tests at the second alpha)
     compiled.cache_clear()
     _clear_builders()
-    for _, run in _classical_panel_runs(first):
+    for _, run in runs(first):
         run()
-    calls = []
-    lambdify = sp.lambdify
+    calls, rules = [], set()
+    lambdify, rule = sp.lambdify, sy.power_rule_expr
     monkeypatch.setattr(sp, "lambdify", lambda *a, **k: calls.append((label, a[1]))
                         or lambdify(*a, **k))
-    for label, run in _classical_panel_runs(second):
+    monkeypatch.setattr(sy, "power_rule_expr", lambda *a: rules.add(rule(*a)) or rule(*a))
+    for label, run in runs(second):
         run()
-    assert len(calls) <= 2, calls
     for label_of_call, expr in calls:
-        assert label_of_call == "constant shift" and expr.has(W), (label_of_call, expr)
+        assert expr in rules and expr.has(W), (label_of_call, expr)
+        assert only in (None, label_of_call), (label_of_call, expr)
+    assert only is None or len(calls) <= 2, calls
 
 
 # -- ansatz solver ------------------------------------------------------------------

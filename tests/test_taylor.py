@@ -71,6 +71,26 @@ def test_jets_on_a_kernel_given_by_its_expression():
         want = sp.diff(want, T) / (1 + 3 * T**2)
 
 
+def test_psi_polynomial_on_a_kernel_given_by_its_expression_ends_at_its_degree(
+        monkeypatch):
+    # psi's own subtree is psi(t0) + w, of degree 1, as on the built-in
+    # kernels: psi^2 + psi has degree 2 and exact zeros past it, and the
+    # Leibniz sum takes no fractional operator for those terms
+    psi = PsiFunction("cubic", 0.1, 2.0, expr=T + T**3)
+    f = _as_f_of_t("psi^2 + psi", psi)
+    assert program(f.tree, psi.tree).degree == 2
+    w = psi(1.3) - psi(psi.a)
+    jets = fo.psi_jets(f, psi, 1.3, 8)
+    assert jets[:3] == pytest.approx([w**2 + w, 2 * w + 1, 2.0], rel=1e-12)
+    assert jets[3:] == [0.0] * 6
+    orders = []
+    frac_op = fo.frac_op
+    monkeypatch.setattr(fo, "frac_op", lambda g, psi, order, *rest:
+                        orders.append(order) or frac_op(g, psi, order, *rest))
+    fo.leibniz_product(f, JetFunction.of_t(T + 1), psi, 0.5, 1.3, 10)
+    assert orders == [0.5, -0.5, -1.5]
+
+
 @pytest.mark.parametrize("kernel", ["identity", "power", "exponential"])
 def test_power_sum_table_ends_at_its_degree(kernel):
     psi = KERNELS[kernel]
