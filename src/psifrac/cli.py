@@ -412,6 +412,14 @@ class _Parser(argparse.ArgumentParser):
             later(self)
         return super().parse_known_args(args, namespace)
 
+    def _parse_optional(self, arg_string):
+        # only a registered option string, alone or as --flag=value, is an
+        # option: anything else that starts with '-' is a value, as -3*x is
+        # for --theta (argparse would take it for an unknown option)
+        if arg_string.split("=", 1)[0] not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
+
     def error(self, message):
         raise DomainError(f"{self.prog}: {message}")
 

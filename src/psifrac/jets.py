@@ -9,8 +9,9 @@ tree never loads sympy.  Derivatives come from the expression, never from
 finite differences.
 
 :func:`compiled` turns an expression, or one of its mixed partials, into
-a float callable; every lambdified callable in the package comes from
-it, so equal requests share one compile.  The symbolic psi-jets of the
+a float callable, and :func:`compiled_array` an expression into a callable
+on numpy arrays; every lambdified callable in the package comes from one
+of them, so equal requests share one compile.  The symbolic psi-jets of the
 quadrature backend, for functions given in sympy, are built in
 :mod:`psifrac.fracops`, which sits above this module, and are compiled
 here like any other expression; the psi-jets of a tree, of the series
@@ -28,7 +29,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-__all__ = ["JetFunction", "SolutionJet", "compiled", "symbol", "X", "T", "U", "W"]
+import numpy as np
+
+__all__ = ["JetFunction", "SolutionJet", "compiled", "compiled_array", "symbol",
+           "X", "T", "U", "W"]
 
 
 def __getattr__(name: str):
@@ -64,13 +68,8 @@ def compiled(expr, vars: tuple = None, orders: tuple = ()):
     vars None stands for (t,): hashing a sympy symbol runs Python code, and
     the hot callers, psi and the psi-jets of f(t), look up on every call.
     Pass every argument positionally: the cache keys on the arguments as
-    given.  An expression or partial that is exactly 0 (as many partials
-    of the determining systems are) is not compiled: every such request
-    shares one constant callable.
-
-    ``docstring_limit=0`` keeps lambdify from printing the expression a
-    second time, into the callable's ``__doc__`` (about a quarter of a
-    compile); the generated code is the same.
+    given.  An expression or partial that is exactly 0 is not compiled
+    (:func:`_lambdify`).
     """
     sp = _sp()
     if vars is None:
@@ -79,9 +78,46 @@ def compiled(expr, vars: tuple = None, orders: tuple = ()):
     for v, o in zip(vars, orders):
         if o:
             e = sp.diff(e, v, o)
+    return _lambdify(vars, e, False)
+
+
+# one entry per equation of a determining system's shape cache, and per
+# power rule: a few hundred in a long sweep
+@lru_cache(maxsize=512)
+def compiled_array(expr, vars: tuple):
+    """Callable of expr in vars that takes numpy arrays, which broadcast;
+    an expression free of the arrays' variables returns a scalar."""
+    return _lambdify(vars, expr, True)
+
+
+# the namespace of an array callable: numpy's ufuncs by the names the NumPy
+# printer writes (lambdify imports any other name a callable needs on its
+# own); modules="numpy" would copy numpy's whole namespace, about 18 kB,
+# into every callable, and load numpy.random
+_UFUNCS = {name: getattr(np, name) for name in ("exp", "log", "sin", "cos", "sqrt")}
+
+
+def _lambdify(vars: tuple, e, array: bool):
+    """The package's one lambdify: for floats through math, or for arrays
+    through the NumPy printer (a new one each time, as a printer keeps
+    every name it has printed) and _UFUNCS.  An expression that is exactly
+    0 is not compiled: every such request shares one constant callable.
+
+    ``docstring_limit=0`` keeps lambdify from printing the expression a
+    second time, into the callable's ``__doc__`` (about a quarter of a
+    compile); the generated code is the same.
+    """
+    sp = _sp()
     if e is sp.S.Zero:
         return _zero
-    return sp.lambdify(vars, e, "math", docstring_limit=0)
+    modules, printer = "math", None
+    if array:
+        from sympy.printing.numpy import NumPyPrinter
+
+        modules = [_UFUNCS]
+        printer = NumPyPrinter({"fully_qualified_modules": False, "inline": True,
+                                "allow_unknown_functions": True, "user_functions": {}})
+    return sp.lambdify(vars, e, modules, printer=printer, docstring_limit=0)
 
 
 def _zero(*args):

@@ -16,12 +16,13 @@ form and the expanded five-block form) used for cross-method agreement
 checks.  A small ansatz solver reproduces the closed-form generator
 bases case by case.
 
-Each system is a table of named sympy equations, compiled once per
-coefficient and generator shape (its floats taken out) with alpha, the
-generator's floats and the like as run-time arguments; one float-only
-loop, :func:`_grid_max`, evaluates any table over the grid.  Per call
-come only D^{alpha;psi} rho (or, in the expanded system, of eta - u eta_u,
-u fixed), from :func:`~psifrac.fracops.power_rule_expr`, and the omega
+Each system is a table of named sympy equations, compiled for numpy
+arrays once per coefficient and generator shape (its floats taken out),
+with alpha, the generator's floats and the like as run-time arguments;
+:func:`_grid_max` calls each equation of any table once, on the whole
+grid.  The fractional term, D^{alpha;psi} rho (or, in the expanded
+system, of eta - u eta_u with u fixed), is built once per shape too
+(:func:`_power_rule`): per call come only its gamma ratios and the omega
 quadrature.  Nothing calls ``simplify``.
 
 :data:`CASES` is the one registry of the g(u) and K(u) cases: each
@@ -43,14 +44,14 @@ import sympy as sp
 
 from .errors import DomainError
 from .fracops import QuadratureSpec, power_rule_expr
-from .jets import T, U, W, X, JetFunction, compiled
+from .jets import T, U, W, X, JetFunction, compiled, compiled_array
 from .prolong import (
     Infinitesimals,
     ReducedInfinitesimals,
     omega_commutator,
 )
 from .psi import PsiFunction
-from .special import gamma, gen_binom
+from .special import gamma, gen_binom, rgamma
 
 __all__ = [
     "UX",
@@ -117,7 +118,7 @@ class EvolutionEquation:
         if self.kind == "gfbe":
             if self.g is None:
                 raise DomainError("gfbe needs g(u)")
-            if sp.diff(self.g.expr, U) == 0:
+            if _constant_in_u(self.g.expr):
                 raise DomainError("g(u) must not be constant")
         if self.kind == "diffusion" and self.K is None:
             raise DomainError("diffusion needs K(u)")
@@ -141,6 +142,12 @@ class EvolutionEquation:
                     c.has(U) or c.has(UX) or c.has(UXX)
                 )
         return False
+
+
+# a sweep builds an equation per check, on a handful of coefficients
+@lru_cache(maxsize=64)
+def _constant_in_u(expr) -> bool:
+    return sp.diff(expr, U) == 0
 
 
 @dataclass(frozen=True)
@@ -182,15 +189,6 @@ def _nan_max(cur: float, e: float) -> float:
     return e if e > cur or (e != e and cur == cur) else cur
 
 
-def _keep_max(r: dict, eq: str, e: float) -> bool:
-    """Raise the running maximum r[eq] to e by :func:`_nan_max`; True when
-    it moved (_nan_max hands back the very object it was given as cur
-    when nothing moves)."""
-    old = r[eq]
-    r[eq] = _nan_max(old, e)
-    return r[eq] is not old
-
-
 def _reduced(candidate: GeneratorCandidate) -> ReducedInfinitesimals:
     if candidate.reduced is None:
         raise DomainError(f"candidate '{candidate.label}' must be in reduced form")
@@ -209,15 +207,10 @@ def _omega_residual(
         return 0.0
     w = psi.expr - psi.expr.subs(T, psi.a)
     probe = JetFunction.of_t(sum(c * w**k for k, c in enumerate(_U_PROBE)))
-    r = {"v": 0.0}
+    v = 0.0
     for t in _ts(psi.a):
-        _keep_max(r, "v", abs(red.c0 * omega_commutator(probe, psi, alpha, t, quad)))
-    return r["v"]
-
-
-def _frac_rho(red: ReducedInfinitesimals, alpha: float):
-    """D^{alpha;psi} rho by the exact power rule, compiled over (x, w, u)."""
-    return compiled(power_rule_expr(red.rho.expr, alpha), (X, W, U))
+        v = _nan_max(v, abs(red.c0 * omega_commutator(probe, psi, alpha, t, quad)))
+    return v
 
 
 def _numbers_out(exprs: tuple) -> tuple:
@@ -241,40 +234,104 @@ _BINOMS = sp.symbols(f"binom_1:{_GAZIZOV_TERMS + 2}", real=True)
 
 def _compile(table: dict, args: tuple) -> MappingProxyType:
     """A table of named equations, each name holding a tuple of sympy
-    expressions, with each compiled over args; one that is exactly 0 is
-    left out, as its residual is 0 at every node."""
-    return MappingProxyType({name: tuple(compiled(e, args) for e in eqs if e != 0)
+    expressions, with each compiled for arrays over args; one that is
+    exactly 0 is left out, as its residual is 0 at every node."""
+    return MappingProxyType({name: tuple(compiled_array(e, args) for e in eqs if e != 0)
                              for name, eqs in table.items()})
 
 
-def _grid_max(table, nodes: tuple, args: tuple, frac=None, probes=((),)) -> tuple:
-    """(r, at): the max |residual| r[name] of each name of a compiled table
-    over the grid, and the node (x, t, u) where the first name's maximum
-    was last raised (None if never).  Each callable of the table takes
-    (x, w, u, *probe, *args); nodes are the (t, w) of the t nodes, probes
-    the (u_x, u_xx) probes (one empty probe for a table without them), and
-    frac = (name, f) adds f(x, w, u), built per call, to name's equation."""
-    r = dict.fromkeys(table, 0.0)
-    first = next(iter(r))
+def _grid_max(table, ts: tuple, ws: tuple, args: tuple, frac=None, probes=((),)) -> tuple:
+    """(r, at, grid): the max |residual| r[name] of each name of a compiled
+    table over the grid, the first node (x, t, u) in (x, t, u, probe)
+    order where the first name takes its maximum (None where that is 0),
+    and the grid's description.  A NaN is kept, as the maximum and as the
+    node: a check that cannot be evaluated somewhere never passes.
+
+    Each callable is called once, on arrays x, w, u and the probe's (u_x,
+    u_xx) that broadcast to the grid (x, t, u, probe), then args; ws are
+    psi(t) - psi(a) at the t nodes ts, probes the (u_x, u_xx) probes (one
+    empty probe for a table without them).  frac = (name, f) adds f(x, w,
+    u), evaluated once, to each of name's equations, or stands for them
+    where name has none."""
+    shape = (len(_XS), len(ts), len(_US), len(probes))
+    x, u = np.reshape(_XS, (-1, 1, 1, 1)), np.reshape(_US, (1, 1, -1, 1))
+    w = np.reshape(ws, (1, -1, 1, 1))
+    jet = [np.reshape(c, (1, 1, 1, -1)) for c in zip(*probes)]
+    zero = np.zeros(shape, dtype=int)  # broadcasts a value to the grid, keeping its type
     add, fn = frac or (None, None)
-    tails = [(*p, *args) for p in probes]
-    # the fractional term counts where the rest of its equation is 0 too
-    items = tuple((name, eqs if eqs or name != add else (lambda *_: 0.0,))
-                  for name, eqs in table.items())
-    at = None
-    for x in _XS:
-        for t, w in nodes:
-            for u in _US:
-                extra = fn(x, w, u) if fn else 0.0
-                for tail in tails:
-                    for name, eqs in items:
-                        for f in eqs:
-                            e = f(x, w, u, *tail)
-                            if name == add:
-                                e = extra + e
-                            if _keep_max(r, name, abs(e)) and name == first:
-                                at = (x, t, u)
-    return r, at
+    first, r, at = next(iter(table)), {}, None
+    with np.errstate(all="ignore"):
+        extra = fn(x, w, u) if fn else 0.0
+        for name, eqs in table.items():
+            vals = [f(x, w, u, *jet, *args) for f in eqs]
+            if name == add:
+                vals = [extra + e for e in vals or (0.0,)]
+            if not vals:
+                r[name] = 0.0
+                continue
+            a = abs(vals[0] + zero)
+            for v in vals[1:]:
+                a = np.maximum(a, abs(v + zero))  # a NaN at a node is kept there
+            top = a.max()
+            r[name] = top.item()  # an int where a constant int equation gave one
+            if name == first and not top <= 0:
+                i, j, k = np.unravel_index(a.argmax(), a.shape)[:3]
+                at = (_XS[i], ts[j], _US[k])
+    grid = (f"{len(_XS)}x{len(ts)}x{len(_US)} nodes, "
+            f"x in [{_XS[0]:.3g}, {_XS[-1]:.3g}], t in [{ts[0]:.3g}, {ts[-1]:.3g}], "
+            f"u in [{_US[0]:.3g}, {_US[-1]:.3g}]")
+    return r, at, grid
+
+
+# one entry per fractional part's shape, as for the systems' own builds
+@lru_cache(maxsize=64)
+def _power_rule(shape, placeholders: tuple) -> tuple:
+    """(kp, f) for D^{alpha;psi} of shape = sum_j k_j c_j w^p_j, c_j the
+    factor in x and u, k_j and p_j numbers that may hold placeholders:
+    kp(*numbers) gives the k_j, then the p_j, and f = sum_j R_j c_j w^E_j
+    takes arrays (x, w, u), R, E and the numbers, for R_j = k_j
+    Gamma(p_j + 1)/Gamma(p_j + 1 - alpha) and E_j = p_j - alpha.
+    DomainError where shape is no such sum."""
+    terms = []
+    e = sp.expand(shape)
+    for term in [] if e == 0 else e.as_ordered_terms():
+        c, rest = term.as_independent(W)
+        base, p = (W, sp.Integer(0)) if rest == 1 else sp.powsimp(rest).as_base_exp()
+        if base != W or not p.free_symbols <= set(placeholders):
+            raise DomainError(f"term {term} is not of the form c*w**p")
+        terms.append((*c.as_independent(X, U, as_Add=False), p))
+    ratios = sp.symbols(f"ratio_:{len(terms)}", real=True, seq=True)
+    powers = sp.symbols(f"power_:{len(terms)}", real=True, seq=True)
+    f = sp.Add(*(r * c * W**q for r, (_, c, _), q in zip(ratios, terms, powers)))
+    kp = sp.Tuple(*(k for k, _, _ in terms), *(p for _, _, p in terms))
+    return (compiled(kp, placeholders),
+            compiled_array(f, (X, W, U, *ratios, *powers, *placeholders)))
+
+
+def _fractional_part(shape, numbers: dict, alpha: float):
+    """D^{alpha;psi} of a power sum in w, given as a shape and its numbers
+    (:func:`_numbers_out`), by the exact power rule, as a callable of (x,
+    w, u) arrays: its terms come from :func:`_power_rule`, once per shape,
+    and a call computes only their gamma ratios, as
+    :func:`~psifrac.fracops.frac_deriv_psi_powers` does.  DomainError,
+    before any node is evaluated, when it is no sum of integrable powers."""
+    try:
+        kp, f = _power_rule(shape, tuple(numbers))
+    except DomainError:
+        power_rule_expr(shape.xreplace(numbers), alpha)  # the error, with the numbers in
+        raise
+    values = tuple(map(float, numbers.values()))
+    nu, kps = float(alpha), kp(*values)
+    n = len(kps) // 2
+    ratios, powers = [], []
+    for k, p in zip(kps[:n], kps[n:]):
+        p = float(p)
+        if p <= -1:
+            raise DomainError(f"non-integrable power w^{p} in {shape.xreplace(numbers)}")
+        r = rgamma(p + 1.0 - nu)
+        ratios.append(0.0 if r == 0.0 else float(k) * gamma(p + 1.0) * r)
+        powers.append(p - nu)
+    return lambda x, w, u: f(x, w, u, *ratios, *powers, *values)
 
 
 # -- psi-fractional Burgers and diffusion systems ---------------------------------
@@ -300,7 +357,8 @@ def detsys_gfbe(
       (v)   omega = 0
 
     (i)-(iv) come from :func:`_fractional_equations`, compiled once per g
-    and generator shape; D^{alpha;psi} rho and (v) per call.
+    and generator shape, and so do the terms of D^{alpha;psi} rho; their
+    gamma ratios and (v) are computed per call.
     """
     return _fractional("gfbe", candidate, g, psi, alpha, tol, quad)
 
@@ -336,11 +394,12 @@ def _fractional(kind, candidate, coef, psi, alpha, tol, quad) -> ResidualReport:
     shapes, numbers = _numbers_out((red.xi.expr, red.theta.expr, red.rho.expr))
     table = _fractional_system(kind, coef.expr, *shapes, tuple(numbers))
     args = (alpha, red.c1, red.c2, red.gamma, *map(float, numbers.values()))
-    r, at = _grid_max(table, tuple((t, psi(t) - psi(psi.a)) for t in ts), args,
-                      ("i", _frac_rho(red, alpha)))
+    ws = tuple(psi(t) - psi(psi.a) for t in ts)
+    r, at, grid = _grid_max(table, ts, ws, args,
+                            ("i", _fractional_part(shapes[2], numbers, alpha)))
     r["v"] = _omega_residual(red, psi, alpha, quad)
     worst = "i @ x={:.3g}, t={:.3g}" + (", u={:.3g}" if kind == "diffusion" else "")
-    return ResidualReport(r, tol, _grid_desc(ts), worst.format(*at) if at else "")
+    return ResidualReport(r, tol, grid, worst.format(*at) if at else "")
 
 
 # one entry per kind, coefficient and generator shape, as for _zhang_system
@@ -356,7 +415,7 @@ def _fractional_equations(kind: str, coef, xi, theta, rho) -> dict:
     """(i)-(iv) of the psi-fractional system of kind for the coefficient
     coef(u) (g or K) and xi(x), theta(x), rho(x, w), in the symbols alpha_,
     c1_, c2_ and gamma_; (i) without its D^{alpha;psi} rho, which is added
-    per call."""
+    by :func:`_grid_max`."""
     dtau = _C1 + 2 * _C2 * W  # D^{1;psi} tau, a polynomial identity in w
     xi1, xi2 = sp.diff(xi, X), sp.diff(xi, X, 2)
     th1, th2 = sp.diff(theta, X), sp.diff(theta, X, 2)
@@ -396,10 +455,10 @@ def detsys_gazizov_rl(
       (v)    d_t^alpha(eta) - u d_t^alpha(eta_u) - eta_xx - g eta_x = 0
 
     The table is built once per generator shape and g
-    (:func:`_gazizov_system`) but the fractional t-partials in (v): they
-    hold u fixed and come from the exact power rule, per call, so eta must
-    be a power sum in t (DomainError otherwise, before any node is
-    evaluated).
+    (:func:`_gazizov_system`), and so are the terms of the fractional
+    t-partials in (v): they hold u fixed and come from the exact power
+    rule, with only its gamma ratios per call, so eta must be a power sum
+    in t (DomainError otherwise, before any node is evaluated).
     """
     if candidate.general is None:
         raise DomainError(f"candidate '{candidate.label}' must be in general form")
@@ -407,12 +466,11 @@ def detsys_gazizov_rl(
     ts = _ts(0.0)  # psi = t, a = 0
     shapes, numbers = _numbers_out((inf.xi.expr, inf.tau.expr, inf.eta.expr))
     table, fixed = _gazizov_system(shapes, g.expr, tuple(numbers))
-    # (v)'s u-fixed fractional combination, with its numbers put back
-    frac5 = compiled(power_rule_expr(fixed.xreplace(numbers), alpha), (X, W, U))
     args = (alpha, *[gen_binom(alpha, n) for n in range(1, _GAZIZOV_TERMS + 2)],
             *map(float, numbers.values()))
-    r, _ = _grid_max(table, tuple(zip(ts, ts)), args, ("v", frac5))
-    return ResidualReport(r, tol, _grid_desc(ts))
+    r, _, grid = _grid_max(table, ts, ts, args,
+                           ("v", _fractional_part(fixed, numbers, alpha)))
+    return ResidualReport(r, tol, grid)
 
 
 # one entry per generator shape and g: a run meets a handful of shapes,
@@ -473,8 +531,9 @@ def detsys_zhang_rl(
 
     with V the H terms linear in a jet coordinate with u-free coefficient.
     The candidate is reduced with c0 = 0 (tau = c1 t + c2 t^2).  The table
-    is built once per shape (:func:`_zhang_system`), D^alpha rho per call,
-    and both equations are evaluated at the fixed (u_x, u_xx) probes too.
+    is built once per shape (:func:`_zhang_system`), as are the terms of
+    D^alpha rho (their gamma ratios per call), and both equations are
+    evaluated at the fixed (u_x, u_xx) probes too.
     """
     red = _reduced(candidate)
     if red.c0 != 0.0:
@@ -483,10 +542,10 @@ def detsys_zhang_rl(
     shapes, numbers = _numbers_out((red.xi.expr, red.theta.expr, red.rho.expr))
     table = _zhang_system(equation.terms(), *shapes, tuple(numbers))
     args = (alpha, red.c1, red.c2, red.gamma, *map(float, numbers.values()))
-    r, at = _grid_max(table, tuple(zip(ts, ts)), args, ("1", _frac_rho(red, alpha)),
-                      _JET_PROBES)
+    r, at, grid = _grid_max(table, ts, ts, args,
+                            ("1", _fractional_part(shapes[2], numbers, alpha)), _JET_PROBES)
     worst = "1 @ x={:.3g}, t={:.3g}".format(*at) if at else ""
-    return ResidualReport(r, tol, _grid_desc(ts), worst)
+    return ResidualReport(r, tol, grid, worst)
 
 
 # one entry per shape of H and of the candidate, as for _gazizov_system
@@ -527,15 +586,6 @@ def _zhang_system(terms: tuple, xi, theta, rho, placeholders: tuple):
                 eq2 -= c * prolong_of[i]
     return _compile({"1": (sp.expand(eq1),), "2": (sp.expand(eq2),)},
                     (X, W, U, UX, UXX, _ALPHA, _C1, _C2, _GAMMA, *placeholders))
-
-
-def _grid_desc(ts: tuple) -> str:
-    return (
-        f"{len(_XS)}x{len(ts)}x{len(_US)} nodes, "
-        f"x in [{_XS[0]:.3g}, {_XS[-1]:.3g}], "
-        f"t in [{ts[0]:.3g}, {ts[-1]:.3g}], "
-        f"u in [{_US[0]:.3g}, {_US[-1]:.3g}]"
-    )
 
 
 # -- closed-form solutions ----------------------------------------------------

@@ -244,6 +244,37 @@ def test_a_flag_that_would_change_nothing_is_config_error(capsys, argv, flag):
     assert flag in _one_line_config_error(capsys, argv)
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["verify", "diffusion", "--case", "K=power-law", "--xi", "x^2", "--format", "json"],
+     "--theta", "-3*x"),
+    (["verify", "gfbe", "--case", "g=u", "--xi", "x", "--ctau1", "4"], "--theta", "-1"),
+    (["eval", "integral", "--t", "1"], "--f", "-t"),
+    (["leibniz", "--g", "t", "--t", "1.5", "--N", "1,2"], "--f", "-psi^2"),
+    (["prolong", "--xi", "x", "--tau", "4*t", "--u", "x*psi", "--x", "0.5", "--t", "1"],
+     "--eta", "-u"),
+    (["solve", "--case", "K=power-law"], "--c1", "-0.5"),
+], ids=("theta-spec", "theta-number", "eval", "leibniz", "prolong", "solve"))
+def test_a_value_that_starts_with_a_minus_sign_is_the_flag_value(capsys, argv, flag, value):
+    # argparse would take -3*x for an unknown option; a number such as -1
+    # was a value already
+    spaced = main(argv + [flag, value]), capsys.readouterr()
+    joined = main(argv + [f"{flag}={value}"]), capsys.readouterr()
+    assert spaced == joined
+    assert spaced[0] in (EXIT_PASS, EXIT_FAIL) and spaced[1].err == ""
+    parsed = getattr(cli._parser().parse_args(argv + [flag, value]), flag[2:])
+    assert parsed == (float(value) if flag == "--c1" else value)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "diffusion", "--case", "K=power-law", "--thet", "-1"], "--thet"),
+    (["verify", "gfbe", "--case", "g=u", "--bogus", "-3*x"], "--bogus"),
+    (["eval", "integral", "--f", "t", "--t", "1", "--alph", "0.5"], "--alph"),
+    (["--bogus"], "--bogus"),
+], ids=("abbreviated", "unknown", "abbreviated-eval", "unknown-main"))
+def test_an_unknown_or_abbreviated_option_is_still_one_config_error_line(capsys, argv, flag):
+    assert flag in _one_line_config_error(capsys, argv)
+
+
 def test_power_exponent_flag_with_the_power_kernel_from_the_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("psi = power\na = 1\n")

@@ -3,8 +3,9 @@ compile, so equal requests share one callable and compile once; the
 psi-jets have one owner, fracops, above the compile cache; the series
 backend takes its jets without symbolic differentiation; the
 psi-time prolongation is the compact form at an integer order; the
-determining systems share one grid loop with no sympy in it, and the
-prolongation sums keep it out of their m-loops; the classical checks never
+determining systems share one grid evaluation with no sympy in it, and
+the prolongation sums keep it out of their m-loops; an array callable
+carries no more than the names it may call; the classical checks never
 simplify; each CLI command takes the flags of the settings it reads,
 and reads every one of them; every cache has a finite bound; and a run
 loads no module it does not use: no scipy, no random generator for the
@@ -41,7 +42,7 @@ def test_lambdify_is_called_in_one_place():
 
 # symbolic work a determining system does outside its grid
 SYMBOLIC_CALLS = {"subs", "expand", "diff", "frac_deriv_psi_powers",
-                  "power_rule_expr", "compiled"}
+                  "power_rule_expr", "compiled", "compiled_array"}
 
 
 def _called_names(node):
@@ -52,7 +53,7 @@ def _called_names(node):
 
 
 def test_no_sympy_in_the_determining_system_grid_loops():
-    # one function in symmetry.py loops over the grid's x nodes; it does no
+    # one function in symmetry.py reads the grid's x nodes; it does no
     # symbolic work, itself or in the module functions it calls, and every
     # determining system reaches it
     tree = ast.parse((SRC / "symmetry.py").read_text())
@@ -69,16 +70,54 @@ def test_no_sympy_in_the_determining_system_grid_loops():
                 found |= reached(helpers[name], seen)
         return found
 
-    looping = {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
-               and any(isinstance(n, (ast.For, ast.comprehension))
-                       and getattr(n.iter, "id", None) == "_XS" for n in ast.walk(f))}
-    assert len(looping) == 1, looping
-    (grid,) = looping
+    reading = {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+               and any(isinstance(n, ast.Name) and n.id == "_XS" for n in ast.walk(f))}
+    assert len(reading) == 1, reading
+    (grid,) = reading
     assert not reached(helpers[grid], set()) & SYMBOLIC_CALLS
     systems = [name for name in helpers if name.startswith("detsys_")]
     assert len(systems) == 4
     for name in systems:
         assert grid in reached(helpers[name], set()), name
+
+
+def test_array_callables_carry_a_small_namespace(monkeypatch):
+    # modules="numpy" would give every callable numpy's ~530 names (about
+    # 18 kB): an array callable holds its symbols, the ufuncs and lambdify's
+    # own two names, on every system
+    from psifrac import jets
+    from psifrac import selftest as st
+    from psifrac import symmetry as sy
+
+    made = []
+    lambdify = jets._lambdify
+
+    def recording(vars, e, array):
+        f = lambdify(vars, e, array)
+        if array and f is not jets._zero:
+            made.append((vars, f))
+        return f
+
+    monkeypatch.setattr(jets, "_lambdify", recording)
+    jets.compiled_array.cache_clear()
+    for cache in (sy._fractional_system, sy._zhang_system, sy._gazizov_system,
+                  sy._power_rule):
+        cache.cache_clear()
+    alpha, psi = 0.5, builtin("identity", 0.0, 10.0)
+    eq = sy.lookup_case("g=u").equation(alpha, psi, **sy.CASE_DEFAULTS)
+    for cand in st._panel(alpha):
+        sy.detsys_zhang_rl(cand, eq, alpha)
+        sy.detsys_gazizov_rl(sy.GeneratorCandidate(cand.label,
+                                                   general=cand.reduced.to_general(psi)),
+                             eq.g, alpha)
+    for row, cand in sy.builtin_table(alpha):
+        case = next(c for c in sy.CASES if c.row == row)
+        system = sy.detsys_gfbe if case.kind == "gfbe" else sy.detsys_diffusion
+        system(cand, case.jet(**sy.CASE_DEFAULTS), psi, alpha)
+    assert len(made) > 20
+    allowed = set(jets._UFUNCS) | {"__builtins__", "builtins", "range"}
+    for vars, f in made:
+        assert set(f.__globals__) <= allowed | {v.name for v in vars}, set(f.__globals__)
 
 
 # symbolic work, or a jet build, that a prolongation sum does before its loop
@@ -260,7 +299,9 @@ RUNS = {
              "frac_integral(JetFunction.of_t(T), builtin('identity', 0.0, 2.0), 0.5, 1.0)\n",
     "numpy.random": "from psifrac import cli\n"
                     "cli.main(['verify', 'zhang', '--case', 'g=u', '--table', 'X2'])\n"
-                    "cli.main(['verify', 'gfbe', '--case', 'g=u', '--xi', 'x', '--c0', '1'])\n",
+                    "cli.main(['verify', 'gfbe', '--case', 'g=u', '--xi', 'x', '--c0', '1'])\n"
+                    "cli.main(['verify', 'diffusion', '--case', 'K=power-law'])\n"
+                    "cli.main(['verify', 'gazizov', '--case', 'g=u', '--table', 'X2'])\n",
     "sympy": "import psifrac\n"
              "from psifrac import cli\n"
              f"for argv in {OPERATOR_RUNS!r}:\n"
