@@ -49,7 +49,11 @@ __all__ = ["jets"]
 
 def jets(tree: tuple, psi, s: np.ndarray, m: int) -> list:
     """f^{[j]}_psi at each point of s, for j = 0..m and f the tree: a list
-    of m + 1 arrays.  The values of a jet do not depend on m."""
+    of m + 1 arrays.  The values of a jet do not depend on m, save for
+    m < 2 on a power (other than a square) of a series curved in w, as t
+    is on a curved kernel: there the power takes its binomial form, exact
+    where the series is linear, and its jets of order 0 and 1 can differ
+    in the last bits from those of a deeper pass."""
     d = psi.derivatives(s, range(m + 1))
     known = tuple(x if isinstance(x, float) else None for x in d)
     shape, numbers = _shape(tree, psi.tree)

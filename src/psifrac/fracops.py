@@ -16,12 +16,14 @@ Two independent backends are provided for each operator:
 
   with s_x = psi^{-1}(psi(a) + V x) (Kilbas, Srivastava & Trujillo 2006,
   sec. 2.5).  The nodes s_x and the jet values there depend on (psi, t,
-  n) and not on the order: they are kept per point (:func:`_nodes`,
-  :func:`_node_values`), so every quadrature at t, of any order and in
-  the Leibniz and product-integral sums too, shares one inversion of psi
-  and one evaluation of each jet per node; the rule's weights are per
-  exponent, computed once while it recurs, and one dot product per
-  moment is taken per order;
+  n) and not on the order: they are kept per point, in numpy arrays
+  (:func:`_nodes`, :func:`_node_values`), so every quadrature at t, of
+  any order and in the Leibniz and product-integral sums too, shares one
+  inversion of psi and one evaluation of each jet per node.  The rule's
+  weights are per exponent, computed once while it recurs, and each
+  moment is one sequential array sum (:func:`_jacobi_moments`): the
+  float operations of a loop over the nodes, in its order, so each value
+  is the one that loop gives, with no Python run per node;
 
 * series: the expansion in psi-jet derivatives
   f^{[m]}_psi = (1/psi' d/dt)^m f with generalized binomial coefficients,
@@ -37,7 +39,9 @@ This module owns the psi-jets.  The quadrature backend takes them, up to
 order ceil(alpha), at every node at once: for f given as a tree (a parsed
 spec), by forward mode (:mod:`psifrac.forward`: truncated Taylor series
 in psi(t) - psi(s), vectorised over the nodes s, with t by series
-reversion), with no sympy; for f given in sympy, symbolically
+reversion), with no sympy, and through order 2 at least in the first
+pass at a point, so that an integral and a derivative there take one
+pass; for f given in sympy, symbolically and only to the order asked
 (:func:`_psi_jet_expr` builds them and :func:`_psi_jet_fn` compiles them,
 through :func:`~psifrac.jets.compiled`).  The series backend reads one
 Taylor-mode table per point, shared by both series there and by the
@@ -130,21 +134,21 @@ def _psi_jet_fn(f_expr, psi_expr, m: int):
     return compiled(_psi_jet_expr(f_expr, psi_expr, m))
 
 
-def _jets_at(f: JetFunction, psi: PsiFunction, points: tuple, m: int, start: int = 0) -> list:
-    """f^{[j]}_psi at each point, for j = start..m: a list of lists of
-    floats.  points are the points as a tuple of floats and as an array."""
+def _jets_at(f: JetFunction, psi: PsiFunction, s: np.ndarray, m: int, start: int = 0) -> list:
+    """f^{[j]}_psi at each point of the array s, for j = start..m: a list
+    of arrays."""
     if not isinstance(f, JetFunction):
         raise DomainError("the fractional operators need f as a JetFunction")
-    ts, s = points
     if f.symbolic:
-        return [list(map(_psi_jet_fn(f.expr, psi.expr, j), ts)) for j in range(start, m + 1)]
-    return [jet.tolist() for jet in forward.jets(f.tree, psi, s, m)[start:]]
+        ts = s.tolist()
+        return [np.fromiter(map(_psi_jet_fn(f.expr, psi.expr, j), ts), float, len(ts))
+                for j in range(start, m + 1)]
+    return forward.jets(f.tree, psi, s, m)[start:]
 
 
 def _jet_at(f: JetFunction, psi: PsiFunction, t: float, m: int) -> float:
     """f^{[m]}_psi(t), for the quadrature backend's integer orders."""
-    t = float(t)
-    return float(_jets_at(f, psi, ((t,), np.array([t])), m, m)[0][0])
+    return float(_jets_at(f, psi, np.array([float(t)]), m, m)[0][0])
 
 
 # a table is built once per (f, psi, t, n) and read by both series at the
@@ -191,12 +195,14 @@ def _table(f: JetFunction, psi: PsiFunction, t: float, n: int) -> tuple:
 @lru_cache(maxsize=16)
 def _chebyshev_points(n: int):
     """y_j = cos(theta_j), theta_j = (j + 1/2) pi / n, the same points
-    x_j = (y_j + 1)/2 in [0, 1], the twiddle factors (-1)^k exp(i k pi / 2n)
-    that turn the cosine sums over them into one FFT, and the moment
-    recurrence's (k, k - 1) as floats, for k = 2..n-1."""
+    x_j = (y_j + 1)/2 in [0, 1] (a read-only array), the twiddle factors
+    (-1)^k exp(i k pi / 2n) that turn the cosine sums over them into one
+    FFT, and the moment recurrence's (k, k - 1) as floats, for k = 2..n-1."""
     theta = (np.arange(n) + 0.5) * (math.pi / n)
-    ys = tuple(np.cos(theta).tolist())
-    xs = tuple(0.5 * (y + 1.0) for y in ys)
+    y = np.cos(theta)
+    ys = tuple(y.tolist())
+    xs = 0.5 * (y + 1.0)
+    xs.flags.writeable = False
     twiddle = np.exp(0.5j * math.pi / n * np.arange(n))
     twiddle[1::2] = -twiddle[1::2]
     return ys, xs, twiddle, tuple((float(k), float(k - 1)) for k in range(2, n))
@@ -209,8 +215,8 @@ def _chebyshev_points(n: int):
 def _jacobi_rule(n: int, a: float):
     """Fejer's first rule for int_{-1}^{1} (1 - y)^a g(y) dy, a > -1: the
     n Chebyshev points (a tuple shared by all calls with this n) and their
-    weights (a tuple), as Python floats for the node loop; computed once
-    per exponent while it recurs, keyed on (n, a) exactly.
+    weights (a read-only array); computed once per exponent while it
+    recurs, keyed on (n, a) exactly.
 
     It integrates the interpolant sum_{k<n} c_k T_k of g exactly, so the
     weights are w_j = (2/n) sum_k' M_k cos(k theta_j) (the k = 0 term
@@ -229,7 +235,8 @@ def _jacobi_rule(n: int, a: float):
         moments.append(r)
     # sum_k c_k cos(k theta_j) = Re sum_k c_k e^{i k pi / 2n} e^{2 pi i k j / 2n}
     ws = 4.0 * np.fft.ifft(twiddle * moments, 2 * n)[:n].real
-    return ys, tuple(ws.tolist())
+    ws.flags.writeable = False
+    return ys, ws
 
 
 # nodes and jet values are kept per point, for every order there: a caller
@@ -239,8 +246,10 @@ def _jacobi_rule(n: int, a: float):
 @lru_cache(maxsize=64)
 def _nodes(psi: PsiFunction, t: float, n: int):
     """V = psi(t) - psi(a) and the nodes psi^{-1}(psi(a) + V x_i) of the
-    n-point rule at t (x_i from :func:`_chebyshev_points`), as a tuple of
-    floats and as an array.
+    n-point rule at t (x_i from :func:`_chebyshev_points`), a read-only
+    array: psi(a) + V x_i is one array expression, and the kernel's inverse
+    maps it with the float operations a call per node takes
+    (:meth:`~psifrac.psi.PsiFunction.invert`).
 
     Keyed on the kernel itself: its equality includes the inverse, so two
     kernels that differ only there never share nodes."""
@@ -248,25 +257,46 @@ def _nodes(psi: PsiFunction, t: float, n: int):
     V = psi(t) - va
     if not V > 0:
         raise NumericsError(f"psi(t) - psi(a) = {V} is not positive")
-    nodes = tuple(psi.invert(va + V * x) for x in _chebyshev_points(n)[1])
-    return V, nodes, np.array(nodes)
+    nodes = psi.invert(va + V * _chebyshev_points(n)[1])
+    nodes.flags.writeable = False
+    return V, nodes
 
 
 @lru_cache(maxsize=128)
 def _node_values(f: JetFunction, psi: PsiFunction, t: float, n: int) -> list:
     """The psi-jets of f at the nodes of :func:`_nodes` (psi, t, n) taken so
-    far, of orders 0, 1, ...: every quadrature of f at the point reads
-    this one table, and one that needs a higher order extends it
+    far, one array per order 0, 1, ...: every quadrature of f at the point
+    reads this one table, and one that needs a higher order extends it
     (:func:`_node_jets`)."""
     return []
 
 
+# a derivative of order alpha < 2 reads the jets 0..2
+_FORWARD_DEPTH = 2
+
+
 def _node_jets(f: JetFunction, psi: PsiFunction, t: float, n: int, m: int) -> list:
-    """The table of :func:`_node_values`, holding the orders 0..m at least;
-    a jet's values do not depend on the highest order taken with it."""
+    """The table of :func:`_node_values`, holding the orders 0..m at least.
+
+    For f given as a tree, the first quadrature at the point takes the
+    orders 0.._FORWARD_DEPTH at least, in one forward pass: an integral
+    and then a derivative there run one pass, not two, and the table's
+    bits do not depend on which order was asked for first (below order 2
+    a forward pass can round a jet otherwise, :func:`~psifrac.forward.jets`).
+    Where a deeper order raises and the lower ones do not (t^-3 overflows
+    at a node where t^-1 does not), the table takes the orders 0..m
+    alone.  For f given in sympy each order costs a compile, and only the
+    orders asked for are taken."""
     table = _node_values(f, psi, t, n)
     if len(table) <= m:
-        table += _jets_at(f, psi, _nodes(psi, t, n)[1:], m, len(table))
+        nodes = _nodes(psi, t, n)[1]
+        top = m if f.symbolic else max(m, _FORWARD_DEPTH)
+        try:
+            table += _jets_at(f, psi, nodes, top, len(table))
+        except ArithmeticError:
+            if top == m:
+                raise
+            table += _jets_at(f, psi, nodes, m, len(table))
     return table
 
 
@@ -274,15 +304,18 @@ def _jacobi_moments(
     f: JetFunction, psi: PsiFunction, m: int, beta: float, t: float, quad
 ):
     """V = psi(t) - psi(a) and, for j = 0..m, the moments
-    int_0^1 (1-x)^{beta-1} x^j f^{[j]}_psi(psi^{-1}(psi(a) + V x)) dx.
+    int_0^1 (1-x)^{beta-1} x^j f^{[j]}_psi(psi^{-1}(psi(a) + V x)) dx, as
+    Python floats (numpy 2 prints a numpy scalar as ``np.float64(...)``).
 
     The nodes and the jet values there are shared by every quadrature at
     the point (:func:`_nodes`, :func:`_node_values`), the weights w_i by
     every one of exponent beta - 1 (computed once while it recurs); only
-    w_i x_i^j and one dot product per moment are taken for this order.
-    Each moment is the sequential sum of the products in node order, with
-    x_i^j by repeated multiplication, so its bits do not depend on what
-    the caches held."""
+    the arrays w_i x_i^j, with x_i^j by repeated multiplication, and one
+    sum per moment are taken for this order.  Each sum is the loop
+    ``acc += c * v`` from acc = 0.0 in node order, bit for bit:
+    np.add.accumulate adds left to right, where np.dot, np.sum and
+    math.fsum add in another order or exactly, and round otherwise.  So a
+    moment's bits do not depend on what the caches held."""
     if not t > psi.a:
         raise DomainError(f"need t > a = {psi.a}, got t={t}")
     if not isinstance(f, JetFunction):
@@ -295,13 +328,11 @@ def _jacobi_moments(
     # the rule's weight is (1 - y)^{beta-1} in y = 2x - 1
     scale = 0.5**beta
     out = []
-    # python floats: numpy scalar arithmetic would dominate these loops
     for j, values in enumerate(_node_jets(f, psi, t, n, m)[:m + 1]):
         if j:
-            cs = [c * x for c, x in zip(cs, xs)]
-        acc = 0.0
-        for c, v in zip(cs, values):
-            acc += c * v
+            cs = cs * xs
+        # + 0.0: a loop from acc = 0.0 turns a sum of -0.0 products into 0.0
+        acc = float(np.add.accumulate(cs * values)[-1]) + 0.0
         out.append(acc * scale)
     return V, out
 

@@ -107,8 +107,18 @@ class PsiFunction:
         fns = [self._fn(k) for k in orders]
         return [np.array([float(fn(t)) for t in ts.tolist()]) for fn in fns]
 
-    def invert(self, v: float) -> float:
-        """psi^{-1}(v), analytic if registered, else numeric."""
+    def invert(self, v):
+        """psi^{-1}(v), analytic if registered, else numeric.  At an array v,
+        each point gets the float a call at that point gives: a built-in
+        identity or affine kernel's inverse, linear, is one array expression
+        with the same float operations; any other is taken point by point,
+        as numpy's log and power round differently (:func:`pow_each`)."""
+        if isinstance(v, np.ndarray):
+            if self.inverse is None:
+                return np.array([invert_numeric(self, x) for x in v.tolist()])
+            if self.closed and self.source[0] in ("sym", "add"):
+                return self.inverse(v)
+            return np.fromiter(map(self.inverse, v.tolist()), float, len(v))
         if self.inverse is not None:
             return float(self.inverse(v))
         return invert_numeric(self, v)

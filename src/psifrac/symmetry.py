@@ -219,9 +219,16 @@ def _numbers_out(exprs: tuple) -> tuple:
     floats share one), and the floats by their placeholders, in order."""
     floats = dict.fromkeys(n for e in exprs for n in sp.preorder_traversal(e)
                            if isinstance(n, sp.Float))
-    numbers = dict(zip(sp.symbols(f"num_:{len(floats)}", real=True, seq=True), floats))
+    numbers = dict(zip(_placeholders(len(floats)), floats))
     out = {f: s for s, f in numbers.items()}
     return tuple(e.xreplace(out) for e in exprs), numbers
+
+
+# one entry per count of floats in a generator: a handful in any run
+@lru_cache(maxsize=32)
+def _placeholders(count: int) -> tuple:
+    """The real symbols num_0 .. num_{count-1}, parsed once per count."""
+    return sp.symbols(f"num_:{count}", real=True, seq=True)
 
 
 # -- tables and the grid --------------------------------------------------------
@@ -273,7 +280,7 @@ def _grid_max(table, ts: tuple, ws: tuple, args: tuple, frac=None, probes=((),))
             for v in vals[1:]:
                 a = np.maximum(a, abs(v + zero))  # a NaN at a node is kept there
             top = a.max()
-            r[name] = top.item()  # an int where a constant int equation gave one
+            r[name] = float(top)  # also where an equation is a constant int
             if name == first and not top <= 0:
                 i, j, k = np.unravel_index(a.argmax(), a.shape)[:3]
                 at = (_XS[i], ts[j], _US[k])

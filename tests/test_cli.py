@@ -473,6 +473,15 @@ def test_verify_diffusion_table_row(capsys):
     assert json.loads(out)["passed"] is True
 
 
+def test_verify_prints_a_constant_int_residual_as_a_float(capsys):
+    # K (xi'' - 2 theta') = 2 for xi = x^2 compiles to the int 2
+    code, out = run(capsys, "verify", "diffusion", "--case", "K=1", "--xi", "x^2",
+                    "--format", "json")
+    assert code == EXIT_FAIL
+    assert ["iii", 2.0, "FAIL"] in json.loads(out)["rows"]
+    assert '["iii",2.0,"FAIL"]' in out
+
+
 def test_verify_classical_methods(capsys):
     for eqn in ("gazizov", "zhang"):
         code, out = run(capsys, "verify", eqn, "--case", "g=u", "--table", "X2",

@@ -4,10 +4,11 @@ psi-jets have one owner, fracops, above the compile cache; the series
 backend takes its jets without symbolic differentiation; the
 psi-time prolongation is the compact form at an integer order; the
 determining systems share one grid evaluation with no sympy in it, and
-the prolongation sums keep it out of their m-loops; an array callable
-carries no more than the names it may call; the classical checks never
-simplify; each CLI command takes the flags of the settings it reads,
-and reads every one of them; every cache has a finite bound; and a run
+the prolongation sums keep it out of their m-loops; a warm quadrature
+runs no Python per node; an array callable carries no more than the
+names it may call; the classical checks never simplify; each CLI
+command takes the flags of the settings it reads, and reads every one
+of them; every cache has a finite bound; and a run
 loads no module it does not use: no scipy, no random generator for the
 determining systems, no sympy for the operators on a parsed spec, and no
 sympy.physics for the solver."""
@@ -248,6 +249,42 @@ def test_equal_expression_kernels_share_one_compiled_callable():
     assert second._fn(3) is fn
     assert second.deriv(1.3, 3) == first.deriv(1.3, 3)
     assert compiled.cache_info().misses == misses
+
+
+def _python_events(fn) -> int:
+    """The Python-level events, calls and lines, that fn() runs."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        count += 1
+        return trace
+
+    sys.settrace(trace)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def test_a_warm_quadrature_runs_no_python_per_node():
+    # at a cached point the rule, the nodes and the jets come from the
+    # caches and each moment is one array sum, so the Python work does not
+    # grow with the nodes; a loop over them would, in lines if not in calls
+    psi = builtin("exponential", 0.0, 1.0)
+    for f in (cli._as_f_of_t("(1 + psi)*exp(t)", psi), JetFunction.of_t(sp.exp(T) * T)):
+        counts = []
+        for n in (64, 513):
+            quad = fo.QuadratureSpec(n)
+
+            def point():
+                fo.frac_integral(f, psi, 0.7, 0.6, quad)
+                fo.frac_derivative(f, psi, 1.3, 0.6, quad)
+
+            point()
+            counts.append(_python_events(point))
+        assert counts[0] == counts[1], counts
 
 
 def _cache_decorators(tree):

@@ -8,7 +8,7 @@ import scipy.integrate
 import scipy.special
 import sympy as sp
 
-from psifrac import cli
+from psifrac import cli, forward
 from psifrac import fracops as fo
 from psifrac import prolong as pr
 from psifrac.errors import DomainError
@@ -116,7 +116,7 @@ def _scalar_rule(n, a):
 def test_rule_bits_equal_the_scalar_recurrence(n):
     for a in (-0.999, -0.7, -0.3, 0.0, 0.0018, 0.7, 1.95, 11.3):
         ys, ws = fo._jacobi_rule(n, a)
-        assert isinstance(ws, tuple)  # a cached rule no caller can change
+        assert not ws.flags.writeable  # a cached rule no caller can change
         assert list(ws) == _scalar_rule(n, a), a
         assert ys == fo._chebyshev_points(n)[0]
     fo._jacobi_rule.cache_clear()
@@ -131,21 +131,27 @@ def _clear_node_tables():
     fo._jacobi_rule.cache_clear()
 
 
-def _reference_moments(f, psi, m, beta, t, n=64):
+def _reference_moments(f, psi, m, beta, t, n, depth=2):
     """The per-node loop the node tables replace: invert psi at each node,
     evaluate every jet there, and accumulate c * f^{[j]} with c = w_i x_i^j
-    by repeated multiplication."""
-    fns = [fo._psi_jet_fn(f.expr, psi.expr, j) for j in range(m + 1)]
+    by repeated multiplication.  The jets of a tree come by forward mode at
+    that one node, through order max(m, depth); the node table's first
+    pass takes depth 2."""
     va = psi(psi.a)
     V = psi(t) - va
     ys, ws = fo._jacobi_rule(n, beta - 1.0)
     acc = [0.0] * (m + 1)
-    for yi, wi in zip(ys, ws):
+    for yi, wi in zip(ys, ws.tolist()):
         x = 0.5 * (yi + 1.0)
         s = psi.invert(va + V * x)
+        if f.symbolic:
+            jets = [fo._psi_jet_fn(f.expr, psi.expr, j)(s) for j in range(m + 1)]
+        else:
+            one = forward.jets(f.tree, psi, np.array([s]), max(m, depth))
+            jets = [float(j[0]) for j in one]
         c = wi
-        for j, fn in enumerate(fns):
-            acc[j] += c * fn(s)
+        for j in range(m + 1):
+            acc[j] += c * jets[j]
             c *= x
     scale = 0.5**beta
     return V, [a * scale for a in acc]
@@ -155,13 +161,60 @@ def _reference_moments(f, psi, m, beta, t, n=64):
                          ids=lambda p: p.name)
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_moments_equal_the_per_node_loop(psi, m):
-    f = JetFunction.of_t(sp.exp(T) * T + 1 / (T + 2))
-    quad = fo.QuadratureSpec()
-    for where in (0.2, 0.9):
-        t = psi.a + where * (psi.b - psi.a)
-        for beta in (0.3, 0.85, 1.0, 2.4):
-            want = _reference_moments(f, psi, m, beta, t)
-            assert fo._jacobi_moments(f, psi, m, beta, t, quad) == want, (t, beta)
+    # a sympy f, and a parsed spec with a reciprocal (whose forward-mode
+    # jets on a curved kernel take another formula below order 2)
+    fs = (JetFunction.of_t(sp.exp(T) * T + 1 / (T + 2)),
+          cli._as_f_of_t("exp(t)*t + 1/(t+2)", psi))
+    for n in (4, 17, 64, 513):
+        quad = fo.QuadratureSpec(n)
+        for f in fs:
+            for where in (0.2, 0.9):
+                t = psi.a + where * (psi.b - psi.a)
+                for beta in (0.3, 0.85, 1.0, 2.4):
+                    want = _reference_moments(f, psi, m, beta, t, n)
+                    got = fo._jacobi_moments(f, psi, m, beta, t, quad)
+                    assert got == want, (n, f.symbolic, t, beta)
+                    assert all(type(g) is float for g in got[1])
+
+
+def test_an_integral_then_a_derivative_take_one_forward_pass(monkeypatch):
+    # the first quadrature of a tree at a point takes the jets through
+    # order 2, which a derivative of order below 2 reads
+    calls = []
+    jets = forward.jets
+    monkeypatch.setattr(forward, "jets", lambda *a: calls.append(a[3]) or jets(*a))
+    for psi in (IDENTITY, POWER, EXPONENTIAL, CUBIC):
+        f = cli._as_f_of_t("exp(t)*t + 1/(t+2)", psi)
+        t = psi.a + 0.6 * (psi.b - psi.a)
+        _clear_node_tables()
+        calls.clear()
+        fo.frac_integral(f, psi, 0.7, t)
+        fo.frac_derivative(f, psi, 0.4, t)
+        fo.frac_derivative(f, psi, 1.6, t)
+        fo.frac_integral(f, psi, 2.5, t)
+        assert calls == [2], psi.name
+        fo.frac_derivative(f, psi, 2.5, t)  # order 3 extends the table
+        assert calls == [2, 3], psi.name
+
+
+def test_a_deeper_jet_that_overflows_leaves_the_integral_alone():
+    # the nodes of t = 1e-100 reach 1.5e-104, where t^-3, in the order-2
+    # jet of 1/t, overflows: the table then takes order 0 alone
+    psi = builtin("identity", 0.0, 1.0)
+    f = cli._as_f_of_t("t^-1", psi)
+    _clear_node_tables()
+    with pytest.raises(OverflowError):
+        forward.jets(f.tree, psi, fo._nodes(psi, 1e-100, 64)[1], 2)
+    got = fo._jacobi_moments(f, psi, 0, 0.5, 1e-100, fo.QuadratureSpec())
+    assert got == _reference_moments(f, psi, 0, 0.5, 1e-100, 64, depth=0)
+
+
+def test_a_sum_of_negative_zeros_is_zero():
+    # -(t - t) is -0.0 at every node; the moment loop began at acc = 0.0,
+    # so the value printed is 0.0, not -0.0
+    f = cli._as_f_of_t("-(t - t)", IDENTITY)
+    for op in (fo.frac_integral, fo.frac_derivative):
+        assert math.copysign(1.0, op(f, IDENTITY, 0.5, 1.0)) == 1.0
 
 
 def _point_ops(psi, t):

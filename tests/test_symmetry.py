@@ -590,6 +590,21 @@ def test_each_system_builds_its_power_rule_once_per_generator_shape():
         assert (info.misses, info.hits) == (1, 1), info
 
 
+def test_placeholders_are_parsed_once_per_count(monkeypatch):
+    # every system call takes its generator's floats out; the names
+    # num_0.. are parsed once per count, and are the symbols sp.symbols
+    # gives, so every compiled shape is keyed as before
+    exprs = (sp.Float(0.5) * X + sp.Float(1.25), sp.Float(2.75) * T + sp.Float(0.5))
+    parsed, symbols = [], sp.symbols
+    monkeypatch.setattr(sy.sp, "symbols", lambda *a, **k: parsed.append(a) or symbols(*a, **k))
+    sy._placeholders.cache_clear()
+    first = sy._numbers_out(exprs)
+    assert sy._numbers_out(exprs) == first
+    assert parsed == [("num_:3",)]
+    assert all(a is b for a, b in zip(first[1], symbols("num_:3", real=True, seq=True)))
+    assert set(first[1].values()) == {0.5, 1.25, 2.75}
+
+
 def test_systems_reject_a_fractional_part_that_is_no_power_sum():
     cand = _scaling(0, rho=sp.exp(W), c1=0.0, xi=1)
     g = JetFunction.of_u(U)
