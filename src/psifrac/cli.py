@@ -288,12 +288,12 @@ def cmd_prolong(cfg: argparse.Namespace, args) -> int:
     inf = pr.Infinitesimals.from_exprs(xi, tau, eta)
     jet = _as_jet(args.u, psi)
     quad = fo.QuadratureSpec(cfg.nodes)
+    u_t = JetFunction.of_t(jet.expr.subs(X, args.x))
     rows = []
     for t in _t_list(args.t, cfg):
         full = pr.eta_alpha_psi(inf, jet, psi, cfg.alpha, args.x, t,
                                 terms=cfg.terms, quad=quad)
         mu = pr.mu_term(inf, jet, psi, cfg.alpha, args.x, t, M=cfg.terms)
-        u_t = JetFunction.of_t(jet.expr.subs(X, args.x))
         omega = pr.omega_term(inf, u_t, psi, cfg.alpha, args.x, t, quad)
         compact = pr.eta_alpha_psi_compact(inf, jet, psi, cfg.alpha, args.x, t,
                                            terms=cfg.terms, quad=quad)

@@ -66,7 +66,7 @@ import numpy as np
 
 from . import forward
 from .errors import DomainError, NumericsError
-from .jets import JetFunction, compiled, symbol
+from .jets import JetFunction, compiled, diff, symbol
 from .psi import PsiFunction
 from .special import gamma, gen_binom, rgamma
 from .taylor import program
@@ -123,7 +123,7 @@ def _psi_jet_expr(f_expr, psi_expr, m: int):
     # is a sum stays a product, not a long expanded polynomial
     prev = _psi_jet_expr(f_expr, psi_expr, m - 1)
     t = symbol("t")
-    return sp.expand_mul(sp.diff(prev, t) / sp.diff(psi_expr, t))
+    return sp.expand_mul(diff(prev, t) / sp.diff(psi_expr, t))
 
 
 # one lookup per jet on the hot paths, where _psi_jet_expr and compiled
@@ -405,10 +405,21 @@ def jet_series(jets: Sequence[float], nu: float, w: float) -> SeriesValue:
     pole = float(nu).is_integer()
     for m, d in enumerate(jets):
         if not pole or m >= nu:  # w ** (m - nu) is not taken at a pole
-            last = num / math.factorial(m) * w ** (m - nu) * rgamma(m + 1 - nu) * d
+            x = m + 1 - nu
+            # 1/Gamma(x) inline where Gamma(x) is finite and at least 0.88;
+            # rgamma at its poles and where Gamma overflows or underflows
+            last = (num / (_FACTORIALS[m] if m < len(_FACTORIALS) else math.factorial(m))
+                    * w ** (m - nu)
+                    * (1.0 / math.gamma(x) if 1.0 <= x <= 171.0 else rgamma(x)) * d)
             acc += last
         num *= nu - m
     return SeriesValue(acc, abs(last))
+
+
+# m! as floats for m <= 170 (171! overflows a double): a float divided by
+# the int m! is divided by the float the int converts to, so the quotient
+# is the same; past 170 the int stays, and the division raises as before
+_FACTORIALS = tuple(float(math.factorial(m)) for m in range(171))
 
 
 def frac_op_series(

@@ -13,9 +13,14 @@ All chain-rule expansions are exact sympy manipulations along the jet,
 done before any sum: each factor becomes a table of its float psi-jets at
 the point, by Taylor mode (:func:`_jets`, :mod:`psifrac.taylor`, the
 engine of the series backend), and the sums run over those tables; no
-table is differentiated symbolically.  Fractional pieces use the
-terminating jet series :func:`~psifrac.fracops.jet_series`, except omega,
-which is the difference of two quadrature derivatives:
+table is differentiated symbolically.  Every first derivative (eta_u, the
+u-derivatives of mu, u_x and u_t of the characteristic) comes from
+:func:`psifrac.jets.diff`: it is taken once per shape of the generator
+and jet, the numbers put back, and equals sp.diff's bit for bit, so a
+second generator of the same shape is not differentiated again.
+Fractional pieces use the terminating jet series
+:func:`~psifrac.fracops.jet_series`, except omega, which is the
+difference of two quadrature derivatives:
 D^{alpha;psi} D_t^{1;psi} u - D^{alpha+1;psi} u.
 """
 
@@ -29,7 +34,7 @@ import sympy as sp
 
 from .errors import DomainError
 from .fracops import QuadratureSpec, _psi_jet_expr, frac_derivative, jet_series
-from .jets import T, U, W, X, JetFunction, SolutionJet, compiled
+from .jets import T, U, W, X, JetFunction, SolutionJet, compiled, diff
 from .psi import PsiFunction
 from .special import gen_binom, rgamma
 from .taylor import program
@@ -113,7 +118,7 @@ class ReducedInfinitesimals:
         already a polynomial in t, which simplify, by far the slowest step
         here, would only factor."""
         w = psi.expr - psi.expr.subs(T, psi.a)
-        tau_t = (self.c0 + self.c1 * w + self.c2 * w**2) / sp.diff(psi.expr, T)
+        tau_t = (self.c0 + self.c1 * w + self.c2 * w**2) / diff(psi.expr, T)
         return Infinitesimals.from_exprs(
             self.xi.expr, sp.expand(tau_t), sp.expand(self.eta_expr(psi))
         )
@@ -154,8 +159,8 @@ def _characteristic(inf: Infinitesimals, uexpr: sp.Expr):
     tau_c = sp.expand(inf.tau.expr.subs(U, uexpr))
     q = sp.expand(
         inf.eta.expr.subs(U, uexpr)
-        - xi_c * sp.diff(uexpr, X)
-        - tau_c * sp.diff(uexpr, T)
+        - xi_c * diff(uexpr, X)
+        - tau_c * diff(uexpr, T)
     )
     return xi_c, tau_c, q
 
@@ -175,7 +180,7 @@ def eta_integer(
     e = (
         sp.diff(q, X, i)
         + xi_c * sp.diff(uexpr, X, i + 1)
-        + tau_c * sp.diff(sp.diff(uexpr, T), X, i)
+        + tau_c * sp.diff(diff(uexpr, T), X, i)
     )
     return JetFunction.of_xt(sp.expand(e))(x, t)
 
@@ -223,9 +228,9 @@ def mu_term(
     # u-partials of eta, each one derivative from the order before; the sum
     # over k stops once they vanish identically
     eta_k = {}
-    d = sp.diff(inf.eta.expr, U)
+    d = diff(inf.eta.expr, U)
     for k in range(2, M + 1):
-        d = sp.expand(sp.diff(d, U))
+        d = sp.expand(diff(d, U))
         if d == 0:
             break
         eta_k[k] = d
@@ -330,7 +335,7 @@ def eta_alpha_psi(
     w = psi(t) - psi(psi.a)
     xi_c = sp.expand(inf.xi.expr.subs(U, uexpr))
     tau_c = sp.expand(inf.tau.expr.subs(U, uexpr))
-    etau = sp.expand(sp.diff(inf.eta.expr, U))
+    etau = sp.expand(diff(inf.eta.expr, U))
     # the jet tables: eta and eta_u with u fixed, the rest along the solution
     u_j = _jets(sp.expand(uexpr), psi, terms, x, t)
     uval = _nth(u_j, 0)
@@ -339,7 +344,7 @@ def eta_alpha_psi(
     etau_c_j = _jets(sp.expand(etau.subs(U, uexpr)), psi, terms, x, t)
     xi_j = _jets(xi_c, psi, terms, x, t)
     tau_j = _jets(tau_c, psi, terms + 1, x, t)
-    ux_j = _jets(sp.expand(sp.diff(uexpr, X)), psi, terms, x, t)
+    ux_j = _jets(sp.expand(diff(uexpr, X)), psi, terms, x, t)
 
     acc = jet_series(eta_j, alpha, w).value
     d_alpha_u = jet_series(u_j, alpha, w).value
@@ -381,7 +386,7 @@ def eta_alpha_psi_compact(
     w = psi(t) - psi(psi.a)
     xi_c, tau_c, q = _characteristic(inf, uexpr)
     q_j = _jets(q, psi, terms, x, t)
-    ux_j = _jets(sp.expand(sp.diff(uexpr, X)), psi, terms, x, t)
+    ux_j = _jets(sp.expand(diff(uexpr, X)), psi, terms, x, t)
     u_j = _jets(sp.expand(uexpr), psi, terms, x, t)
     acc = jet_series(q_j, alpha, w).value
     acc += _nth(_jets(xi_c, psi, 0, x, t), 0) * jet_series(ux_j, alpha, w).value

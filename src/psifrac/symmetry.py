@@ -44,7 +44,7 @@ import sympy as sp
 
 from .errors import DomainError
 from .fracops import QuadratureSpec, power_rule_expr
-from .jets import T, U, W, X, JetFunction, compiled, compiled_array
+from .jets import T, U, W, X, JetFunction, _numbers_out, compiled, compiled_array
 from .prolong import (
     Infinitesimals,
     ReducedInfinitesimals,
@@ -211,24 +211,6 @@ def _omega_residual(
     for t in _ts(psi.a):
         v = _nan_max(v, abs(red.c0 * omega_commutator(probe, psi, alpha, t, quad)))
     return v
-
-
-def _numbers_out(exprs: tuple) -> tuple:
-    """(shapes, numbers): exprs with each sp.Float replaced by a
-    placeholder, in order of first appearance in a preorder walk (equal
-    floats share one), and the floats by their placeholders, in order."""
-    floats = dict.fromkeys(n for e in exprs for n in sp.preorder_traversal(e)
-                           if isinstance(n, sp.Float))
-    numbers = dict(zip(_placeholders(len(floats)), floats))
-    out = {f: s for s, f in numbers.items()}
-    return tuple(e.xreplace(out) for e in exprs), numbers
-
-
-# one entry per count of floats in a generator: a handful in any run
-@lru_cache(maxsize=32)
-def _placeholders(count: int) -> tuple:
-    """The real symbols num_0 .. num_{count-1}, parsed once per count."""
-    return sp.symbols(f"num_:{count}", real=True, seq=True)
 
 
 # -- tables and the grid --------------------------------------------------------

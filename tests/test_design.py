@@ -6,7 +6,8 @@ psi-time prolongation is the compact form at an integer order; the
 determining systems share one grid evaluation with no sympy in it, and
 the prolongation sums keep it out of their m-loops; a warm quadrature
 runs no Python per node; an array callable carries no more than the
-names it may call; the classical checks never simplify; each CLI
+names it may call; the classical checks never simplify, and the
+selftest oracle differentiates with sympy alone; each CLI
 command takes the flags of the settings it reads, and reads every one
 of them; every cache has a finite bound; and a run
 loads no module it does not use: no scipy, no random generator for the
@@ -186,6 +187,33 @@ def test_classical_checks_do_not_simplify(monkeypatch):
         sy.detsys_zhang_rl(cand, eq, alpha)
         gen = sy.GeneratorCandidate(cand.label, general=cand.reduced.to_general(psi))
         sy.detsys_gazizov_rl(gen, eq.g, alpha)
+
+
+def test_the_selftest_oracle_takes_no_shape_cached_derivative(monkeypatch):
+    # selftest's classical references (criterion 4's oracle, and the
+    # benchmark's) differentiate with sympy alone, so they stay
+    # independent of the derivatives jets.diff takes once per shape for
+    # the prolongation they check
+    import math
+
+    from psifrac import jets
+    from psifrac import selftest as st
+    from psifrac.jets import U, X
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("jets.diff in a selftest reference")
+
+    cached = jets.diff
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("psifrac") and getattr(mod, "diff", None) is cached:
+            monkeypatch.setattr(mod, "diff", refuse)
+    references = sorted(n for n in vars(st) if n.startswith("_classical"))
+    assert references == ["_classical_eta_ref", "_classical_op"]
+    u = 1 + 0.7 * X * T + T**2
+    eta = 0.8 * X * U - U + 0.6 * U**2
+    assert math.isfinite(st._classical_eta_ref(X, 1.3 * T + 0.4, eta, u, 0.6, 0.7, 1.1))
+    assert math.isfinite(st._classical_op(u.subs(X, 0.7), 0.6, 1.1))
+    assert "diff" not in vars(st)
 
 
 def test_jets_imports_nothing_from_fracops():

@@ -493,6 +493,37 @@ def test_jet_series_at_an_integer_order_and_the_lower_limit():
         assert fo.jet_series(jets[:int(nu)], nu, 0.0).value == 0.0
 
 
+def test_jet_series_divides_by_the_same_factorials_and_gammas():
+    # the loop as it was, with math.factorial and rgamma per term: the
+    # cached float factorials and the inline 1/Gamma give the same bits,
+    # and a list past 171 terms raises where it did (171! is no double)
+    def loop(jets, nu, w):
+        acc = last = 0.0
+        num = 1.0
+        pole = float(nu).is_integer()
+        for m, d in enumerate(jets):
+            if not pole or m >= nu:
+                last = num / math.factorial(m) * w ** (m - nu) * rgamma(m + 1 - nu) * d
+                acc += last
+            num *= nu - m
+        return fo.SeriesValue(acc, abs(last))
+
+    def outcome(fn, *args):
+        try:
+            return repr(fn(*args))
+        except ArithmeticError as e:
+            return type(e).__name__
+
+    rng = np.random.default_rng(26)
+    nus = (-171.5, -40.25, -2.0, -0.5, 0.0, 0.3, 1.0, 1.5, 2.0, 7.75, 170.5, 172.0, 180.25)
+    for case in range(2000):
+        n = (0, 1, 5, 31, 171, 172, 200)[case % 7]
+        jets = (rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)).tolist()
+        nu = nus[case % len(nus)] if case % 3 else float(rng.uniform(-3, 5))
+        w = (0.0, 0.25, 1.7, 40.0)[case % 4] if case % 5 else float(rng.uniform(0, 3))
+        assert outcome(fo.jet_series, jets, nu, w) == outcome(loop, jets, nu, w), (n, nu, w)
+
+
 # -- operator laws ----------------------------------------------------------------
 
 

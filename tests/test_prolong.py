@@ -9,6 +9,7 @@ import pytest
 import sympy as sp
 
 from psifrac import fracops as fo
+from psifrac import jets
 from psifrac import prolong as pr
 from psifrac.errors import DomainError
 from psifrac.jets import JetFunction, SolutionJet, T, U, W, X
@@ -425,3 +426,131 @@ def test_omega_scales_with_tau_tilde_and_kernel_slope():
     got = pr.omega_term(red, u, psi, alpha, 0.5, t)
     # psi'(a) * (c0 / psi'(a)) * commutator = c0 * commutator
     assert got == pytest.approx(2.0 * comm, rel=1e-10)
+
+
+# -- first derivatives, once per shape -------------------------------------------
+
+# forms of the spec grammar, with {} for each number: exponentials of cubics,
+# powers of sums, quotients, psi, and products of three floats
+_FORMS = (
+    lambda rng, a, b: f"{{}}*exp({{}}*{rng.choice('xtu')}^3 + {a})",
+    lambda rng, a, b: f"({a} + {{}}*{b})^{rng.choice((-3, -2, -1, 2, 3))}",
+    lambda rng, a, b: f"({a})/({b} + {{}})",
+    lambda rng, a, b: f"{{}}*{{}}*{{}}*{a}*{b}",
+    lambda rng, a, b: f"{{}}*psi^{rng.randint(1, 3)} + {a}*{b}",
+    lambda rng, a, b: f"{a} - {{}}*{b}",
+    lambda rng, a, b: f"exp({{}}*{a})*{b}",
+)
+_KERNELS = (IDENTITY, POWER, builtin("exponential", 0.0, 2.0))
+
+
+def _grammar_corpus(seed: int, shapes: int, fills: int) -> list:
+    """shapes * fills parsed specs, each shape filled with numbers from a
+    small pool (so that floats repeat and meet themselves), with psi put in
+    as psi(t) - psi(a) of one of three kernels."""
+    import random
+
+    from psifrac.parser import parse_expr
+
+    rng = random.Random(seed)
+    pool = [f"{rng.uniform(0.1, 3.0):.{rng.randint(1, 3)}f}" for _ in range(6)]
+
+    def leaf():
+        return rng.choice(("x", "t", "u", "psi", "psi", "{}", str(rng.randint(1, 4))))
+
+    exprs = []
+    for i in range(shapes):
+        inner = rng.choice(_FORMS)(rng, leaf(), leaf()) if rng.random() < 0.4 else leaf()
+        form = rng.choice(_FORMS)(rng, inner, leaf())
+        wa = _w_expr(_KERNELS[i % 3])
+        for _ in range(fills):
+            spec = form.format(*(rng.choice(pool) for _ in range(form.count("{}"))))
+            exprs.append(parse_expr(spec).subs(W, wa))
+    return exprs
+
+
+def test_diff_is_sp_diff_on_a_grammar_corpus():
+    # a derivative taken once per shape, with its numbers put back, is
+    # sp.diff's own in structure and in every float's bits
+    admitted = total = 0
+    for e in _grammar_corpus(26, 30, 56):
+        (shape,), numbers = jets._numbers_out((e,))
+        for var in (X, T, U):
+            total += 1
+            if numbers and jets._shape_diff(shape, var, len(numbers))[1]:
+                admitted += 1
+                assert sp.srepr(jets.diff(e, var)) == sp.srepr(sp.diff(e, var)), (e, var)
+    assert total >= 5000
+    assert 0.75 * total < admitted < total
+
+
+@pytest.mark.parametrize("spec, var", [
+    ("1.27*exp(1.668*t^3)", T),  # 3 * 1.27 * 1.668, in another order
+    ("1.27*exp(1.27*t^3)", T),  # 3 * 1.27^2: the square counts twice
+    ("3*exp(0.1*t^3 + 0.895*exp(2.5*u^3))", T),  # 9 = 3 * 3, applied in turn
+    ("x*(0.7*x + (t + 0.7*u)^2)", U),  # 2 * 0.7 distributed over a sum
+    ("(u*(t^3 - 0.84) + u)^-3", U),  # -3 (1 - 0.84), not -3 - 3 (-0.84)
+])
+def test_diff_refuses_a_shape_whose_floats_would_round_otherwise(spec, var):
+    from psifrac.parser import parse_expr
+
+    e = parse_expr(spec)
+    (shape,), numbers = jets._numbers_out((e,))
+    d, replays = jets._shape_diff(shape, var, len(numbers))
+    assert not replays
+    assert sp.srepr(jets.diff(e, var)) == sp.srepr(sp.diff(e, var))
+
+
+def _generator(psi, c):
+    """A generator and jet of one shape with the numbers c: eta quadratic
+    in u (mu), tau(a) != 0 (omega)."""
+    wa = _w_expr(psi)
+    inf = pr.Infinitesimals.from_exprs(c[0] * X**2, c[1] * T + c[2],
+                                       c[3] * X * U - U + c[4] * U**2)
+    return inf, SolutionJet.from_expr(sp.expand(1 + c[5] * X * wa + wa**2))
+
+
+def _prolongation_values(psi, inf, jet, integer=True):
+    x, t = 0.7, psi.a + 0.6 * (psi.b - psi.a)
+    u_t = JetFunction.of_t(jet.expr.subs(X, x))
+    values = [pr.eta_alpha_psi(inf, jet, psi, ALPHA, x, t),
+              pr.mu_term(inf, jet, psi, ALPHA, x, t),
+              pr.omega_term(inf, u_t, psi, ALPHA, x, t),
+              pr.eta_alpha_psi_compact(inf, jet, psi, ALPHA, x, t),
+              pr.eta_m_psi(2, inf, jet, psi, x, t)]
+    return values + [pr.eta_integer(2, inf, jet, x, t)] if integer else values
+
+
+@pytest.mark.parametrize("psi", _KERNELS, ids=lambda p: p.name)
+def test_prolongation_values_are_those_of_plain_sp_diff(psi, monkeypatch):
+    numbers = ((1.13, 0.71, 0.37, 1.9, 0.55, 1.27), (0.83, 1.41, 0.29, 1.07, 1.66, 0.58))
+    cached = [_prolongation_values(psi, *_generator(psi, c)) for c in numbers]
+    for mod in (pr, fo):  # the names the two modules call jets.diff by
+        monkeypatch.setattr(mod, "diff", sp.diff)
+    fo._psi_jet_expr.cache_clear()
+    fo._psi_jet_fn.cache_clear()
+    plain = [_prolongation_values(psi, *_generator(psi, c)) for c in numbers]
+    assert repr(cached) == repr(plain)
+    assert all(v != 0.0 for values in plain for v in values), plain
+
+
+def test_a_second_generator_of_a_shape_is_not_differentiated(monkeypatch):
+    # the derivatives of the first are taken by shape, and the second's
+    # numbers are put into them: sympy differentiates nothing of the
+    # generator or the jet, only psi itself for omega's quadrature jets.
+    # The second's numbers are the first's halved: sympy orders a sum's
+    # terms by their floats' mantissas, which halving keeps, so each sum
+    # lists its terms, and numbers its floats, the same way
+    psi = POWER
+    first = (1.13, 0.71, 0.37, 1.9, 0.55, 1.27)
+    _prolongation_values(psi, *_generator(psi, first))
+    calls, diff = [], sp.diff
+    monkeypatch.setattr(sp, "diff", lambda *a: calls.append(a) or diff(*a))
+    second = _generator(psi, tuple(c / 2 for c in first))
+    values = _prolongation_values(psi, *second, integer=False)
+    assert all(math.isfinite(v) for v in values)
+    assert calls and set(calls) == {(psi.expr, T)}, calls
+    # eta_integer takes its higher x-derivatives by sp.diff, as before
+    calls.clear()
+    pr.eta_integer(2, *second, 0.7, 1.0)
+    assert calls and all(len(a) > 2 for a in calls), calls

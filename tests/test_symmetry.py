@@ -596,10 +596,10 @@ def test_placeholders_are_parsed_once_per_count(monkeypatch):
     # gives, so every compiled shape is keyed as before
     exprs = (sp.Float(0.5) * X + sp.Float(1.25), sp.Float(2.75) * T + sp.Float(0.5))
     parsed, symbols = [], sp.symbols
-    monkeypatch.setattr(sy.sp, "symbols", lambda *a, **k: parsed.append(a) or symbols(*a, **k))
-    sy._placeholders.cache_clear()
-    first = sy._numbers_out(exprs)
-    assert sy._numbers_out(exprs) == first
+    monkeypatch.setattr(sp, "symbols", lambda *a, **k: parsed.append(a) or symbols(*a, **k))
+    jets._placeholders.cache_clear()
+    first = jets._numbers_out(exprs)
+    assert jets._numbers_out(exprs) == first
     assert parsed == [("num_:3",)]
     assert all(a is b for a, b in zip(first[1], symbols("num_:3", real=True, seq=True)))
     assert set(first[1].values()) == {0.5, 1.25, 2.75}
