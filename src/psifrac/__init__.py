@@ -41,9 +41,11 @@ from .parser import ParseError, parse_expr
 from .psi import PsiFunction, builtin, validate
 from .special import gamma, gen_binom, rgamma
 
-# the prolongation, the determining systems and the sympy symbols load
-# sympy: they are imported on first access (PEP 562), so that a process
-# that only evaluates operators never loads it
+# imported on first access (PEP 562): the sympy symbols, which load sympy,
+# and the prolongation and the determining systems, which load it where
+# they need it (the prolongation, the solver, and the omega equation of a
+# moving lower limit), so that `import psifrac` stays light and a process
+# that evaluates operators or checks a determining system never loads it
 _LAZY = {
     "jets": ("X", "T", "U", "W"),
     "prolong": ("Infinitesimals", "ReducedInfinitesimals", "eta_alpha_psi",

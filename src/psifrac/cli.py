@@ -204,8 +204,7 @@ def _in_t(spec: str, psi, with_x: bool) -> tuple:
     if tr.names(e) - ({"t", "w", "x"} if with_x else {"t", "w"}):
         kind, names = ("jet", "x, t and psi") if with_x else ("function", "t and psi")
         raise DomainError(f"{kind} spec {spec!r} must use only {names}")
-    va = psi(psi.a)
-    return tr.subs(e, "w", ("add", psi.tree, tr.num(-va)) if va else psi.tree)
+    return tr.subs(e, "w", psi.shifted)
 
 
 def _as_f_of_t(spec: str, psi) -> JetFunction:
@@ -310,7 +309,6 @@ def _case_params(args) -> dict:
 def _candidate_from_args(alpha: float, args, case):
     from . import prolong as pr
     from . import symmetry as sy
-    from .jets import T, U, W
 
     if args.table:
         rows = case.rows(alpha, **_case_params(args))
@@ -319,10 +317,8 @@ def _candidate_from_args(alpha: float, args, case):
             raise DomainError(
                 f"no table row labelled '{args.table}' for case '{case.name}'")
         return matches[0]
-    xi = parse_expr(args.xi)
-    theta = parse_expr(args.theta)
-    rho = parse_expr(args.cand_rho)
-    if xi.has(T, U, W) or theta.has(T, U, W) or rho.has(T, U):
+    xi, theta, rho = (parse(s) for s in (args.xi, args.theta, args.cand_rho))
+    if (tr.names(xi) | tr.names(theta)) - {"x"} or tr.names(rho) - {"x", "w"}:
         raise DomainError("reduced candidate: xi(x), theta(x), rho(x, psi)")
     red = pr.ReducedInfinitesimals(
         alpha, sy._jx(xi), args.c0, args.ctau1, args.ctau2,

@@ -9,20 +9,19 @@ tree never loads sympy.  Derivatives come from the expression, never from
 finite differences.
 
 :func:`compiled` turns an expression, or one of its mixed partials, into
-a float callable, and :func:`compiled_array` an expression into a callable
-on numpy arrays; every lambdified callable in the package comes from one
-of them, so equal requests share one compile.  The symbolic psi-jets of the
+a float callable; every lambdified callable in the package comes from it,
+so equal requests share one compile.  The symbolic psi-jets of the
 quadrature backend, for functions given in sympy, are built in
 :mod:`psifrac.fracops`, which sits above this module, and are compiled
 here like any other expression; the psi-jets of a tree, of the series
 backend and of the prolongation are never compiled (forward-mode and
-Taylor arithmetic).
+Taylor arithmetic), and neither are the determining systems, which
+evaluate trees (:func:`psifrac.tree.evaluate`).
 
 :func:`diff` takes a first derivative once per shape, an expression with
-its floats taken out (:func:`_numbers_out`, which also keys the
-determining systems' compiles), and puts the numbers back where that
-gives sp.diff's own result, bit for bit; the symbolic psi-jets and the
-prolongation take theirs from it.
+its floats taken out (:func:`_numbers_out`), and puts the numbers back
+where that gives sp.diff's own result, bit for bit; the symbolic psi-jets
+and the prolongation take theirs from it.
 
 sympy is loaded on first use: it (``sp``) and the symbols ``X``, ``T``,
 ``U`` and ``W`` are module attributes made on first access (PEP 562).
@@ -35,10 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-import numpy as np
-
-__all__ = ["JetFunction", "SolutionJet", "compiled", "compiled_array", "symbol",
-           "X", "T", "U", "W"]
+__all__ = ["JetFunction", "SolutionJet", "compiled", "symbol", "X", "T", "U", "W"]
 
 
 def __getattr__(name: str):
@@ -74,8 +70,11 @@ def compiled(expr, vars: tuple = None, orders: tuple = ()):
     vars None stands for (t,): hashing a sympy symbol runs Python code, and
     the hot callers, psi and the psi-jets of f(t), look up on every call.
     Pass every argument positionally: the cache keys on the arguments as
-    given.  An expression or partial that is exactly 0 is not compiled
-    (:func:`_lambdify`).
+    given.  This is the package's one lambdify.  An expression or partial
+    that is exactly 0 is not compiled: every such request shares one
+    constant callable.  ``docstring_limit=0`` keeps lambdify from printing
+    the expression a second time, into the callable's ``__doc__`` (about a
+    quarter of a compile); the generated code is the same.
     """
     sp = _sp()
     if vars is None:
@@ -84,46 +83,9 @@ def compiled(expr, vars: tuple = None, orders: tuple = ()):
     for v, o in zip(vars, orders):
         if o:
             e = sp.diff(e, v, o)
-    return _lambdify(vars, e, False)
-
-
-# one entry per equation of a determining system's shape cache, and per
-# power rule: a few hundred in a long sweep
-@lru_cache(maxsize=512)
-def compiled_array(expr, vars: tuple):
-    """Callable of expr in vars that takes numpy arrays, which broadcast;
-    an expression free of the arrays' variables returns a scalar."""
-    return _lambdify(vars, expr, True)
-
-
-# the namespace of an array callable: numpy's ufuncs by the names the NumPy
-# printer writes (lambdify imports any other name a callable needs on its
-# own); modules="numpy" would copy numpy's whole namespace, about 18 kB,
-# into every callable, and load numpy.random
-_UFUNCS = {name: getattr(np, name) for name in ("exp", "log", "sin", "cos", "sqrt")}
-
-
-def _lambdify(vars: tuple, e, array: bool):
-    """The package's one lambdify: for floats through math, or for arrays
-    through the NumPy printer (a new one each time, as a printer keeps
-    every name it has printed) and _UFUNCS.  An expression that is exactly
-    0 is not compiled: every such request shares one constant callable.
-
-    ``docstring_limit=0`` keeps lambdify from printing the expression a
-    second time, into the callable's ``__doc__`` (about a quarter of a
-    compile); the generated code is the same.
-    """
-    sp = _sp()
     if e is sp.S.Zero:
         return _zero
-    modules, printer = "math", None
-    if array:
-        from sympy.printing.numpy import NumPyPrinter
-
-        modules = [_UFUNCS]
-        printer = NumPyPrinter({"fully_qualified_modules": False, "inline": True,
-                                "allow_unknown_functions": True, "user_functions": {}})
-    return sp.lambdify(vars, e, modules, printer=printer, docstring_limit=0)
+    return sp.lambdify(vars, e, "math", docstring_limit=0)
 
 
 def _zero(*args):

@@ -22,6 +22,10 @@ Fractional pieces use the terminating jet series
 :func:`~psifrac.fracops.jet_series`, except omega, which is the
 difference of two quadrature derivatives:
 D^{alpha;psi} D_t^{1;psi} u - D^{alpha+1;psi} u.
+
+A reduced generator and its general form (:meth:`ReducedInfinitesimals.to_general`)
+are trees (:mod:`psifrac.tree`), and the determining systems read them
+without sympy; sympy is imported by the prolongation itself, on first use.
 """
 
 from __future__ import annotations
@@ -30,11 +34,10 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-import sympy as sp
-
+from . import tree as tr
 from .errors import DomainError
 from .fracops import QuadratureSpec, _psi_jet_expr, frac_derivative, jet_series
-from .jets import T, U, W, X, JetFunction, SolutionJet, compiled, diff
+from .jets import JetFunction, SolutionJet, compiled, diff
 from .psi import PsiFunction
 from .special import gen_binom, rgamma
 from .taylor import program
@@ -86,11 +89,11 @@ class ReducedInfinitesimals:
     rho: JetFunction  # function of (x, w)
 
     def __post_init__(self):
-        if self.xi.vars != (X,):
+        if self.xi.names != ("x",):
             raise DomainError("xi must be a function of x alone")
-        if self.theta.vars != (X,):
+        if self.theta.names != ("x",):
             raise DomainError("theta must be a function of x alone")
-        if self.rho.vars != (X, W):
+        if self.rho.names != ("x", "w"):
             raise DomainError("rho must be a function of (x, w)")
 
     @property
@@ -102,26 +105,28 @@ class ReducedInfinitesimals:
         """tau in t-units at t = a: c0 / psi'(a)."""
         return self.c0 / psi.deriv(psi.a)
 
-    def eta_expr(self, psi: PsiFunction) -> sp.Expr:
-        w = psi.expr - psi.expr.subs(T, psi.a)
-        return (
-            self.theta.expr * U
-            + self.rho.expr.subs(W, w)
-            + self.gamma * (2 * self.c2 * w + self.c1) * U
-        )
+    def _eta(self, w: tuple) -> tuple:
+        """eta as a tree in x, t and u, for w the tree of psi(t) - psi(a)."""
+        u = tr.U
+        return tr.add(tr.mul(self.theta.tree, u), tr.subs(self.rho.tree, "w", w),
+                      tr.mul(tr.num(self.gamma), tr.add(tr.mul(tr.num(2 * self.c2), w),
+                                                       tr.num(self.c1)), u))
+
+    def eta_expr(self, psi: PsiFunction):
+        """eta in sympy."""
+        return tr.to_sympy(self._eta(psi.shifted))
 
     def to_general(self, psi: PsiFunction) -> Infinitesimals:
-        """The same generator as (xi, tau, eta) in t-units.
+        """The same generator as (xi, tau, eta) in t-units, as trees.
 
-        tau is (c0 + c1 w + c2 w^2) / psi'(t), expanded and not simplified:
-        every consumer differentiates or compiles it, and for psi = t it is
-        already a polynomial in t, which simplify, by far the slowest step
-        here, would only factor."""
-        w = psi.expr - psi.expr.subs(T, psi.a)
-        tau_t = (self.c0 + self.c1 * w + self.c2 * w**2) / diff(psi.expr, T)
-        return Infinitesimals.from_exprs(
-            self.xi.expr, sp.expand(tau_t), sp.expand(self.eta_expr(psi))
-        )
+        tau is (c0 + c1 w + c2 w^2) / psi'(t), with the division left out
+        where psi' is 1, as on psi = t, and no term whose coefficient is 0,
+        so that its t-derivatives end by structure where a polynomial's do."""
+        w = psi.shifted
+        tau = tr.add(tr.num(self.c0), tr.mul(tr.num(self.c1), w),
+                     tr.mul(tr.num(self.c2), tr.power(w, tr.num(2))))
+        tau = tr.mul(tau, tr.power(tr.diff(psi.tree, "t"), tr.num(-1)))
+        return Infinitesimals.from_exprs(self.xi.source, tau, self._eta(w))
 
 
 # -- jets along a solution ----------------------------------------------------
@@ -132,7 +137,7 @@ _dt_expr = _psi_jet_expr
 _fn_xt = _fn_xtu = compiled
 
 
-def _jets(expr: sp.Expr, psi: PsiFunction, upto: int, x: float, t: float, *u) -> list:
+def _jets(expr, psi: PsiFunction, upto: int, x: float, t: float, *u) -> list:
     """The psi-jets 0..upto of expr at (x, t), as floats, for expr in (x, t)
     fully composed along the solution or, with u given, in (x, t, u) with
     u held fixed.  The jets come by Taylor mode, from one program per
@@ -152,9 +157,13 @@ def _nth(jets: list, m: int) -> float:
     return jets[m] if m < len(jets) else 0.0
 
 
-def _characteristic(inf: Infinitesimals, uexpr: sp.Expr):
+def _characteristic(inf: Infinitesimals, uexpr):
     """xi and tau along the solution, and the characteristic
     Q = eta - xi u_x - tau u_t, each expanded."""
+    import sympy as sp
+
+    from .jets import T, U, X
+
     xi_c = sp.expand(inf.xi.expr.subs(U, uexpr))
     tau_c = sp.expand(inf.tau.expr.subs(U, uexpr))
     q = sp.expand(
@@ -175,6 +184,10 @@ def eta_integer(
     eta^(i) = D_x^i(eta - xi u_x - tau u_t) + xi u_{(i+1)x} + tau u_{ix,t}."""
     if i < 1:
         raise DomainError(f"prolongation order must be >= 1, got {i}")
+    import sympy as sp
+
+    from .jets import T, X
+
     uexpr = jet.expr
     xi_c, tau_c, q = _characteristic(inf, uexpr)
     e = (
@@ -222,6 +235,10 @@ def mu_term(
     where the last factor is a partial t-derivative (u held fixed).
     Vanishes identically when eta is linear in u.
     """
+    import sympy as sp
+
+    from .jets import U
+
     alpha = float(order)
     w = psi(t) - psi(psi.a)
     uexpr = jet.expr
@@ -330,6 +347,10 @@ def eta_alpha_psi(
     D_t^{m;psi} of xi, tau, eta_u are total derivatives along the
     solution; negative orders alpha - m are integral-series terms.
     """
+    import sympy as sp
+
+    from .jets import U, X
+
     alpha = float(order)
     uexpr = jet.expr
     w = psi(t) - psi(psi.a)
@@ -381,6 +402,10 @@ def eta_alpha_psi_compact(
 
     with the leading term a fractional total derivative along the jet.
     """
+    import sympy as sp
+
+    from .jets import X
+
     alpha = float(order)
     uexpr = jet.expr
     w = psi(t) - psi(psi.a)

@@ -82,6 +82,12 @@ class PsiFunction:
 
         return from_sympy(self.source)
 
+    @cached_property
+    def shifted(self) -> tuple:
+        """The tree of psi(t) - psi(a), the ``psi`` of a spec."""
+        va = self(self.a)
+        return ("add", self.tree, num(-va)) if va else self.tree
+
     # -- evaluation ---------------------------------------------------------
 
     def _fn(self, order: int) -> Callable[[float], float]:

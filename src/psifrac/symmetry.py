@@ -2,7 +2,8 @@
 
 Each determining system is exposed as a residual functional: given a
 candidate generator it evaluates every equation of the system on a grid
-of (x, t, u) nodes and reports the max-abs residual per equation.  A
+of (x, t, u) nodes and reports the max-abs residual per equation, and the
+equation with the largest one with the first node where it is taken.  A
 candidate is accepted when every residual is below tolerance.
 
 The grid is fixed: 5 x 5 x 5 equispaced nodes with x and t - a in
@@ -12,39 +13,44 @@ coordinates, and a fixed cubic in w as the omega equation's u.
 Four systems are provided: the psi-fractional Burgers system and the
 psi-fractional diffusion system (reduced-form candidates, arbitrary
 admissible psi), and the two classical formulations (reduced two-equation
-form and the expanded five-block form) used for cross-method agreement
+form and the expanded six-block form) used for cross-method agreement
 checks.  A small ansatz solver reproduces the closed-form generator
 bases case by case.
 
-Each system is a table of named sympy equations, compiled for numpy
-arrays once per coefficient and generator shape (its floats taken out),
-with alpha, the generator's floats and the like as run-time arguments;
-:func:`_grid_max` calls each equation of any table once, on the whole
-grid.  The fractional term, D^{alpha;psi} rho (or, in the expanded
-system, of eta - u eta_u with u fixed), is built once per shape too
-(:func:`_power_rule`): per call come only its gamma ratios and the omega
-quadrature.  Nothing calls ``simplify``.
+Each system is a template in numpy: its equations are array expressions
+in the candidate's functions (xi, theta and rho, or xi, tau and eta), the
+coefficient g(u) or K(u), and their derivatives, each of them an array on
+the broadcast grid.  The derivatives are trees (:func:`psifrac.tree.diff`,
+taken once per tree), and a tree in x and u alone is evaluated on the grid
+once (:func:`_fixed`).  The fractional term, D^{alpha;psi} rho (or, in the
+expanded system, of eta - u eta_u with u fixed), comes from the split of
+its tree into a power sum in w (:func:`psifrac.tree.power_sum`): per call
+come only its gamma ratios and its powers of w.  :func:`_grid_max` takes
+each equation's maximum over the grid and makes the report.  No system loads sympy, save
+through a function given in sympy and through the omega equation (v) of a
+candidate with c0 != 0, whose quadrature reads a probe built in sympy.
 
 :data:`CASES` is the one registry of the g(u) and K(u) cases: each
-:class:`Case` names its coefficient, its family, its :func:`builtin_table`
-row and its solver parameters, and builds its equation and its published
-basis from them.
+:class:`Case` names its coefficient, a tree with its parameters as exact
+fractions, its family, its :func:`builtin_table` row and its solver
+parameters, and builds its equation and its published basis from them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Optional
 
 import numpy as np
-import sympy as sp
 
+from . import tree as tr
 from .errors import DomainError
-from .fracops import QuadratureSpec, power_rule_expr
-from .jets import T, U, W, X, JetFunction, _numbers_out, compiled, compiled_array
+from .fracops import QuadratureSpec
+from .jets import JetFunction
 from .prolong import (
     Infinitesimals,
     ReducedInfinitesimals,
@@ -54,8 +60,6 @@ from .psi import PsiFunction
 from .special import gamma, gen_binom, rgamma
 
 __all__ = [
-    "UX",
-    "UXX",
     "EvolutionEquation",
     "GeneratorCandidate",
     "ResidualReport",
@@ -71,16 +75,17 @@ __all__ = [
     "lookup_case",
 ]
 
-# jet coordinates treated as independent variables in determining systems
-UX = sp.Symbol("u_x", real=True)
-UXX = sp.Symbol("u_xx", real=True)
-
 
 # the residual grid: x and u nodes, and the t nodes as offsets from a
 _XS = tuple(np.linspace(0.2, 1.0, 5))
 _US = tuple(np.linspace(0.5, 2.0, 5))
+# the x and u nodes as arrays that broadcast to the grid (x, t, u, probe)
+_X = np.reshape(_XS, (-1, 1, 1, 1))
+_U = np.reshape(_US, (1, 1, -1, 1))
 
 
+# one entry per kernel's base point a
+@lru_cache(maxsize=64)
 def _ts(a: float) -> tuple:
     return tuple(a + np.linspace(0.2, 1.0, 5))
 
@@ -97,13 +102,23 @@ _U_PROBE = (0.5337648579355345, 0.7190222608575713, 1.1823201539498678,
 # equations n = 1.._GAZIZOV_TERMS of the expanded system's family
 _GAZIZOV_TERMS = 8
 
+# the coordinates of its node that a report's worst equation names: those
+# the equation depends on, by system
+_NODES = {
+    "gfbe": {"i": "xt", "ii": "xt", "iii": "xtu", "iv": "xtu"},
+    "diffusion": dict.fromkeys(("i", "ii", "iii", "iv"), "xtu"),
+    "zhang": {"1": "xt", "2": "xtu"},
+    "gazizov": {**dict.fromkeys(("structure", "family", "iii", "iv", "v"), "xtu"),
+                "tau(t=0)": "xu"},
+}
+
 
 @dataclass(frozen=True)
 class EvolutionEquation:
-    """D^{alpha;psi} u = H[u] with H split into terms.
+    """D^{alpha;psi} u = H[u].
 
     kind 'gfbe' carries g(u) (H = g(u) u_x + u_xx), 'diffusion' carries
-    K(u) (H = (K(u) u_x)_x).
+    K(u) (H = (K(u) u_x)_x = K'(u) u_x^2 + K(u) u_xx).
     """
 
     kind: str
@@ -118,36 +133,16 @@ class EvolutionEquation:
         if self.kind == "gfbe":
             if self.g is None:
                 raise DomainError("gfbe needs g(u)")
-            if _constant_in_u(self.g.expr):
+            if _constant(self.g.tree):
                 raise DomainError("g(u) must not be constant")
         if self.kind == "diffusion" and self.K is None:
             raise DomainError("diffusion needs K(u)")
 
-    def terms(self) -> tuple:
-        """All terms effective in H, as expressions in the jet coordinates."""
-        if self.kind == "gfbe":
-            return (self.g.expr * UX, UXX)
-        k = self.K.expr
-        return (sp.diff(k, U) * UX**2, k * UXX)
 
-    @staticmethod
-    def is_linear_term(term: sp.Expr) -> bool:
-        """A term belongs to V when it is linear in one jet coordinate with
-        a u-free coefficient (the paper's classification: u_xx yes,
-        g(u) u_x no)."""
-        for v in (UX, UXX):
-            c = sp.diff(term, v)
-            if c != 0:
-                return sp.diff(term, v, 2) == 0 and not (
-                    c.has(U) or c.has(UX) or c.has(UXX)
-                )
-        return False
-
-
-# a sweep builds an equation per check, on a handful of coefficients
-@lru_cache(maxsize=64)
-def _constant_in_u(expr) -> bool:
-    return sp.diff(expr, U) == 0
+def _constant(coef: tuple) -> bool:
+    """Whether the tree of a coefficient in u is constant: its derivative
+    in u is 0 by structure."""
+    return tr.diff(coef, "u") == tr.ZERO
 
 
 @dataclass(frozen=True)
@@ -165,6 +160,12 @@ class GeneratorCandidate:
 
 @dataclass(frozen=True)
 class ResidualReport:
+    """The max |residual| of each equation, its tolerance and grid, and
+    ``worst``: the equation with the largest residual (a NaN counts as the
+    largest) and the first grid node where it is taken, as "iv @ x=0.2,
+    t=0.2, u=2", or "" where every residual is 0.  (v) of the
+    psi-fractional systems is no grid equation and names no node."""
+
     equations: dict
     tol: float
     grid: str
@@ -205,6 +206,8 @@ def _omega_residual(
     Zero exactly when the tau component vanishes at t = a (c0 = 0)."""
     if red.c0 == 0.0:
         return 0.0
+    from .jets import T
+
     w = psi.expr - psi.expr.subs(T, psi.a)
     probe = JetFunction.of_t(sum(c * w**k for k, c in enumerate(_U_PROBE)))
     v = 0.0
@@ -213,114 +216,92 @@ def _omega_residual(
     return v
 
 
-# -- tables and the grid --------------------------------------------------------
-
-# the run-time arguments of the tables: alpha, a reduced candidate's c1, c2
-# and gamma, and binom(alpha, n) for n = 1.._GAZIZOV_TERMS + 1
-_ALPHA, _C1, _C2, _GAMMA = sp.symbols("alpha_ c1_ c2_ gamma_", real=True)
-_BINOMS = sp.symbols(f"binom_1:{_GAZIZOV_TERMS + 2}", real=True)
+# -- the grid ---------------------------------------------------------------------
 
 
-def _compile(table: dict, args: tuple) -> MappingProxyType:
-    """A table of named equations, each name holding a tuple of sympy
-    expressions, with each compiled for arrays over args; one that is
-    exactly 0 is left out, as its residual is 0 at every node."""
-    return MappingProxyType({name: tuple(compiled_array(e, args) for e in eqs if e != 0)
-                             for name, eqs in table.items()})
+def _values(node: tuple, at: dict):
+    """The values of a tree on the grid, for at the arrays of its
+    variables: from :func:`_fixed` for a tree in x and u alone."""
+    v = _fixed(node)
+    return tr.evaluate(node, at) if v is None else v
 
 
-def _grid_max(table, ts: tuple, ws: tuple, args: tuple, frac=None, probes=((),)) -> tuple:
-    """(r, at, grid): the max |residual| r[name] of each name of a compiled
-    table over the grid, the first node (x, t, u) in (x, t, u, probe)
-    order where the first name takes its maximum (None where that is 0),
-    and the grid's description.  A NaN is kept, as the maximum and as the
-    node: a check that cannot be evaluated somewhere never passes.
-
-    Each callable is called once, on arrays x, w, u and the probe's (u_x,
-    u_xx) that broadcast to the grid (x, t, u, probe), then args; ws are
-    psi(t) - psi(a) at the t nodes ts, probes the (u_x, u_xx) probes (one
-    empty probe for a table without them).  frac = (name, f) adds f(x, w,
-    u), evaluated once, to each of name's equations, or stands for them
-    where name has none."""
-    shape = (len(_XS), len(ts), len(_US), len(probes))
-    x, u = np.reshape(_XS, (-1, 1, 1, 1)), np.reshape(_US, (1, 1, -1, 1))
-    w = np.reshape(ws, (1, -1, 1, 1))
-    jet = [np.reshape(c, (1, 1, 1, -1)) for c in zip(*probes)]
-    zero = np.zeros(shape, dtype=int)  # broadcasts a value to the grid, keeping its type
-    add, fn = frac or (None, None)
-    first, r, at = next(iter(table)), {}, None
+# the x and u nodes never change: a coefficient, a candidate's xi and
+# theta and their derivatives are evaluated once; a sweep meets a few
+# dozen such trees
+@lru_cache(maxsize=512)
+def _fixed(node: tuple):
+    """A tree in x and u alone on their nodes; None for any other tree."""
+    if not tr.names(node) <= {"x", "u"}:
+        return None
     with np.errstate(all="ignore"):
-        extra = fn(x, w, u) if fn else 0.0
+        return tr.evaluate(node, {"x": _X, "u": _U})
+
+
+def _partials(node: tuple, name: str, at: dict) -> list:
+    """A tree and its first and second derivatives in name, on the grid."""
+    d1 = tr.diff(node, name)
+    return [_values(n, at) for n in (node, d1, tr.diff(d1, name))]
+
+
+def _fractional_part(node: tuple, alpha: float, at: dict):
+    """D^{alpha;psi} of a power sum in w (:func:`psifrac.tree.power_sum`)
+    on the grid at, by the exact power rule: the sum of k Gamma(p + 1) /
+    Gamma(p + 1 - alpha) c w^(p - alpha) over its terms k c w^p, as
+    :func:`~psifrac.fracops.frac_deriv_psi_powers` takes it, a term at a
+    pole of 1/Gamma left out.  DomainError, before any node is evaluated,
+    when node is no sum of integrable powers."""
+    try:
+        terms = tr.power_sum(node, "w")
+    except DomainError:
+        raise DomainError(f"{tr.to_sympy(node)} is no sum of terms c*w**p") from None
+    for _, _, p in terms:
+        if p <= -1:
+            raise DomainError(f"non-integrable power w^{float(p)} in {tr.to_sympy(node)}")
+    acc = 0.0
+    for k, c, p in terms:
+        p = float(p)
+        r = rgamma(p + 1.0 - alpha)
+        if r != 0.0:
+            acc = acc + float(k) * gamma(p + 1.0) * r * _values(c, at) * at["w"] ** (p - alpha)
+    return acc
+
+
+def _grid_max(table: dict, ts: tuple, tol: float, nodes: dict, probes: int = 1,
+              off_grid: tuple = ()) -> ResidualReport:
+    """The report of table: the max |residual| of each name over the grid,
+    then the (name, residual) pairs off_grid; worst is the name with the
+    largest (a NaN counting as the largest, the first of equal ones) and
+    the first node (x, t, u) in (x, t, u, probe) order where it is taken,
+    by the coordinates nodes[name] (none off the grid), or "" where every
+    residual is 0.  A NaN is kept, as the maximum and as the node: a check
+    that cannot be evaluated somewhere never passes.
+
+    table holds, for each name, the values of its equations: arrays or
+    numbers that broadcast to the grid (x, t, u, probe) of the x nodes, the
+    t nodes ts, the u nodes and the count of (u_x, u_xx) probes."""
+    r, worst, top = {}, "", 0.0
+    with np.errstate(all="ignore"):
         for name, eqs in table.items():
-            vals = [f(x, w, u, *jet, *args) for f in eqs]
-            if name == add:
-                vals = [extra + e for e in vals or (0.0,)]
-            if not vals:
-                r[name] = 0.0
-                continue
-            a = abs(vals[0] + zero)
-            for v in vals[1:]:
+            r[name] = 0.0
+            for v in eqs:
+                r[name] = _nan_max(r[name], float(np.max(abs(v))))
+        r.update(off_grid)
+        for name, v in r.items():
+            if v > top or (v != v and top == top):
+                worst, top = name, v
+        if worst in table:
+            zero = np.zeros((len(_XS), len(ts), len(_US), probes))
+            a = zero
+            for v in table[worst]:
                 a = np.maximum(a, abs(v + zero))  # a NaN at a node is kept there
-            top = a.max()
-            r[name] = float(top)  # also where an equation is a constant int
-            if name == first and not top <= 0:
-                i, j, k = np.unravel_index(a.argmax(), a.shape)[:3]
-                at = (_XS[i], ts[j], _US[k])
+            i, j, k = np.unravel_index(a.argmax(), a.shape)[:3]
+            node = {"x": _XS[i], "t": ts[j], "u": _US[k]}
+            worst += " @ " + ", ".join(f"{c}={node[c]:.3g}" for c in nodes[worst])
     grid = (f"{len(_XS)}x{len(ts)}x{len(_US)} nodes, "
             f"x in [{_XS[0]:.3g}, {_XS[-1]:.3g}], t in [{ts[0]:.3g}, {ts[-1]:.3g}], "
             f"u in [{_US[0]:.3g}, {_US[-1]:.3g}]")
-    return r, at, grid
-
-
-# one entry per fractional part's shape, as for the systems' own builds
-@lru_cache(maxsize=64)
-def _power_rule(shape, placeholders: tuple) -> tuple:
-    """(kp, f) for D^{alpha;psi} of shape = sum_j k_j c_j w^p_j, c_j the
-    factor in x and u, k_j and p_j numbers that may hold placeholders:
-    kp(*numbers) gives the k_j, then the p_j, and f = sum_j R_j c_j w^E_j
-    takes arrays (x, w, u), R, E and the numbers, for R_j = k_j
-    Gamma(p_j + 1)/Gamma(p_j + 1 - alpha) and E_j = p_j - alpha.
-    DomainError where shape is no such sum."""
-    terms = []
-    e = sp.expand(shape)
-    for term in [] if e == 0 else e.as_ordered_terms():
-        c, rest = term.as_independent(W)
-        base, p = (W, sp.Integer(0)) if rest == 1 else sp.powsimp(rest).as_base_exp()
-        if base != W or not p.free_symbols <= set(placeholders):
-            raise DomainError(f"term {term} is not of the form c*w**p")
-        terms.append((*c.as_independent(X, U, as_Add=False), p))
-    ratios = sp.symbols(f"ratio_:{len(terms)}", real=True, seq=True)
-    powers = sp.symbols(f"power_:{len(terms)}", real=True, seq=True)
-    f = sp.Add(*(r * c * W**q for r, (_, c, _), q in zip(ratios, terms, powers)))
-    kp = sp.Tuple(*(k for k, _, _ in terms), *(p for _, _, p in terms))
-    return (compiled(kp, placeholders),
-            compiled_array(f, (X, W, U, *ratios, *powers, *placeholders)))
-
-
-def _fractional_part(shape, numbers: dict, alpha: float):
-    """D^{alpha;psi} of a power sum in w, given as a shape and its numbers
-    (:func:`_numbers_out`), by the exact power rule, as a callable of (x,
-    w, u) arrays: its terms come from :func:`_power_rule`, once per shape,
-    and a call computes only their gamma ratios, as
-    :func:`~psifrac.fracops.frac_deriv_psi_powers` does.  DomainError,
-    before any node is evaluated, when it is no sum of integrable powers."""
-    try:
-        kp, f = _power_rule(shape, tuple(numbers))
-    except DomainError:
-        power_rule_expr(shape.xreplace(numbers), alpha)  # the error, with the numbers in
-        raise
-    values = tuple(map(float, numbers.values()))
-    nu, kps = float(alpha), kp(*values)
-    n = len(kps) // 2
-    ratios, powers = [], []
-    for k, p in zip(kps[:n], kps[n:]):
-        p = float(p)
-        if p <= -1:
-            raise DomainError(f"non-integrable power w^{p} in {shape.xreplace(numbers)}")
-        r = rgamma(p + 1.0 - nu)
-        ratios.append(0.0 if r == 0.0 else float(k) * gamma(p + 1.0) * r)
-        powers.append(p - nu)
-    return lambda x, w, u: f(x, w, u, *ratios, *powers, *values)
+    return ResidualReport(r, tol, grid, worst)
 
 
 # -- psi-fractional Burgers and diffusion systems ---------------------------------
@@ -345,9 +326,7 @@ def detsys_gfbe(
             - xi'' - 2 theta' = 0
       (v)   omega = 0
 
-    (i)-(iv) come from :func:`_fractional_equations`, compiled once per g
-    and generator shape, and so do the terms of D^{alpha;psi} rho; their
-    gamma ratios and (v) are computed per call.
+    (i)-(iv) are evaluated on the grid by :func:`_fractional`.
     """
     return _fractional("gfbe", candidate, g, psi, alpha, tol, quad)
 
@@ -361,7 +340,7 @@ def detsys_diffusion(
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> ResidualReport:
     """Determining system for D^{alpha;psi} u = (K(u) u_x)_x, 0 < alpha <= 2,
-    built as :func:`detsys_gfbe` is, from :func:`_fractional_equations`.
+    evaluated as :func:`detsys_gfbe` is, by :func:`_fractional`.
 
     K'(u) = 0 dispatches to the shorter constant-diffusivity system.  The
     K'' equation is evaluated with the K' bracket added rather than
@@ -377,54 +356,37 @@ def detsys_diffusion(
 
 def _fractional(kind, candidate, coef, psi, alpha, tol, quad) -> ResidualReport:
     """The psi-fractional system of kind ('gfbe' or 'diffusion') with the
-    coefficient coef (g or K) on a reduced candidate."""
+    coefficient coef (g or K) on a reduced candidate: (i)-(iv) on the
+    grid, with D^{1;psi} tau = c1 + 2 c2 w a polynomial identity in w, and
+    (v)."""
     red = _reduced(candidate)
     ts = _ts(psi.a)
-    shapes, numbers = _numbers_out((red.xi.expr, red.theta.expr, red.rho.expr))
-    table = _fractional_system(kind, coef.expr, *shapes, tuple(numbers))
-    args = (alpha, red.c1, red.c2, red.gamma, *map(float, numbers.values()))
-    ws = tuple(psi(t) - psi(psi.a) for t in ts)
-    r, at, grid = _grid_max(table, ts, ws, args,
-                            ("i", _fractional_part(shapes[2], numbers, alpha)))
-    r["v"] = _omega_residual(red, psi, alpha, quad)
-    worst = "i @ x={:.3g}, t={:.3g}" + (", u={:.3g}" if kind == "diffusion" else "")
-    return ResidualReport(r, tol, grid, worst.format(*at) if at else "")
+    w = np.reshape([psi(t) - psi(psi.a) for t in ts], (1, -1, 1, 1))
+    at, u = {"x": _X, "w": w, "u": _U}, _U
+    with np.errstate(all="ignore"):
+        frac = _fractional_part(red.rho.tree, alpha, at)
+        _, xi1, xi2 = _partials(red.xi.tree, "x", at)
+        th, th1, th2 = _partials(red.theta.tree, "x", at)
+        rho, rho_x, rho_xx = _partials(red.rho.tree, "x", at)
+        k, k1, k2 = _partials(coef.tree, "u", at)
+        dtau = red.c1 + 2.0 * red.c2 * w
+        lin = red.gamma * dtau * u + th * u + rho
+        if kind == "gfbe":
+            eqs = (frac - rho_xx, alpha * dtau - 2 * xi1, (th1 * u + rho_x) * k + th2 * u,
+                   (alpha * dtau - xi1) * k + lin * k1 - xi2 - 2 * th1)
+        elif _constant(coef.tree):
+            eqs = (frac - (th2 * u + rho_xx) * k, (alpha * dtau - 2 * xi1) * k,
+                   (xi2 - 2 * th1) * k, 0.0)
+        else:
+            eqs = (frac - (th2 * u + rho_xx) * k, lin * k1 + (alpha * dtau - 2 * xi1) * k,
+                   lin * k2 + ((alpha + red.gamma) * dtau - 2 * xi1 + th) * k1,
+                   2 * (th1 * u + rho_x) * k1 - (xi2 - 2 * th1) * k)
+    table = {name: (e,) for name, e in zip(("i", "ii", "iii", "iv"), eqs)}
+    v = _omega_residual(red, psi, alpha, quad)
+    return _grid_max(table, ts, tol, _NODES[kind], off_grid=(("v", v),))
 
 
-# one entry per kind, coefficient and generator shape, as for _zhang_system
-@lru_cache(maxsize=64)
-def _fractional_system(kind: str, coef, xi, theta, rho, placeholders: tuple):
-    """:func:`_fractional_equations` compiled over (x, w, u, alpha, c1, c2,
-    gamma, numbers)."""
-    return _compile(_fractional_equations(kind, coef, xi, theta, rho),
-                    (X, W, U, _ALPHA, _C1, _C2, _GAMMA, *placeholders))
-
-
-def _fractional_equations(kind: str, coef, xi, theta, rho) -> dict:
-    """(i)-(iv) of the psi-fractional system of kind for the coefficient
-    coef(u) (g or K) and xi(x), theta(x), rho(x, w), in the symbols alpha_,
-    c1_, c2_ and gamma_; (i) without its D^{alpha;psi} rho, which is added
-    by :func:`_grid_max`."""
-    dtau = _C1 + 2 * _C2 * W  # D^{1;psi} tau, a polynomial identity in w
-    xi1, xi2 = sp.diff(xi, X), sp.diff(xi, X, 2)
-    th1, th2 = sp.diff(theta, X), sp.diff(theta, X, 2)
-    rho_x, rho_xx = sp.diff(rho, X), sp.diff(rho, X, 2)
-    lin = _GAMMA * dtau * U + theta * U + rho
-    k1 = sp.diff(coef, U)
-    if kind == "gfbe":
-        eqs = (-rho_xx, _ALPHA * dtau - 2 * xi1, (th1 * U + rho_x) * coef + th2 * U,
-               (_ALPHA * dtau - xi1) * coef + lin * k1 - xi2 - 2 * th1)
-    elif k1 == 0:  # constant diffusivity
-        eqs = (-(th2 * U + rho_xx) * coef, (_ALPHA * dtau - 2 * xi1) * coef,
-               (xi2 - 2 * th1) * coef, sp.Integer(0))
-    else:
-        eqs = (-(th2 * U + rho_xx) * coef, lin * k1 + (_ALPHA * dtau - 2 * xi1) * coef,
-               lin * sp.diff(coef, U, 2) + ((_ALPHA + _GAMMA) * dtau - 2 * xi1 + theta) * k1,
-               2 * (th1 * U + rho_x) * k1 - (xi2 - 2 * th1) * coef)
-    return {name: (e,) for name, e in zip(("i", "ii", "iii", "iv"), eqs)}
-
-
-# -- classical expanded system (five blocks) ----------------------------------
+# -- classical expanded system (six blocks) ------------------------------------
 
 
 def detsys_gazizov_rl(
@@ -442,62 +404,64 @@ def detsys_gazizov_rl(
       (iii)  xi'' - alpha g tau' - 2 eta_xu + g xi' - eta g' = 0
       (iv)   2 xi' - alpha tau' = 0
       (v)    d_t^alpha(eta) - u d_t^alpha(eta_u) - eta_xx - g eta_x = 0
+      tau(t=0):  tau(x, 0, u) = 0, as the lower limit t = 0 is fixed
+             (Gazizov, Kasatkin & Lukashchuk, Phys. Scr. T136, 2009)
 
-    The table is built once per generator shape and g
-    (:func:`_gazizov_system`), and so are the terms of the fractional
-    t-partials in (v): they hold u fixed and come from the exact power
-    rule, with only its gamma ratios per call, so eta must be a power sum
-    in t (DomainError otherwise, before any node is evaluated).
+    The fractional t-partials in (v) hold u fixed and come from the exact
+    power rule, with only its gamma ratios per call, so eta must be a
+    power sum in t (DomainError otherwise, before any node is evaluated).
+    tau(t=0) is evaluated at t = 0 on the x and u nodes.
     """
     if candidate.general is None:
         raise DomainError(f"candidate '{candidate.label}' must be in general form")
     inf = candidate.general
     ts = _ts(0.0)  # psi = t, a = 0
-    shapes, numbers = _numbers_out((inf.xi.expr, inf.tau.expr, inf.eta.expr))
-    table, fixed = _gazizov_system(shapes, g.expr, tuple(numbers))
-    args = (alpha, *[gen_binom(alpha, n) for n in range(1, _GAZIZOV_TERMS + 2)],
-            *map(float, numbers.values()))
-    r, _, grid = _grid_max(table, ts, ts, args,
-                           ("v", _fractional_part(fixed, numbers, alpha)))
-    return ResidualReport(r, tol, grid)
+    t = np.reshape(ts, (1, -1, 1, 1))
+    at = {"x": _X, "t": t, "u": _U}
+    xi, tau, eta = inf.xi.tree, inf.tau.tree, inf.eta.tree
+    d = tr.diff
+    etau, taup, xi1, eta_x = d(eta, "u"), d(tau, "t"), d(xi, "x"), d(eta, "x")
+    with np.errstate(all="ignore"):
+        frac = _fractional_part(_held(eta, repr(eta)), alpha, {"x": _X, "w": t, "u": _U})
+
+        def v(node):
+            return _values(node, at)
+
+        gv, g1, _ = _partials(g.tree, "u", at)
+        family = [gen_binom(alpha, n) * v(dn_etau) - gen_binom(alpha, n + 1) * v(dn1_tau)
+                  for n, (dn_etau, dn1_tau) in enumerate(_gazizov_family(etau, taup), 1)]
+        table = {
+            "structure": tuple(map(v, (d(xi, "u"), d(xi, "t"), d(tau, "u"), d(tau, "x"),
+                                       d(etau, "u")))),
+            "family": family,
+            "iii": (v(d(xi1, "x")) - alpha * gv * v(taup) - 2 * v(d(etau, "x"))
+                    + gv * v(xi1) - v(eta) * g1,),
+            "iv": (2 * v(xi1) - alpha * v(taup),),
+            "v": (frac - v(d(eta_x, "x")) - gv * v(eta_x),),
+            "tau(t=0)": (_values(tau, {"x": _X, "t": 0.0, "u": _U}),),
+        }
+    return _grid_max(table, ts, tol, _NODES["gazizov"])
 
 
-# one entry per generator shape and g: a run meets a handful of shapes,
-# however many alphas it sweeps, so the bound keeps every one of them
+# one entry per generator a sweep checks; keyed by eta's text too, which
+# tells apart trees whose numbers differ only in type (2 and 2.0)
 @lru_cache(maxsize=64)
-def _gazizov_system(shapes: tuple, gexpr: sp.Expr, placeholders: tuple) -> tuple:
-    """The table of the structure block, the family, (iii), (iv) and (v)
-    but its fractional part, for xi, tau, eta = shapes and g, compiled over
-    (x, t, u, alpha, binoms, numbers) (t in w's place); and (v)'s u-fixed
-    part eta - u eta_u in w = t, uncompiled."""
-    xi, tau, eta = shapes
-    etau = sp.diff(eta, U)
-    struct = (sp.diff(xi, U), sp.diff(xi, T), sp.diff(tau, U), sp.diff(tau, X), sp.diff(etau, U))
-    taup = sp.diff(tau, T)
-    table = {
-        "structure": struct,
-        "family": _gazizov_family(etau, taup, _BINOMS),
-        "iii": (sp.diff(xi, X, 2) - _ALPHA * gexpr * taup - 2 * sp.diff(etau, X)
-                + gexpr * sp.diff(xi, X) - eta * sp.diff(gexpr, U),),
-        "iv": (2 * sp.diff(xi, X) - _ALPHA * taup,),
-        "v": (-sp.diff(eta, X, 2) - gexpr * sp.diff(eta, X),),
-    }
-    return (_compile(table, (X, T, U, _ALPHA, *_BINOMS, *placeholders)),
-            sp.expand(eta - U * etau).subs(T, W))
+def _held(eta: tuple, text: str) -> tuple:
+    """(v)'s part with u held fixed, eta - u eta_u, in w = t."""
+    return tr.subs(tr.add(eta, tr.mul(tr.num(-1), tr.U, tr.diff(eta, "u"))), "t", tr.W)
 
 
-def _gazizov_family(etau: sp.Expr, taup: sp.Expr, binoms: tuple) -> list:
-    """binom(alpha,n) D_t^n(eta_u) - binom(alpha,n+1) D_t^{n+1}(tau), with
-    binoms[n-1] = binom(alpha,n), for n = 1..len(binoms)-1, given eta_u and
-    D_t tau.  Each derivative is one step from the order before; the list
-    ends where both vanish, since every later equation is then 0 too."""
+def _gazizov_family(etau: tuple, taup: tuple) -> list:
+    """(D_t^n eta_u, D_t^{n+1} tau) for n = 1.._GAZIZOV_TERMS, given the
+    trees of eta_u and D_t tau.  Each derivative is one step from the order
+    before; the list ends where both are 0 by structure, since every later
+    equation is then 0 too."""
     fam = []
-    dn_etau, dn1_tau = etau, taup
-    for n in range(1, len(binoms)):
-        dn_etau, dn1_tau = sp.diff(dn_etau, T), sp.diff(dn1_tau, T)
-        if dn_etau == 0 and dn1_tau == 0:
+    for _ in range(_GAZIZOV_TERMS):
+        etau, taup = tr.diff(etau, "t"), tr.diff(taup, "t")
+        if etau == taup == tr.ZERO:
             break
-        fam.append(binoms[n - 1] * dn_etau - binoms[n] * dn1_tau)
+        fam.append((etau, taup))
     return fam
 
 
@@ -518,74 +482,70 @@ def detsys_zhang_rl(
           - sum_V H_{u_i} (eta^(i) - d^i rho/dx^i)
           - sum_{W\\V} H_{u_i} eta^(i) = 0,
 
-    with V the H terms linear in a jet coordinate with u-free coefficient.
-    The candidate is reduced with c0 = 0 (tau = c1 t + c2 t^2).  The table
-    is built once per shape (:func:`_zhang_system`), as are the terms of
-    D^alpha rho (their gamma ratios per call), and both equations are
-    evaluated at the fixed (u_x, u_xx) probes too.
+    with V the H terms linear in a jet coordinate with u-free coefficient:
+    u_xx of the Burgers H = g(u) u_x + u_xx (g is not constant), K u_xx of
+    the diffusion H = K'(u) u_x^2 + K(u) u_xx where K is constant, and none
+    where it is not.  H_x = H_t = 0.  The candidate is reduced with c0 = 0
+    (tau = c1 t + c2 t^2), eta = theta u + rho + gamma tau' u, and both
+    equations are evaluated at the fixed (u_x, u_xx) probes too.
     """
     red = _reduced(candidate)
     if red.c0 != 0.0:
         raise DomainError("classical reduced system requires tau(0) = 0")
     ts = _ts(0.0)  # psi = t, a = 0
-    shapes, numbers = _numbers_out((red.xi.expr, red.theta.expr, red.rho.expr))
-    table = _zhang_system(equation.terms(), *shapes, tuple(numbers))
-    args = (alpha, red.c1, red.c2, red.gamma, *map(float, numbers.values()))
-    r, at, grid = _grid_max(table, ts, ts, args,
-                            ("1", _fractional_part(shapes[2], numbers, alpha)), _JET_PROBES)
-    worst = "1 @ x={:.3g}, t={:.3g}".format(*at) if at else ""
-    return ResidualReport(r, tol, grid, worst)
-
-
-# one entry per shape of H and of the candidate, as for _gazizov_system
-@lru_cache(maxsize=64)
-def _zhang_system(terms: tuple, xi, theta, rho, placeholders: tuple):
-    """The table of (1) but its D^alpha rho, and (2), for H's terms and xi,
-    theta, rho (:func:`_numbers_out`), compiled over (x, w, u, u_x, u_xx,
-    alpha, c1, c2, gamma, numbers), w = t classically."""
-    tau = _C1 * W + _C2 * W**2
-    taup = sp.diff(tau, W)
-    eta = theta * U + rho + _GAMMA * taup * U
-    etau = sp.diff(eta, U)
-    xi1 = sp.diff(xi, X)
-    # first and second x-prolongations for xi = xi(x), tau = tau(t)
-    zeta1 = sp.diff(eta, X) + (etau - xi1) * UX
-    zeta2 = (
-        sp.diff(eta, X, 2)
-        + (2 * sp.diff(etau, X) - sp.diff(xi, X, 2)) * UX
-        + sp.diff(etau, U) * UX**2
-        + (etau - 2 * xi1) * UXX
-    )
-    prolong_of = {0: eta, 1: zeta1, 2: zeta2}
-    eq1 = eq2 = sp.Integer(0)
-    for term in terms:
-        h_x = sp.diff(term, X)
-        h_t = sp.diff(term, W)
-        eq2 += (etau - _ALPHA * taup) * term - xi * h_x - tau * h_t
-        linear = EvolutionEquation.is_linear_term(term)
-        for i, v in ((0, U), (1, UX), (2, UXX)):
-            c = sp.diff(term, v)
-            if c == 0:
-                continue
-            if linear:
-                rho_i = sp.diff(rho, X, i)
-                eq1 -= c * rho_i
-                eq2 -= c * (prolong_of[i] - rho_i)
+    w = np.reshape(ts, (1, -1, 1, 1))
+    at, u = {"x": _X, "w": w, "u": _U}, _U
+    ux, uxx = (np.reshape(c, (1, 1, 1, -1)) for c in zip(*_JET_PROBES))
+    with np.errstate(all="ignore"):
+        frac = _fractional_part(red.rho.tree, alpha, at)
+        _, xi1, xi2 = _partials(red.xi.tree, "x", at)
+        th, th1, th2 = _partials(red.theta.tree, "x", at)
+        rho, rho_x, rho_xx = _partials(red.rho.tree, "x", at)
+        taup = red.c1 + 2.0 * red.c2 * w
+        etau = th + red.gamma * taup
+        eta = th * u + rho + red.gamma * taup * u
+        # the first and second x-prolongations for xi = xi(x), tau = tau(t)
+        zeta1 = th1 * u + rho_x + (etau - xi1) * ux
+        zeta2 = th2 * u + rho_xx + (2 * th1 - xi2) * ux + (etau - 2 * xi1) * uxx
+        lead = etau - alpha * taup
+        if equation.kind == "gfbe":
+            g, g1, _ = _partials(equation.g.tree, "u", at)
+            eq1 = frac - rho_xx
+            eq2 = (lead * g * ux - g1 * ux * eta - g * zeta1
+                   + lead * uxx - (zeta2 - rho_xx))
+        else:
+            k, k1, k2 = _partials(equation.K.tree, "u", at)
+            if _constant(equation.K.tree):
+                eq1 = frac - k * rho_xx
+                eq2 = lead * k * uxx - k * (zeta2 - rho_xx)
             else:
-                eq2 -= c * prolong_of[i]
-    return _compile({"1": (sp.expand(eq1),), "2": (sp.expand(eq2),)},
-                    (X, W, U, UX, UXX, _ALPHA, _C1, _C2, _GAMMA, *placeholders))
+                eq1 = frac
+                eq2 = (lead * (k1 * ux**2 + k * uxx) - k2 * ux**2 * eta - 2 * k1 * ux * zeta1
+                       - k1 * uxx * eta - k * zeta2)
+    return _grid_max({"1": (eq1,), "2": (eq2,)}, ts, tol, _NODES["zhang"], len(_JET_PROBES))
 
 
 # -- closed-form solutions ----------------------------------------------------
 
 
+def _function(expr):
+    """A tree as it is, a number as its tree, and anything else, as a
+    sympy expression, through sympify."""
+    if isinstance(expr, tuple):
+        return expr
+    if isinstance(expr, (int, float, Fraction)):
+        return tr.num(expr)
+    import sympy
+
+    return sympy.sympify(expr)
+
+
 def _jx(expr) -> JetFunction:
-    return JetFunction(sp.sympify(expr), (X,))
+    return JetFunction(_function(expr), ("x",))
 
 
 def _jxw(expr) -> JetFunction:
-    return JetFunction(sp.sympify(expr), (X, W))
+    return JetFunction(_function(expr), ("x", "w"))
 
 
 def _generator(alpha, label, xi, c1, theta=0, rho=0) -> GeneratorCandidate:
@@ -599,18 +559,32 @@ def _x_translation(alpha: float) -> GeneratorCandidate:
     return _generator(alpha, "X1: d/dx", 1, 0.0)
 
 
-def diffusion_rho_fixture(alpha: float) -> sp.Expr:
+def diffusion_rho_fixture(alpha: float):
     """A verified solution of D^{alpha;psi} rho = rho_xx via the power rule:
 
     rho = Gamma(alpha)/Gamma(2 alpha) w^{2 alpha - 1} + (x^2/2) w^{alpha - 1}.
 
     The w^{alpha-1} term is annihilated by D^{alpha;psi}; the first term
-    maps onto it, matching the second x-derivative exactly.
+    maps onto it, matching the second x-derivative exactly.  In sympy; its
+    tree is :func:`_rho_fixture`.
     """
-    return (
-        gamma(alpha) / gamma(2 * alpha) * W ** (2 * alpha - 1)
-        + X**2 / 2 * W ** (alpha - 1)
-    )
+    return tr.to_sympy(_rho_fixture(alpha))
+
+
+def _rho_fixture(alpha: float) -> tuple:
+    """The tree of :func:`diffusion_rho_fixture`, whose sympy expression
+    is the one the same operators give."""
+    w, c = tr.W, gamma(alpha) / gamma(2 * alpha)
+    return ("add", ("mul", tr.num(c), ("pow", w, tr.num(2 * alpha - 1))),
+            ("mul", _ratio(("pow", tr.X, tr.num(2)), 2), ("pow", w, tr.num(alpha - 1))))
+
+
+def _ratio(a, q) -> tuple:
+    """The tree of a / q, each a tree or a number, left a division so that
+    its sympy expression is sympy's quotient (zoo where q is 0, as for a
+    case parameter that its case rejects)."""
+    a, q = (v if isinstance(v, tuple) else tr.num(v) for v in (a, q))
+    return ("mul", a, ("pow", q, tr.num(-1)))
 
 
 #: default case parameters: p in g = u^p, b in g = e^(b u) and c1 in
@@ -619,11 +593,20 @@ CASE_DEFAULTS = MappingProxyType({"p": 2.0, "b": 1.0, "c1": 0.0})
 
 
 @lru_cache(maxsize=256)
-def _rational(v: float) -> sp.Expr:
+def _rational(v: float):
     """sp.nsimplify(v): a case parameter as the exact number the table
-    rows, the solver and the coefficients share.  One table build
-    rationalizes the same few parameters several times."""
-    return sp.nsimplify(v)
+    rows, the solver and the coefficients share.  Where a fraction with a
+    denominator up to 10^6 is v as a float, nsimplify gives that fraction,
+    and so does this, as an int or a Fraction, without sympy; any other v
+    goes to nsimplify.  One table build rationalizes the same few
+    parameters several times."""
+    if math.isfinite(v):
+        q = Fraction(v).limit_denominator(10**6)
+        if float(q) == v:
+            return q.numerator if q.denominator == 1 else q
+    import sympy
+
+    return sympy.nsimplify(v)
 
 
 def builtin_table(
@@ -644,24 +627,24 @@ def builtin_table(
 # typed: p = 2 and p = 2.0 label their rows differently ("u^2", "u^2.0")
 @lru_cache(maxsize=64, typed=True)
 def _table(alpha: float, p: float, b: float, c1: float) -> tuple:
-    two = 2.0 / alpha
+    two, x = 2.0 / alpha, tr.X
     return (
         ("arbitrary g", _x_translation(alpha)),
-        ("g=u", _generator(alpha, "X2: x dx + (2w/a) dpsi - u du", X, two, -1)),
-        ("g=u^p", _generator(alpha, f"X2 for u^{p}", X, two,
-                             sp.Rational(-1) / _rational(p))),
-        ("g=e^(b u)", _generator(alpha, f"X2 for e^({b}u)", X, two, 0,
-                                 sp.Rational(-1) / _rational(b))),
-        ("g=u/(1+u)", _generator(alpha, "X2: x dx + (2w/a) dpsi + u du", X, two, 1)),
+        ("g=u", _generator(alpha, "X2: x dx + (2w/a) dpsi - u du", x, two, -1)),
+        ("g=u^p", _generator(alpha, f"X2 for u^{p}", x, two, _ratio(-1, _rational(p)))),
+        ("g=e^(b u)", _generator(alpha, f"X2 for e^({b}u)", x, two, 0,
+                                 _ratio(-1, _rational(b)))),
+        ("g=u/(1+u)", _generator(alpha, "X2: x dx + (2w/a) dpsi + u du", x, two, 1)),
         # constant diffusivity basis
         ("K=1", _x_translation(alpha)),
-        ("K=1", _generator(alpha, "X2: x dx + (2w/a) dpsi", X, two)),
+        ("K=1", _generator(alpha, "X2: x dx + (2w/a) dpsi", x, two)),
         ("K=1", _generator(alpha, "X3: u du", 0, 0.0, 1)),
         ("K=1", _generator(alpha, "X4: rho du", 0, 0.0, 0,
-                           diffusion_rho_fixture(alpha))),
+                           _rho_fixture(alpha))),
         # power-law diffusivity K = (c1 + 3u)^(-4/3)
-        ("K=(c1+3u)^(-4/3)", _generator(alpha, "X2: x^2 dx - x(c1+3u) du", X**2,
-                                        0.0, -3 * X, -_rational(c1) * X)),
+        ("K=(c1+3u)^(-4/3)", _generator(alpha, "X2: x^2 dx - x(c1+3u) du",
+                                        ("pow", x, tr.num(2)), 0.0, ("mul", tr.num(-3), x),
+                                        ("mul", tr.num(-_rational(c1)), x))),
     )
 
 
@@ -675,6 +658,13 @@ def solve_ansatz(equation: EvolutionEquation, case: str, **params) -> list:
     follow the published reduction step by step; the normalization fixes
     the leading xi coefficient to 1.
     """
+    import sympy as sp
+
+    from .jets import X
+
+    def rational(v):
+        return sp.sympify(_rational(v))
+
     alpha = equation.alpha
     basis = [_x_translation(alpha)]
     two = 2.0 / alpha
@@ -691,13 +681,13 @@ def solve_ansatz(equation: EvolutionEquation, case: str, **params) -> list:
         # xi = x, D tau = 2/alpha: (alpha Dtau - 1) u + theta u = 0
         add("scaling", theta=sp.solve(sp.Eq((adtau - 1) + th, 0), th)[0])
     elif case == "g=u^p":
-        p = _rational(params.get("p", CASE_DEFAULTS["p"]))
+        p = rational(params.get("p", CASE_DEFAULTS["p"]))
         if p <= 1:
             raise DomainError(f"case g=u^p needs p > 1, got {p}")
         # (iv): (alpha Dtau - xi') + p theta = 0 on the u^p coefficient
         add(f"scaling p={p}", theta=sp.solve(sp.Eq((adtau - 1) + p * th, 0), th)[0])
     elif case == "g=e^(b u)":
-        bpar = _rational(params.get("b", CASE_DEFAULTS["b"]))
+        bpar = rational(params.get("b", CASE_DEFAULTS["b"]))
         if bpar == 0:
             raise DomainError("case g=e^(b u) needs b != 0")
         # theta = 0; (iv): (alpha Dtau - xi') + b rho = 0 with constant rho
@@ -713,7 +703,7 @@ def solve_ansatz(equation: EvolutionEquation, case: str, **params) -> list:
         add("u-scaling", xi=0, c1=0.0, theta=1)
         add("rho du", xi=0, c1=0.0, rho=diffusion_rho_fixture(alpha))
     elif case == "K=power-law":
-        c1 = _rational(params.get("c1", CASE_DEFAULTS["c1"]))
+        c1 = rational(params.get("c1", CASE_DEFAULTS["c1"]))
         add("projective", xi=X**2, c1=0.0, theta=-3 * X, rho=-c1 * X)
     else:
         raise DomainError(f"unknown case '{case}'")
@@ -740,7 +730,7 @@ class Case:
     name: str
     kind: str
     row: str
-    coefficient: Callable[[float, float, float], sp.Expr]
+    coefficient: Callable[[float, float, float], tuple]
     params: Optional[tuple] = ()
     nonzero: tuple = ()
 
@@ -784,17 +774,21 @@ class Case:
         return solve_ansatz(self.equation(alpha, psi, p, b, c1), self.name, **kw)
 
 
+_u = tr.U
 CASES = (
-    Case("arbitrary g", "gfbe", "arbitrary g", lambda p, b, c1: U**2 + U, None),
-    Case("g=u", "gfbe", "g=u", lambda p, b, c1: U),
-    Case("g=u^p", "gfbe", "g=u^p", lambda p, b, c1: U ** _rational(p), ("p",), ("p",)),
+    Case("arbitrary g", "gfbe", "arbitrary g",
+         lambda p, b, c1: ("add", ("pow", _u, tr.num(2)), _u), None),
+    Case("g=u", "gfbe", "g=u", lambda p, b, c1: _u),
+    Case("g=u^p", "gfbe", "g=u^p", lambda p, b, c1: ("pow", _u, tr.num(_rational(p))),
+         ("p",), ("p",)),
     Case("g=e^(b u)", "gfbe", "g=e^(b u)",
-         lambda p, b, c1: sp.exp(_rational(b) * U), ("b",), ("b",)),
-    Case("g=u/(1+u)", "gfbe", "g=u/(1+u)", lambda p, b, c1: U / (1 + U)),
-    Case("K=1", "diffusion", "K=1", lambda p, b, c1: sp.Integer(1) + 0 * U),
+         lambda p, b, c1: ("exp", ("mul", tr.num(_rational(b)), _u)), ("b",), ("b",)),
+    Case("g=u/(1+u)", "gfbe", "g=u/(1+u)", lambda p, b, c1: _ratio(_u, ("add", tr.ONE, _u))),
+    Case("K=1", "diffusion", "K=1", lambda p, b, c1: tr.ONE),
     # name and row differ: bench/workloads.py matches both spellings
     Case("K=power-law", "diffusion", "K=(c1+3u)^(-4/3)",
-         lambda p, b, c1: (_rational(c1) + 3 * U) ** sp.Rational(-4, 3), ("c1",)),
+         lambda p, b, c1: ("pow", ("add", tr.num(_rational(c1)), ("mul", tr.num(3), _u)),
+                           tr.num(Fraction(-4, 3))), ("c1",)),
 )
 
 

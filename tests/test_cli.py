@@ -490,6 +490,32 @@ def test_verify_classical_methods(capsys):
         assert json.loads(out)["passed"] is True
 
 
+def test_verify_gazizov_holds_the_lower_limit_fixed(capsys):
+    # tau(0) = c0 = 0.5: gfbe fails the candidate on (v), zhang refuses it,
+    # and the expanded system fails it on tau(x, 0, u) = 0
+    flags = ["--case", "g=u", "--xi", "x", "--c0", "0.5", "--ctau1", "4", "--theta", "-1",
+             "--format", "json"]
+    code, out = run(capsys, "verify", "gazizov", *flags)
+    assert code == EXIT_FAIL
+    doc = json.loads(out)
+    assert ["tau(t=0)", 0.5, "FAIL"] in doc["rows"]
+    assert all(status == "pass" for name, _, status in doc["rows"] if name != "tau(t=0)")
+    assert doc["worst"] == "tau(t=0) @ x=0.2, u=0.5"
+    assert run(capsys, "verify", "gfbe", *flags)[0] == EXIT_FAIL
+    assert run(capsys, "verify", "zhang", *flags)[0] == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv,worst", [
+    (["--case", "g=u", "--xi", "1/x"], "iv @ x=0.2, t=0.2, u=0.5"),
+    (["--case", "g=u/(1+u)", "--table", "X2"], "iv @ x=0.2, t=0.2, u=2"),
+])
+def test_verify_names_the_worst_equation(capsys, argv, worst):
+    # (ii) = 50 and (iv) = 237.5 for xi = 1/x; (iv) = 8/9 for the u/(1+u) row
+    code, out = run(capsys, "verify", "gfbe", *argv, "--format", "json")
+    assert code == EXIT_FAIL
+    assert json.loads(out)["worst"] == worst
+
+
 def test_solve_matches_published_basis(capsys):
     code, out = run(capsys, "solve", "--case", "g=u", "--format", "json")
     assert code == EXIT_PASS

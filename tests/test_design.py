@@ -3,19 +3,20 @@ compile, so equal requests share one callable and compile once; the
 psi-jets have one owner, fracops, above the compile cache; the series
 backend takes its jets without symbolic differentiation; the
 psi-time prolongation is the compact form at an integer order; the
-determining systems share one grid evaluation with no sympy in it, and
-the prolongation sums keep it out of their m-loops; a warm quadrature
-runs no Python per node; an array callable carries no more than the
-names it may call; the classical checks never simplify, and the
-selftest oracle differentiates with sympy alone; each CLI
-command takes the flags of the settings it reads, and reads every one
-of them; every cache has a finite bound; and a run
-loads no module it does not use: no scipy, no random generator for the
-determining systems, no sympy for the operators on a parsed spec, and no
-sympy.physics for the solver."""
+determining systems share one grid evaluation with no symbolic work in
+it, and the prolongation sums keep it out of their m-loops; a warm
+quadrature runs no Python per node; the classical checks never
+simplify, and the selftest oracle differentiates with sympy alone; each
+CLI command takes the flags of the settings it reads, and reads every
+one of them; every cache has a finite bound; and a run loads no module
+it does not use: no scipy, no random generator for the determining
+systems, no sympy for the operators on a parsed spec or for verify
+(save the omega equation of a moving lower limit), and no sympy.physics
+for the solver."""
 
 import argparse
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -43,8 +44,8 @@ def test_lambdify_is_called_in_one_place():
 
 
 # symbolic work a determining system does outside its grid
-SYMBOLIC_CALLS = {"subs", "expand", "diff", "frac_deriv_psi_powers",
-                  "power_rule_expr", "compiled", "compiled_array"}
+SYMBOLIC_CALLS = {"subs", "expand", "diff", "power_sum", "frac_deriv_psi_powers",
+                  "power_rule_expr", "compiled"}
 
 
 def _called_names(node):
@@ -81,45 +82,6 @@ def test_no_sympy_in_the_determining_system_grid_loops():
     assert len(systems) == 4
     for name in systems:
         assert grid in reached(helpers[name], set()), name
-
-
-def test_array_callables_carry_a_small_namespace(monkeypatch):
-    # modules="numpy" would give every callable numpy's ~530 names (about
-    # 18 kB): an array callable holds its symbols, the ufuncs and lambdify's
-    # own two names, on every system
-    from psifrac import jets
-    from psifrac import selftest as st
-    from psifrac import symmetry as sy
-
-    made = []
-    lambdify = jets._lambdify
-
-    def recording(vars, e, array):
-        f = lambdify(vars, e, array)
-        if array and f is not jets._zero:
-            made.append((vars, f))
-        return f
-
-    monkeypatch.setattr(jets, "_lambdify", recording)
-    jets.compiled_array.cache_clear()
-    for cache in (sy._fractional_system, sy._zhang_system, sy._gazizov_system,
-                  sy._power_rule):
-        cache.cache_clear()
-    alpha, psi = 0.5, builtin("identity", 0.0, 10.0)
-    eq = sy.lookup_case("g=u").equation(alpha, psi, **sy.CASE_DEFAULTS)
-    for cand in st._panel(alpha):
-        sy.detsys_zhang_rl(cand, eq, alpha)
-        sy.detsys_gazizov_rl(sy.GeneratorCandidate(cand.label,
-                                                   general=cand.reduced.to_general(psi)),
-                             eq.g, alpha)
-    for row, cand in sy.builtin_table(alpha):
-        case = next(c for c in sy.CASES if c.row == row)
-        system = sy.detsys_gfbe if case.kind == "gfbe" else sy.detsys_diffusion
-        system(cand, case.jet(**sy.CASE_DEFAULTS), psi, alpha)
-    assert len(made) > 20
-    allowed = set(jets._UFUNCS) | {"__builtins__", "builtins", "range"}
-    for vars, f in made:
-        assert set(f.__globals__) <= allowed | {v.name for v in vars}, set(f.__globals__)
 
 
 # symbolic work, or a jet build, that a prolongation sum does before its loop
@@ -351,36 +313,80 @@ OPERATOR_RUNS = [argv for argv, _ in README_COMMANDS if argv[0] in ("eval", "lei
     for kernel in ("power", "exponential") for op in ("integral", "derivative")
     for alpha in ("0.6", "1.4")]
 
+# verify on each of the four systems, on table rows and explicit candidates
+# with c0 = 0, as the README and the benchmark run it
+VERIFY_RUNS = [
+    ["verify", "gfbe", "--case", "g=u", "--table", "X2"],
+    ["verify", "gfbe", "--case", "g=u", "--xi", "x", "--ctau1", "4", "--theta", "1"],
+    ["verify", "gfbe", "--case", "g=e^(b u)", "--table", "X2", "--psi", "power", "--a", "0.5"],
+    ["verify", "gfbe", "--case", "g=u^p", "--table", "X2", "--p", "3", "--format", "json"],
+    ["verify", "diffusion", "--case", "K=1", "--table", "X4", "--psi", "exponential"],
+    ["verify", "diffusion", "--case", "K=power-law", "--table", "X2", "--c1", "0.5"],
+    ["verify", "diffusion", "--case", "K=power-law", "--xi", "x^2", "--theta=-2.5*x"],
+    ["verify", "zhang", "--case", "g=u", "--table", "X2", "--format", "csv"],
+    ["verify", "zhang", "--case", "g=u/(1+u)", "--xi", "x", "--ctau1", "2", "--ctau2", "0.5"],
+    ["verify", "gazizov", "--case", "g=u", "--table", "X2"],
+    ["verify", "gazizov", "--case", "g=e^(b u)", "--xi", "1", "--rho", "x*psi^2"],
+]
+
 # each module a run must not load, and the run: scipy serves only the tests
 # as a reference; the determining systems' probes are literal, so they need
-# no random generator; the operators on a parsed spec need no sympy, whose
-# import is most of a cold CLI call; and solve compares bases without
-# simplify, which would load sympy.physics
+# no random generator; the operators on a parsed spec and the determining
+# systems need no sympy, whose import is most of a cold CLI call; and solve
+# compares bases without simplify, which would load sympy.physics
 RUNS = {
-    "scipy": "import psifrac\n"
-             "from psifrac.fracops import frac_integral\n"
-             "from psifrac.psi import builtin\n"
-             "from psifrac.jets import JetFunction, T\n"
-             "frac_integral(JetFunction.of_t(T), builtin('identity', 0.0, 2.0), 0.5, 1.0)\n",
-    "numpy.random": "from psifrac import cli\n"
-                    "cli.main(['verify', 'zhang', '--case', 'g=u', '--table', 'X2'])\n"
-                    "cli.main(['verify', 'gfbe', '--case', 'g=u', '--xi', 'x', '--c0', '1'])\n"
-                    "cli.main(['verify', 'diffusion', '--case', 'K=power-law'])\n"
-                    "cli.main(['verify', 'gazizov', '--case', 'g=u', '--table', 'X2'])\n",
-    "sympy": "import psifrac\n"
-             "from psifrac import cli\n"
-             f"for argv in {OPERATOR_RUNS!r}:\n"
-             "    cli.main(argv)\n",
-    "sympy.physics": "from psifrac import cli\n"
-                     "cli.main(['solve', '--case', 'K=1'])\n",
+    "scipy": ("scipy", "import psifrac\n"
+                       "from psifrac.fracops import frac_integral\n"
+                       "from psifrac.psi import builtin\n"
+                       "from psifrac.jets import JetFunction, T\n"
+                       "frac_integral(JetFunction.of_t(T), builtin('identity', 0.0, 2.0), 0.5, "
+                       "1.0)\n"),
+    "numpy.random": ("numpy.random",
+                     "from psifrac import cli\n"
+                     "cli.main(['verify', 'zhang', '--case', 'g=u', '--table', 'X2'])\n"
+                     "cli.main(['verify', 'gfbe', '--case', 'g=u', '--xi', 'x', '--c0', '1'])\n"
+                     "cli.main(['verify', 'diffusion', '--case', 'K=power-law'])\n"
+                     "cli.main(['verify', 'gazizov', '--case', 'g=u', '--table', 'X2'])\n"),
+    "sympy": ("sympy", "import psifrac\n"
+                       "from psifrac import cli\n"
+                       f"for argv in {OPERATOR_RUNS!r}:\n"
+                       "    cli.main(argv)\n"),
+    "sympy in verify": ("sympy", "from psifrac import cli\n"
+                                 f"for argv in {VERIFY_RUNS!r}:\n"
+                                 "    cli.main(argv)\n"),
+    "sympy.physics": ("sympy.physics", "from psifrac import cli\n"
+                                       "cli.main(['solve', '--case', 'K=1'])\n"),
 }
 
 
-@pytest.mark.parametrize("module", sorted(RUNS))
-def test_a_run_does_not_load(module):
-    code = f"import sys\n{RUNS[module]}print({module!r} in sys.modules)\n"
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_a_run_does_not_load(run):
+    module, script = RUNS[run]
+    code = f"import sys\n{script}print({module!r} in sys.modules)\n"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         cwd=SRC.parent,
     )
     assert out.stdout.splitlines()[-1] == "False", out.stderr
+
+
+# (v) of a candidate with c0 != 0, as the sympy-built omega probe gives it
+# through the quadrature: these bits were printed before the systems were
+# evaluated from trees, and the omega path did not change
+OMEGA_PINNED = [
+    (["verify", "gfbe", "--case", "g=u", "--xi", "x", "--c0", "1", "--ctau1", "4",
+      "--theta", "-1"], 1.6834493402107724),
+    (["verify", "diffusion", "--case", "K=power-law", "--xi", "x^2", "--theta=-3*x",
+      "--c0", "0.5", "--psi", "exponential", "--alpha", "0.7"], 0.8104157141613718),
+]
+
+
+@pytest.mark.parametrize("argv,omega", OMEGA_PINNED, ids=("gfbe", "diffusion"))
+def test_a_moving_lower_limit_prints_the_omega_residual_it_did(argv, omega):
+    out = subprocess.run(
+        [sys.executable, "-m", "psifrac.cli", *argv, "--format", "json"],
+        capture_output=True, text=True, cwd=SRC.parent,
+    )
+    assert out.returncode == cli.EXIT_FAIL, out.stderr
+    rows = {name: value for name, value, _ in json.loads(out.stdout)["rows"]}
+    assert repr(rows["v"]) == repr(omega)
