@@ -31,7 +31,6 @@ from .fracops import (
     frac_op,
     frac_op_series,
     leibniz_product,
-    power_rule_expr,
     product_integral,
     psi_deriv_m,
     psi_jets,
@@ -76,7 +75,7 @@ __all__ = [
     "QuadratureSpec", "SeriesValue",
     "frac_integral", "frac_derivative", "frac_op",
     "frac_integral_series", "frac_derivative_series", "frac_op_series",
-    "frac_deriv_psi_powers", "power_rule_expr", "psi_deriv_m", "psi_jets",
+    "frac_deriv_psi_powers", "psi_deriv_m", "psi_jets",
     "leibniz_product", "product_integral",
     "Infinitesimals", "ReducedInfinitesimals",
     "eta_integer", "eta_m_psi", "mu_term", "omega_commutator", "omega_term",

@@ -124,6 +124,11 @@ def _build_config(args) -> argparse.Namespace:
                           f"the kernel is {cfg.psi}")
     if not (math.isfinite(cfg.alpha) and cfg.alpha > 0):
         raise DomainError(f"alpha must be finite and > 0, got {cfg.alpha}")
+    # the base point, prolong's point x and verify's tau coefficients
+    for name in ("a", "x", "c0", "ctau1", "ctau2"):
+        v = getattr(cfg if name == "a" else args, name, None)
+        if v is not None and not math.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {v}")
     # a derivative of order alpha takes ceil(alpha) psi-jets; prolong's omega
     # takes one more, at order alpha + 1 (omega is 0 at integer alpha)
     if args.command in ("leibniz", "prolong") or getattr(args, "op", None) == "derivative":
@@ -394,9 +399,9 @@ def cmd_selftest(cfg: argparse.Namespace, args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Every parse error is one config error line.  later(parser), if
-    given, adds the arguments that need the case registry, which loads
-    sympy, when the parser is first used: a run of another command never
-    loads it."""
+    given, adds the arguments that need the case registry when the parser
+    is first used, so that parsing eval, leibniz, prolong or selftest
+    imports neither symmetry nor prolong."""
 
     def __init__(self, *args, later=None, **kwargs):
         super().__init__(*args, **kwargs)

@@ -51,20 +51,22 @@ expression of f, and the forward mode shares with Taylor mode only the
 tree.
 
 Also here: the product-integral expansion, the Leibniz rule for the
-fractional derivative of a product, and the exact power rule for power
-sums in w = psi(t) - psi(a), at one point or as an expression to compile.
+fractional derivative of a product, and the one exact power rule for
+power sums in w = psi(t) - psi(a), at a point or on a grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import forward
+from . import tree as tr
 from .errors import DomainError, NumericsError
 from .jets import JetFunction, compiled, diff, symbol
 from .psi import PsiFunction
@@ -84,7 +86,6 @@ __all__ = [
     "frac_op_series",
     "jet_series",
     "frac_deriv_psi_powers",
-    "power_rule_expr",
     "leibniz_product",
     "product_integral",
 ]
@@ -486,77 +487,42 @@ def frac_op(
 # -- exact power rule -------------------------------------------------------
 
 
-def frac_deriv_psi_powers(expr_in_w, order: float, w: float) -> float:
-    """Exact D^{nu;psi} of a finite sum of powers c * (psi(t)-psi(a))^p,
-    at one w; the coefficients c must be numbers.
+def frac_deriv_psi_powers(expr_in_w, order: float, w, values=None):
+    """Exact D^{nu;psi} of a finite sum of powers of w = psi(t) - psi(a),
+    at w (a float or an array): the sum of k Gamma(p+1)/Gamma(p+1-nu) c
+    w^{p-nu} over the terms k c w^p of :func:`psifrac.tree.power_sum`, in
+    its order, a term at a pole of 1/Gamma (w^{nu-1}, nu > 0) left out.
 
-    Power rule: D^{nu;psi} w^p = Gamma(p+1)/Gamma(p+1-nu) w^{p-nu}, with
-    the reciprocal gamma vanishing at poles (so w^{nu-1} maps to 0 for
-    positive nu).  Raises DomainError when the expression is not a power
-    sum in w.  :func:`power_rule_expr` gives the same sum as an expression,
-    to compile once for many points.
+    expr_in_w is a tree, a number or a sympy expression; values holds the
+    variables of the coefficients c, as floats or arrays that broadcast
+    with w (the determining systems' x and u nodes).  DomainError, before
+    any term is evaluated, where it is no sum of integrable powers of w or
+    a coefficient holds a variable that values does not.
     """
+    if isinstance(expr_in_w, tuple):
+        node = expr_in_w
+    elif isinstance(expr_in_w, (int, float, Fraction)):
+        node = tr.num(expr_in_w)
+    else:
+        node = tr.from_sympy(expr_in_w)
+    try:
+        terms = tr.power_sum(node, "w")
+    except DomainError:
+        raise DomainError(f"{tr.to_sympy(node)} is no sum of terms c*w**p") from None
+    for _, c, p in terms:
+        if p <= -1:
+            raise DomainError(f"non-integrable power w^{float(p)} in {tr.to_sympy(node)}")
+        missing = tr.names(c) - set(values or ())
+        if missing:
+            raise DomainError(f"coefficient {tr.to_sympy(c)} holds {min(missing)}, with no value")
     nu = float(order)
     acc = 0.0
-    for c, p in _power_terms(expr_in_w):
-        acc += float(c) * gamma(p + 1.0) * rgamma(p + 1.0 - nu) * w ** (p - nu)
-    return acc
-
-
-def power_rule_expr(expr_in_w, order: float):
-    """D^{nu;psi} of a finite sum of powers c * w^p, as an expression in w:
-
-        sum c Gamma(p+1)/Gamma(p+1-nu) w^{p-nu},
-
-    where each c may hold other symbols (x, u), which stay symbolic.  A
-    term at a pole of the reciprocal gamma is dropped exactly.  The
-    numeric factor of c times the gamma ratio, and the exponent p - nu,
-    are the floats :func:`frac_deriv_psi_powers` computes, written with 17
-    digits so that a compiled callable reads back the same doubles.
-    Raises DomainError, here rather than at evaluation, when the
-    expression is not a power sum in w.
-    """
-    import sympy as sp
-
-    nu = float(order)
-    terms = []
-    for c, p in _power_terms(expr_in_w):
+    for k, c, p in terms:
+        p = float(p)
         r = rgamma(p + 1.0 - nu)
-        if r == 0.0:
-            continue
-        k, rest = c.as_coeff_Mul()
-        ratio = float(k) * gamma(p + 1.0) * r
-        terms.append(sp.Float(ratio, 17) * rest * symbol("w") ** sp.Float(p - nu, 17))
-    return sp.Add(*terms)
-
-
-def _power_terms(expr_in_w) -> list:
-    """(c, p) for each term c * w**p of the expanded expression, c a sympy
-    expression free of w and p > -1 a float."""
-    import sympy as sp
-
-    e = sp.expand(sp.sympify(expr_in_w))
-    if e == 0:
-        return []
-    out = []
-    for term in e.as_ordered_terms():
-        c, p = _match_power(term)
-        if p <= -1:
-            raise DomainError(f"non-integrable power w^{p} in {expr_in_w}")
-        out.append((c, p))
-    return out
-
-
-def _match_power(term):
-    w = symbol("w")
-    c, rest = term.as_independent(w)
-    if rest == 1:
-        return c, 0.0
-    if rest == w:
-        return c, 1.0
-    if rest.is_Pow and rest.base == w and rest.exp.is_number:
-        return c, float(rest.exp)
-    raise DomainError(f"term {term} is not of the form c*w**p")
+        if r != 0.0:
+            acc = acc + float(k) * gamma(p + 1.0) * r * tr.evaluate(c, values) * w ** (p - nu)
+    return acc
 
 
 # -- product formulas -------------------------------------------------------

@@ -381,7 +381,7 @@ def _c08():
         psi = builtin(name, a, b)
         n_const = 0
         for case, K, rows in cases:
-            if sp.diff(K.expr, U) == 0:
+            if sy._constant(K.tree):
                 n_const += len(rows)
             for cand in rows:
                 rep = sy.detsys_diffusion(cand, K, psi, alpha, tol=1e-8)

@@ -23,12 +23,12 @@ coefficient g(u) or K(u), and their derivatives, each of them an array on
 the broadcast grid.  The derivatives are trees (:func:`psifrac.tree.diff`,
 taken once per tree), and a tree in x and u alone is evaluated on the grid
 once (:func:`_fixed`).  The fractional term, D^{alpha;psi} rho (or, in the
-expanded system, of eta - u eta_u with u fixed), comes from the split of
-its tree into a power sum in w (:func:`psifrac.tree.power_sum`): per call
-come only its gamma ratios and its powers of w.  :func:`_grid_max` takes
-each equation's maximum over the grid and makes the report.  No system loads sympy, save
-through a function given in sympy and through the omega equation (v) of a
-candidate with c0 != 0, whose quadrature reads a probe built in sympy.
+expanded system, of eta - u eta_u with u fixed), is the one exact power
+rule, :func:`psifrac.fracops.frac_deriv_psi_powers`, on the grid.
+:func:`_grid_max` takes each equation's maximum over the grid and makes
+the report.  No system loads sympy, save through a function given in
+sympy and through the omega equation (v) of a candidate with c0 != 0,
+whose quadrature reads a probe built in sympy.
 
 :data:`CASES` is the one registry of the g(u) and K(u) cases: each
 :class:`Case` names its coefficient, a tree with its parameters as exact
@@ -49,7 +49,7 @@ import numpy as np
 
 from . import tree as tr
 from .errors import DomainError
-from .fracops import QuadratureSpec
+from .fracops import QuadratureSpec, frac_deriv_psi_powers
 from .jets import JetFunction
 from .prolong import (
     Infinitesimals,
@@ -57,7 +57,7 @@ from .prolong import (
     omega_commutator,
 )
 from .psi import PsiFunction
-from .special import gamma, gen_binom, rgamma
+from .special import gamma, gen_binom
 
 __all__ = [
     "EvolutionEquation",
@@ -244,29 +244,6 @@ def _partials(node: tuple, name: str, at: dict) -> list:
     return [_values(n, at) for n in (node, d1, tr.diff(d1, name))]
 
 
-def _fractional_part(node: tuple, alpha: float, at: dict):
-    """D^{alpha;psi} of a power sum in w (:func:`psifrac.tree.power_sum`)
-    on the grid at, by the exact power rule: the sum of k Gamma(p + 1) /
-    Gamma(p + 1 - alpha) c w^(p - alpha) over its terms k c w^p, as
-    :func:`~psifrac.fracops.frac_deriv_psi_powers` takes it, a term at a
-    pole of 1/Gamma left out.  DomainError, before any node is evaluated,
-    when node is no sum of integrable powers."""
-    try:
-        terms = tr.power_sum(node, "w")
-    except DomainError:
-        raise DomainError(f"{tr.to_sympy(node)} is no sum of terms c*w**p") from None
-    for _, _, p in terms:
-        if p <= -1:
-            raise DomainError(f"non-integrable power w^{float(p)} in {tr.to_sympy(node)}")
-    acc = 0.0
-    for k, c, p in terms:
-        p = float(p)
-        r = rgamma(p + 1.0 - alpha)
-        if r != 0.0:
-            acc = acc + float(k) * gamma(p + 1.0) * r * _values(c, at) * at["w"] ** (p - alpha)
-    return acc
-
-
 def _grid_max(table: dict, ts: tuple, tol: float, nodes: dict, probes: int = 1,
               off_grid: tuple = ()) -> ResidualReport:
     """The report of table: the max |residual| of each name over the grid,
@@ -364,7 +341,7 @@ def _fractional(kind, candidate, coef, psi, alpha, tol, quad) -> ResidualReport:
     w = np.reshape([psi(t) - psi(psi.a) for t in ts], (1, -1, 1, 1))
     at, u = {"x": _X, "w": w, "u": _U}, _U
     with np.errstate(all="ignore"):
-        frac = _fractional_part(red.rho.tree, alpha, at)
+        frac = frac_deriv_psi_powers(red.rho.tree, alpha, w, at)
         _, xi1, xi2 = _partials(red.xi.tree, "x", at)
         th, th1, th2 = _partials(red.theta.tree, "x", at)
         rho, rho_x, rho_xx = _partials(red.rho.tree, "x", at)
@@ -422,7 +399,7 @@ def detsys_gazizov_rl(
     d = tr.diff
     etau, taup, xi1, eta_x = d(eta, "u"), d(tau, "t"), d(xi, "x"), d(eta, "x")
     with np.errstate(all="ignore"):
-        frac = _fractional_part(_held(eta, repr(eta)), alpha, {"x": _X, "w": t, "u": _U})
+        frac = frac_deriv_psi_powers(_held(eta, repr(eta)), alpha, t, at)
 
         def v(node):
             return _values(node, at)
@@ -497,7 +474,7 @@ def detsys_zhang_rl(
     at, u = {"x": _X, "w": w, "u": _U}, _U
     ux, uxx = (np.reshape(c, (1, 1, 1, -1)) for c in zip(*_JET_PROBES))
     with np.errstate(all="ignore"):
-        frac = _fractional_part(red.rho.tree, alpha, at)
+        frac = frac_deriv_psi_powers(red.rho.tree, alpha, w, at)
         _, xi1, xi2 = _partials(red.xi.tree, "x", at)
         th, th1, th2 = _partials(red.theta.tree, "x", at)
         rho, rho_x, rho_xx = _partials(red.rho.tree, "x", at)

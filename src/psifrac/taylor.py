@@ -19,7 +19,8 @@ t0^e (1 + w/psi0)^{e/rho}, and exp(k t) on the exponential kernel is
 e^{k t0} (1 + w/psi0)^{k/c}.  A power or exp of a node affine in w takes
 a closed form, and any other node the standard O(L^2) recurrence.  For
 any other kernel, t itself comes from applying (1/psi') d/ds to t m
-times, with 1/psi' a truncated series in s = t - t0.
+times, with 1/psi' (from :func:`~psifrac.tree.diff`) a truncated series
+in s = t - t0.
 
 Each node also carries its degree as a polynomial in w: 0 for constants,
 q for psi^q with q a non-negative integer (t for the identity and affine
@@ -43,7 +44,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .tree import T, names
+from .tree import T, diff, names, num, power
 
 __all__ = ["Program", "program"]
 
@@ -120,7 +121,7 @@ class _Compiler:
             self.kind, self.rate = "affine", slope
         else:
             # 1/psi' in s = t - t0 (psi = t makes w = s), for the jets of t
-            self.inv_dpsi = program(_reciprocal_derivative(psi_tree), T)
+            self.inv_dpsi = program(power(diff(psi_tree, "t"), num(-1)), T)
             self.psi_tree, self.psi_at = psi_tree, program(psi_tree, T)
 
     def _emit(self, step, degree) -> _Node:
@@ -312,17 +313,6 @@ def _slope(e: tuple) -> Optional[float]:
         if a[0] == "num":
             c *= float(a[1])
     return c
-
-
-def _reciprocal_derivative(psi_tree: tuple) -> tuple:
-    """1/psi' as a tree, for a kernel given by an expression (one that has
-    no closed form here, and so came from sympy)."""
-    import sympy as sp
-
-    from .jets import symbol
-    from .tree import from_sympy, to_sympy
-
-    return from_sympy(1 / sp.diff(to_sympy(psi_tree), symbol("t")))
 
 
 def _positive(t0: float) -> float:

@@ -31,7 +31,8 @@ The determining systems take their functions' derivatives here, with no
 sympy: :func:`diff`, whose :func:`add`, :func:`mul` and :func:`power` drop
 0 and 1 by structure (a derivative that is 0 is the node 0, so a table
 stops where sympy's would); :func:`evaluate` on numpy arrays; and
-:func:`power_sum`, the split of an expanded tree into c_j w^p_j.
+:func:`power_sum`, the split of an expanded tree into c_j w^p_j that the
+exact power rule sums (:func:`psifrac.fracops.frac_deriv_psi_powers`).
 """
 
 from __future__ import annotations

@@ -191,6 +191,14 @@ def test_eval_gate_is_relative_to_the_value(capsys):
      "--b", "2", "--psi-rho", "nan"],
     ["eval", "derivative", "--f", "t", "--t", "1.5", "--psi", "power", "--a", "1",
      "--b", "2", "--psi-rho", "inf"],
+    # a non-finite base point, prolong point or tau coefficient
+    ["eval", "integral", "--f", "t", "--t", "1", "--a", "-inf"],
+    ["eval", "integral", "--f", "t", "--t", "1", "--a", "nan"],
+    ["prolong", "--xi", "x", "--tau", "4*t", "--eta", "0-u", "--u", "x*psi",
+     "--x", "nan", "--t", "1"],
+    ["verify", "gfbe", "--case", "g=u", "--xi", "x", "--c0", "nan"],
+    ["verify", "gfbe", "--case", "g=u", "--xi", "x", "--ctau1", "inf"],
+    ["verify", "zhang", "--case", "g=u", "--xi", "x", "--ctau2", "-inf"],
 ])
 def test_bad_numeric_flags_are_config_errors(capsys, argv):
     code = main(argv)
@@ -198,6 +206,12 @@ def test_bad_numeric_flags_are_config_errors(capsys, argv):
     assert code == EXIT_CONFIG
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_an_infinite_right_end_is_accepted(capsys):
+    # only the base point a must be finite: b bounds the t list
+    assert main(["eval", "integral", "--f", "t", "--t", "1", "--b", "inf"]) == EXIT_PASS
+    assert capsys.readouterr().err == ""
 
 
 def _one_line_config_error(capsys, argv):

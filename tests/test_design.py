@@ -43,9 +43,49 @@ def test_lambdify_is_called_in_one_place():
     assert sites["jets.py"] == 1
 
 
+def _calls(name: str):
+    """(file, enclosing top-level function) for each call of name under src/."""
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for n in ast.walk(top):
+                if isinstance(n, ast.Call):
+                    f = n.func
+                    if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == name:
+                        yield path.name, getattr(top, "name", None)
+
+
+def test_power_sums_are_split_in_one_place():
+    # the one exact power rule: the pointwise callers and the determining
+    # systems' grids all reach frac_deriv_psi_powers for it
+    assert list(_calls("power_sum")) == [("fracops.py", "frac_deriv_psi_powers")]
+
+
+def _sympy_imports(path):
+    """The enclosing top-level function (None at module level) of each
+    import of sympy in path."""
+    for top in ast.parse(path.read_text()).body:
+        for n in ast.walk(top):
+            if isinstance(n, ast.Import):
+                mods = [a.name for a in n.names]
+            elif isinstance(n, ast.ImportFrom):
+                mods = [n.module or ""]
+            else:
+                continue
+            if any(m == "sympy" or m.startswith("sympy.") for m in mods):
+                yield getattr(top, "name", None)
+
+
+def test_taylor_and_fracops_import_sympy_only_where_they_must():
+    # Taylor mode differentiates no tree in sympy (1/psi' comes from
+    # tree.diff), and fracops uses sympy only for the symbolic psi-jets of
+    # a function given in sympy
+    assert list(_sympy_imports(SRC / "taylor.py")) == []
+    assert set(_sympy_imports(SRC / "fracops.py")) == {"_psi_jet_expr"}
+
+
 # symbolic work a determining system does outside its grid
 SYMBOLIC_CALLS = {"subs", "expand", "diff", "power_sum", "frac_deriv_psi_powers",
-                  "power_rule_expr", "compiled"}
+                  "compiled"}
 
 
 def _called_names(node):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -10,9 +11,10 @@ import sympy as sp
 
 from psifrac import cli, forward
 from psifrac import fracops as fo
+from psifrac import tree as tr
 from psifrac import prolong as pr
 from psifrac.errors import DomainError
-from psifrac.jets import JetFunction, T, U, W, X, compiled
+from psifrac.jets import JetFunction, T, U, W, X
 from psifrac.psi import PsiFunction, builtin
 from psifrac.special import gamma, gen_binom, rgamma
 
@@ -334,46 +336,87 @@ MIXED_POWER_SUM = (
 )
 
 
+def _within_ulps(a: float, b: float, n: int, scale: float = 0.0) -> bool:
+    """|a - b| is at most n ulp of the larger of |a|, |b| and scale."""
+    return abs(a - b) <= n * math.ulp(max(abs(a), abs(b), scale))
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.65, 1.5, 2.5])
-def test_compiled_power_rule_matches_the_pointwise_rule(alpha):
-    fn = compiled(fo.power_rule_expr(MIXED_POWER_SUM, alpha), (X, W, U))
-    for x in (0.2, 0.9):
-        for u in (0.5, 1.7):
-            for w in (0.3, 1.4):
-                node = MIXED_POWER_SUM.subs({X: x, U: u})
-                want = fo.frac_deriv_psi_powers(node, alpha, w)
-                assert math.isclose(fn(x, w, u), want, rel_tol=1e-14), (x, u, w)
+def test_grid_power_rule_matches_the_pointwise_rule(alpha):
+    # the determining systems' form: w and the coefficients' x and u as
+    # arrays that broadcast; each node is the pointwise rule at its values
+    # up to the last bits of numpy's array power, which can round apart
+    # from a float's (psi.pow_each)
+    xs, us, ws = (0.2, 0.9), (0.5, 1.7), (0.3, 1.4)
+    grid = fo.frac_deriv_psi_powers(
+        MIXED_POWER_SUM, alpha, np.reshape(ws, (1, 1, -1)),
+        {"x": np.reshape(xs, (-1, 1, 1)), "u": np.reshape(us, (1, -1, 1))})
+    assert grid.shape == (2, 2, 2)
+    for i, x in enumerate(xs):
+        for j, u in enumerate(us):
+            for k, w in enumerate(ws):
+                want = fo.frac_deriv_psi_powers(MIXED_POWER_SUM, alpha, w, {"x": x, "u": u})
+                assert _within_ulps(float(grid[i, j, k]), float(want), 4), (x, u, w)
 
 
-def test_compiled_power_rule_reads_back_the_pointwise_doubles():
-    # one term with a numeric coefficient: the compiled callable makes the
-    # same float products as the pointwise rule, so the values are equal
-    for nu in (0.3, 0.65, 1.5):
-        for expr in (-sp.Rational(2, 3) * W ** sp.Float(0.35), sp.Float(0.1) * W**2,
-                     W ** (nu - 0.3)):
-            fn = compiled(fo.power_rule_expr(expr, nu), (W,))
-            for w in (0.2, 0.83, 1.9):
-                assert repr(fn(w)) == repr(fo.frac_deriv_psi_powers(expr, nu, w))
-
-
-def test_power_rule_expr_drops_the_critical_exponent_exactly():
+def test_power_rule_drops_the_critical_exponent_exactly():
+    # a term at a pole of the reciprocal gamma is left out, w^(alpha-1)
+    # and all, so w = 0 takes no negative power of 0
     alpha = 0.6
-    assert fo.power_rule_expr(W ** (alpha - 1), alpha) is sp.S.Zero
-    assert fo.power_rule_expr(X * U * W ** (alpha - 1), alpha) is sp.S.Zero
-    assert fo.power_rule_expr(sp.Integer(0), alpha) is sp.S.Zero
+    at = {"x": np.array([0.3, 0.8]), "u": np.array([0.5, 2.0])}
+    for w in (0.0, 0.8, np.array([0.0, 0.8])):
+        assert fo.frac_deriv_psi_powers(W ** (alpha - 1), alpha, w) == 0.0
+        assert fo.frac_deriv_psi_powers(X * U * W ** (alpha - 1), alpha, w, at) == 0.0
 
 
 @pytest.mark.parametrize("expr", [W ** (-1.2), sp.exp(W), X * W**-1, W**X],
                          ids=("nonintegrable", "exp", "nonintegrable-times-x",
                               "symbolic-exponent"))
-def test_power_rule_expr_rejects_a_non_power_sum_when_built(expr):
+def test_power_rule_rejects_a_non_power_sum_before_any_term(expr, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a term evaluated")
+
+    monkeypatch.setattr(fo.tr, "evaluate", refuse)
     with pytest.raises(DomainError):
-        fo.power_rule_expr(expr, 0.5)
+        fo.frac_deriv_psi_powers(expr, 0.5, np.array([0.2, 0.8]), {"x": np.array([0.4, 0.9])})
+
+
+def test_power_rule_needs_a_value_for_each_coefficient_variable():
+    with pytest.raises(DomainError, match="holds x"):
+        fo.frac_deriv_psi_powers(X * W**2, 0.5, 0.8)
+    with pytest.raises(DomainError, match="holds u"):
+        fo.frac_deriv_psi_powers(MIXED_POWER_SUM, 0.5, 0.8, {"x": 0.3})
+    # a variable the coefficients do not hold needs no value
+    assert fo.frac_deriv_psi_powers(W**2, 0.5, 0.8, {}) == fo.frac_deriv_psi_powers(
+        W**2, 0.5, 0.8, {"x": 0.3})
+
+
+def test_power_rule_takes_a_tree_a_number_and_sympy_alike():
+    node = ("add", ("mul", tr.num(3), ("pow", tr.W, tr.num(2))), tr.num(Fraction(1, 3)))
+    want = fo.frac_deriv_psi_powers(3 * W**2 + sp.Rational(1, 3), 0.4, 0.7)
+    assert repr(fo.frac_deriv_psi_powers(node, 0.4, 0.7)) == repr(want)
+    assert repr(fo.frac_deriv_psi_powers(Fraction(1, 3), 0.4, 0.7)) == repr(
+        fo.frac_deriv_psi_powers(sp.Rational(1, 3), 0.4, 0.7))
+    assert fo.frac_deriv_psi_powers(2, 1.0, 0.7) == 0.0
 
 
 def test_pointwise_power_rule_keeps_its_float_arithmetic_bit_for_bit():
-    # the term split hands back a sympy coefficient now; the pointwise rule
-    # must still take float(c) and multiply in the same order
+    # k, Gamma(p+1), 1/Gamma(p+1-nu), c and w^(p-nu) multiplied left to
+    # right and summed in tree.power_sum's order, bit for bit; the grid's
+    # value at each node agrees up to numpy's array power (as above), and
+    # the loop over sympy's terms that the rule once was, which sums in
+    # another order, within 4 ulp of the largest term
+    def split_loop(expr_in_w, nu, w):
+        """The sum, and the largest |term|."""
+        acc, top = 0.0, 0.0
+        for k, c, p in tr.power_sum(tr.from_sympy(sp.sympify(expr_in_w)), "w"):
+            p = float(p)
+            if rgamma(p + 1.0 - nu) != 0.0:
+                term = float(k) * gamma(p + 1.0) * rgamma(p + 1.0 - nu) * tr.evaluate(
+                    c, {}) * w ** (p - nu)
+                acc, top = acc + term, max(top, abs(term))
+        return acc, top
+
     def reference(expr_in_w, nu, w):
         e = sp.expand(sp.sympify(expr_in_w))
         if e == 0:
@@ -390,6 +433,7 @@ def test_pointwise_power_rule_keeps_its_float_arithmetic_bit_for_bit():
             acc += c * gamma(p + 1.0) * rgamma(p + 1.0 - nu) * w ** (p - nu)
         return acc
 
+    ws = (0.2, 0.83, 1.9)
     for nu in (0.3, 0.6, 1.5, 2.5):
         sums = (
             3 * W**2,
@@ -399,9 +443,14 @@ def test_pointwise_power_rule_keeps_its_float_arithmetic_bit_for_bit():
             MIXED_POWER_SUM.subs({X: 0.7, U: 0.6}),
         )
         for expr in sums:
-            for w in (0.2, 0.83, 1.9):
+            grid = np.broadcast_to(fo.frac_deriv_psi_powers(expr, nu, np.array(ws)), 3)
+            for w, g in zip(ws, grid.tolist()):
                 got = fo.frac_deriv_psi_powers(expr, nu, w)
-                assert repr(got) == repr(reference(expr, nu, w)), (expr, nu, w)
+                assert type(got) is float
+                want, top = split_loop(expr, nu, w)
+                assert repr(got) == repr(want), (expr, nu, w)
+                assert _within_ulps(got, g, 4, top), (expr, nu, w)
+                assert _within_ulps(got, reference(expr, nu, w), 4, top), (expr, nu, w)
 
 
 # -- classic values ------------------------------------------------------------

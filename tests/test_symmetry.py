@@ -14,7 +14,7 @@ from psifrac.errors import DomainError
 from psifrac.fracops import frac_deriv_psi_powers
 from psifrac.jets import JetFunction, T, U, W, X, compiled
 from psifrac.psi import builtin
-from psifrac.special import gen_binom
+from psifrac.special import gamma, gen_binom, rgamma
 
 # jet coordinates as independent variables, in the references below
 UX = sp.Symbol("u_x", real=True)
@@ -528,8 +528,8 @@ def _per_node_reference(run, expr, alpha, node):
     expr, alpha and node come from the caller, not from the system under
     test."""
 
-    def per_node(_node, _alpha, at):
-        grid = np.broadcast_arrays(*({X: at["x"], W: at["w"], U: at["u"]}[v] for v in node))
+    def per_node(_node, _alpha, w, at):
+        grid = np.broadcast_arrays(*({X: at["x"], W: w, U: at["u"]}[v] for v in node))
         out = np.empty(grid[0].shape)
         for i in np.ndindex(out.shape):
             sub = {v: float(g[i]) for v, g in zip(node, grid)}
@@ -538,7 +538,7 @@ def _per_node_reference(run, expr, alpha, node):
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sy, "_fractional_part", per_node)
+        mp.setattr(sy, "frac_deriv_psi_powers", per_node)
         return run()
 
 
@@ -714,12 +714,31 @@ def _loop_report(r, at, tol, ts, coords):
 # on the candidate's shape (jets._numbers_out), with alpha, c1, c2, gamma,
 # the binomials and the candidate's numbers as arguments, compiled for
 # floats (jets.compiled) and evaluated node by node (_loop_grid_max); the
-# fractional part is the per-call power rule (fracops.power_rule_expr), and
-# (v) the omega residual as it was.  The expanded system has gained
-# tau(t=0) since, which the reference adds.
+# fractional part is the per-call power rule as an expression
+# (_power_rule_expr), and (v) the omega residual as it was.  The expanded
+# system has gained tau(t=0) since, which the reference adds.
 
 _ALPHA, _C1, _C2, _GAMMA = sp.symbols("alpha_ c1_ c2_ gamma_", real=True)
 _BINOMS = sp.symbols(f"binom_1:{sy._GAZIZOV_TERMS + 2}", real=True)
+
+
+def _power_rule_expr(expr_in_w, alpha):
+    """D^{alpha;psi} of a power sum in w as a sympy expression whose
+    coefficients may hold x and u, as fracops built it before its one power
+    rule took the trees: sympy's terms in its order, a term at a pole of
+    1/Gamma dropped, and the numeric factor of each coefficient times the
+    gamma ratio, and the exponent, written with 17 digits."""
+    e = sp.expand(sp.sympify(expr_in_w))
+    terms = []
+    for term in ([] if e == 0 else e.as_ordered_terms()):
+        c, rest = term.as_independent(W)
+        p = 0.0 if rest == 1 else 1.0 if rest == W else float(rest.exp)
+        r = rgamma(p + 1.0 - alpha)
+        if r != 0.0:
+            k, c = c.as_coeff_Mul()
+            terms.append(sp.Float(float(k) * gamma(p + 1.0) * r, 17) * c
+                         * W ** sp.Float(p - alpha, 17))
+    return sp.Add(*terms)
 
 
 def _sympy_compile(table, args):
@@ -836,7 +855,7 @@ def _sympy_fractional(kind, candidate, coef, psi, alpha, tol=1e-8, quad=fo.Quadr
     shapes, numbers = jets._numbers_out((red.xi.expr, red.theta.expr, red.rho.expr))
     table = _sympy_compile(_sympy_fractional_equations(kind, coef.expr, *shapes),
                            (X, W, U, _ALPHA, _C1, _C2, _GAMMA, *numbers))
-    frac = compiled(fo.power_rule_expr(red.rho.expr, alpha), (X, W, U))
+    frac = compiled(_power_rule_expr(red.rho.expr, alpha), (X, W, U))
     r, at = _loop_grid_max(table, ts, tuple(psi(t) - psi(psi.a) for t in ts),
                            (alpha, red.c1, red.c2, red.gamma, *map(float, numbers.values())),
                            ("i", frac))
@@ -850,7 +869,7 @@ def _sympy_zhang(candidate, equation, alpha, tol=1e-8):
     shapes, numbers = jets._numbers_out((red.xi.expr, red.theta.expr, red.rho.expr))
     table = _sympy_compile(_sympy_zhang_equations(_terms(equation), *shapes),
                            (X, W, U, UX, UXX, _ALPHA, _C1, _C2, _GAMMA, *numbers))
-    frac = compiled(fo.power_rule_expr(red.rho.expr, alpha), (X, W, U))
+    frac = compiled(_power_rule_expr(red.rho.expr, alpha), (X, W, U))
     r, at = _loop_grid_max(table, ts, ts,
                            (alpha, red.c1, red.c2, red.gamma, *map(float, numbers.values())),
                            ("1", frac), sy._JET_PROBES)
@@ -863,7 +882,7 @@ def _sympy_gazizov(candidate, g, alpha, tol=1e-8):
     shapes, numbers = jets._numbers_out((inf.xi.expr, inf.tau.expr, inf.eta.expr))
     table, fixed = _sympy_gazizov_table(*shapes, g.expr)
     table = _sympy_compile(table, (X, T, U, _ALPHA, *_BINOMS, *numbers))
-    frac = compiled(fo.power_rule_expr(fixed.xreplace(numbers), alpha), (X, W, U))
+    frac = compiled(_power_rule_expr(fixed.xreplace(numbers), alpha), (X, W, U))
     args = (alpha, *[gen_binom(alpha, n) for n in range(1, sy._GAZIZOV_TERMS + 2)],
             *map(float, numbers.values()))
     r, at = _loop_grid_max(table, ts, ts, args, ("v", frac))
@@ -1030,7 +1049,7 @@ def _concrete_zhang(candidate, equation, alpha, tol=1e-8):
                 eq2 -= c * prolong_of[i]
     f1 = compiled(sp.expand(eq1), (X, T, U, UX, UXX))
     f2 = compiled(sp.expand(eq2), (X, T, U, UX, UXX))
-    frac_rho = compiled(fo.power_rule_expr(red.rho.expr, alpha), (X, W))
+    frac_rho = compiled(_power_rule_expr(red.rho.expr, alpha), (X, W))
     r = {"1": 0.0, "2": 0.0}
     for x in sy._XS:
         for t in ts:
@@ -1074,7 +1093,7 @@ def _concrete_gazizov(candidate, g, alpha, tol=1e-8):
     xtu = (X, T, U)
     f3, f4 = compiled(eq3, xtu), compiled(eq4, xtu)
     fam = [compiled(e, xtu) for e in _concrete_family(etau, taup, alpha, sy._GAZIZOV_TERMS)]
-    frac5 = compiled(fo.power_rule_expr((eta - U * etau).subs(T, W), alpha), (X, W, U))
+    frac5 = compiled(_power_rule_expr((eta - U * etau).subs(T, W), alpha), (X, W, U))
     eta_x, eta_xx = inf.eta._fn((1, 0, 0)), inf.eta._fn((2, 0, 0))
     gfn = g._fn((0,))
     tau = inf.tau._fn((0, 0, 0))
@@ -1172,7 +1191,7 @@ def _concrete_gfbe(candidate, g, psi, alpha, tol=1e-8, quad=fo.QuadratureSpec())
     theta, th1, th2 = red.theta._fn((0,)), red.theta._fn((1,)), red.theta._fn((2,))
     xi1, xi2 = red.xi._fn((1,)), red.xi._fn((2,))
     rho, rho_x, rho_xx = red.rho._fn((0, 0)), red.rho._fn((1, 0)), red.rho._fn((2, 0))
-    frac_rho = compiled(fo.power_rule_expr(red.rho.expr, alpha), (X, W))
+    frac_rho = compiled(_power_rule_expr(red.rho.expr, alpha), (X, W))
     r = {"i": 0.0, "ii": 0.0, "iii": 0.0, "iv": 0.0}
     at = dict.fromkeys(r)
 
@@ -1209,7 +1228,7 @@ def _concrete_diffusion(candidate, K, psi, alpha, tol=1e-8, quad=fo.QuadratureSp
     theta, th1, th2 = red.theta._fn((0,)), red.theta._fn((1,)), red.theta._fn((2,))
     xi1, xi2 = red.xi._fn((1,)), red.xi._fn((2,))
     rho, rho_x, rho_xx = red.rho._fn((0, 0)), red.rho._fn((1, 0)), red.rho._fn((2, 0))
-    frac_rho = compiled(fo.power_rule_expr(red.rho.expr, alpha), (X, W))
+    frac_rho = compiled(_power_rule_expr(red.rho.expr, alpha), (X, W))
     r = {"i": 0.0, "ii": 0.0, "iii": 0.0, "iv": 0.0}
     at = dict.fromkeys(r)
 
