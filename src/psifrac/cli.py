@@ -42,8 +42,7 @@ EXIT_PIPE = 141
 
 #: largest --terms, --N entry and jet depth of alpha: an input bound.  The
 #: quadrature's forward-mode jets of a spec cost O(depth^2) series terms
-#: per node of its tree, and prolong's omega, two quadrature derivatives,
-#: takes symbolic jets, one per order; the --terms jets are Taylor mode
+#: per node of its tree; the --terms jets are Taylor mode
 MAX_TERMS = 40
 #: largest --nodes; the quadrature caches its nodes and the jet values
 #: there per point, so this also caps what one cached table holds
@@ -64,6 +63,7 @@ class Setting(NamedTuple):
 
 _KERNEL = ("eval", "leibniz", "prolong", "verify")  # the commands that take a kernel
 _ALL = _KERNEL + ("solve",)
+_QUADRATURE = ("eval", "leibniz", "verify")  # the commands that run the quadrature
 
 #: every run setting, by config key; a command takes only the flags of those naming it
 SETTINGS = {
@@ -74,7 +74,7 @@ SETTINGS = {
     "b": Setting("--b", float, 2.0, "right end of the interval", _KERNEL),
     "rho": Setting("--psi-rho", float, 2.0, "power kernel exponent, finite and > 0", _KERNEL),
     "alpha": Setting("--alpha", float, 0.5, "order, finite and > 0", _ALL),
-    "nodes": Setting("--nodes", int, 64, f"quadrature nodes, in [4, {MAX_NODES}]", _KERNEL),
+    "nodes": Setting("--nodes", int, 64, f"quadrature nodes, in [4, {MAX_NODES}]", _QUADRATURE),
     "terms": Setting("--terms", int, 20, f"series terms, in [0, {MAX_TERMS}]",
                      ("eval", "prolong")),
     "tol": Setting("--tol", float, 1e-8, "pass bound, finite and >= 0",
@@ -129,10 +129,9 @@ def _build_config(args) -> argparse.Namespace:
         v = getattr(cfg if name == "a" else args, name, None)
         if v is not None and not math.isfinite(v):
             raise DomainError(f"{name} must be finite, got {v}")
-    # a derivative of order alpha takes ceil(alpha) psi-jets; prolong's omega
-    # takes one more, at order alpha + 1 (omega is 0 at integer alpha)
-    if args.command in ("leibniz", "prolong") or getattr(args, "op", None) == "derivative":
-        depth = math.ceil(cfg.alpha) + (args.command == "prolong" and not cfg.alpha.is_integer())
+    # a quadrature derivative of order alpha takes ceil(alpha) psi-jets
+    if args.command == "leibniz" or getattr(args, "op", None) == "derivative":
+        depth = math.ceil(cfg.alpha)
         if depth > MAX_TERMS:
             raise DomainError(f"alpha = {cfg.alpha} needs {depth} psi-jets, over {MAX_TERMS}")
     if not 4 <= cfg.nodes <= MAX_NODES:
@@ -280,7 +279,7 @@ def cmd_leibniz(cfg: argparse.Namespace, args) -> int:
 
 def cmd_prolong(cfg: argparse.Namespace, args) -> int:
     from . import prolong as pr
-    from .jets import X, W
+    from .jets import W
 
     psi = _psi(cfg)
     xi = parse_expr(args.xi)
@@ -291,16 +290,13 @@ def cmd_prolong(cfg: argparse.Namespace, args) -> int:
             raise DomainError(f"{name} spec must use x, t, u (not psi)")
     inf = pr.Infinitesimals.from_exprs(xi, tau, eta)
     jet = _as_jet(args.u, psi)
-    quad = fo.QuadratureSpec(cfg.nodes)
-    u_t = JetFunction.of_t(jet.expr.subs(X, args.x))
     rows = []
     for t in _t_list(args.t, cfg):
-        full = pr.eta_alpha_psi(inf, jet, psi, cfg.alpha, args.x, t,
-                                terms=cfg.terms, quad=quad)
+        full = pr.eta_alpha_psi(inf, jet, psi, cfg.alpha, args.x, t, terms=cfg.terms)
         mu = pr.mu_term(inf, jet, psi, cfg.alpha, args.x, t, M=cfg.terms)
-        omega = pr.omega_term(inf, u_t, psi, cfg.alpha, args.x, t, quad)
+        omega = pr.omega_term(inf, jet.u, psi, cfg.alpha, args.x, t)
         compact = pr.eta_alpha_psi_compact(inf, jet, psi, cfg.alpha, args.x, t,
-                                           terms=cfg.terms, quad=quad)
+                                           terms=cfg.terms)
         rows.append((t, full, mu, omega, compact, abs(full - compact)))
     emit(cfg, "prolong",
          ("t", "eta_alpha", "mu", "omega", "compact", "discrepancy"), rows)

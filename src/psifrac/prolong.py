@@ -19,9 +19,9 @@ u-derivatives of mu, u_x and u_t of the characteristic) comes from
 and jet, the numbers put back, and equals sp.diff's bit for bit, so a
 second generator of the same shape is not differentiated again.
 Fractional pieces use the terminating jet series
-:func:`~psifrac.fracops.jet_series`, except omega, which is the
-difference of two quadrature derivatives:
-D^{alpha;psi} D_t^{1;psi} u - D^{alpha+1;psi} u.
+:func:`~psifrac.fracops.jet_series`, and omega is in closed form, so no
+prolongation runs a quadrature; :func:`omega_commutator`, the quadrature
+D^{alpha;psi} D_t^{1;psi} u - D^{alpha+1;psi} u, is its reference.
 
 A reduced generator and its general form (:meth:`ReducedInfinitesimals.to_general`)
 are trees (:mod:`psifrac.tree`), and the determining systems read them
@@ -290,8 +290,8 @@ def omega_commutator(
 
     For Riemann-Liouville operators D_t^{1;psi} D^{alpha;psi} = D^{alpha+1;psi},
     so the commutator is the difference of two quadrature derivatives; it
-    equals -u(a) w^{-alpha-1} / Gamma(-alpha) for w = psi(t) - psi(a), and
-    vanishes for integer alpha."""
+    equals -u(a) w^{-alpha-1} / Gamma(-alpha) for w = psi(t) - psi(a), the
+    closed form of :func:`omega_term`, which is tested against it."""
     alpha = float(order)
     if alpha.is_integer():
         return 0.0
@@ -308,20 +308,27 @@ def omega_term(
     order: float,
     x: float,
     t: float,
-    quad: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Lower-limit correction omega = psi'(a) tau~ [D^{alpha;psi}, D_t^{1;psi}] u,
-    tau~ = tau at t = a.  Exactly zero at an integer order, where tau~ is
-    not read, and when tau~ = 0, where the commutator is not evaluated."""
-    if float(order).is_integer():
+    tau~ = tau at t = a, in closed form: -psi'(a) tau~ u(a) w^{-alpha-1} / Gamma(-alpha).
+    tau and u, of t or of (x, t), are read at (x, a) by one-term Taylor programs
+    on psi = t, in psi(a)'s floats: a pole of u at a is an error, 0^p (p > 0) is 0.
+    Exactly zero at an integer order, where tau~ is not read, and when tau~ = 0."""
+    alpha = float(order)
+    if alpha.is_integer():
         return 0.0
-    if isinstance(inf, ReducedInfinitesimals):
-        tau_tilde = inf.tau_tilde(psi)
-    else:
-        tau_tilde = inf.tau(x, psi.a, u(psi.a))
+
+    def at_a(f: JetFunction, *u_a: float) -> float:  # f at (x, a), with u = u_a if given
+        prog = program(f.tree, tr.T, ("x", "u")[:1 + len(u_a)])
+        return float(prog.series(psi.a, 1, x, *u_a)[0])
+
+    u_a = None if isinstance(inf, ReducedInfinitesimals) else at_a(u)
+    tau_tilde = inf.tau_tilde(psi) if u_a is None else at_a(inf.tau, u_a)
     if tau_tilde == 0.0:
         return 0.0
-    return psi.deriv(psi.a) * tau_tilde * omega_commutator(u, psi, order, t, quad)
+    u_a = at_a(u) if u_a is None else u_a
+    w = psi(t) - psi(psi.a)
+    return psi.deriv(psi.a) * (-tau_tilde * u_a * w ** (-alpha - 1.0) * rgamma(-alpha))
 
 
 def eta_alpha_psi(
@@ -332,7 +339,6 @@ def eta_alpha_psi(
     x: float,
     t: float,
     terms: int = 12,
-    quad: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Full alpha-th order prolongation coefficient, expanded form:
 
@@ -379,8 +385,7 @@ def eta_alpha_psi(
         if cm != 0.0:
             acc += cm * jet_series(u_j, alpha - m, w).value
     acc += mu_term(inf, jet, psi, alpha, x, t, M=terms)
-    u_t = JetFunction.of_t(uexpr.subs(X, x))
-    return acc + omega_term(inf, u_t, psi, alpha, x, t, quad)
+    return acc + omega_term(inf, jet.u, psi, alpha, x, t)
 
 
 def eta_alpha_psi_compact(
@@ -391,7 +396,6 @@ def eta_alpha_psi_compact(
     x: float,
     t: float,
     terms: int = 12,
-    quad: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Compact form of the alpha-th prolongation coefficient, valid when
     eta is linear in u, and at an integer order m equal to eta^(m;psi)
@@ -417,5 +421,4 @@ def eta_alpha_psi_compact(
     acc += _nth(_jets(xi_c, psi, 0, x, t), 0) * jet_series(ux_j, alpha, w).value
     acc += (_nth(_jets(tau_c, psi, 0, x, t), 0) * psi.deriv(t)
             * jet_series(u_j, alpha + 1.0, w).value)
-    u_t = JetFunction.of_t(uexpr.subs(X, x))
-    return acc + omega_term(inf, u_t, psi, alpha, x, t, quad)
+    return acc + omega_term(inf, jet.u, psi, alpha, x, t)

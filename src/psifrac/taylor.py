@@ -389,9 +389,10 @@ def _pow_affine(b, p, size):
         for k in range(min(n, size - 1) + 1):
             out[k] = math.comb(n, k) * b0 ** (n - k) * b1**k
         return out
-    _check_base(b0, p)
-    # binom(p, k) b0^p (b1 / b0)^k
-    return b0**p * _binomials(p, size) * (b1 / b0) ** _index(size)[0]
+    _check_base(b0, p, size)
+    # binom(p, k) b0^p (b1 / b0)^k; one coefficient is b0^p alone, 0 at b0 = 0 < p
+    ratio = b1 / b0 if size > 1 else 0.0
+    return b0**p * _binomials(p, size) * ratio ** _index(size)[0]
 
 
 def _exp_affine(b, size):
@@ -403,8 +404,8 @@ def _exp_affine(b, size):
 # -- recurrences for any argument ---------------------------------------------
 
 
-def _check_base(b0, p):
-    if b0 == 0.0 or (b0 < 0.0 and not float(p).is_integer()):
+def _check_base(b0, p, size):  # a zero base is a pole, or for size > 1 not a series
+    if (b0 == 0.0 and (p < 0.0 or size > 1)) or (b0 < 0.0 and not float(p).is_integer()):
         raise NumericsError(f"power {p} of a series with value {b0} at the point")
 
 
@@ -422,7 +423,7 @@ def _pow_int(b, n, size):
 def _pow_series(b, p, size):
     # b y' = p b' y: k b0 y_k = sum_{j=1..k} ((p + 1) j - k) b_j y_{k-j}
     b0 = float(b[0])
-    _check_base(b0, p)
+    _check_base(b0, p, size)
     y = np.empty(size)
     y[0] = b0**p
     js = _index(size)[0]

@@ -69,9 +69,12 @@ def test_eval_accepts_max_terms(capsys):
     # no derivative of order alpha, so no jets from alpha
     ["eval", "integral", "--f", "t^2", "--t", "1", "--alpha", "45.5"],
     ["verify", "gfbe", "--case", "g=u", "--table", "X2", "--alpha", "45.5"],
-    # omega at order alpha + 1 = 39.5 takes the 40th jet
+    # prolong takes no psi-jets by order: its tables have --terms jets, and
+    # omega is in closed form
     ["prolong", "--xi", "x", "--tau", "4*t+1", "--eta", "0-u", "--u", "x*psi+1",
      "--x", "0.5", "--t", "1", "--alpha", "38.5"],
+    ["prolong", "--xi", "x", "--tau", "4*t+1", "--eta", "0-u", "--u", "x*psi+1",
+     "--x", "0.5", "--t", "1", "--alpha", "45.5"],
 ])
 def test_large_orders_within_the_jet_cap_run(capsys, argv):
     code, _ = run(capsys, *argv)
@@ -172,8 +175,9 @@ def test_eval_gate_is_relative_to_the_value(capsys):
     ["eval", "derivative", "--f", "t^2", "--t", "1", "--alpha", "45.5"],
     ["eval", "derivative", "--f", "t^2", "--t", "1", "--alpha", "40.5"],
     ["leibniz", "--f", "t", "--g", "t", "--t", "1", "--N", "1", "--alpha", "40.5"],
+    # prolong runs no quadrature, so it takes no node count
     ["prolong", "--xi", "x", "--tau", "4*t+1", "--eta", "0-u", "--u", "x*psi+1",
-     "--x", "0.5", "--t", "1", "--alpha", "39.5"],
+     "--x", "0.5", "--t", "1", "--nodes", "64"],
     # a node count past cli.MAX_NODES would allocate without bound
     ["eval", "integral", "--f", "t", "--t", "1", "--nodes", "1000000000000"],
     ["eval", "derivative", "--f", "t", "--t", "1", "--nodes", "20001"],
@@ -456,6 +460,35 @@ def test_prolong_omega_at_a_pole_of_tau_is_one_numerical_error(capsys):
     code = main([*TAU_POLE_AT_A, "--alpha", "0.5"])
     assert code == EXIT_NUMERIC
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("kernel", [
+    [], ["--psi", "power", "--psi-rho", "2.7", "--a", "0.43"],
+    ["--psi", "exponential", "--a", "0.45"],
+], ids=("identity", "power", "exponential"))
+def test_prolong_omega_at_a_pole_of_u_is_one_numerical_error(capsys, kernel):
+    # u(a) is infinite, and omega reads it where tau(a) != 0; off the
+    # identity, psi(t) - psi(a) must read exactly 0 at t = a for that.  At
+    # these a numpy's power and exp round apart from Python's float ** and
+    # math.exp, which psi(a) takes, so u(a) read by numpy would be finite
+    code = main(["prolong", "--xi", "x", "--tau", "t+1", "--eta", "0-u",
+                 "--u", "1/psi + x", "--x", "0.5", "--t", "1.0", *kernel])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERIC
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1, captured.err
+
+
+def test_prolong_reads_a_fractional_power_of_zero_at_a(capsys):
+    # on t^2.7 from a = 0, u = x t^2.7 + t^5.4 + 1 holds 0^2.7 at t = a
+    code, out = run(capsys, "prolong", "--xi", "x", "--tau", "t+1", "--eta", "0-u",
+                    "--u", "x*psi + psi^2 + 1", "--x", "0.5", "--t", "1,1.5",
+                    "--psi", "power", "--psi-rho", "2.7", "--alpha", "0.7",
+                    "--format", "csv")
+    assert code == EXIT_PASS
+    rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+    assert len(rows) == 2 and all(map(math.isfinite, sum(rows, [])))
+    assert all(row[3] == 0.0 for row in rows)  # psi'(0) = 0 on t^2.7
 
 
 # -- verify / solve -----------------------------------------------------------------

@@ -172,6 +172,23 @@ def test_series_backend_does_no_symbolic_work(monkeypatch):
         assert value == value  # not NaN
 
 
+@pytest.mark.parametrize("kernel", ("identity", "power", "exponential"))
+def test_prolong_compiles_nothing(monkeypatch, capsys, kernel):
+    # the tables are Taylor mode and omega is in closed form, so a moving
+    # lower limit (tau(a) != 0) and a nonlinear eta (mu) lambdify nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("lambdify on the prolongation path")
+
+    monkeypatch.setattr(sp, "lambdify", refuse)
+    compiled.cache_clear()  # so that no earlier compile is reused
+    argv = ["prolong", "--xi", "x", "--tau", "t+1", "--eta", "u^2 - u", "--u",
+            "x*psi + psi^2 + 1", "--x", "0.5", "--t", "1.0,1.5", "--psi", kernel,
+            "--a", "0.5", "--format", "json"]
+    assert cli.main(argv) == cli.EXIT_PASS
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert all(mu != 0.0 and omega != 0.0 for _, _, mu, omega, _, _ in rows), rows
+
+
 def test_classical_checks_do_not_simplify(monkeypatch):
     # criterion 9's panel: to_general and both classical systems build
     # their equations without sympy's simplify

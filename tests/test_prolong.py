@@ -304,8 +304,8 @@ def test_mu_vanishes_iff_eta_linear_in_u(psi):
 
 
 def test_prolongation_tables_need_no_symbolic_psi_jets(monkeypatch):
-    # every table is a Taylor-mode one; the symbolic psi-jets serve only
-    # the quadrature, which omega alone reads and which tau(a) = 0 skips
+    # every table is a Taylor-mode one and omega is in closed form, so no
+    # symbolic psi-jet is taken, with tau(a) != 0 too
     def refuse(*args, **kwargs):
         raise AssertionError("symbolic psi-jet in a prolongation table")
 
@@ -314,10 +314,11 @@ def test_prolongation_tables_need_no_symbolic_psi_jets(monkeypatch):
         monkeypatch.setattr(mod, name, refuse)
     for psi in (IDENTITY, POWER, builtin("exponential", 0.0, 1.0)):
         wa = _w_expr(psi)
-        inf = pr.Infinitesimals.from_exprs(X, T - psi.a, U**2 + X * U)
+        inf = pr.Infinitesimals.from_exprs(X, T - psi.a + 0.5, U**2 + X * U)
         jet = SolutionJet.from_expr(sp.expand(X * wa + wa**2 + 1))
         x, t = 0.7, psi.a + 0.6 * (psi.b - psi.a)
         values = [
+            pr.omega_term(inf, jet.u, psi, ALPHA, x, t),
             pr.eta_alpha_psi(inf, jet, psi, ALPHA, x, t),
             pr.eta_alpha_psi_compact(inf, jet, psi, ALPHA, x, t),
             pr.mu_term(inf, jet, psi, ALPHA, x, t),
@@ -391,6 +392,55 @@ def test_omega_exactly_zero_when_tau_vanishes_at_a():
     inf = pr.Infinitesimals.from_exprs(X, 2 * T / ALPHA, -U)
     u = JetFunction.of_t(1 + T + T**2)
     assert pr.omega_term(inf, u, IDENTITY, ALPHA, 0.5, 1.0) == 0.0
+
+
+# the built-in kernels and one given by its expression alone
+_OMEGA_KERNELS = (IDENTITY, POWER, builtin("exponential", 0.0, 1.0),
+                  PsiFunction("cubic", 0.1, 2.0, expr=T + T**3))
+
+
+@pytest.mark.parametrize("alpha", (0.3, 0.7, 1.4, 2.3))
+@pytest.mark.parametrize("psi", _OMEGA_KERNELS, ids=lambda p: p.name)
+def test_omega_closed_form_is_the_quadrature_commutator(psi, alpha):
+    # omega = psi'(a) tau~ [D^{alpha;psi}, D^{1;psi}] u, the commutator taken
+    # as the difference of two quadrature derivatives; tau~ reads u(a)
+    wa = _w_expr(psi)
+    x, t = 0.7, psi.a + 0.6 * (psi.b - psi.a)
+    inf = pr.Infinitesimals.from_exprs(X, 0.4 * U + T + 0.5, -U)
+    for u in (sp.expand(1.3 + 0.8 * wa + 0.6 * wa**2 + 0.4 * wa**3), X * sp.exp(T)):
+        u_t = JetFunction.of_t(u.subs(X, x))
+        tau_tilde = 0.4 * u_t(psi.a) + psi.a + 0.5
+        want = psi.deriv(psi.a) * tau_tilde * pr.omega_commutator(u_t, psi, alpha, t)
+        got = pr.omega_term(inf, JetFunction.of_xt(u), psi, alpha, x, t)
+        assert got == pytest.approx(want, rel=1e-10), u
+        # the solution may also be given as a function of t alone
+        assert pr.omega_term(inf, u_t, psi, alpha, x, t) == pytest.approx(got, rel=1e-15)
+
+
+@pytest.mark.parametrize("alpha", (0.3, 1.4))
+def test_omega_reads_a_fractional_power_of_psi_at_a(alpha):
+    # u = w^1.5 + 1 from a = 0: u(a) = 0^1.5 + 1 is a value, though u has
+    # no Taylor series there
+    x, t = 0.7, 1.2
+    inf = pr.Infinitesimals.from_exprs(X, T + 0.5, -U)
+    for u, u_a in ((T**1.5 + 1, 1.0), (X * T**1.5 + T**2.5, 0.0)):
+        want = -0.5 * u_a * t ** (-alpha - 1.0) * rgamma(-alpha)
+        assert pr.omega_term(inf, JetFunction.of_xt(u), IDENTITY, alpha, x, t) == want
+
+
+@pytest.mark.parametrize("psi", _OMEGA_KERNELS, ids=lambda p: p.name)
+def test_omega_is_exactly_zero_at_integer_orders_and_where_tau_vanishes(psi):
+    x, t = 0.7, psi.a + 0.6 * (psi.b - psi.a)
+    u = JetFunction.of_xt(X * sp.exp(T))
+    moving = pr.Infinitesimals.from_exprs(X, T + 0.5, -U)
+    for alpha in (1, 2.0, 3):
+        assert pr.omega_term(moving, u, psi, alpha, x, t) == 0.0
+    fixed = pr.Infinitesimals.from_exprs(X, (T - psi.a) * (1 + U), -U)
+    reduced = pr.ReducedInfinitesimals(
+        ALPHA, JetFunction(X, (X,)), 0.0, 1.0, 0.0,
+        JetFunction(sp.Integer(0), (X,)), JetFunction(sp.Integer(0), (X, W)))
+    for inf in (fixed, reduced):
+        assert pr.omega_term(inf, u, psi, ALPHA, x, t) == 0.0
 
 
 @pytest.mark.parametrize("psi", [IDENTITY, POWER], ids=lambda p: p.name)
@@ -536,8 +586,8 @@ def test_prolongation_values_are_those_of_plain_sp_diff(psi, monkeypatch):
 
 def test_a_second_generator_of_a_shape_is_not_differentiated(monkeypatch):
     # the derivatives of the first are taken by shape, and the second's
-    # numbers are put into them: sympy differentiates nothing of the
-    # generator or the jet, only psi itself for omega's quadrature jets.
+    # numbers are put into them: sympy differentiates nothing, and omega,
+    # in closed form, takes no psi-jets.
     # The second's numbers are the first's halved: sympy orders a sum's
     # terms by their floats' mantissas, which halving keeps, so each sum
     # lists its terms, and numbers its floats, the same way
@@ -549,7 +599,8 @@ def test_a_second_generator_of_a_shape_is_not_differentiated(monkeypatch):
     second = _generator(psi, tuple(c / 2 for c in first))
     values = _prolongation_values(psi, *second, integer=False)
     assert all(math.isfinite(v) for v in values)
-    assert calls and set(calls) == {(psi.expr, T)}, calls
+    assert values[2] != 0.0  # tau(a) != 0: omega is there
+    assert calls == [], calls
     # eta_integer takes its higher x-derivatives by sp.diff, as before
     calls.clear()
     pr.eta_integer(2, *second, 0.7, 1.0)

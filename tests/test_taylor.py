@@ -131,6 +131,18 @@ def test_a_pole_at_the_point_is_a_numerical_error():
             fo.psi_jets(_as_f_of_t(spec, KERNELS["identity"]), KERNELS["identity"], 1.0, 3)
 
 
+@pytest.mark.parametrize("p", (2.7, 0.5))
+def test_a_positive_power_of_zero_is_zero_as_a_value_only(p):
+    # the value 0^p = 0 exists, but w^p has no Taylor series at w = 0
+    for expr in (T**p, (T**2 + T) ** p):
+        prog = program(from_sympy(expr), from_sympy(T))
+        assert prog.series(0.0, 1).tolist() == [0.0]
+        with pytest.raises(NumericsError):
+            prog.series(0.0, 2)
+    with pytest.raises(NumericsError):
+        program(from_sympy(T**-p), from_sympy(T)).series(0.0, 1)
+
+
 def test_psi_deriv_m_reads_the_jets_of_psi_jets():
     psi = KERNELS["exponential"]
     f = JetFunction.of_t(sp.exp(T) ** 2 + T)
