@@ -42,9 +42,10 @@ from .special import gamma, gen_binom, rgamma
 
 # imported on first access (PEP 562): the sympy symbols, which load sympy,
 # and the prolongation and the determining systems, which load it where
-# they need it (the prolongation, the solver, and the omega equation of a
+# they need it (the solver, and the quadrature of the omega equation of a
 # moving lower limit), so that `import psifrac` stays light and a process
-# that evaluates operators or checks a determining system never loads it
+# that evaluates operators, prolongs a generator or checks a determining
+# system never loads it
 _LAZY = {
     "jets": ("X", "T", "U", "W"),
     "prolong": ("Infinitesimals", "ReducedInfinitesimals", "eta_alpha_psi",

@@ -29,7 +29,7 @@ from . import fracops as fo
 from . import tree as tr
 from .errors import DomainError, NumericsError, PoleError, PsifracError
 from .jets import JetFunction, SolutionJet
-from .parser import ParseError, parse, parse_expr
+from .parser import ParseError, parse
 from .psi import builtin
 
 __all__ = ["main", "SETTINGS"]
@@ -216,9 +216,7 @@ def _as_f_of_t(spec: str, psi) -> JetFunction:
 
 
 def _as_jet(spec: str, psi) -> SolutionJet:
-    import sympy as sp
-
-    return SolutionJet.from_expr(sp.expand(tr.to_sympy(_in_t(spec, psi, True))))
+    return SolutionJet.from_expr(_in_t(spec, psi, True))
 
 
 def _t_list(raw: str, cfg: argparse.Namespace):
@@ -279,24 +277,24 @@ def cmd_leibniz(cfg: argparse.Namespace, args) -> int:
 
 def cmd_prolong(cfg: argparse.Namespace, args) -> int:
     from . import prolong as pr
-    from .jets import W
 
     psi = _psi(cfg)
-    xi = parse_expr(args.xi)
-    tau = parse_expr(args.tau)
-    eta = parse_expr(args.eta)
-    for name, e in (("xi", xi), ("tau", tau), ("eta", eta)):
-        if e.has(W):
+    specs = {name: parse(getattr(args, name)) for name in ("xi", "tau", "eta")}
+    for name, e in specs.items():
+        if "w" in tr.names(e):
             raise DomainError(f"{name} spec must use x, t, u (not psi)")
-    inf = pr.Infinitesimals.from_exprs(xi, tau, eta)
+    inf = pr.Infinitesimals.from_exprs(*specs.values())
     jet = _as_jet(args.u, psi)
     rows = []
     for t in _t_list(args.t, cfg):
-        full = pr.eta_alpha_psi(inf, jet, psi, cfg.alpha, args.x, t, terms=cfg.terms)
-        mu = pr.mu_term(inf, jet, psi, cfg.alpha, args.x, t, M=cfg.terms)
+        # one row: mu and omega once, added as eta_alpha_psi and
+        # eta_alpha_psi_compact add them
+        row = pr._Row(inf, jet, psi, cfg.alpha, args.x, t, cfg.terms)
+        acc = row.expanded()
+        mu = row.mu()
         omega = pr.omega_term(inf, jet.u, psi, cfg.alpha, args.x, t)
-        compact = pr.eta_alpha_psi_compact(inf, jet, psi, cfg.alpha, args.x, t,
-                                           terms=cfg.terms)
+        full = (acc + mu) + omega
+        compact = row.compact() + omega
         rows.append((t, full, mu, omega, compact, abs(full - compact)))
     emit(cfg, "prolong",
          ("t", "eta_alpha", "mu", "omega", "compact", "discrepancy"), rows)

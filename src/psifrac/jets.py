@@ -20,8 +20,9 @@ evaluate trees (:func:`psifrac.tree.evaluate`).
 
 :func:`diff` takes a first derivative once per shape, an expression with
 its floats taken out (:func:`_numbers_out`), and puts the numbers back
-where that gives sp.diff's own result, bit for bit; the symbolic psi-jets
-and the prolongation take theirs from it.
+where that gives sp.diff's own result, bit for bit; the quadrature's
+symbolic psi-jets take theirs from it.  The prolongation and the
+determining systems differentiate trees (:func:`psifrac.tree.diff`).
 
 sympy is loaded on first use: it (``sp``) and the symbols ``X``, ``T``,
 ``U`` and ``W`` are module attributes made on first access (PEP 562).
@@ -118,7 +119,8 @@ def _placeholders(count: int) -> tuple:
 
 def diff(expr, var):
     """d expr / d var, equal to ``sp.diff(expr, var)`` in structure and in
-    every float.
+    every float: the derivative the symbolic psi-jets of a function given in
+    sympy (:func:`psifrac.fracops._psi_jet_expr`) take at each order.
 
     The derivative is taken once per shape of expr (:func:`_numbers_out`)
     and the numbers are put back with ``xreplace``.  That redoes sp.diff's

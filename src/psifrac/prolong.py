@@ -9,39 +9,43 @@ of eta in u) and omega (moving lower limit when tau does not vanish at
 t = a).  eta^(m;psi) is the compact form of eta^(alpha;psi) at the
 integer order alpha = m, where it holds for any eta.
 
-All chain-rule expansions are exact sympy manipulations along the jet,
-done before any sum: each factor becomes a table of its float psi-jets at
-the point, by Taylor mode (:func:`_jets`, :mod:`psifrac.taylor`, the
-engine of the series backend), and the sums run over those tables; no
-table is differentiated symbolically.  Every first derivative (eta_u, the
+Every factor is built on trees (:mod:`psifrac.tree`), whether the
+generator and jet were given as trees, as the CLI parses them, or in sympy,
+read through their trees: the solution is put in for u
+(:func:`~psifrac.tree.subs`), each first derivative (eta_u, the
 u-derivatives of mu, u_x and u_t of the characteristic) comes from
-:func:`psifrac.jets.diff`: it is taken once per shape of the generator
-and jet, the numbers put back, and equals sp.diff's bit for bit, so a
-second generator of the same shape is not differentiated again.
+:func:`~psifrac.tree.diff`, and each factor is expanded by
+:func:`~psifrac.tree.expand`, the expansion the exact power rule splits.
+Each expanded factor becomes a table of its float psi-jets at the point, by
+Taylor mode (:func:`_jets`, :mod:`psifrac.taylor`, the engine of the series
+backend), and the sums run over those tables; no table is differentiated.
 Fractional pieces use the terminating jet series
 :func:`~psifrac.fracops.jet_series`, and omega is in closed form, so no
-prolongation runs a quadrature; :func:`omega_commutator`, the quadrature
-D^{alpha;psi} D_t^{1;psi} u - D^{alpha+1;psi} u, is its reference.
+prolongation runs a quadrature or loads sympy.  :func:`omega_commutator`,
+the quadrature D^{alpha;psi} D_t^{1;psi} u - D^{alpha+1;psi} u, is omega's
+reference, and it alone takes a symbolic psi-jet.  One row
+(:class:`_Row`) shares the tables of a point between the expanded sum, the
+compact sum and mu, so a caller that prints both forms, mu and omega, as
+the CLI does, computes each once.
 
 A reduced generator and its general form (:meth:`ReducedInfinitesimals.to_general`)
-are trees (:mod:`psifrac.tree`), and the determining systems read them
-without sympy; sympy is imported by the prolongation itself, on first use.
+are trees too, and the determining systems read them without sympy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from . import tree as tr
 from .errors import DomainError
 from .fracops import QuadratureSpec, _psi_jet_expr, frac_derivative, jet_series
-from .jets import JetFunction, SolutionJet, compiled, diff
+from .jets import JetFunction, SolutionJet, compiled
 from .psi import PsiFunction
 from .special import gen_binom, rgamma
 from .taylor import program
-from .tree import from_sympy
 
 __all__ = [
     "Infinitesimals",
@@ -137,15 +141,15 @@ _dt_expr = _psi_jet_expr
 _fn_xt = _fn_xtu = compiled
 
 
-def _jets(expr, psi: PsiFunction, upto: int, x: float, t: float, *u) -> list:
-    """The psi-jets 0..upto of expr at (x, t), as floats, for expr in (x, t)
-    fully composed along the solution or, with u given, in (x, t, u) with
-    u held fixed.  The jets come by Taylor mode, from one program per
-    expression that takes x (and u) as run-time inputs
-    (:func:`psifrac.taylor.program`, through the tree of expr).  The list ends at the degree of expr
+def _jets(expr: tuple, psi: PsiFunction, upto: int, x: float, t: float, *u) -> list:
+    """The psi-jets 0..upto of the tree expr at (x, t), as floats, for expr
+    in (x, t) fully composed along the solution or, with u given, in
+    (x, t, u) with u held fixed.  The jets come by Taylor mode, from one
+    program per expression that takes x (and u) as run-time inputs
+    (:func:`psifrac.taylor.program`).  The list ends at the degree of expr
     in psi(t) - psi(a), past which every jet vanishes exactly; an
     expression that is 0 gives []."""
-    prog = program(from_sympy(expr), psi.tree, ("x", "u") if u else ("x",))
+    prog = program(expr, psi.tree, ("x", "u") if u else ("x",))
     if prog.constant == 0.0:
         return []
     top = upto if prog.degree is None else min(upto, prog.degree)
@@ -157,21 +161,131 @@ def _nth(jets: list, m: int) -> float:
     return jets[m] if m < len(jets) else 0.0
 
 
-def _characteristic(inf: Infinitesimals, uexpr):
-    """xi and tau along the solution, and the characteristic
-    Q = eta - xi u_x - tau u_t, each expanded."""
-    import sympy as sp
+def _value(expr: tuple, x: float, t: float, *u: float) -> float:
+    """The tree expr at (x, t), with u = u[0] if given: a one-term Taylor
+    program on psi = t."""
+    return float(program(expr, tr.T, ("x", "u")[:1 + len(u)]).series(t, 1, x, *u)[0])
 
-    from .jets import T, U, X
 
-    xi_c = sp.expand(inf.xi.expr.subs(U, uexpr))
-    tau_c = sp.expand(inf.tau.expr.subs(U, uexpr))
-    q = sp.expand(
-        inf.eta.expr.subs(U, uexpr)
-        - xi_c * diff(uexpr, X)
-        - tau_c * diff(uexpr, T)
-    )
-    return xi_c, tau_c, q
+def _along(f: JetFunction, u: tuple) -> tuple:
+    """f with the solution u, a tree, put in for u, expanded."""
+    return tr.expand(tr.subs(f.tree, "u", u))
+
+
+def _characteristic(inf: Infinitesimals, u: tuple, xi_c: tuple, tau_c: tuple) -> tuple:
+    """The characteristic Q = eta - xi u_x - tau u_t along u, expanded, for
+    xi_c and tau_c xi and tau along u."""
+    minus = tr.num(-1)
+    return tr.expand(tr.add(tr.subs(inf.eta.tree, "u", u),
+                            tr.mul(minus, xi_c, tr.diff(u, "x")),
+                            tr.mul(minus, tau_c, tr.diff(u, "t"))))
+
+
+class _Row:
+    """The prolongation of one generator along one jet at (x, t) with
+    ``terms`` jets: the expanded form's sum before mu and omega, the
+    compact form's before omega, and mu.  The tables the forms share (u,
+    u_x, xi and tau along the solution) are built once, at the depth each
+    form reads them at."""
+
+    def __init__(self, inf, jet, psi, alpha, x, t, terms):
+        self.inf, self.jet, self.psi = inf, jet, psi
+        self.alpha, self.x, self.t, self.terms = float(alpha), x, t, terms
+        self.u = jet.u.tree
+        self.w = psi(t) - psi(psi.a)
+
+    @cached_property
+    def u_j(self) -> list:
+        return _jets(tr.expand(self.u), self.psi, self.terms, self.x, self.t)
+
+    @cached_property
+    def ux_j(self) -> list:
+        ux = tr.expand(tr.diff(self.u, "x"))
+        return _jets(ux, self.psi, self.terms, self.x, self.t)
+
+    @cached_property
+    def xi_tau(self) -> tuple:
+        return _along(self.inf.xi, self.u), _along(self.inf.tau, self.u)
+
+    def expanded(self) -> float:
+        """The expanded form before mu and omega (:func:`eta_alpha_psi`)."""
+        alpha, psi, terms, x, t, w = self.alpha, self.psi, self.terms, self.x, self.t, self.w
+        xi_c, tau_c = self.xi_tau
+        etau = tr.expand(tr.diff(self.inf.eta.tree, "u"))
+        # the jet tables: eta and eta_u with u fixed, the rest along the solution
+        u_j = self.u_j
+        uval = _nth(u_j, 0)
+        eta_j = _jets(tr.expand(self.inf.eta.tree), psi, terms, x, t, uval)
+        etau_j = _jets(etau, psi, terms, x, t, uval)
+        etau_c_j = _jets(tr.expand(tr.subs(etau, "u", self.u)), psi, terms, x, t)
+        xi_j = _jets(xi_c, psi, terms, x, t)
+        tau_j = _jets(tau_c, psi, terms + 1, x, t)
+        ux_j = self.ux_j
+
+        acc = jet_series(eta_j, alpha, w).value
+        d_alpha_u = jet_series(u_j, alpha, w).value
+        acc += (_nth(etau_j, 0) - alpha * _nth(tau_j, 1)) * d_alpha_u
+        acc -= uval * jet_series(etau_j, alpha, w).value
+        for m in range(1, terms + 1):
+            if m < len(xi_j):
+                acc -= gen_binom(alpha, m) * xi_j[m] * jet_series(ux_j, alpha - m, w).value
+            cm = gen_binom(alpha, m) * _nth(etau_c_j, m)
+            cm -= gen_binom(alpha, m + 1) * _nth(tau_j, m + 1)
+            if cm != 0.0:
+                acc += cm * jet_series(u_j, alpha - m, w).value
+        return acc
+
+    def compact(self) -> float:
+        """The compact form before omega (:func:`eta_alpha_psi_compact`)."""
+        alpha, psi, terms, x, t, w = self.alpha, self.psi, self.terms, self.x, self.t, self.w
+        xi_c, tau_c = self.xi_tau
+        q_j = _jets(_characteristic(self.inf, self.u, xi_c, tau_c), psi, terms, x, t)
+        acc = jet_series(q_j, alpha, w).value
+        acc += _nth(_jets(xi_c, psi, 0, x, t), 0) * jet_series(self.ux_j, alpha, w).value
+        acc += (_nth(_jets(tau_c, psi, 0, x, t), 0) * psi.deriv(t)
+                * jet_series(self.u_j, alpha + 1.0, w).value)
+        return acc
+
+    def mu(self) -> float:
+        """mu with M = terms (:func:`mu_term`)."""
+        alpha, psi, M, x, t, w = self.alpha, self.psi, self.terms, self.x, self.t, self.w
+        # u-partials of eta, each one derivative from the order before; the sum
+        # over k stops once they vanish identically
+        eta_k = {}
+        d = tr.diff(self.inf.eta.tree, "u")
+        for k in range(2, M + 1):
+            d = tr.expand(tr.diff(d, "u"))
+            if d == tr.ZERO:
+                break
+            eta_k[k] = d
+        if not eta_k:
+            return 0.0
+        kmax = max(eta_k)
+        # the jet tables: psi-jets of u^j, t-partials of eta_k with u fixed
+        upow = {j: _jets(tr.expand(tr.power(self.u, tr.num(j))), psi, M, x, t)
+                for j in range(2, kmax + 1)}
+        upow[1] = self.u_j
+        uval = _nth(upow[1], 0)
+        ek = {k: _jets(d, psi, M - 2, x, t, uval) for k, d in eta_k.items()}
+        acc = 0.0
+        for m in range(2, M + 1):
+            cm = gen_binom(alpha, m) * w ** (m - alpha) * rgamma(m + 1 - alpha)
+            for n in range(2, m + 1):
+                cn = cm * math.comb(m, n)
+                for k in range(2, min(n, kmax) + 1):
+                    if m - n >= len(ek[k]):
+                        continue
+                    ekv = ek[k][m - n]
+                    for r in range(k):
+                        acc += (
+                            cn
+                            * math.comb(k, r)
+                            / math.factorial(k)
+                            * (-uval) ** r
+                            * _nth(upow[k - r], n)
+                            * ekv
+                        )
+        return acc
 
 
 # -- operations ---------------------------------------------------------------
@@ -184,18 +298,17 @@ def eta_integer(
     eta^(i) = D_x^i(eta - xi u_x - tau u_t) + xi u_{(i+1)x} + tau u_{ix,t}."""
     if i < 1:
         raise DomainError(f"prolongation order must be >= 1, got {i}")
-    import sympy as sp
 
-    from .jets import T, X
+    def d_x(e: tuple, n: int) -> tuple:
+        for _ in range(n):
+            e = tr.diff(e, "x")
+        return e
 
-    uexpr = jet.expr
-    xi_c, tau_c, q = _characteristic(inf, uexpr)
-    e = (
-        sp.diff(q, X, i)
-        + xi_c * sp.diff(uexpr, X, i + 1)
-        + tau_c * sp.diff(diff(uexpr, T), X, i)
-    )
-    return JetFunction.of_xt(sp.expand(e))(x, t)
+    u = jet.u.tree
+    xi_c, tau_c = _along(inf.xi, u), _along(inf.tau, u)
+    q = _characteristic(inf, u, xi_c, tau_c)
+    e = tr.add(d_x(q, i), tr.mul(xi_c, d_x(u, i + 1)), tr.mul(tau_c, d_x(tr.diff(u, "t"), i)))
+    return _value(tr.expand(e), x, t)
 
 
 def eta_m_psi(
@@ -235,48 +348,7 @@ def mu_term(
     where the last factor is a partial t-derivative (u held fixed).
     Vanishes identically when eta is linear in u.
     """
-    import sympy as sp
-
-    from .jets import U
-
-    alpha = float(order)
-    w = psi(t) - psi(psi.a)
-    uexpr = jet.expr
-    # u-partials of eta, each one derivative from the order before; the sum
-    # over k stops once they vanish identically
-    eta_k = {}
-    d = diff(inf.eta.expr, U)
-    for k in range(2, M + 1):
-        d = sp.expand(diff(d, U))
-        if d == 0:
-            break
-        eta_k[k] = d
-    if not eta_k:
-        return 0.0
-    kmax = max(eta_k)
-    # the jet tables: psi-jets of u^j, t-partials of eta_k with u fixed
-    upow = {j: _jets(sp.expand(uexpr**j), psi, M, x, t) for j in range(1, kmax + 1)}
-    uval = _nth(upow[1], 0)
-    ek = {k: _jets(d, psi, M - 2, x, t, uval) for k, d in eta_k.items()}
-    acc = 0.0
-    for m in range(2, M + 1):
-        cm = gen_binom(alpha, m) * w ** (m - alpha) * rgamma(m + 1 - alpha)
-        for n in range(2, m + 1):
-            cn = cm * math.comb(m, n)
-            for k in range(2, min(n, kmax) + 1):
-                if m - n >= len(ek[k]):
-                    continue
-                ekv = ek[k][m - n]
-                for r in range(k):
-                    acc += (
-                        cn
-                        * math.comb(k, r)
-                        / math.factorial(k)
-                        * (-uval) ** r
-                        * _nth(upow[k - r], n)
-                        * ekv
-                    )
-    return acc
+    return _Row(inf, jet, psi, order, x, t, M).mu()
 
 
 def omega_commutator(
@@ -291,7 +363,8 @@ def omega_commutator(
     For Riemann-Liouville operators D_t^{1;psi} D^{alpha;psi} = D^{alpha+1;psi},
     so the commutator is the difference of two quadrature derivatives; it
     equals -u(a) w^{-alpha-1} / Gamma(-alpha) for w = psi(t) - psi(a), the
-    closed form of :func:`omega_term`, which is tested against it."""
+    closed form of :func:`omega_term`, which is tested against it.  The one
+    function here that uses sympy: u's first psi-jet is symbolic."""
     alpha = float(order)
     if alpha.is_integer():
         return 0.0
@@ -317,16 +390,11 @@ def omega_term(
     alpha = float(order)
     if alpha.is_integer():
         return 0.0
-
-    def at_a(f: JetFunction, *u_a: float) -> float:  # f at (x, a), with u = u_a if given
-        prog = program(f.tree, tr.T, ("x", "u")[:1 + len(u_a)])
-        return float(prog.series(psi.a, 1, x, *u_a)[0])
-
-    u_a = None if isinstance(inf, ReducedInfinitesimals) else at_a(u)
-    tau_tilde = inf.tau_tilde(psi) if u_a is None else at_a(inf.tau, u_a)
+    u_a = None if isinstance(inf, ReducedInfinitesimals) else _value(u.tree, x, psi.a)
+    tau_tilde = inf.tau_tilde(psi) if u_a is None else _value(inf.tau.tree, x, psi.a, u_a)
     if tau_tilde == 0.0:
         return 0.0
-    u_a = at_a(u) if u_a is None else u_a
+    u_a = _value(u.tree, x, psi.a) if u_a is None else u_a
     w = psi(t) - psi(psi.a)
     return psi.deriv(psi.a) * (-tau_tilde * u_a * w ** (-alpha - 1.0) * rgamma(-alpha))
 
@@ -353,39 +421,9 @@ def eta_alpha_psi(
     D_t^{m;psi} of xi, tau, eta_u are total derivatives along the
     solution; negative orders alpha - m are integral-series terms.
     """
-    import sympy as sp
-
-    from .jets import U, X
-
-    alpha = float(order)
-    uexpr = jet.expr
-    w = psi(t) - psi(psi.a)
-    xi_c = sp.expand(inf.xi.expr.subs(U, uexpr))
-    tau_c = sp.expand(inf.tau.expr.subs(U, uexpr))
-    etau = sp.expand(diff(inf.eta.expr, U))
-    # the jet tables: eta and eta_u with u fixed, the rest along the solution
-    u_j = _jets(sp.expand(uexpr), psi, terms, x, t)
-    uval = _nth(u_j, 0)
-    eta_j = _jets(inf.eta.expr, psi, terms, x, t, uval)
-    etau_j = _jets(etau, psi, terms, x, t, uval)
-    etau_c_j = _jets(sp.expand(etau.subs(U, uexpr)), psi, terms, x, t)
-    xi_j = _jets(xi_c, psi, terms, x, t)
-    tau_j = _jets(tau_c, psi, terms + 1, x, t)
-    ux_j = _jets(sp.expand(diff(uexpr, X)), psi, terms, x, t)
-
-    acc = jet_series(eta_j, alpha, w).value
-    d_alpha_u = jet_series(u_j, alpha, w).value
-    acc += (_nth(etau_j, 0) - alpha * _nth(tau_j, 1)) * d_alpha_u
-    acc -= uval * jet_series(etau_j, alpha, w).value
-    for m in range(1, terms + 1):
-        if m < len(xi_j):
-            acc -= gen_binom(alpha, m) * xi_j[m] * jet_series(ux_j, alpha - m, w).value
-        cm = gen_binom(alpha, m) * _nth(etau_c_j, m)
-        cm -= gen_binom(alpha, m + 1) * _nth(tau_j, m + 1)
-        if cm != 0.0:
-            acc += cm * jet_series(u_j, alpha - m, w).value
-    acc += mu_term(inf, jet, psi, alpha, x, t, M=terms)
-    return acc + omega_term(inf, jet.u, psi, alpha, x, t)
+    row = _Row(inf, jet, psi, order, x, t, terms)
+    acc = row.expanded()
+    return (acc + row.mu()) + omega_term(inf, jet.u, psi, order, x, t)
 
 
 def eta_alpha_psi_compact(
@@ -406,19 +444,5 @@ def eta_alpha_psi_compact(
 
     with the leading term a fractional total derivative along the jet.
     """
-    import sympy as sp
-
-    from .jets import X
-
-    alpha = float(order)
-    uexpr = jet.expr
-    w = psi(t) - psi(psi.a)
-    xi_c, tau_c, q = _characteristic(inf, uexpr)
-    q_j = _jets(q, psi, terms, x, t)
-    ux_j = _jets(sp.expand(diff(uexpr, X)), psi, terms, x, t)
-    u_j = _jets(sp.expand(uexpr), psi, terms, x, t)
-    acc = jet_series(q_j, alpha, w).value
-    acc += _nth(_jets(xi_c, psi, 0, x, t), 0) * jet_series(ux_j, alpha, w).value
-    acc += (_nth(_jets(tau_c, psi, 0, x, t), 0) * psi.deriv(t)
-            * jet_series(u_j, alpha + 1.0, w).value)
-    return acc + omega_term(inf, jet.u, psi, alpha, x, t)
+    acc = _Row(inf, jet, psi, order, x, t, terms).compact()
+    return acc + omega_term(inf, jet.u, psi, order, x, t)

@@ -27,11 +27,13 @@ each sub-expression free of symbols in as the float sympy gives it, so a
 program compiled from it does the arithmetic it did when it read sympy
 directly.
 
-The determining systems take their functions' derivatives here, with no
-sympy: :func:`diff`, whose :func:`add`, :func:`mul` and :func:`power` drop
-0 and 1 by structure (a derivative that is 0 is the node 0, so a table
-stops where sympy's would); :func:`evaluate` on numpy arrays; and
-:func:`power_sum`, the split of an expanded tree into c_j w^p_j that the
+The determining systems and the prolongation take their functions'
+derivatives here, with no sympy: :func:`diff`, whose :func:`add`,
+:func:`mul` and :func:`power` drop 0 and 1 by structure (a derivative that
+is 0 is the node 0, so a table stops where sympy's would); :func:`evaluate`
+on numpy arrays; :func:`expand`, sympy's expand on trees, which the
+prolongation applies to each factor before it is compiled; and
+:func:`power_sum`, the split of that same expansion into c_j w^p_j that the
 exact power rule sums (:func:`psifrac.fracops.frac_deriv_psi_powers`).
 """
 
@@ -47,7 +49,7 @@ import numpy as np
 from .errors import DomainError, NumericsError
 
 __all__ = ["T", "X", "U", "W", "ZERO", "ONE", "num", "names", "subs", "to_sympy",
-           "from_sympy", "add", "mul", "power", "diff", "evaluate", "power_sum"]
+           "from_sympy", "add", "mul", "power", "diff", "evaluate", "expand", "power_sum"]
 
 T = ("sym", "t")
 X = ("sym", "x")
@@ -275,28 +277,45 @@ def evaluate(node: tuple, values: dict):
     return _UFUNCS[op](args[0])
 
 
+def expand(node: tuple) -> tuple:
+    """node expanded, like sympy's expand: a product is distributed over
+    sums, a power of a sum to a positive integer is multiplied out, and
+    equal terms are collected, exactly where their coefficients are ints or
+    Fractions.  The result is a sum of terms k b_1^e_1 ... b_n^e_n, each
+    base a variable or a node expand does not open, as exp(w) or 1/(1 + w).
+    Taken once per tree."""
+    return _expansion(node)[1]
+
+
+def _expansion(node: tuple) -> tuple:
+    """(the items of :func:`_expand`, their tree) of node."""
+    seen, items, out = _expanded(node)
+    if not _typed(seen, node):
+        _, items, out = _expanded.__wrapped__(node)
+    return items, out
+
+
+# one entry per table of a prolongation, and per candidate's rho or eta
+@lru_cache(maxsize=1024)
+def _expanded(node: tuple) -> tuple:
+    items = tuple(_expand(node).items())
+    return node, items, _sum_of(items)
+
+
+def _sum_of(items: tuple) -> tuple:
+    return add(*(mul(num(k), *(power(base, num(e)) for base, e in factors))
+                 for factors, k in items))
+
+
 def power_sum(node: tuple, name: str) -> tuple:
-    """node, expanded, as a sum of terms k c w^p for w the variable name:
-    a tuple of (k, c, p), k a number, c a tree free of w (1 where there is
-    none) and p a number, one per term of the expansion with k != 0.  Like
-    sympy's expand, a product is distributed over sums and a power of a sum
-    to a positive integer is multiplied out; equal terms are collected, so
-    that u eta_u cancels what is linear in u in eta - u eta_u.  DomainError
-    where a term is no such power, as w in exp(w) or in 1/(1 + w).  Taken
-    once per tree."""
-    seen, terms = _power_sum(node, name)
-    return terms if _typed(seen, node) else _split(node, name)
-
-
-# one entry per candidate's rho, or eta, at a time
-@lru_cache(maxsize=256)
-def _power_sum(node: tuple, name: str) -> tuple:
-    return node, _split(node, name)
-
-
-def _split(node: tuple, name: str) -> tuple:
+    """node, expanded (:func:`expand`), as a sum of terms k c w^p for w the
+    variable name: a tuple of (k, c, p), k a number, c a tree free of w (1
+    where there is none) and p a number, one per term of the expansion with
+    k != 0.  The collected terms cancel exactly, so that u eta_u cancels
+    what is linear in u in eta - u eta_u.  DomainError where a term is no
+    such power, as w in exp(w) or in 1/(1 + w)."""
     out = []
-    for factors, k in _expand(node).items():
+    for factors, k in _expansion(node)[0]:
         p, rest = 0, []
         for base, e in factors:
             if base == ("sym", name):

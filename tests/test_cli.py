@@ -479,6 +479,21 @@ def test_prolong_omega_at_a_pole_of_u_is_one_numerical_error(capsys, kernel):
     assert len(captured.err.strip().splitlines()) == 1, captured.err
 
 
+@pytest.mark.parametrize("kernel", [
+    [], ["--psi", "power", "--psi-rho", "2.7"], ["--psi", "exponential"],
+], ids=("identity", "power", "exponential"))
+def test_prolong_omega_at_a_pole_of_a_power_of_psi_is_one_numerical_error(capsys, kernel):
+    # u keeps 1/psi^2 as the power of psi(t) - psi(a) it is: expanded, its
+    # denominator would be a sum whose terms need not cancel exactly at a,
+    # and omega would print a huge finite u(a)
+    code = main(["prolong", "--xi", "x", "--tau", "t+1", "--eta", "0-u",
+                 "--u", "1/psi^2 + x", "--x", "0.5", "--t", "1.5", "--a", "0.3", *kernel])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERIC
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1, captured.err
+
+
 def test_prolong_reads_a_fractional_power_of_zero_at_a(capsys):
     # on t^2.7 from a = 0, u = x t^2.7 + t^5.4 + 1 holds 0^2.7 at t = a
     code, out = run(capsys, "prolong", "--xi", "x", "--tau", "t+1", "--eta", "0-u",

@@ -10,9 +10,9 @@ simplify, and the selftest oracle differentiates with sympy alone; each
 CLI command takes the flags of the settings it reads, and reads every
 one of them; every cache has a finite bound; and a run loads no module
 it does not use: no scipy, no random generator for the determining
-systems, no sympy for the operators on a parsed spec or for verify
-(save the omega equation of a moving lower limit), and no sympy.physics
-for the solver."""
+systems, no sympy for the operators on a parsed spec, for prolong or for
+verify (save the omega equation of a moving lower limit), and no
+sympy.physics for the solver."""
 
 import argparse
 import ast
@@ -83,6 +83,17 @@ def test_taylor_and_fracops_import_sympy_only_where_they_must():
     assert set(_sympy_imports(SRC / "fracops.py")) == {"_psi_jet_expr"}
 
 
+def test_prolong_reaches_sympy_only_in_the_omega_quadrature():
+    # the prolongation builds its factors on trees; omega_commutator, the
+    # quadrature reference of omega, alone reads the sympy form (.expr) of a
+    # function, for its symbolic psi-jet, and prolong.py imports no sympy
+    tree = ast.parse((SRC / "prolong.py").read_text())
+    assert list(_sympy_imports(SRC / "prolong.py")) == []
+    readers = {top.name for top in tree.body for n in ast.walk(top)
+               if isinstance(n, ast.Attribute) and n.attr == "expr"}
+    assert readers == {"omega_commutator"}
+
+
 # symbolic work a determining system does outside its grid
 SYMBOLIC_CALLS = {"subs", "expand", "diff", "power_sum", "frac_deriv_psi_powers",
                   "compiled"}
@@ -129,9 +140,11 @@ JET_CALLS = SYMBOLIC_CALLS | {"_psi_jet_expr", "_psi_jet_fn", "_jets", "_at"}
 
 
 def test_no_symbolic_work_in_the_prolongation_sums():
+    # the sums of the expanded form and of mu, methods of the one row that
+    # eta_alpha_psi, mu_term and the CLI read
     tree = ast.parse((SRC / "prolong.py").read_text())
-    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    for name in ("eta_alpha_psi", "mu_term"):
+    funcs = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    for name in ("expanded", "mu"):
         loops = [n for n in ast.walk(funcs[name]) if isinstance(n, ast.For)
                  and getattr(n.target, "id", None) == "m"]
         assert loops, name
@@ -386,11 +399,19 @@ VERIFY_RUNS = [
     ["verify", "gazizov", "--case", "g=e^(b u)", "--xi", "1", "--rho", "x*psi^2"],
 ]
 
+# prolong with a moving lower limit (tau(a) != 0, omega) and eta quadratic in
+# u (mu), on each built-in kernel
+PROLONG_RUNS = [
+    ["prolong", "--xi", "x", "--tau", "t+1", "--eta", "u^2 - u", "--u", "x*psi + psi^2 + 1",
+     "--x", "0.5", "--t", "1.0,1.5", "--psi", kernel, "--a", "0.5"]
+    for kernel in ("identity", "power", "exponential")]
+
 # each module a run must not load, and the run: scipy serves only the tests
 # as a reference; the determining systems' probes are literal, so they need
-# no random generator; the operators on a parsed spec and the determining
-# systems need no sympy, whose import is most of a cold CLI call; and solve
-# compares bases without simplify, which would load sympy.physics
+# no random generator; the operators on a parsed spec, the determining
+# systems and the prolongation need no sympy, whose import is most of a cold
+# CLI call; and solve compares bases without simplify, which would load
+# sympy.physics
 RUNS = {
     "scipy": ("scipy", "import psifrac\n"
                        "from psifrac.fracops import frac_integral\n"
@@ -411,6 +432,9 @@ RUNS = {
     "sympy in verify": ("sympy", "from psifrac import cli\n"
                                  f"for argv in {VERIFY_RUNS!r}:\n"
                                  "    cli.main(argv)\n"),
+    "sympy in prolong": ("sympy", "from psifrac import cli\n"
+                                  f"for argv in {PROLONG_RUNS!r}:\n"
+                                  "    assert cli.main(argv) == cli.EXIT_PASS\n"),
     "sympy.physics": ("sympy.physics", "from psifrac import cli\n"
                                        "cli.main(['solve', '--case', 'K=1'])\n"),
 }

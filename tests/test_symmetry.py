@@ -516,7 +516,7 @@ def _clear_builders():
     """Empty the caches of the systems' trees: their derivatives, power
     sums, and values on the x and u nodes."""
     tr._diff.cache_clear()
-    tr._power_sum.cache_clear()
+    tr._expanded.cache_clear()
     sy._fixed.cache_clear()
 
 
@@ -599,10 +599,10 @@ def test_each_system_builds_its_power_rule_once_per_generator_shape():
         )
 
     for first, second in zip(runs(0.6), runs(0.79)):
-        tr._power_sum.cache_clear()
+        tr._expanded.cache_clear()
         first()
         second()
-        info = tr._power_sum.cache_info()
+        info = tr._expanded.cache_info()
         assert (info.misses, info.hits) == (1, 1), info
 
 

@@ -1,5 +1,6 @@
-"""The tree operations the determining systems use in place of sympy:
-derivatives, values on arrays and the power-sum split, each against sympy."""
+"""The tree operations the determining systems and the prolongation use in
+place of sympy: derivatives, values on arrays, the expansion and the
+power-sum split, each against sympy."""
 
 import math
 
@@ -95,6 +96,34 @@ def test_power_sum_collects_and_cancels_equal_terms():
     assert tr.power_sum(tr.ZERO, "w") == ()
     terms = tr.power_sum(tr.from_sympy(X * W ** sp.Float(0.37) + W), "w")
     assert {float(p) for _, _, p in terms} == {0.37, 1.0}
+
+
+@pytest.mark.parametrize("spec", [
+    "(x + psi)^2 - x^2 + exp(t)*(u + 1)",
+    "(2*x - psi)^3 / (1 + x)",
+    "u*x - x*u + 0.5*(t - u)^2",
+])
+def test_expand_is_sympy_s_expansion(spec):
+    # the same function, and a sum of products of powers of the bases
+    # expand does not open, with equal terms collected
+    got = tr.expand(parse(spec))
+    want = sp.expand(tr.to_sympy(parse(spec)))
+    assert len(got[1:] if got[0] == "add" else [got]) == len(sp.Add.make_args(want))
+    for point in POINTS:
+        assert _at(tr.to_sympy(got), point) == pytest.approx(_at(want, point), rel=1e-14)
+
+
+def test_expand_keeps_each_tree_s_number_types():
+    # 2 and 2.0 make equal trees; each expands with its own coefficients,
+    # whichever was expanded first
+    exact = ("mul", tr.num(2), ("add", tr.U, tr.X))
+    floating = ("mul", tr.num(2.0), ("add", tr.U, tr.X))
+    assert exact == floating
+    for first, second in ((exact, floating), (floating, exact)):
+        tr._expanded.cache_clear()
+        got = [tr.expand(first), tr.expand(second)]
+        assert [type(term[1][1]) for e in got for term in e[1:]] == \
+            [type(first[1][1])] * 2 + [type(second[1][1])] * 2
 
 
 @pytest.mark.parametrize("spec", ["exp(psi)", "x/(1 + psi)", "(1 + psi)^-2"])
