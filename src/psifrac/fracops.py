@@ -41,9 +41,10 @@ spec), by forward mode (:mod:`psifrac.forward`: truncated Taylor series
 in psi(t) - psi(s), vectorised over the nodes s, with t by series
 reversion), with no sympy, and through order 2 at least in the first
 pass at a point, so that an integral and a derivative there take one
-pass; for f given in sympy, symbolically and only to the order asked
-(:func:`_psi_jet_expr` builds them and :func:`_psi_jet_fn` compiles them,
-through :func:`~psifrac.jets.compiled`).  The series backend reads one
+pass; for f given in sympy, symbolically by sympy alone and only to the
+order asked (:func:`_psi_jet_expr` builds them with ``sp.diff`` and
+:func:`_psi_jet_fn` compiles them, through
+:func:`~psifrac.jets.compiled`).  The series backend reads one
 Taylor-mode table per point, shared by both series there and by the
 Leibniz and product-integral sums; :mod:`psifrac.prolong` builds its
 tables by the same Taylor mode.  The two backends share only the
@@ -68,7 +69,7 @@ import numpy as np
 from . import forward
 from . import tree as tr
 from .errors import DomainError, NumericsError
-from .jets import JetFunction, compiled, diff, symbol
+from .jets import JetFunction, compiled, symbol
 from .psi import PsiFunction
 from .special import gamma, gen_binom, rgamma
 from .taylor import program
@@ -124,7 +125,7 @@ def _psi_jet_expr(f_expr, psi_expr, m: int):
     # is a sum stays a product, not a long expanded polynomial
     prev = _psi_jet_expr(f_expr, psi_expr, m - 1)
     t = symbol("t")
-    return sp.expand_mul(diff(prev, t) / sp.diff(psi_expr, t))
+    return sp.expand_mul(sp.diff(prev, t) / sp.diff(psi_expr, t))
 
 
 # one lookup per jet on the hot paths, where _psi_jet_expr and compiled

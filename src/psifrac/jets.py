@@ -18,12 +18,6 @@ backend and of the prolongation are never compiled (forward-mode and
 Taylor arithmetic), and neither are the determining systems, which
 evaluate trees (:func:`psifrac.tree.evaluate`).
 
-:func:`diff` takes a first derivative once per shape, an expression with
-its floats taken out (:func:`_numbers_out`), and puts the numbers back
-where that gives sp.diff's own result, bit for bit; the quadrature's
-symbolic psi-jets take theirs from it.  The prolongation and the
-determining systems differentiate trees (:func:`psifrac.tree.diff`).
-
 sympy is loaded on first use: it (``sp``) and the symbols ``X``, ``T``,
 ``U`` and ``W`` are module attributes made on first access (PEP 562).
 """
@@ -93,148 +87,6 @@ def _zero(*args):
     """The compiled form of an expression that is exactly 0: it returns
     the int 0, as the lambdified ``return 0`` does."""
     return 0
-
-
-# -- shapes: expressions with their floats taken out ---------------------------
-
-
-def _numbers_out(exprs: tuple) -> tuple:
-    """(shapes, numbers): exprs with each sp.Float replaced by a
-    placeholder, in order of first appearance in a preorder walk (equal
-    floats share one), and the floats by their placeholders, in order."""
-    sp = _sp()
-    floats = dict.fromkeys(n for e in exprs for n in sp.preorder_traversal(e)
-                           if isinstance(n, sp.Float))
-    numbers = dict(zip(_placeholders(len(floats)), floats))
-    out = {f: s for s, f in numbers.items()}
-    return tuple(e.xreplace(out) for e in exprs), numbers
-
-
-# one entry per count of floats in an expression: a few dozen in any run
-@lru_cache(maxsize=64)
-def _placeholders(count: int) -> tuple:
-    """The real symbols num_0 .. num_{count-1}, parsed once per count."""
-    return _sp().symbols(f"num_:{count}", real=True, seq=True)
-
-
-def diff(expr, var):
-    """d expr / d var, equal to ``sp.diff(expr, var)`` in structure and in
-    every float: the derivative the symbolic psi-jets of a function given in
-    sympy (:func:`psifrac.fracops._psi_jet_expr`) take at each order.
-
-    The derivative is taken once per shape of expr (:func:`_numbers_out`)
-    and the numbers are put back with ``xreplace``.  That redoes sp.diff's
-    float operations only where the shape's derivative is certified
-    (:func:`_replays`); any other shape goes to sp.diff with its numbers.
-    """
-    (shape,), numbers = _numbers_out((expr,))
-    d, replays = _shape_diff(shape, var, len(numbers))
-    if not numbers:
-        return d
-    if replays:
-        return d.xreplace(numbers)
-    return _sp().diff(expr, var)
-
-
-# one entry per shape and variable: a generator, a solution jet and their
-# psi-jets give a few dozen, and the run-time numbers are not part of a key
-@lru_cache(maxsize=2048)
-def _shape_diff(shape, var, count: int) -> tuple:
-    """(d shape / d var, whether it is certified by :func:`_replays`), for
-    a shape with count placeholders."""
-    d = _sp().diff(shape, var)
-    return d, _replays(d, frozenset(_placeholders(count)))
-
-
-def _replays(d, marks: frozenset) -> bool:
-    """Whether putting floats back for the placeholders of the derivative
-    d, with xreplace, does the float operations that sp.diff does on the
-    numbers: each product and sum the placeholders enter is rounded at
-    most once, so the order in which the two assemble it cannot matter.
-
-    - no product has more than two numeric factors, a placeholder to the
-      power n counting |n| and a rational as :func:`_roundings` says;
-    - no placeholder multiplies a sum, which sympy may distribute;
-    - no sum has more than two numeric terms, and two only if each is a
-      number or a placeholder: sp.diff may have added the numbers of a sum
-      before a factor was distributed over it, as in -3 (num_1 + 1);
-    - no sum has two terms with the same non-numeric part, which sympy
-      would collect;
-    - no other compound of numbers alone (exp(num_0), num_0**num_1).
-
-    marks are the placeholders.
-    """
-    sp = _sp()
-
-    def walk(e) -> tuple:
-        """(holds a placeholder, is numeric), or None when refused."""
-        if e.is_Symbol:
-            marked = e in marks
-            return marked, marked
-        if not e.args:
-            return False, e.is_Number
-        parts = []
-        for a in e.args:
-            p = walk(a)
-            if p is None:
-                return None
-            parts.append(p)
-        marked = any(m for m, _ in parts)
-        numeric = all(n for _, n in parts)
-        if not marked:
-            return False, numeric
-        if e.is_Mul:
-            factors = 0
-            for a, (_, n) in zip(e.args, parts):
-                if not n:
-                    continue
-                if a.is_Number:
-                    factors += _roundings(a)
-                elif a.is_Symbol:
-                    factors += 1
-                elif a.is_Pow and a.base.is_Symbol and a.exp.is_Integer:
-                    factors += abs(int(a.exp))
-                else:
-                    return None
-            if factors > 2:
-                return None
-            # a float times a sum: sp.diff's floats may meet as the two
-            # factors of a product, which sympy distributes
-            if any(m and n for m, n in parts) and any(
-                    a.is_Add and not n for a, (_, n) in zip(e.args, parts)):
-                return None
-        elif e.is_Add:
-            seen = set()
-            for a, (_, n) in zip(e.args, parts):
-                if n:
-                    continue
-                key = tuple(f for f in sp.Mul.make_args(a) if not f.free_symbols <= marks)
-                if key in seen:
-                    return None
-                seen.add(key)
-            numbers = [a for a, (_, n) in zip(e.args, parts) if n]
-            if len(numbers) > 2 or len(numbers) == 2 and not all(a.is_Atom for a in numbers):
-                return None
-        elif numeric and not (e.is_Pow and e.base.is_Symbol and e.exp.is_Integer):
-            return None
-        return marked, numeric
-
-    return walk(d) is not None
-
-
-def _roundings(q) -> int:
-    """How many float roundings a rational factor q of a product may stand
-    for in sp.diff, which may apply its integer factors to a float one at a
-    time: none for a power of two (exact), one for a power of two times an
-    odd prime, and 3 (more than any product admits) for anything else, as
-    9 = 3 * 3 or 1/3."""
-    num, den = abs(q.p), q.q
-    if den & (den - 1):
-        return 3
-    odd = num // (num & -num)
-    if odd == 1:
-        return 0
-    return 1 if _sp().isprime(odd) else 3
 
 
 def _given(expr):

@@ -8,11 +8,12 @@ it, and the prolongation sums keep it out of their m-loops; a warm
 quadrature runs no Python per node; the classical checks never
 simplify, and the selftest oracle differentiates with sympy alone; each
 CLI command takes the flags of the settings it reads, and reads every
-one of them; every cache has a finite bound; and a run loads no module
-it does not use: no scipy, no random generator for the determining
-systems, no sympy for the operators on a parsed spec, for prolong or for
-verify (save the omega equation of a moving lower limit), and no
-sympy.physics for the solver."""
+one of them; every cache has a finite bound; every module-level
+definition is read somewhere; and a run loads no module it does not
+use: no scipy, no random generator for the determining systems, no
+sympy for the operators on a parsed spec, for prolong or for verify
+(save the omega equation of a moving lower limit), and no sympy.physics
+for the solver."""
 
 import argparse
 import ast
@@ -224,21 +225,23 @@ def test_classical_checks_do_not_simplify(monkeypatch):
 def test_the_selftest_oracle_takes_no_shape_cached_derivative(monkeypatch):
     # selftest's classical references (criterion 4's oracle, and the
     # benchmark's) differentiate with sympy alone, so they stay
-    # independent of the derivatives jets.diff takes once per shape for
-    # the prolongation they check
+    # independent of tree.diff, the derivative engine of the prolongation
+    # they check, under every alias psifrac holds of it
     import math
 
-    from psifrac import jets
     from psifrac import selftest as st
+    from psifrac import tree
     from psifrac.jets import U, X
 
     def refuse(*args, **kwargs):
-        raise AssertionError("jets.diff in a selftest reference")
+        raise AssertionError("tree.diff in a selftest reference")
 
-    cached = jets.diff
+    engine = {id(tree.diff), id(tree._diff)}
     for name, mod in list(sys.modules.items()):
-        if name.startswith("psifrac") and getattr(mod, "diff", None) is cached:
-            monkeypatch.setattr(mod, "diff", refuse)
+        if name.startswith("psifrac"):
+            for attr, value in list(vars(mod).items()):
+                if id(value) in engine:
+                    monkeypatch.setattr(mod, attr, refuse)
     references = sorted(n for n in vars(st) if n.startswith("_classical"))
     assert references == ["_classical_eta_ref", "_classical_op"]
     u = 1 + 0.7 * X * T + T**2
@@ -259,6 +262,41 @@ def test_jets_imports_nothing_from_fracops():
         else:
             continue
         assert not any("fracops" in m for m in names), ast.dump(n)
+
+
+def test_every_module_level_definition_is_used():
+    # a def or class under src/ that nothing reads is dead code: each one
+    # is loaded by name in its module (outside its own body), imported from
+    # it and loaded, read as an attribute of the module, or named in a
+    # string of its module or of the package's __init__ (__all__, _LAZY)
+    defs, used, strings = set(), set(), set()
+    for path in SRC.glob("*.py"):
+        mod, tree = path.stem, ast.parse(path.read_text())
+        home, modules = {}, {}  # local name -> (module, name); alias -> module
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and n.level == 1:
+                for a in n.names:
+                    if n.module is None:
+                        modules[a.asname or a.name] = a.name
+                    else:
+                        home[a.asname or a.name] = (n.module, a.name)
+        for top in tree.body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = top.name
+                if not (own.startswith("__") and own.endswith("__")):
+                    defs.add((mod, own))
+            for n in ast.walk(top):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id != own:
+                    used.add(home.get(n.id, (mod, n.id)))
+                elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                      and n.value.id in modules):
+                    used.add((modules[n.value.id], n.attr))
+                elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                    strings.add((mod, n.value))
+    assert len(defs) > 100
+    dead = sorted(d for d in defs - used - strings if ("__init__", d[1]) not in strings)
+    assert dead == [], dead
 
 
 def _settings_read(func, funcs, seen):
@@ -332,6 +370,10 @@ def test_a_warm_quadrature_runs_no_python_per_node():
     # at a cached point the rule, the nodes and the jets come from the
     # caches and each moment is one array sum, so the Python work does not
     # grow with the nodes; a loop over them would, in lines if not in calls
+    # an equal kernel cached by an earlier test would cost PsiFunction.__eq__
+    # calls at the first lookup of each n: start from empty node tables
+    fo._nodes.cache_clear()
+    fo._node_values.cache_clear()
     psi = builtin("exponential", 0.0, 1.0)
     for f in (cli._as_f_of_t("(1 + psi)*exp(t)", psi), JetFunction.of_t(sp.exp(T) * T)):
         counts = []

@@ -499,6 +499,36 @@ def test_backends_agree_on_smooth_function(psi, alpha):
     assert dsr.value == pytest.approx(dq, rel=1e-9, abs=1e-9)
 
 
+# shapes whose derivatives multiply and add their floats: products of three
+# numbers, a square, 3 * 3 applied in turn, a float distributed over a sum,
+# and a negative power of a sum
+FLOAT_SHAPES = ("1.27*exp(1.668*t^3)", "1.27*exp(1.27*t^3)",
+                "3*exp(0.1*t^3 + 0.895*exp(2.5*t^3))", "t*(0.7*t + (t + 0.7*t)^2)",
+                "(t*(t^3 - 0.84) + t)^-3")
+
+
+@pytest.mark.parametrize("spec", FLOAT_SHAPES)
+@pytest.mark.parametrize("psi", [IDENTITY, POWER, EXPONENTIAL], ids=lambda p: p.name)
+def test_symbolic_psi_jets_match_forward_mode(psi, spec):
+    # f given in sympy takes its quadrature psi-jets from sp.diff, the same
+    # f as a tree from forward mode: the operators agree to rounding, and
+    # overflow alike where f does not fit a double (exp(853) on psi = t^2)
+    from psifrac.parser import parse, parse_expr
+
+    symbolic, tree = JetFunction.of_t(parse_expr(spec)), JetFunction.of_t(parse(spec))
+    t = psi.a + 0.6 * (psi.b - psi.a)
+    for alpha in (0.4, 1.3, 2.6):
+        for op in (fo.frac_integral, fo.frac_derivative):
+            try:
+                want = op(tree, psi, alpha, t)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    op(symbolic, psi, alpha, t)
+                continue
+            got = op(symbolic, psi, alpha, t)
+            assert abs(got - want) <= 1e-13 * (1 + abs(want)), (op.__name__, alpha, got, want)
+
+
 def test_series_terminates_on_polynomials_in_w():
     f = JetFunction.of_t(_w_expr(POWER) ** 3)
     res = fo.frac_derivative_series(f, POWER, 0.5, 1.4, terms=20)

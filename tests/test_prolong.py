@@ -9,7 +9,6 @@ import pytest
 import sympy as sp
 
 from psifrac import fracops as fo
-from psifrac import jets
 from psifrac import prolong as pr
 from psifrac import tree as tr
 from psifrac.errors import DomainError
@@ -479,77 +478,9 @@ def test_omega_scales_with_tau_tilde_and_kernel_slope():
     assert got == pytest.approx(2.0 * comm, rel=1e-10)
 
 
-# -- first derivatives, once per shape -------------------------------------------
+# -- derivatives of trees, cached per tree --------------------------------------
 
-# forms of the spec grammar, with {} for each number: exponentials of cubics,
-# powers of sums, quotients, psi, and products of three floats
-_FORMS = (
-    lambda rng, a, b: f"{{}}*exp({{}}*{rng.choice('xtu')}^3 + {a})",
-    lambda rng, a, b: f"({a} + {{}}*{b})^{rng.choice((-3, -2, -1, 2, 3))}",
-    lambda rng, a, b: f"({a})/({b} + {{}})",
-    lambda rng, a, b: f"{{}}*{{}}*{{}}*{a}*{b}",
-    lambda rng, a, b: f"{{}}*psi^{rng.randint(1, 3)} + {a}*{b}",
-    lambda rng, a, b: f"{a} - {{}}*{b}",
-    lambda rng, a, b: f"exp({{}}*{a})*{b}",
-)
 _KERNELS = (IDENTITY, POWER, builtin("exponential", 0.0, 2.0))
-
-
-def _grammar_corpus(seed: int, shapes: int, fills: int) -> list:
-    """shapes * fills parsed specs, each shape filled with numbers from a
-    small pool (so that floats repeat and meet themselves), with psi put in
-    as psi(t) - psi(a) of one of three kernels."""
-    import random
-
-    from psifrac.parser import parse_expr
-
-    rng = random.Random(seed)
-    pool = [f"{rng.uniform(0.1, 3.0):.{rng.randint(1, 3)}f}" for _ in range(6)]
-
-    def leaf():
-        return rng.choice(("x", "t", "u", "psi", "psi", "{}", str(rng.randint(1, 4))))
-
-    exprs = []
-    for i in range(shapes):
-        inner = rng.choice(_FORMS)(rng, leaf(), leaf()) if rng.random() < 0.4 else leaf()
-        form = rng.choice(_FORMS)(rng, inner, leaf())
-        wa = _w_expr(_KERNELS[i % 3])
-        for _ in range(fills):
-            spec = form.format(*(rng.choice(pool) for _ in range(form.count("{}"))))
-            exprs.append(parse_expr(spec).subs(W, wa))
-    return exprs
-
-
-def test_diff_is_sp_diff_on_a_grammar_corpus():
-    # a derivative taken once per shape, with its numbers put back, is
-    # sp.diff's own in structure and in every float's bits
-    admitted = total = 0
-    for e in _grammar_corpus(26, 30, 56):
-        (shape,), numbers = jets._numbers_out((e,))
-        for var in (X, T, U):
-            total += 1
-            if numbers and jets._shape_diff(shape, var, len(numbers))[1]:
-                admitted += 1
-                assert sp.srepr(jets.diff(e, var)) == sp.srepr(sp.diff(e, var)), (e, var)
-    assert total >= 5000
-    assert 0.75 * total < admitted < total
-
-
-@pytest.mark.parametrize("spec, var", [
-    ("1.27*exp(1.668*t^3)", T),  # 3 * 1.27 * 1.668, in another order
-    ("1.27*exp(1.27*t^3)", T),  # 3 * 1.27^2: the square counts twice
-    ("3*exp(0.1*t^3 + 0.895*exp(2.5*u^3))", T),  # 9 = 3 * 3, applied in turn
-    ("x*(0.7*x + (t + 0.7*u)^2)", U),  # 2 * 0.7 distributed over a sum
-    ("(u*(t^3 - 0.84) + u)^-3", U),  # -3 (1 - 0.84), not -3 - 3 (-0.84)
-])
-def test_diff_refuses_a_shape_whose_floats_would_round_otherwise(spec, var):
-    from psifrac.parser import parse_expr
-
-    e = parse_expr(spec)
-    (shape,), numbers = jets._numbers_out((e,))
-    d, replays = jets._shape_diff(shape, var, len(numbers))
-    assert not replays
-    assert sp.srepr(jets.diff(e, var)) == sp.srepr(sp.diff(e, var))
 
 
 def _generator(psi, c):

@@ -1,11 +1,11 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 import sympy as sp
 
 from psifrac import fracops as fo
-from psifrac import jets
 from psifrac import prolong as pr
 from psifrac import selftest as st
 from psifrac import symmetry as sy
@@ -606,21 +606,6 @@ def test_each_system_builds_its_power_rule_once_per_generator_shape():
         assert (info.misses, info.hits) == (1, 1), info
 
 
-def test_placeholders_are_parsed_once_per_count(monkeypatch):
-    # every system call takes its generator's floats out; the names
-    # num_0.. are parsed once per count, and are the symbols sp.symbols
-    # gives, so every compiled shape is keyed as before
-    exprs = (sp.Float(0.5) * X + sp.Float(1.25), sp.Float(2.75) * T + sp.Float(0.5))
-    parsed, symbols = [], sp.symbols
-    monkeypatch.setattr(sp, "symbols", lambda *a, **k: parsed.append(a) or symbols(*a, **k))
-    jets._placeholders.cache_clear()
-    first = jets._numbers_out(exprs)
-    assert jets._numbers_out(exprs) == first
-    assert parsed == [("num_:3",)]
-    assert all(a is b for a, b in zip(first[1], symbols("num_:3", real=True, seq=True)))
-    assert set(first[1].values()) == {0.5, 1.25, 2.75}
-
-
 def test_systems_reject_a_fractional_part_that_is_no_power_sum():
     cand = _scaling(0, rho=sp.exp(W), c1=0.0, xi=1)
     g = JetFunction.of_u(U)
@@ -711,12 +696,30 @@ def _loop_report(r, at, tol, ts, coords):
 #
 # Each determining system as a table of named sympy equations, copied from
 # the symmetry module before its systems were evaluated from trees, built
-# on the candidate's shape (jets._numbers_out), with alpha, c1, c2, gamma,
+# on the candidate's shape (_numbers_out), with alpha, c1, c2, gamma,
 # the binomials and the candidate's numbers as arguments, compiled for
 # floats (jets.compiled) and evaluated node by node (_loop_grid_max); the
 # fractional part is the per-call power rule as an expression
 # (_power_rule_expr), and (v) the omega residual as it was.  The expanded
 # system has gained tau(t=0) since, which the reference adds.
+
+
+def _numbers_out(exprs: tuple) -> tuple:
+    """(shapes, numbers): exprs with each sp.Float replaced by a
+    placeholder, in order of first appearance in a preorder walk (equal
+    floats share one), and the floats by their placeholders, in order."""
+    floats = dict.fromkeys(n for e in exprs for n in sp.preorder_traversal(e)
+                           if isinstance(n, sp.Float))
+    numbers = dict(zip(_placeholders(len(floats)), floats))
+    out = {f: s for s, f in numbers.items()}
+    return tuple(e.xreplace(out) for e in exprs), numbers
+
+
+@lru_cache(maxsize=64)
+def _placeholders(count: int) -> tuple:
+    """The real symbols num_0 .. num_{count-1}, parsed once per count."""
+    return sp.symbols(f"num_:{count}", real=True, seq=True)
+
 
 _ALPHA, _C1, _C2, _GAMMA = sp.symbols("alpha_ c1_ c2_ gamma_", real=True)
 _BINOMS = sp.symbols(f"binom_1:{sy._GAZIZOV_TERMS + 2}", real=True)
@@ -852,7 +855,7 @@ def _sympy_omega_residual(red, psi, alpha, quad):
 def _sympy_fractional(kind, candidate, coef, psi, alpha, tol=1e-8, quad=fo.QuadratureSpec()):
     red = candidate.reduced
     ts = sy._ts(psi.a)
-    shapes, numbers = jets._numbers_out((red.xi.expr, red.theta.expr, red.rho.expr))
+    shapes, numbers = _numbers_out((red.xi.expr, red.theta.expr, red.rho.expr))
     table = _sympy_compile(_sympy_fractional_equations(kind, coef.expr, *shapes),
                            (X, W, U, _ALPHA, _C1, _C2, _GAMMA, *numbers))
     frac = compiled(_power_rule_expr(red.rho.expr, alpha), (X, W, U))
@@ -866,7 +869,7 @@ def _sympy_fractional(kind, candidate, coef, psi, alpha, tol=1e-8, quad=fo.Quadr
 def _sympy_zhang(candidate, equation, alpha, tol=1e-8):
     red = candidate.reduced
     ts = sy._ts(0.0)
-    shapes, numbers = jets._numbers_out((red.xi.expr, red.theta.expr, red.rho.expr))
+    shapes, numbers = _numbers_out((red.xi.expr, red.theta.expr, red.rho.expr))
     table = _sympy_compile(_sympy_zhang_equations(_terms(equation), *shapes),
                            (X, W, U, UX, UXX, _ALPHA, _C1, _C2, _GAMMA, *numbers))
     frac = compiled(_power_rule_expr(red.rho.expr, alpha), (X, W, U))
@@ -879,7 +882,7 @@ def _sympy_zhang(candidate, equation, alpha, tol=1e-8):
 def _sympy_gazizov(candidate, g, alpha, tol=1e-8):
     inf = candidate.general
     ts = sy._ts(0.0)
-    shapes, numbers = jets._numbers_out((inf.xi.expr, inf.tau.expr, inf.eta.expr))
+    shapes, numbers = _numbers_out((inf.xi.expr, inf.tau.expr, inf.eta.expr))
     table, fixed = _sympy_gazizov_table(*shapes, g.expr)
     table = _sympy_compile(table, (X, T, U, _ALPHA, *_BINOMS, *numbers))
     frac = compiled(_power_rule_expr(fixed.xreplace(numbers), alpha), (X, W, U))
