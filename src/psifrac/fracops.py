@@ -136,20 +136,38 @@ def _psi_jet_fn(f_expr, psi_expr, m: int):
     return compiled(_psi_jet_expr(f_expr, psi_expr, m))
 
 
+# a derivative of order alpha < 2 reads the jets 0..2
+_FORWARD_DEPTH = 2
+
+
 def _jets_at(f: JetFunction, psi: PsiFunction, s: np.ndarray, m: int, start: int = 0) -> list:
-    """f^{[j]}_psi at each point of the array s, for j = start..m: a list
-    of arrays."""
+    """f^{[j]}_psi at each point of the array s, for j = start..m at least:
+    a list of arrays.
+
+    For f given as a tree, one forward pass takes the orders
+    0.._FORWARD_DEPTH at least, so that a jet's bits do not depend on the
+    order asked for (below order 2 a forward pass can round a jet
+    otherwise, :func:`~psifrac.forward.jets`); where a deeper order raises
+    and the lower ones do not (t^-3 overflows at a node where t^-1 does
+    not), the pass takes the orders up to m alone.  For f given in sympy
+    each order costs a compile, and only the orders asked for are taken."""
     if not isinstance(f, JetFunction):
         raise DomainError("the fractional operators need f as a JetFunction")
     if f.symbolic:
         ts = s.tolist()
         return [np.fromiter(map(_psi_jet_fn(f.expr, psi.expr, j), ts), float, len(ts))
                 for j in range(start, m + 1)]
-    return forward.jets(f.tree, psi, s, m)[start:]
+    try:
+        return forward.jets(f.tree, psi, s, max(m, _FORWARD_DEPTH))[start:]
+    except ArithmeticError:
+        if m >= _FORWARD_DEPTH:
+            raise
+        return forward.jets(f.tree, psi, s, m)[start:]
 
 
 def _jet_at(f: JetFunction, psi: PsiFunction, t: float, m: int) -> float:
-    """f^{[m]}_psi(t), for the quadrature backend's integer orders."""
+    """f^{[m]}_psi(t), for the quadrature backend's integer orders: the
+    bits of the node tables' pass (:func:`_jets_at`)."""
     return float(_jets_at(f, psi, np.array([float(t)]), m, m)[0][0])
 
 
@@ -273,32 +291,14 @@ def _node_values(f: JetFunction, psi: PsiFunction, t: float, n: int) -> list:
     return []
 
 
-# a derivative of order alpha < 2 reads the jets 0..2
-_FORWARD_DEPTH = 2
-
-
 def _node_jets(f: JetFunction, psi: PsiFunction, t: float, n: int, m: int) -> list:
-    """The table of :func:`_node_values`, holding the orders 0..m at least.
-
-    For f given as a tree, the first quadrature at the point takes the
-    orders 0.._FORWARD_DEPTH at least, in one forward pass: an integral
-    and then a derivative there run one pass, not two, and the table's
-    bits do not depend on which order was asked for first (below order 2
-    a forward pass can round a jet otherwise, :func:`~psifrac.forward.jets`).
-    Where a deeper order raises and the lower ones do not (t^-3 overflows
-    at a node where t^-1 does not), the table takes the orders 0..m
-    alone.  For f given in sympy each order costs a compile, and only the
-    orders asked for are taken."""
+    """The table of :func:`_node_values`, holding the orders 0..m at least:
+    the first quadrature at the point takes the orders through
+    _FORWARD_DEPTH (:func:`_jets_at`), so an integral and then a derivative
+    there run one forward pass, not two."""
     table = _node_values(f, psi, t, n)
     if len(table) <= m:
-        nodes = _nodes(psi, t, n)[1]
-        top = m if f.symbolic else max(m, _FORWARD_DEPTH)
-        try:
-            table += _jets_at(f, psi, nodes, top, len(table))
-        except ArithmeticError:
-            if top == m:
-                raise
-            table += _jets_at(f, psi, nodes, m, len(table))
+        table += _jets_at(f, psi, _nodes(psi, t, n)[1], m, len(table))
     return table
 
 

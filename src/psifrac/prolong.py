@@ -9,6 +9,11 @@ of eta in u) and omega (moving lower limit when tau does not vanish at
 t = a).  eta^(m;psi) is the compact form of eta^(alpha;psi) at the
 integer order alpha = m, where it holds for any eta.
 
+Convention: the lower limit moves with the flow, as every other point
+does; omega is the term the moving limit adds, and the compact form is
+the prolongation for any eta, nonlinear in u too.  A system that holds the
+limit fixed asks tau(a) = 0 instead (tau(t=0) of the classical system).
+
 Every factor is built on trees (:mod:`psifrac.tree`), whether the
 generator and jet were given as trees, as the CLI parses them, or in sympy,
 read through their trees: the solution is put in for u
@@ -435,9 +440,10 @@ def eta_alpha_psi_compact(
     t: float,
     terms: int = 12,
 ) -> float:
-    """Compact form of the alpha-th prolongation coefficient, valid when
-    eta is linear in u, and at an integer order m equal to eta^(m;psi)
-    (:func:`eta_m_psi`) for any eta:
+    """Compact form of the alpha-th prolongation coefficient, for any eta,
+    linear in u or not, with the lower limit moving with the flow (module
+    docstring), and at an integer order m equal to eta^(m;psi)
+    (:func:`eta_m_psi`):
 
     D^{alpha;psi}(eta - xi u_x - tau u_t) + xi D^{alpha;psi} u_x
       + tau psi'(t) D^{alpha+1;psi} u + omega,

@@ -311,26 +311,6 @@ def _c06():
 # -- 7: Burgers table reproduction ---------------------------------------------
 
 
-def _same_generator(a, b) -> bool:
-    ra, rb = a.reduced, b.reduced
-    if ra is None or rb is None:
-        return False
-    return (
-        sp.expand(ra.xi.expr - rb.xi.expr) == 0
-        and abs(ra.c0 - rb.c0) < 1e-12
-        and abs(ra.c1 - rb.c1) < 1e-12
-        and abs(ra.c2 - rb.c2) < 1e-12
-        and sp.expand(ra.theta.expr - rb.theta.expr) == 0
-        and sp.expand(ra.rho.expr - rb.rho.expr) == 0
-    )
-
-
-def _same_span(basis_a, basis_b) -> bool:
-    return all(
-        any(_same_generator(g, h) for h in basis_b) for g in basis_a
-    ) and all(any(_same_generator(h, g) for g in basis_a) for h in basis_b)
-
-
 def _cases(kind: str, alpha: float):
     """(case, coefficient jet, table rows) of each registered case of kind,
     at the default parameters."""
@@ -358,12 +338,10 @@ def _c07():
                 if not rep.passed:
                     failures.append(f"{name}/{case.row}: residuals {_failed(rep)}")
     # ansatz solver recovers each row (psi-independent reduced coefficients)
-    psi = builtin("identity", 0.0, 2.0)
     for case, _, _ in cases:
         if case.params is None:
             continue
-        solved = case.solve(alpha, psi, **params)
-        if not _same_span(solved, case.published(alpha, **params)):
+        if not case.matches(case.solve(alpha, **params), alpha, **params):
             failures.append(f"solve {case.row}: basis mismatch")
     if failures:
         return False, "; ".join(failures)

@@ -15,7 +15,7 @@ psi-fractional diffusion system (reduced-form candidates, arbitrary
 admissible psi), and the two classical formulations (reduced two-equation
 form and the expanded six-block form) used for cross-method agreement
 checks.  A small ansatz solver reproduces the closed-form generator
-bases case by case.
+bases case by case, each unknown an exact root built as a tree.
 
 Each system is a template in numpy: its equations are array expressions
 in the candidate's functions (xi, theta and rho, or xi, tau and eta), the
@@ -33,7 +33,8 @@ whose quadrature reads a probe built in sympy.
 :data:`CASES` is the one registry of the g(u) and K(u) cases: each
 :class:`Case` names its coefficient, a tree with its parameters as exact
 fractions, its family, its :func:`builtin_table` row and its solver
-parameters, and builds its equation and its published basis from them.
+parameters, builds its equation and its published basis from them, and
+compares a basis with the published one (:meth:`Case.matches`).
 """
 
 from __future__ import annotations
@@ -619,72 +620,81 @@ def _table(alpha: float, p: float, b: float, c1: float) -> tuple:
         ("K=1", _generator(alpha, "X4: rho du", 0, 0.0, 0,
                            _rho_fixture(alpha))),
         # power-law diffusivity K = (c1 + 3u)^(-4/3)
-        ("K=(c1+3u)^(-4/3)", _generator(alpha, "X2: x^2 dx - x(c1+3u) du",
-                                        ("pow", x, tr.num(2)), 0.0, ("mul", tr.num(-3), x),
-                                        ("mul", tr.num(-_rational(c1)), x))),
+        ("K=(c1+3u)^(-4/3)", _projective(alpha, "X2: x^2 dx - x(c1+3u) du", c1)),
     )
 
 
+def _projective(alpha: float, label: str, c1: float) -> GeneratorCandidate:
+    """x^2 d/dx - x (c1 + 3u) d/du, a symmetry of K = (c1 + 3u)^(-4/3)."""
+    x = tr.X
+    return _generator(alpha, label, ("pow", x, tr.num(2)), 0.0, ("mul", tr.num(-3), x),
+                      ("mul", tr.num(-_rational(c1)), x))
+
+
 def solve_ansatz(equation: EvolutionEquation, case: str, **params) -> list:
-    """Solve the determining system under the reduced ansatz for the
-    supported closed-form cases, returning a generator basis (always
-    including the x-translation).
+    """Solve the determining system under the reduced ansatz (c0 = c2 = 0)
+    for a supported closed-form case, returning a generator basis (always
+    including the x-translation); of the equation only alpha is read.
 
     Cases: 'g=u', 'g=u^p' (p), 'g=e^(b u)' (b), 'g=u/(1+u)', 'K=1',
-    'K=power-law' (c1).  The nonlinear-diffusivity and rational-g cases
-    follow the published reduction step by step; the normalization fixes
-    the leading xi coefficient to 1.
+    'K=power-law' (c1), reduced as published, xi = x normalized.  The lead
+    coefficient alpha D^{1;psi} tau - xi' of (iv) is then the integer 1, so
+    a scaling's unknown v solves 1 + k v = 0 for k its coefficient in (iv),
+    an exact fraction (:func:`_rational`): v is the tree of -1/k, as the
+    published rows are (:func:`builtin_table`), and no symbolic solver runs.
     """
-    import sympy as sp
+    return _solve(equation.alpha, case, params)
 
-    from .jets import X
 
-    def rational(v):
-        return sp.sympify(_rational(v))
-
-    alpha = equation.alpha
+def _solve(alpha: float, case: str, params: dict) -> list:
+    """:func:`solve_ansatz` at order alpha, with the case parameters params."""
+    x, two = tr.X, 2.0 / alpha
     basis = [_x_translation(alpha)]
-    two = 2.0 / alpha
-    # alpha D^{1;psi} tau for D^{1;psi} tau = two, exactly 2: rationalizing
-    # alpha and 2/alpha separately leaves a product off by ~1e-15
-    adtau = sp.Integer(2)
-    th = sp.Symbol("theta0")
 
-    def add(label, xi=X, c1=two, theta=0, rho=0):
-        basis.append(_generator(alpha, label, xi, c1, theta, rho))
+    def scaling(label, k, unknown="theta"):
+        basis.append(_generator(alpha, label, x, two, **{unknown: _ratio(-1, k)}))
 
     if case == "g=u":
-        # (iii) forces theta' = 0, rho_x = 0; (i) then rho = 0; (iv) with
-        # xi = x, D tau = 2/alpha: (alpha Dtau - 1) u + theta u = 0
-        add("scaling", theta=sp.solve(sp.Eq((adtau - 1) + th, 0), th)[0])
+        # (iii) forces theta' = 0, rho_x = 0; (i) then rho = 0; (iv) on the
+        # u coefficient: 1 + theta = 0
+        scaling("scaling", 1)
     elif case == "g=u^p":
-        p = rational(params.get("p", CASE_DEFAULTS["p"]))
+        p = _rational(params.get("p", CASE_DEFAULTS["p"]))
         if p <= 1:
             raise DomainError(f"case g=u^p needs p > 1, got {p}")
-        # (iv): (alpha Dtau - xi') + p theta = 0 on the u^p coefficient
-        add(f"scaling p={p}", theta=sp.solve(sp.Eq((adtau - 1) + p * th, 0), th)[0])
+        # (iv) on the u^p coefficient: 1 + p theta = 0
+        scaling(f"scaling p={p}", p)
     elif case == "g=e^(b u)":
-        bpar = rational(params.get("b", CASE_DEFAULTS["b"]))
-        if bpar == 0:
+        b = _rational(params.get("b", CASE_DEFAULTS["b"]))
+        if b == 0:
             raise DomainError("case g=e^(b u) needs b != 0")
-        # theta = 0; (iv): (alpha Dtau - xi') + b rho = 0 with constant rho
-        rho0 = sp.Symbol("rho0")
-        add(f"scaling b={bpar}",
-            rho=sp.solve(sp.Eq((adtau - 1) + bpar * rho0, 0), rho0)[0])
+        # theta = 0; (iv): 1 + b rho = 0 with constant rho
+        scaling(f"scaling b={b}", b, "rho")
     elif case == "g=u/(1+u)":
         # published reduction keeps the 1/u and 1/u^2 coefficients only:
-        # rho = 0 and (alpha Dtau - xi') - theta = 0
-        add("scaling", theta=sp.solve(sp.Eq((adtau - 1) - th, 0), th)[0])
+        # rho = 0 and 1 - theta = 0
+        scaling("scaling", -1)
     elif case == "K=1":
-        add("scaling")
-        add("u-scaling", xi=0, c1=0.0, theta=1)
-        add("rho du", xi=0, c1=0.0, rho=diffusion_rho_fixture(alpha))
+        basis += [_generator(alpha, "scaling", x, two),
+                  _generator(alpha, "u-scaling", 0, 0.0, 1),
+                  _generator(alpha, "rho du", 0, 0.0, 0, _rho_fixture(alpha))]
     elif case == "K=power-law":
-        c1 = rational(params.get("c1", CASE_DEFAULTS["c1"]))
-        add("projective", xi=X**2, c1=0.0, theta=-3 * X, rho=-c1 * X)
+        basis.append(_projective(alpha, "projective", params.get("c1", CASE_DEFAULTS["c1"])))
     else:
         raise DomainError(f"unknown case '{case}'")
     return basis
+
+
+def _same_generator(a: GeneratorCandidate, b: GeneratorCandidate) -> bool:
+    """Whether two reduced candidates are one generator: xi, theta and rho
+    equal as expanded trees (:func:`psifrac.tree.expand`, exact in ints and
+    Fractions), c0, c1 and c2 within 1e-12."""
+    ra, rb = a.reduced, b.reduced
+    if ra is None or rb is None:
+        return False
+    return (all(abs(p - q) < 1e-12 for p, q in ((ra.c0, rb.c0), (ra.c1, rb.c1), (ra.c2, rb.c2)))
+            and all(tr.expand(tr.add(f.tree, tr.mul(tr.num(-1), g.tree))) == tr.ZERO
+                    for f, g in ((ra.xi, rb.xi), (ra.theta, rb.theta), (ra.rho, rb.rho))))
 
 
 # -- case registry --------------------------------------------------------------
@@ -742,13 +752,18 @@ class Case:
         """The published basis: the x-translation and the case's rows."""
         return [_x_translation(alpha)] + self.rows(alpha, p, b, c1)
 
-    def solve(
-        self, alpha: float, psi: PsiFunction, p: float, b: float, c1: float
-    ) -> list:
-        """:func:`solve_ansatz` on the case's equation and parameters."""
-        given = {"p": p, "b": b, "c1": c1}
-        kw = {k: given[k] for k in self.params or ()}
-        return solve_ansatz(self.equation(alpha, psi, p, b, c1), self.name, **kw)
+    def matches(self, basis: list, alpha: float, p: float, b: float, c1: float) -> bool:
+        """Whether basis and the published basis hold the same generators
+        (:func:`_same_generator`), each of either found in the other."""
+        published = self.published(alpha, p, b, c1)
+        return (all(any(_same_generator(g, h) for h in published) for g in basis)
+                and all(any(_same_generator(h, g) for g in basis) for h in published))
+
+    def solve(self, alpha: float, p: float, b: float, c1: float) -> list:
+        """:func:`solve_ansatz` on the case at order alpha, with its
+        parameters checked first."""
+        self.check(p, b, c1)
+        return _solve(alpha, self.name, {"p": p, "b": b, "c1": c1})
 
 
 _u = tr.U

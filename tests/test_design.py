@@ -453,7 +453,7 @@ PROLONG_RUNS = [
 # no random generator; the operators on a parsed spec, the determining
 # systems and the prolongation need no sympy, whose import is most of a cold
 # CLI call; and solve compares bases without simplify, which would load
-# sympy.physics
+# sympy.physics, and without the selftest
 RUNS = {
     "scipy": ("scipy", "import psifrac\n"
                        "from psifrac.fracops import frac_integral\n"
@@ -479,6 +479,11 @@ RUNS = {
                                   "    assert cli.main(argv) == cli.EXIT_PASS\n"),
     "sympy.physics": ("sympy.physics", "from psifrac import cli\n"
                                        "cli.main(['solve', '--case', 'K=1'])\n"),
+    "psifrac.selftest": ("psifrac.selftest",
+                         "from psifrac import cli, symmetry as sy\n"
+                         "for case in sy.CASES:\n"
+                         "    if case.params is not None:\n"
+                         "        assert cli.main(['solve', '--case', case.name]) == cli.EXIT_PASS\n"),
 }
 
 

@@ -211,6 +211,21 @@ def test_a_deeper_jet_that_overflows_leaves_the_integral_alone():
     assert got == _reference_moments(f, psi, 0, 0.5, 1e-100, 64, depth=0)
 
 
+@pytest.mark.parametrize("psi", [builtin("power", 0.5, 2.0, rho=2.7),
+                                 builtin("exponential", 0.0, 1.0)], ids=lambda p: p.name)
+@pytest.mark.parametrize("spec", ["t^3", "1/(t+2)", "t^4+t", "(t+1)^5", "exp(t)^3"])
+def test_an_integer_order_takes_the_jet_of_the_depth_2_pass(psi, spec):
+    # a power of a series curved in w rounds its jets of order 0 and 1
+    # otherwise in a shallower forward pass; frac_op at order 0 and
+    # frac_derivative at order 1 read the same pass the node tables do
+    f = cli._as_f_of_t(spec, psi)
+    for t in np.linspace(psi.a + 0.05, psi.b, 15).tolist():
+        want = forward.jets(f.tree, psi, np.array([t]), 2)
+        assert fo.frac_op(f, psi, 0.0, t) == float(want[0][0]), t
+        assert fo.frac_derivative(f, psi, 1.0, t) == float(want[1][0]), t
+        assert fo.frac_derivative(f, psi, 2.0, t) == float(want[2][0]), t
+
+
 def test_a_sum_of_negative_zeros_is_zero():
     # -(t - t) is -0.0 at every node; the moment loop began at acc = 0.0,
     # so the value printed is 0.0, not -0.0

@@ -257,6 +257,36 @@ def test_compact_and_expanded_differ_off_identity():
     assert abs(full - compact) > 1e-3
 
 
+# xi = tau = 0 and eta = u^2 on u = psi(t) - psi(a) = w: the prolongation is
+# D^{alpha;psi} w^2 = 2 w^{2-alpha} / Gamma(3-alpha), by the power rule
+_SQUARE = pr.Infinitesimals.from_exprs(tr.ZERO, tr.ZERO, ("pow", tr.U, tr.num(2)))
+
+
+def _on_w(psi):
+    return SolutionJet(JetFunction.of_xt(psi.shifted))
+
+
+@pytest.mark.parametrize("psi", [IDENTITY, POWER, builtin("exponential", 0.0, 1.0)],
+                         ids=lambda p: p.name)
+@pytest.mark.parametrize("alpha", [0.6, 1.4])
+def test_compact_form_holds_for_an_eta_nonlinear_in_u(psi, alpha):
+    for where in (0.2, 0.55, 0.9):
+        t = psi.a + where * (psi.b - psi.a)
+        w = psi(t) - psi(psi.a)
+        exact = 2 * w ** (2 - alpha) * rgamma(3 - alpha)
+        got = pr.eta_alpha_psi_compact(_SQUARE, _on_w(psi), psi, alpha, 0.5, t)
+        assert got == pytest.approx(exact, rel=1e-13, abs=0), t
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the expanded form's m-sum reads "
+                   "eta_u along the solution where the partial with u fixed belongs")
+def test_expanded_form_holds_for_an_eta_nonlinear_in_u():
+    # gives 2.944 against the exact 1.840 on psi = t at alpha = 0.6
+    w = 1.1
+    got = pr.eta_alpha_psi(_SQUARE, _on_w(IDENTITY), IDENTITY, 0.6, 0.5, w)
+    assert got == pytest.approx(2 * w ** 1.4 * rgamma(2.4), rel=1e-13, abs=0)
+
+
 # -- group-flow oracle ------------------------------------------------------------
 
 
