@@ -19,17 +19,13 @@ or in psi(a), share one function, as a recorded tape is replayed at new
 inputs (Griewank & Walther).  A coefficient is a float where it is the
 same at every point and known when the code is written (on psi = t, those
 of t are s, 1, 0, ...; psi's own derivatives are taken at the points, and
-those that are floats are constants), folded then; a scalar where it is
-the same at every point and made of the spec's numbers, taken at run time
-by the Python float operation folding would take; and an array otherwise.
-A term with a coefficient that is 0 by structure is left out.  Written
-once, the float work is not repeated at every call: walking the tree at
-each call instead, with the same arithmetic, cut the kernels_warm
-benchmark's operations per second by 10%.  Powers and exp are taken in
-Python's float arithmetic, point by point, as the compiled symbolic jets
-take them (:func:`~psifrac.psi.pow_each`): numpy's round differently in
-the last bit.  The module shares with the series backend
-(:mod:`psifrac.taylor`) only the tree.
+those that are floats are constants), folded then, and otherwise a name
+read at run time: a float made of the spec's numbers, or an array over the
+points.  A term with a coefficient that is 0 by structure is left out.
+Written once, the float work is not repeated at every call: walking the
+tree at each call instead, with the same arithmetic, cut the kernels_warm
+benchmark's operations per second by 10%.  The module shares with the
+series backend (:mod:`psifrac.taylor`) only the tree.
 """
 
 from __future__ import annotations
@@ -40,7 +36,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .psi import exp_each, pow_each
 from .special import gen_binom
 from .tree import T
 
@@ -48,16 +43,22 @@ __all__ = ["jets"]
 
 
 def jets(tree: tuple, psi, s: np.ndarray, m: int) -> list:
-    """f^{[j]}_psi at each point of s, for j = 0..m and f the tree: a list
-    of m + 1 arrays.  The values of a jet do not depend on m, save for
-    m < 2 on a power (other than a square) of a series curved in w, as t
-    is on a curved kernel: there the power takes its binomial form, exact
-    where the series is linear, and its jets of order 0 and 1 can differ
-    in the last bits from those of a deeper pass."""
-    d = psi.derivatives(s, range(m + 1))
-    known = tuple(x if isinstance(x, float) else None for x in d)
-    shape, numbers = _shape(tree, psi.tree)
-    out = _code(shape, m + 1, psi.tree, known)(s, d, numbers)
+    """f^{[j]}_psi at each point of s, for j = 0..max(m, 2) and f the
+    tree: a list of arrays, one per order.  A pass takes the orders through
+    2 at least, which a derivative of order below 2 reads, so that an
+    integral and a derivative at a point take one pass; no jet depends on
+    the depth asked.  The pass, the kernel's derivatives included, runs with
+    numpy's floating-point errors ignored: where an order overflows at a
+    point, its array holds inf there and the other orders are untouched.
+    The spec's numbers are numpy float64 scalars (:func:`_shape`), so a
+    power of them that overflows is inf too; exp of a number is math.exp's,
+    which raises OverflowError (exp(800)) as folding it would."""
+    size = max(m, 2) + 1
+    with np.errstate(all="ignore"):
+        d = psi.derivatives(s, range(size))
+        known = tuple(x if isinstance(x, float) else None for x in d)
+        shape, numbers = _shape(tree, psi.tree)
+        out = _code(shape, size, psi.tree, known)(s, d, numbers)
     return [j if isinstance(j, np.ndarray) else np.full(len(s), j) for j in out]
 
 
@@ -68,7 +69,9 @@ def _shape(tree: tuple, psi_tree: tuple) -> tuple:
     a walk, becomes ("in", i), and a subtree that recurs (psi, put in as
     psi(t) - psi(a)) recurs in the shape, so the writer takes it once.
     Exponents, the numbers 0 and 1 (the writer drops terms by them) and the
-    kernel's own subtree (found by equality) stay as they are."""
+    kernel's own subtree (found by equality) stay as they are.  The numbers
+    are numpy float64 scalars, whose arithmetic gives the bits of Python's
+    float arithmetic, folding's, and follows numpy's error state."""
     slots: list = []
     seen: dict = {}
 
@@ -80,7 +83,7 @@ def _shape(tree: tuple, psi_tree: tuple) -> tuple:
             v = float(e[1])
             if v in (0.0, 1.0):
                 return ("num", v)
-            slots.append(v)
+            slots.append(np.float64(v))
             return ("in", len(slots) - 1)
         if e not in seen:
             seen[e] = (op, walk(e[1]), e[2]) if op == "pow" else (op, *map(walk, e[1:]))
@@ -99,26 +102,20 @@ def _code(shape: tuple, size: int, psi_tree: tuple, known: tuple):
     floats) folded in, and the tuple p of the tree's numbers."""
     c = _Writer(size, psi_tree, known)
     out = ", ".join(map(c.ref, c.jets(c.node(shape))))
-    body = "".join(f"    {line}\n" for line in c.scalars + c.lines)
-    ns = {"pow_each": pow_each, "exp_each": exp_each, "exp": math.exp, **c.consts}
+    body = "".join(f"    {line}\n" for line in c.lines)
+    ns = {"exp": _exp, **c.consts}
     exec(f"def _jets(s, d, p):\n{body}    return [{out}]\n", ns)
     return ns["_jets"]
 
 
-class _Scalar(str):
-    """The name of a float known at run time only: one of the tree's
-    numbers, or made of them.  zero: it is 0 whatever the numbers are."""
-
-    zero = False
-
-
-def _number(x) -> bool:
-    """The same at every point: a float, or a run-time scalar."""
-    return isinstance(x, (float, _Scalar))
+def _exp(x):
+    """exp of a float by math.exp, which raises where it overflows, and of
+    an array by numpy."""
+    return math.exp(x) if isinstance(x, float) else np.exp(x)
 
 
 def _zero(x) -> bool:
-    return x == 0.0 if isinstance(x, float) else isinstance(x, _Scalar) and x.zero
+    return isinstance(x, float) and x == 0.0
 
 
 def _one(x) -> bool:
@@ -126,16 +123,15 @@ def _one(x) -> bool:
 
 
 class _Writer:
-    """Writes the code: a coefficient is a float, a run-time scalar
-    (:class:`_Scalar`) or the name of an array, and a series a list of size
-    coefficients.  Where two floats fold, a scalar and a float or two
-    scalars are taken at run time by the same Python float operation, in
-    lines written before any array's, so the result and any error are the
-    ones folding gives."""
+    """Writes the code: a coefficient is a float, folded as it is written,
+    or the name of a value read at run time (a float made of the tree's
+    numbers, or an array), and a series a list of size coefficients.  A
+    product or quotient with a 0.0 factor is 0.0, a float or not, so the
+    code written for a shape gives the bits of the code written for one
+    tree of it, its numbers folded."""
 
     def __init__(self, size: int, psi_tree: tuple, known: tuple):
         self.size, self.psi_tree = size, psi_tree
-        self.scalars: list = []
         self.lines: list = []
         self.consts: dict = {}
         self.memo: dict = {}
@@ -151,24 +147,14 @@ class _Writer:
         return name
 
     def let(self, expr: str) -> str:
-        """A name for the array expr, written as the next line."""
-        name = f"v{len(self.scalars) + len(self.lines)}"
+        """A name for the value of expr, written as the next line."""
+        name = f"v{len(self.lines)}"
         self.lines.append(f"{name} = {expr}")
-        return name
-
-    def scalar(self, expr: str, zero: bool) -> _Scalar:
-        """A name for the run-time float expr, written as the next scalar
-        line."""
-        name = _Scalar(f"v{len(self.scalars) + len(self.lines)}")
-        self.scalars.append(f"{name} = {expr}")
-        name.zero = zero
         return name
 
     def add(self, a, b):
         if isinstance(a, float) and isinstance(b, float):
             return a + b
-        if _number(a) and _number(b):
-            return self.scalar(f"{self.ref(a)} + {self.ref(b)}", _zero(a) and _zero(b))
         if _zero(a):
             return b
         if _zero(b):
@@ -176,12 +162,10 @@ class _Writer:
         return self.let(f"{self.ref(a)} + {self.ref(b)}")
 
     def mul(self, a, b):
-        if isinstance(a, float) and isinstance(b, float):
-            return a * b
-        if _number(a) and _number(b):
-            return self.scalar(f"{self.ref(a)} * {self.ref(b)}", _zero(a) or _zero(b))
         if _zero(a) or _zero(b):
             return 0.0
+        if isinstance(a, float) and isinstance(b, float):
+            return a * b
         if _one(a):
             return b
         if _one(b):
@@ -189,12 +173,10 @@ class _Writer:
         return self.let(f"{self.ref(a)} * {self.ref(b)}")
 
     def div(self, a, b):
-        if isinstance(a, float) and isinstance(b, float):
-            return a / b
-        if _number(a) and _number(b):
-            return self.scalar(f"{self.ref(a)} / {self.ref(b)}", _zero(a))
         if _zero(a):
             return 0.0
+        if isinstance(a, float) and isinstance(b, float):
+            return a / b
         if _one(b):
             return a
         return self.let(f"{self.ref(a)} / {self.ref(b)}")
@@ -207,9 +189,7 @@ class _Writer:
             return x
         if isinstance(x, float):
             return x**p
-        if isinstance(x, _Scalar):
-            return self.scalar(f"{x} ** {self.ref(float(p))}", x.zero and p > 0)
-        return self.let(f"pow_each({self.ref(x)}, {self.ref(float(p))})")
+        return self.let(f"{x} ** {self.ref(float(p))}")
 
     # -- series --------------------------------------------------------------
 
@@ -239,11 +219,11 @@ class _Writer:
         if op == "num":
             return self.constant(float(e[1]))
         if op == "in":
-            return self.constant(_Scalar(f"p[{e[1]}]"))
+            return self.constant(f"p[{e[1]}]")
         if e == T:
             return self.t()
         if e == self.psi_tree:
-            return ([self.d[0], 1.0] + [0.0] * size)[:size]
+            return [self.d[0], 1.0] + [0.0] * (size - 2)
         if op not in ("add", "mul", "pow", "exp"):
             raise DomainError(f"psi-jets of a spec: unsupported {op} node")
         args = [self.node(a) for a in e[1:]]
@@ -267,13 +247,13 @@ class _Writer:
     def power(self, b: list, p: float) -> list:
         size = self.size
         whole = p >= 0 and p.is_integer()
-        if all(map(_number, b)):
+        if all(map(_zero, b[1:])):
             return self.constant(self.pow(b[0], p))
         if all(map(_zero, b[2:])):
             # b0 + b1 w: binom(p, k) b1^k b0^(p-k), exactly 0 past a whole p
             out = [0.0] * size
             for k in range(min(size, int(p) + 1) if whole else size):
-                c = self.mul(gen_binom(p, k), self.pow(b[1] if size > 1 else 0.0, k))
+                c = self.mul(gen_binom(p, k), self.pow(b[1], k))
                 out[k] = self.mul(c, self.pow(b[0], p - k))
             return out
         if whole:
@@ -294,12 +274,7 @@ class _Writer:
         return y
 
     def exp(self, b: list) -> list:
-        if isinstance(b[0], float):
-            y = [math.exp(b[0])]
-        elif isinstance(b[0], _Scalar):
-            y = [self.scalar(f"exp({b[0]})", False)]
-        else:
-            y = [self.let(f"exp_each({self.ref(b[0])})")]
+        y = [math.exp(b[0]) if isinstance(b[0], float) else self.let(f"exp({b[0]})")]
         # y' = b' y: k y_k = sum_{j=1..k} j b_j y_{k-j}
         for k in range(1, self.size):
             acc = self.total(self.mul(self.mul(float(j), b[j]), y[k - j])

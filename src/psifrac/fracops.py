@@ -39,10 +39,10 @@ This module owns the psi-jets.  The quadrature backend takes them, up to
 order ceil(alpha), at every node at once: for f given as a tree (a parsed
 spec), by forward mode (:mod:`psifrac.forward`: truncated Taylor series
 in psi(t) - psi(s), vectorised over the nodes s, with t by series
-reversion), with no sympy, and through order 2 at least in the first
-pass at a point, so that an integral and a derivative there take one
-pass; for f given in sympy, symbolically by sympy alone and only to the
-order asked (:func:`_psi_jet_expr` builds them with ``sp.diff`` and
+reversion), with no sympy, in one pass through order 2 at least, so
+that an integral and a derivative at a point take one pass; for f given
+in sympy, symbolically by sympy alone and only to the order asked
+(:func:`_psi_jet_expr` builds them with ``sp.diff`` and
 :func:`_psi_jet_fn` compiles them, through
 :func:`~psifrac.jets.compiled`).  The series backend reads one
 Taylor-mode table per point, shared by both series there and by the
@@ -136,33 +136,19 @@ def _psi_jet_fn(f_expr, psi_expr, m: int):
     return compiled(_psi_jet_expr(f_expr, psi_expr, m))
 
 
-# a derivative of order alpha < 2 reads the jets 0..2
-_FORWARD_DEPTH = 2
-
-
 def _jets_at(f: JetFunction, psi: PsiFunction, s: np.ndarray, m: int, start: int = 0) -> list:
     """f^{[j]}_psi at each point of the array s, for j = start..m at least:
-    a list of arrays.
-
-    For f given as a tree, one forward pass takes the orders
-    0.._FORWARD_DEPTH at least, so that a jet's bits do not depend on the
-    order asked for (below order 2 a forward pass can round a jet
-    otherwise, :func:`~psifrac.forward.jets`); where a deeper order raises
-    and the lower ones do not (t^-3 overflows at a node where t^-1 does
-    not), the pass takes the orders up to m alone.  For f given in sympy
-    each order costs a compile, and only the orders asked for are taken."""
+    a list of arrays.  For f given as a tree, one forward pass takes the
+    orders through max(m, 2) (:func:`~psifrac.forward.jets`); for f given
+    in sympy each order costs a compile, and only the orders asked for are
+    taken."""
     if not isinstance(f, JetFunction):
         raise DomainError("the fractional operators need f as a JetFunction")
     if f.symbolic:
         ts = s.tolist()
         return [np.fromiter(map(_psi_jet_fn(f.expr, psi.expr, j), ts), float, len(ts))
                 for j in range(start, m + 1)]
-    try:
-        return forward.jets(f.tree, psi, s, max(m, _FORWARD_DEPTH))[start:]
-    except ArithmeticError:
-        if m >= _FORWARD_DEPTH:
-            raise
-        return forward.jets(f.tree, psi, s, m)[start:]
+    return forward.jets(f.tree, psi, s, m)[start:]
 
 
 def _jet_at(f: JetFunction, psi: PsiFunction, t: float, m: int) -> float:
@@ -293,9 +279,8 @@ def _node_values(f: JetFunction, psi: PsiFunction, t: float, n: int) -> list:
 
 def _node_jets(f: JetFunction, psi: PsiFunction, t: float, n: int, m: int) -> list:
     """The table of :func:`_node_values`, holding the orders 0..m at least:
-    the first quadrature at the point takes the orders through
-    _FORWARD_DEPTH (:func:`_jets_at`), so an integral and then a derivative
-    there run one forward pass, not two."""
+    a forward pass takes the orders through 2 at least (:func:`_jets_at`),
+    so an integral and then a derivative there run one pass, not two."""
     table = _node_values(f, psi, t, n)
     if len(table) <= m:
         table += _jets_at(f, psi, _nodes(psi, t, n)[1], m, len(table))
@@ -329,13 +314,16 @@ def _jacobi_moments(
     _, cs = _jacobi_rule(n, beta - 1.0)
     # the rule's weight is (1 - y)^{beta-1} in y = 2x - 1
     scale = 0.5**beta
-    out = []
-    for j, values in enumerate(_node_jets(f, psi, t, n, m)[:m + 1]):
-        if j:
-            cs = cs * xs
-        # + 0.0: a loop from acc = 0.0 turns a sum of -0.0 products into 0.0
-        acc = float(np.add.accumulate(cs * values)[-1]) + 0.0
-        out.append(acc * scale)
+    out, jets = [], _node_jets(f, psi, t, n, m)[:m + 1]
+    # a jet that is not finite at a node (forward mode's inf where f
+    # overflows) makes its moment inf or nan, with no warning
+    with np.errstate(all="ignore"):
+        for j, values in enumerate(jets):
+            if j:
+                cs = cs * xs
+            # + 0.0: a loop from acc = 0.0 turns a sum of -0.0 products into 0.0
+            acc = float(np.add.accumulate(cs * values)[-1]) + 0.0
+            out.append(acc * scale)
     return V, out
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -118,7 +117,9 @@ class PsiFunction:
         each point gets the float a call at that point gives: a built-in
         identity or affine kernel's inverse, linear, is one array expression
         with the same float operations; any other is taken point by point,
-        as numpy's log and power round differently (:func:`pow_each`)."""
+        as numpy's log and power can round apart from Python's in the last
+        bit: these are the quadrature's nodes, verify's (v) among its
+        results."""
         if isinstance(v, np.ndarray):
             if self.inverse is None:
                 return np.array([invert_numeric(self, x) for x in v.tolist()])
@@ -185,17 +186,17 @@ def _builtin_form(tree: tuple) -> bool:
 
 def _closed(tree: tuple, t, orders) -> list:
     """The derivatives of the given orders of a built-in kernel at t, each
-    a float or an array (a float where it is the same everywhere): the
-    floats the compiled sympy derivative gives (a power's coefficient is
-    the product rho (rho - 1) ..., taken left to right, as sympy's
-    repeated differentiation takes it, and powers and exp are taken point
-    by point).
+    a float or an array (a float where it is the same everywhere).  At a
+    float t, the floats the compiled sympy derivative gives (a power's
+    coefficient is the product rho (rho - 1) ..., taken left to right, as
+    sympy's repeated differentiation takes it); at an array, powers and
+    exp are numpy's.
     """
     op = tree[0]
     if op == "sym":  # t
         return [t if k == 0 else float(k == 1) for k in orders]
     if op == "exp":  # every order is exp(t), taken once
-        return [math.exp(t) if isinstance(t, float) else exp_each(t)] * len(orders)
+        return [math.exp(t) if isinstance(t, float) else np.exp(t)] * len(orders)
     if op == "pow":  # t**rho
         return [_power_derivative(tree[2][1], t, k) for k in orders]
     # c t + d
@@ -210,19 +211,8 @@ def _power_derivative(rho: float, t, order: int):
     e = rho - order
     if c == 0.0 or e == 0.0:
         return c
-    te = t if e == 1.0 else t**e if isinstance(t, float) else pow_each(t, e)
+    te = t if e == 1.0 else t**e
     return te if c == 1.0 else c * te
-
-
-def pow_each(x: np.ndarray, p: float) -> np.ndarray:
-    """x ** p at each point, in Python's float arithmetic, as a compiled
-    expression takes it (numpy's power rounds differently in the last bit)."""
-    return np.fromiter(map(pow, x.tolist(), repeat(p)), float, len(x))
-
-
-def exp_each(x: np.ndarray) -> np.ndarray:
-    """exp at each point, by math.exp, as a compiled expression takes it."""
-    return np.fromiter(map(math.exp, x.tolist()), float, len(x))
 
 
 @dataclass(frozen=True)

@@ -558,9 +558,14 @@ def _rho_fixture(alpha: float) -> tuple:
 
 
 def _ratio(a, q) -> tuple:
-    """The tree of a / q, each a tree or a number, left a division so that
-    its sympy expression is sympy's quotient (zoo where q is 0, as for a
-    case parameter that its case rejects)."""
+    """The tree of a / q, each a tree or a number.  Two numbers, q not 0,
+    give their exact quotient (a Fraction, or sympy's number where q is
+    sympy's), which evaluates to the correctly rounded a / q its row
+    prints; otherwise a / q is left a division, whose sympy expression is
+    sympy's quotient (zoo where q is 0, as for a case parameter that its
+    case rejects)."""
+    if not (isinstance(a, tuple) or isinstance(q, tuple)) and q != 0:
+        return tr.num(Fraction(a) / q)
     a, q = (v if isinstance(v, tuple) else tr.num(v) for v in (a, q))
     return ("mul", a, ("pow", q, tr.num(-1)))
 

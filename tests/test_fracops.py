@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -133,12 +134,11 @@ def _clear_node_tables():
     fo._jacobi_rule.cache_clear()
 
 
-def _reference_moments(f, psi, m, beta, t, n, depth=2):
+def _reference_moments(f, psi, m, beta, t, n):
     """The per-node loop the node tables replace: invert psi at each node,
     evaluate every jet there, and accumulate c * f^{[j]} with c = w_i x_i^j
     by repeated multiplication.  The jets of a tree come by forward mode at
-    that one node, through order max(m, depth); the node table's first
-    pass takes depth 2."""
+    that one node."""
     va = psi(psi.a)
     V = psi(t) - va
     ys, ws = fo._jacobi_rule(n, beta - 1.0)
@@ -149,7 +149,7 @@ def _reference_moments(f, psi, m, beta, t, n, depth=2):
         if f.symbolic:
             jets = [fo._psi_jet_fn(f.expr, psi.expr, j)(s) for j in range(m + 1)]
         else:
-            one = forward.jets(f.tree, psi, np.array([s]), max(m, depth))
+            one = forward.jets(f.tree, psi, np.array([s]), m)
             jets = [float(j[0]) for j in one]
         c = wi
         for j in range(m + 1):
@@ -180,8 +180,9 @@ def test_moments_equal_the_per_node_loop(psi, m):
 
 
 def test_an_integral_then_a_derivative_take_one_forward_pass(monkeypatch):
-    # the first quadrature of a tree at a point takes the jets through
-    # order 2, which a derivative of order below 2 reads
+    # the first quadrature of a tree at a point asks for order 0, and its
+    # pass takes the jets through order 2, which a derivative of order
+    # below 2 reads
     calls = []
     jets = forward.jets
     monkeypatch.setattr(forward, "jets", lambda *a: calls.append(a[3]) or jets(*a))
@@ -194,21 +195,40 @@ def test_an_integral_then_a_derivative_take_one_forward_pass(monkeypatch):
         fo.frac_derivative(f, psi, 0.4, t)
         fo.frac_derivative(f, psi, 1.6, t)
         fo.frac_integral(f, psi, 2.5, t)
-        assert calls == [2], psi.name
+        assert calls == [0], psi.name
         fo.frac_derivative(f, psi, 2.5, t)  # order 3 extends the table
-        assert calls == [2, 3], psi.name
+        assert calls == [0, 3], psi.name
 
 
 def test_a_deeper_jet_that_overflows_leaves_the_integral_alone():
     # the nodes of t = 1e-100 reach 1.5e-104, where t^-3, in the order-2
-    # jet of 1/t, overflows: the table then takes order 0 alone
+    # jet of 1/t, overflows: that order holds inf there, with no exception
+    # and no warning, and the integral reads order 0 alone
     psi = builtin("identity", 0.0, 1.0)
     f = cli._as_f_of_t("t^-1", psi)
     _clear_node_tables()
-    with pytest.raises(OverflowError):
-        forward.jets(f.tree, psi, fo._nodes(psi, 1e-100, 64)[1], 2)
-    got = fo._jacobi_moments(f, psi, 0, 0.5, 1e-100, fo.QuadratureSpec())
-    assert got == _reference_moments(f, psi, 0, 0.5, 1e-100, 64, depth=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jets = forward.jets(f.tree, psi, fo._nodes(psi, 1e-100, 64)[1], 0)
+        assert np.isfinite(jets[0]).all() and not np.isfinite(jets[2]).all()
+        got = fo._jacobi_moments(f, psi, 0, 0.5, 1e-100, fo.QuadratureSpec())
+        assert fo.frac_integral(f, psi, 0.5, 1e-100) == 6.9083923153710345e+50
+    assert got == _reference_moments(f, psi, 0, 0.5, 1e-100, 64)
+
+
+def test_a_number_whose_power_overflows_in_a_deeper_jet_leaves_the_operators_alone():
+    # (1 + 10^160 t)^-1 on psi = t: the order-2 jet holds (10^160)^2, which
+    # is inf, with no exception and no warning; the integral and the
+    # derivative of order 0.5 read orders 0 and 1 alone
+    psi = builtin("identity", 0.0, 1.0)
+    f = cli._as_f_of_t("(1+1" + "0" * 160 + "*t)^-1", psi)
+    _clear_node_tables()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jets = forward.jets(f.tree, psi, np.array([0.25, 0.5]), 0)
+        assert np.isfinite(jets[1]).all() and not np.isfinite(jets[2]).any()
+        assert fo.frac_integral(f, psi, 0.5, 0.5) == 9.769942106591788e-160
+        assert fo.frac_derivative(f, psi, 0.5, 0.5) == -9.769957176116033e-160
 
 
 @pytest.mark.parametrize("psi", [builtin("power", 0.5, 2.0, rho=2.7),
@@ -361,7 +381,7 @@ def test_grid_power_rule_matches_the_pointwise_rule(alpha):
     # the determining systems' form: w and the coefficients' x and u as
     # arrays that broadcast; each node is the pointwise rule at its values
     # up to the last bits of numpy's array power, which can round apart
-    # from a float's (psi.pow_each)
+    # from Python's float power
     xs, us, ws = (0.2, 0.9), (0.5, 1.7), (0.3, 1.4)
     grid = fo.frac_deriv_psi_powers(
         MIXED_POWER_SUM, alpha, np.reshape(ws, (1, 1, -1)),
@@ -526,17 +546,17 @@ FLOAT_SHAPES = ("1.27*exp(1.668*t^3)", "1.27*exp(1.27*t^3)",
 @pytest.mark.parametrize("psi", [IDENTITY, POWER, EXPONENTIAL], ids=lambda p: p.name)
 def test_symbolic_psi_jets_match_forward_mode(psi, spec):
     # f given in sympy takes its quadrature psi-jets from sp.diff, the same
-    # f as a tree from forward mode: the operators agree to rounding, and
-    # overflow alike where f does not fit a double (exp(853) on psi = t^2)
+    # f as a tree from forward mode: the operators agree to rounding; where
+    # f does not fit a double (exp(853) on psi = t^2), forward mode's value
+    # is not finite and the compiled sympy jets raise
     from psifrac.parser import parse, parse_expr
 
     symbolic, tree = JetFunction.of_t(parse_expr(spec)), JetFunction.of_t(parse(spec))
     t = psi.a + 0.6 * (psi.b - psi.a)
     for alpha in (0.4, 1.3, 2.6):
         for op in (fo.frac_integral, fo.frac_derivative):
-            try:
-                want = op(tree, psi, alpha, t)
-            except OverflowError:
+            want = op(tree, psi, alpha, t)
+            if not math.isfinite(want):
                 with pytest.raises(OverflowError):
                     op(symbolic, psi, alpha, t)
                 continue

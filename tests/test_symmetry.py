@@ -1421,6 +1421,30 @@ def test_solver_scaling_coefficients_are_exact(alpha):
     assert basis[1].reduced.theta.expr == sp.Rational(-1, 2)
 
 
+@pytest.mark.parametrize(("p", "b", "theta", "rho"), [
+    (3.7, 0.5, "-0x1.14c1bacf914c2p-2", "-0x1.0000000000000p+1"),
+    (math.sqrt(2), math.sqrt(2), "-0x1.6a09e667f3bcdp-1", "-0x1.6a09e667f3bcdp-1"),
+], ids=("p3.7", "p-b-sqrt2"))
+def test_minus_reciprocal_parameters_evaluate_correctly_rounded(p, b, theta, rho):
+    # theta = -1/p and rho = -1/b, in the published rows and in the solved
+    # bases alike, are one exact number each: the correctly rounded -1/k,
+    # where -1 * (1/k) is 1 ulp off on these k
+    at = {"x": 0.7, "w": 0.3}
+    params = {"p": p, "b": b, "c1": 0.0}
+    for name, field, want in (("g=u^p", "theta", theta), ("g=e^(b u)", "rho", rho)):
+        case = sy.lookup_case(name)
+        for basis in (case.published(0.79, **params), case.solve(0.79, **params)):
+            got = tr.evaluate(getattr(basis[1].reduced, field).tree, at)
+            assert float(got).hex() == want, (name, basis[1].label)
+
+
+def test_a_zero_parameter_row_stays_a_quotient():
+    # b = 0 is no g=e^(b u) case, but the table still builds that row (a
+    # g=u solve compares against it): its rho is -1/0, zoo in sympy
+    row = dict(sy.builtin_table(0.79, b=0.0))["g=e^(b u)"]
+    assert row.reduced.rho.expr == sp.zoo
+
+
 def test_solver_rejects_bad_parameters():
     eq = sy.EvolutionEquation("gfbe", ALPHA, IDENTITY, g=JetFunction.of_u(U**2))
     with pytest.raises(DomainError):
