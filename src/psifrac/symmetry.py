@@ -10,12 +10,13 @@ The grid is fixed: 5 x 5 x 5 equispaced nodes with x and t - a in
 [0.2, 1] and u in [0.5, 2], two fixed (u_x, u_xx) probes for the free jet
 coordinates, and a fixed cubic in w as the omega equation's u.
 
-Four systems are provided: the psi-fractional Burgers system and the
-psi-fractional diffusion system (reduced-form candidates, arbitrary
-admissible psi), and the two classical formulations (reduced two-equation
-form and the expanded six-block form) used for cross-method agreement
-checks.  A small ansatz solver reproduces the closed-form generator
-bases case by case, each unknown an exact root built as a tree.
+The reduced determining system is written once (:func:`_equations`):
+the psi-fractional Burgers and diffusion systems report it, and the
+classical reduced two-equation form on psi = t combines it over two jet
+probes.  The classical expanded six-block form is written apart, the
+independent side of the cross-method agreement checks.  A small ansatz
+solver reproduces the closed-form generator bases case by case, each
+unknown an exact root built as a tree.
 
 Each system is a template in numpy: its equations are array expressions
 in the candidate's functions (xi, theta and rho, or xi, tau and eta), the
@@ -301,10 +302,12 @@ def detsys_gfbe(
       (iii) (theta' u + rho_x) g(u) + theta'' u = 0
       (iv)  (alpha D^{1;psi} tau - xi') g(u)
             + (gamma D^{1;psi} tau u + theta u + rho) g'(u)
-            - xi'' - 2 theta' = 0
+            - xi'' + 2 theta' = 0
       (v)   omega = 0
 
-    (i)-(iv) are evaluated on the grid by :func:`_fractional`.
+    (i)-(iv) are evaluated on the grid by :func:`_fractional`.  (iv) is
+    minus the u_x coefficient of the invariance condition (Olver, ch. 2),
+    as (iii) of :func:`detsys_gazizov_rl` is: the printed - 2 theta' is a typo.
     """
     return _fractional("gfbe", candidate, g, psi, alpha, tol, quad)
 
@@ -325,7 +328,9 @@ def detsys_diffusion(
     subtracted; the subtracted variant rejects the system's own closed
     form solution K = (3u)^(-4/3), xi = x^2, theta = -3x (pinned by
     tests/test_symmetry.py::test_k_double_prime_bracket_is_added), so the
-    sign as printed is treated as a typo.
+    sign as printed is treated as a typo.  The invariance condition that
+    :func:`detsys_zhang_rl` states agrees: its u_x^2 coefficient is minus
+    (iii) with the bracket added, monomial by monomial.
     """
     if not 0.0 < alpha <= 2.0:
         raise DomainError(f"diffusion system needs 0 < alpha <= 2, got {alpha}")
@@ -334,12 +339,20 @@ def detsys_diffusion(
 
 def _fractional(kind, candidate, coef, psi, alpha, tol, quad) -> ResidualReport:
     """The psi-fractional system of kind ('gfbe' or 'diffusion') with the
-    coefficient coef (g or K) on a reduced candidate: (i)-(iv) on the
-    grid, with D^{1;psi} tau = c1 + 2 c2 w a polynomial identity in w, and
-    (v)."""
+    coefficient coef (g or K) on a reduced candidate: (i)-(iv) and (v)."""
     red = _reduced(candidate)
     ts = _ts(psi.a)
     w = np.reshape([psi(t) - psi(psi.a) for t in ts], (1, -1, 1, 1))
+    *_, eqs = _equations(kind, red, coef, alpha, w)
+    table = {name: (e,) for name, e in zip(("i", "ii", "iii", "iv"), eqs)}
+    v = _omega_residual(red, psi, alpha, quad)
+    return _grid_max(table, ts, tol, _NODES[kind], off_grid=(("v", v),))
+
+
+def _equations(kind, red, coef, alpha, w) -> tuple:
+    """D^{alpha;psi} rho, K rho_xx and (i)-(iv) of the psi-fractional
+    system of kind with the coefficient coef on the reduced candidate red,
+    arrays on the grid at the w nodes w, with D^{1;psi} tau = c1 + 2 c2 w."""
     at, u = {"x": _X, "w": w, "u": _U}, _U
     with np.errstate(all="ignore"):
         frac = frac_deriv_psi_powers(red.rho.tree, alpha, w, at)
@@ -351,7 +364,7 @@ def _fractional(kind, candidate, coef, psi, alpha, tol, quad) -> ResidualReport:
         lin = red.gamma * dtau * u + th * u + rho
         if kind == "gfbe":
             eqs = (frac - rho_xx, alpha * dtau - 2 * xi1, (th1 * u + rho_x) * k + th2 * u,
-                   (alpha * dtau - xi1) * k + lin * k1 - xi2 - 2 * th1)
+                   (alpha * dtau - xi1) * k + lin * k1 - xi2 + 2 * th1)
         elif _constant(coef.tree):
             eqs = (frac - (th2 * u + rho_xx) * k, (alpha * dtau - 2 * xi1) * k,
                    (xi2 - 2 * th1) * k, 0.0)
@@ -359,9 +372,7 @@ def _fractional(kind, candidate, coef, psi, alpha, tol, quad) -> ResidualReport:
             eqs = (frac - (th2 * u + rho_xx) * k, lin * k1 + (alpha * dtau - 2 * xi1) * k,
                    lin * k2 + ((alpha + red.gamma) * dtau - 2 * xi1 + th) * k1,
                    2 * (th1 * u + rho_x) * k1 - (xi2 - 2 * th1) * k)
-    table = {name: (e,) for name, e in zip(("i", "ii", "iii", "iv"), eqs)}
-    v = _omega_residual(red, psi, alpha, quad)
-    return _grid_max(table, ts, tol, _NODES[kind], off_grid=(("v", v),))
+        return frac, k * rho_xx, eqs
 
 
 # -- classical expanded system (six blocks) ------------------------------------
@@ -453,53 +464,40 @@ def detsys_zhang_rl(
     tol: float = 1e-8,
 ) -> ResidualReport:
     """Classical (psi = t, a = 0) reduced two-equation determining system
-    for D^alpha u = H[u]:
+    for D^alpha u = H[u], H = g(u) u_x + u_xx (g not constant) or
+    (K(u) u_x)_x:
 
       (1) D^alpha rho - sum_V H_{u_i} d^i rho / dx^i = 0
-      (2) (eta_u - alpha tau') H - xi H_x - tau H_t
-          - sum_V H_{u_i} (eta^(i) - d^i rho/dx^i)
-          - sum_{W\\V} H_{u_i} eta^(i) = 0,
+      (2) (eta_u - alpha tau') H - sum_i H_{u_i} eta^(i)
+          + sum_V H_{u_i} d^i rho / dx^i = 0,
 
     with V the H terms linear in a jet coordinate with u-free coefficient:
-    u_xx of the Burgers H = g(u) u_x + u_xx (g is not constant), K u_xx of
-    the diffusion H = K'(u) u_x^2 + K(u) u_xx where K is constant, and none
-    where it is not.  H_x = H_t = 0.  The candidate is reduced with c0 = 0
-    (tau = c1 t + c2 t^2), eta = theta u + rho + gamma tau' u, and both
-    equations are evaluated at the fixed (u_x, u_xx) probes too.
+    u_xx of the Burgers H, and K u_xx where K is constant.  The candidate is
+    reduced with c0 = 0 (tau = c1 t + c2 t^2), eta = theta u + rho + gamma
+    tau' u, and both equations are evaluated at the fixed (u_x, u_xx)
+    probes too.  Split by its monomials in u_x and u_xx, (2) is (i)-(iv) of
+    the psi-fractional system on psi = t, combined from :func:`_equations`:
+
+      Burgers:     (1) = (i),  (2) = -(iii) - (iv) u_x - (ii) u_xx
+      K constant:  (1) = D^alpha rho - K rho_xx,  (2) = ((i) - (1)) - (ii) u_xx + (iii) u_x
+      other K:     (1) = D^alpha rho,  (2) = ((i) - (1)) - (ii) u_xx - (iii) u_x^2 - (iv) u_x
     """
     red = _reduced(candidate)
     if red.c0 != 0.0:
         raise DomainError("classical reduced system requires tau(0) = 0")
     ts = _ts(0.0)  # psi = t, a = 0
-    w = np.reshape(ts, (1, -1, 1, 1))
-    at, u = {"x": _X, "w": w, "u": _U}, _U
     ux, uxx = (np.reshape(c, (1, 1, 1, -1)) for c in zip(*_JET_PROBES))
+    coef = equation.g if equation.kind == "gfbe" else equation.K
+    frac, k_rho_xx, (i, ii, iii, iv) = _equations(
+        equation.kind, red, coef, alpha, np.reshape(ts, (1, -1, 1, 1)))
     with np.errstate(all="ignore"):
-        frac = frac_deriv_psi_powers(red.rho.tree, alpha, w, at)
-        _, xi1, xi2 = _partials(red.xi.tree, "x", at)
-        th, th1, th2 = _partials(red.theta.tree, "x", at)
-        rho, rho_x, rho_xx = _partials(red.rho.tree, "x", at)
-        taup = red.c1 + 2.0 * red.c2 * w
-        etau = th + red.gamma * taup
-        eta = th * u + rho + red.gamma * taup * u
-        # the first and second x-prolongations for xi = xi(x), tau = tau(t)
-        zeta1 = th1 * u + rho_x + (etau - xi1) * ux
-        zeta2 = th2 * u + rho_xx + (2 * th1 - xi2) * ux + (etau - 2 * xi1) * uxx
-        lead = etau - alpha * taup
         if equation.kind == "gfbe":
-            g, g1, _ = _partials(equation.g.tree, "u", at)
-            eq1 = frac - rho_xx
-            eq2 = (lead * g * ux - g1 * ux * eta - g * zeta1
-                   + lead * uxx - (zeta2 - rho_xx))
+            eq1, eq2 = i, -iii - iv * ux - ii * uxx
+        elif _constant(coef.tree):
+            eq1 = frac - k_rho_xx
+            eq2 = (i - eq1) - ii * uxx + iii * ux
         else:
-            k, k1, k2 = _partials(equation.K.tree, "u", at)
-            if _constant(equation.K.tree):
-                eq1 = frac - k * rho_xx
-                eq2 = lead * k * uxx - k * (zeta2 - rho_xx)
-            else:
-                eq1 = frac
-                eq2 = (lead * (k1 * ux**2 + k * uxx) - k2 * ux**2 * eta - 2 * k1 * ux * zeta1
-                       - k1 * uxx * eta - k * zeta2)
+            eq1, eq2 = frac, (i - frac) - ii * uxx - iii * ux**2 - iv * ux
     return _grid_max({"1": (eq1,), "2": (eq2,)}, ts, tol, _NODES["zhang"], len(_JET_PROBES))
 
 
@@ -665,8 +663,8 @@ def _solve(alpha: float, case: str, params: dict) -> list:
         scaling("scaling", 1)
     elif case == "g=u^p":
         p = _rational(params.get("p", CASE_DEFAULTS["p"]))
-        if p <= 1:
-            raise DomainError(f"case g=u^p needs p > 1, got {p}")
+        if p == 0:
+            raise DomainError("case g=u^p needs p != 0")
         # (iv) on the u^p coefficient: 1 + p theta = 0
         scaling(f"scaling p={p}", p)
     elif case == "g=e^(b u)":

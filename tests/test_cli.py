@@ -620,6 +620,21 @@ def test_solve_power_law_theta(capsys):
     assert "-1/2" in thetas
 
 
+@pytest.mark.parametrize(("p", "theta"), [("0.5", "-2"), ("-1", "1"), ("1", "-1")])
+def test_solve_power_law_takes_any_p_that_verify_takes(capsys, p, theta):
+    # solve and verify read p by one rule, finite and nonzero: the solved
+    # scaling theta = -1/p is the X2 row, which verify passes on two kernels
+    code, out = run(capsys, "solve", "--case", "g=u^p", f"--p={p}", "--format", "json")
+    assert code == EXIT_PASS
+    doc = json.loads(out)
+    assert doc["matches_published"] is True
+    assert [r[5] for r in doc["rows"]] == ["0", theta]
+    for psi in ("identity", "power"):
+        code, _ = run(capsys, "verify", "gfbe", "--case", "g=u^p", f"--p={p}",
+                      "--table", "X2", "--psi", psi)
+        assert code == EXIT_PASS, psi
+
+
 @pytest.mark.parametrize("case", [c for c in sy.CASES if c.params is not None],
                          ids=lambda c: c.name)
 def test_solve_every_registered_case_matches_published_basis(capsys, case):

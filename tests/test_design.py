@@ -4,7 +4,8 @@ psi-jets have one owner, fracops, above the compile cache; the series
 backend takes its jets without symbolic differentiation; the
 psi-time prolongation is the compact form at an integer order; the
 determining systems share one grid evaluation with no symbolic work in
-it, and the prolongation sums keep it out of their m-loops; a warm
+it and one transcription of the reduced system, and the prolongation
+sums keep symbolic work out of their m-loops; a warm
 quadrature runs no Python per node; the classical checks never
 simplify, and the selftest oracle differentiates with sympy alone; each
 CLI command takes the flags of the settings it reads, and reads every
@@ -134,6 +135,18 @@ def test_no_sympy_in_the_determining_system_grid_loops():
     assert len(systems) == 4
     for name in systems:
         assert grid in reached(helpers[name], set()), name
+
+
+def test_the_reduced_determining_system_is_written_once():
+    # the classical reduced system combines the psi-fractional system's
+    # equations on psi = t: it takes no derivative and no fractional term
+    # of its own
+    tree = ast.parse((SRC / "symmetry.py").read_text())
+    func = next(n for n in tree.body
+                if isinstance(n, ast.FunctionDef) and n.name == "detsys_zhang_rl")
+    called = set(_called_names(func))
+    assert "_equations" in called
+    assert not called & {"_partials", "frac_deriv_psi_powers", "diff"}, called
 
 
 # symbolic work, or a jet build, that a prolongation sum does before its loop

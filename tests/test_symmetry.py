@@ -758,7 +758,7 @@ def _sympy_fractional_equations(kind, coef, xi, theta, rho):
     k1 = sp.diff(coef, U)
     if kind == "gfbe":
         eqs = (-rho_xx, _ALPHA * dtau - 2 * xi1, (th1 * U + rho_x) * coef + th2 * U,
-               (_ALPHA * dtau - xi1) * coef + lin * k1 - xi2 - 2 * th1)
+               (_ALPHA * dtau - xi1) * coef + lin * k1 - xi2 + 2 * th1)
     elif k1 == 0:  # constant diffusivity
         eqs = (-(th2 * U + rho_xx) * coef, (_ALPHA * dtau - 2 * xi1) * coef,
                (xi2 - 2 * th1) * coef, sp.Integer(0))
@@ -1184,6 +1184,24 @@ def test_classical_candidates_of_this_file_match_the_per_call_build():
         _assert_agree(sy.detsys_gazizov_rl(gen, gj, ALPHA), _concrete_gazizov(gen, gj, ALPHA))
 
 
+@pytest.mark.parametrize("alpha", [0.5, 0.79])
+def test_burgers_iv_is_the_expanded_systems_iii(alpha):
+    # on psi = t, (iv) of the reduced Burgers system is minus (iii) of the
+    # expanded one, the u_x coefficient of the invariance condition, with
+    # + 2 theta' as the classical derivation gives it (Olver, ch. 2)
+    for gexpr in (U, U**2, sp.exp(U), U / (1 + U)):
+        g = JetFunction.of_u(gexpr)
+        for theta in (X, X**2 - X):
+            for xi in (0, X):
+                for c1 in (0.0, 2.0 / alpha):
+                    cand = _reduced_candidate(alpha, xi, 0.0, c1, 0.0, theta)
+                    gen = sy.GeneratorCandidate(
+                        "candidate", general=cand.reduced.to_general(CLASSICAL))
+                    iv = sy.detsys_gfbe(cand, g, CLASSICAL, alpha).equations["iv"]
+                    iii = sy.detsys_gazizov_rl(gen, g, alpha).equations["iii"]
+                    assert abs(iv - iii) <= 1e-14 * (1 + abs(iii)), (gexpr, theta, xi, c1)
+
+
 def _concrete_gfbe(candidate, g, psi, alpha, tol=1e-8, quad=fo.QuadratureSpec()):
     """detsys_gfbe as a loop over the candidate's compiled partials, per
     call: the reference for the table built once per shape."""
@@ -1214,7 +1232,7 @@ def _concrete_gfbe(candidate, g, psi, alpha, tol=1e-8, quad=fo.QuadratureSpec())
                     (alpha * dtau - xi1(x)) * gfn(u)
                     + (gam * dtau * u + theta(x) * u + rho(x, w)) * gpfn(u)
                     - xi2(x)
-                    - 2.0 * th1(x)
+                    + 2.0 * th1(x)
                 )
                 keep("iv", e4, (x, t, u))
     r["v"] = _sympy_omega_residual(red, psi, alpha, quad)
@@ -1448,7 +1466,7 @@ def test_a_zero_parameter_row_stays_a_quotient():
 def test_solver_rejects_bad_parameters():
     eq = sy.EvolutionEquation("gfbe", ALPHA, IDENTITY, g=JetFunction.of_u(U**2))
     with pytest.raises(DomainError):
-        sy.solve_ansatz(eq, "g=u^p", p=0.5)
+        sy.solve_ansatz(eq, "g=u^p", p=0.0)
     with pytest.raises(DomainError):
         sy.solve_ansatz(eq, "nonsense")
 
