@@ -359,9 +359,19 @@ def cmd_verify(cfg: argparse.Namespace, args) -> int:
 
 
 def _describe(cand):
+    """A solved generator's row: its label, xi, theta and rho printed from
+    their trees (:func:`psifrac.tree.to_text`), so that printing loads no
+    sympy, and c0, c1 and c2 to 17 digits."""
     r = cand.reduced
-    return (cand.label, str(r.xi.expr), f"{r.c0:.17g}", f"{r.c1:.17g}",
-            f"{r.c2:.17g}", str(r.theta.expr), str(r.rho.expr))
+    xi, theta, rho = (tr.to_text(f.tree) for f in (r.xi, r.theta, r.rho))
+    return (cand.label, xi, f"{r.c0:.17g}", f"{r.c1:.17g}", f"{r.c2:.17g}", theta, rho)
+
+
+def _finite(node: tuple) -> bool:
+    """Whether every number of a tree is finite."""
+    if node[0] == "num":
+        return math.isfinite(float(node[1]))
+    return node[0] == "sym" or all(map(_finite, node[1:]))
 
 
 def cmd_solve(cfg: argparse.Namespace, args) -> int:
@@ -372,6 +382,13 @@ def cmd_solve(cfg: argparse.Namespace, args) -> int:
         raise DomainError(f"solve has no ansatz for case '{case.name}'")
     params = _case_params(args)
     basis = case.solve(cfg.alpha, **params)
+    # a row is text, which emit does not check: an order near 0 overflows
+    # c1 = 2/alpha, and Gamma(alpha) in K=1's rho
+    for c in basis:
+        r = c.reduced
+        if not (all(map(math.isfinite, (r.c0, r.c1, r.c2)))
+                and all(_finite(f.tree) for f in (r.xi, r.theta, r.rho))):
+            raise NumericsError(f"solve {case.name}: non-finite number in {c.label!r}")
     ok = case.matches(basis, cfg.alpha, **params)
     emit(cfg, f"solve {case.name}",
          ("label", "xi", "c0", "c1", "c2", "theta", "rho"),

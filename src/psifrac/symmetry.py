@@ -332,9 +332,15 @@ def detsys_diffusion(
     :func:`detsys_zhang_rl` states agrees: its u_x^2 coefficient is minus
     (iii) with the bracket added, monomial by monomial.
     """
+    _diffusion_order(alpha)
+    return _fractional("diffusion", candidate, K, psi, alpha, tol, quad)
+
+
+def _diffusion_order(alpha: float) -> None:
+    """DomainError unless 0 < alpha <= 2, the orders of the diffusion
+    system and of its solved bases."""
     if not 0.0 < alpha <= 2.0:
         raise DomainError(f"diffusion system needs 0 < alpha <= 2, got {alpha}")
-    return _fractional("diffusion", candidate, K, psi, alpha, tol, quad)
 
 
 def _fractional(kind, candidate, coef, psi, alpha, tol, quad) -> ResidualReport:
@@ -650,7 +656,10 @@ def solve_ansatz(equation: EvolutionEquation, case: str, **params) -> list:
 
 
 def _solve(alpha: float, case: str, params: dict) -> list:
-    """:func:`solve_ansatz` at order alpha, with the case parameters params."""
+    """:func:`solve_ansatz` at order alpha, with the case parameters params;
+    a K case takes the diffusion system's orders only."""
+    if case in ("K=1", "K=power-law"):
+        _diffusion_order(alpha)
     x, two = tr.X, 2.0 / alpha
     basis = [_x_translation(alpha)]
 

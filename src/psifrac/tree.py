@@ -25,7 +25,9 @@ builds ``a b^-1`` as ``a / b``, so it gives the sympy expression the same
 operators would.  :func:`from_sympy` keeps sympy's argument order and puts
 each sub-expression free of symbols in as the float sympy gives it, so a
 program compiled from it does the arithmetic it did when it read sympy
-directly.
+directly.  :func:`to_text` prints a tree with no sympy: for the exact
+bases ``solve`` prints it gives sympy's str, and a float prints as its
+round-trip repr.
 
 The determining systems and the prolongation take their functions'
 derivatives here, with no sympy: :func:`diff`, whose :func:`add`,
@@ -42,13 +44,14 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from fractions import Fraction
 from functools import lru_cache, reduce
 
 import numpy as np
 
 from .errors import DomainError, NumericsError
 
-__all__ = ["T", "X", "U", "W", "ZERO", "ONE", "num", "names", "subs", "to_sympy",
+__all__ = ["T", "X", "U", "W", "ZERO", "ONE", "num", "names", "subs", "to_sympy", "to_text",
            "from_sympy", "add", "mul", "power", "diff", "evaluate", "expand", "power_sum"]
 
 T = ("sym", "t")
@@ -119,6 +122,70 @@ def to_sympy(node: tuple):
     if op == "pow":
         return args[0] ** args[1]
     return getattr(sp, op)(args[0])
+
+
+def to_text(node: tuple) -> str:
+    """The text of a tree, with no sympy: an int by str, a Fraction as
+    p/q, a float by its round-trip repr, a sympy number by its own str.  A
+    product's exact rational factors, with each ``("pow", q, -1)`` of a
+    rational q, fold into one coefficient, printed as its sign, ``k*``,
+    the other factors and ``/q``.  A compound base or exponent of a power
+    takes parentheses, as does a sum in a product.  Where no float is in
+    the tree, the text is str(to_sympy(node)) for the bases solve prints."""
+    op = node[0]
+    if op == "num":
+        v = node[1]
+        if isinstance(v, float):
+            return repr(v)
+        if isinstance(v, numbers.Rational) and v.denominator != 1:
+            return f"{v.numerator}/{v.denominator}"
+        return str(v)
+    if op == "sym":
+        return node[1]
+    if op == "add":
+        terms = [to_text(a) for a in node[1:]]
+        return terms[0] + "".join(f" - {s[1:]}" if s.startswith("-") else f" + {s}"
+                                  for s in terms[1:])
+    if op == "mul":
+        k, factors = _coefficient(node)
+        if k == 0 or not factors:
+            return to_text(num(k))
+        text = "*".join(f"({to_text(f)})" if f[0] == "add" else to_text(f) for f in factors)
+        k = Fraction(k)
+        lead = "" if abs(k.numerator) == 1 else f"{abs(k.numerator)}*"
+        over = "" if k.denominator == 1 else f"/{k.denominator}"
+        return f"{'-' if k < 0 else ''}{lead}{text}{over}"
+    if op == "pow":
+        return "**".join(map(_operand, node[1:]))
+    return f"{op}({to_text(node[1])})"
+
+
+def _coefficient(node: tuple) -> tuple:
+    """(k, factors) of a product: k the product of its exact rational
+    factors and of the reciprocals of its factors q^-1, q a rational other
+    than 0; factors the rest, with the products in it opened."""
+    k, factors = 1, []
+    for f in node[1:]:
+        if f[0] == "mul":
+            kf, ff = _coefficient(f)
+            k, factors = k * kf, factors + ff
+        elif f[0] == "num" and isinstance(f[1], numbers.Rational):
+            k *= f[1]
+        elif (f[0] == "pow" and f[2] == ("num", -1) and f[1][0] == "num"
+              and isinstance(f[1][1], numbers.Rational) and f[1][1] != 0):
+            k = Fraction(k) / f[1][1]
+        else:
+            factors.append(f)
+    return k, factors
+
+
+def _operand(node: tuple) -> str:
+    """The text of a base or exponent, in parentheses unless it is a
+    variable, a function or a number without a sign or a /."""
+    text = to_text(node)
+    if node[0] in ("sym", *_FUNCTIONS) or (node[0] == "num" and text.replace(".", "").isalnum()):
+        return text
+    return f"({text})"
 
 
 # the prolongation converts the same few expressions at every point
@@ -350,8 +417,6 @@ def _expand(node: tuple) -> dict:
         base = _expand(node[1])
         n = int(e) if float(e).is_integer() else None
         if len(base) == 1 and n is not None:  # a monomial to an integer power
-            from fractions import Fraction
-
             ((f, k),) = base.items()
             k = Fraction(k) ** n if isinstance(k, numbers.Rational) else k ** n
             return {tuple((b, x * n) for b, x in f if n): _exact(k)}

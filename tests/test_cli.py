@@ -24,7 +24,9 @@ from psifrac.cli import (
     MAX_NODES,
     main,
 )
+from psifrac.errors import DomainError
 from psifrac.parser import MAX_DEPTH
+from psifrac.psi import builtin
 
 
 def run(capsys, *argv):
@@ -635,6 +637,27 @@ def test_solve_power_law_takes_any_p_that_verify_takes(capsys, p, theta):
         assert code == EXIT_PASS, psi
 
 
+def test_solve_prints_a_parameter_nsimplify_gives(capsys):
+    code, out = run(capsys, "solve", "--case", "g=u^p", "--p", "1.4142135623730951",
+                    "--format", "json")
+    assert code == EXIT_PASS
+    assert [r[5] for r in json.loads(out)["rows"]] == ["0", "-sqrt(2)/2"]
+
+
+@pytest.mark.parametrize("case", ["K=1", "K=power-law"])
+@pytest.mark.parametrize("alpha", ["2.5", "40", "86"])
+def test_solve_takes_the_diffusion_system_s_orders(capsys, case, alpha):
+    # verify diffusion refuses these orders; at 86, Gamma(2 alpha) in K=1's
+    # rho overflows and its first coefficient would print as 0
+    want = f"config error: diffusion system needs 0 < alpha <= 2, got {float(alpha)}\n"
+    for argv in (["solve", "--case", case], ["verify", "diffusion", "--case", case]):
+        assert _one_line_config_error(capsys, [*argv, "--alpha", alpha]) == want, argv
+    equation = sy.lookup_case(case).equation(float(alpha), builtin("identity", 0.0, 1.0),
+                                             **sy.CASE_DEFAULTS)
+    with pytest.raises(DomainError, match="needs 0 < alpha <= 2"):
+        sy.solve_ansatz(equation, case)
+
+
 @pytest.mark.parametrize("case", [c for c in sy.CASES if c.params is not None],
                          ids=lambda c: c.name)
 def test_solve_every_registered_case_matches_published_basis(capsys, case):
@@ -856,6 +879,10 @@ def test_pinned_stdout_is_unchanged(capsys, command):
     ('eval derivative --f "exp(800)" --t 1.0', "OverflowError: math range error"),
     ('eval derivative --f "exp(700)*t" --psi power --t 1.0 --alpha 1.5',
      "eval derivative: non-finite result -inf"),
+    # c1 = 2/alpha overflows; so does Gamma(alpha) in K=1's rho
+    ("verify gfbe --case g=u --table X2 --alpha 5e-309", "verify gfbe: non-finite result inf"),
+    ("solve --case g=u --alpha 5e-309", "solve g=u: non-finite number in 'scaling'"),
+    ("solve --case K=1 --alpha 1e-310", "solve K=1: non-finite number in 'scaling'"),
 ])
 def test_pinned_overflow_is_one_numerical_error_line(capsys, command, err):
     assert main(shlex.split(command)) == EXIT_NUMERIC

@@ -12,9 +12,9 @@ CLI command takes the flags of the settings it reads, and reads every
 one of them; every cache has a finite bound; every module-level
 definition is read somewhere; and a run loads no module it does not
 use: no scipy, no random generator for the determining systems, no
-sympy for the operators on a parsed spec, for prolong or for verify
-(save the omega equation of a moving lower limit), and no sympy.physics
-for the solver."""
+sympy for the operators on a parsed spec, for prolong, for verify (save
+the omega equation of a moving lower limit) or for solve, which prints its
+bases from trees."""
 
 import argparse
 import ast
@@ -29,6 +29,7 @@ import sympy as sp
 import psifrac
 from psifrac import fracops as fo
 from psifrac import cli
+from psifrac import symmetry as sy
 from psifrac.jets import T, JetFunction, compiled
 from psifrac.psi import PsiFunction, builtin
 from test_cli import README_COMMANDS
@@ -461,12 +462,20 @@ PROLONG_RUNS = [
      "--x", "0.5", "--t", "1.0,1.5", "--psi", kernel, "--a", "0.5"]
     for kernel in ("identity", "power", "exponential")]
 
+# solve on every case it has an ansatz for, in each format, with the default
+# parameters and with parameters that are fractions
+SOLVE_RUNS = [
+    ["solve", "--case", case.name, "--format", fmt, *params]
+    for case in sy.CASES if case.params is not None
+    for fmt in ("human", "json", "csv")
+    for params in ([], ["--p", "3.7", "--bpar", "0.5", "--c1", "0.5"])]
+
 # each module a run must not load, and the run: scipy serves only the tests
 # as a reference; the determining systems' probes are literal, so they need
 # no random generator; the operators on a parsed spec, the determining
-# systems and the prolongation need no sympy, whose import is most of a cold
-# CLI call; and solve compares bases without simplify, which would load
-# sympy.physics, and without the selftest
+# systems, the prolongation and the solver need no sympy, whose import is
+# most of a cold CLI call: solve compares its bases on trees and prints them
+# from trees; and solve runs without the selftest
 RUNS = {
     "scipy": ("scipy", "import psifrac\n"
                        "from psifrac.fracops import frac_integral\n"
@@ -490,8 +499,9 @@ RUNS = {
     "sympy in prolong": ("sympy", "from psifrac import cli\n"
                                   f"for argv in {PROLONG_RUNS!r}:\n"
                                   "    assert cli.main(argv) == cli.EXIT_PASS\n"),
-    "sympy.physics": ("sympy.physics", "from psifrac import cli\n"
-                                       "cli.main(['solve', '--case', 'K=1'])\n"),
+    "sympy in solve": ("sympy", "from psifrac import cli\n"
+                                f"for argv in {SOLVE_RUNS!r}:\n"
+                                "    assert cli.main(argv) == cli.EXIT_PASS\n"),
     "psifrac.selftest": ("psifrac.selftest",
                          "from psifrac import cli, symmetry as sy\n"
                          "for case in sy.CASES:\n"

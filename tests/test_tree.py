@@ -1,13 +1,16 @@
 """The tree operations the determining systems and the prolongation use in
 place of sympy: derivatives, values on arrays, the expansion and the
-power-sum split, each against sympy."""
+power-sum split, each against sympy; and the printer solve prints its
+bases with, against sympy's str."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy as sp
 
+from psifrac import symmetry as sy
 from psifrac import tree as tr
 from psifrac.errors import DomainError
 from psifrac.jets import T, U, W, X
@@ -130,3 +133,66 @@ def test_expand_keeps_each_tree_s_number_types():
 def test_power_sum_refuses_what_is_no_power_of_w(spec):
     with pytest.raises(DomainError):
         tr.power_sum(parse(spec), "w")
+
+
+@pytest.mark.parametrize("node, text", [
+    (("mul", tr.num(Fraction(-3, 2)), tr.X), "-3*x/2"),
+    (("mul", tr.num(-1), tr.X, ("pow", tr.num(4), tr.num(-1))), "-x/4"),
+    (("mul", tr.num(0), tr.X), "0"),
+    (("mul", tr.num(2), ("pow", tr.num(3), tr.num(-1))), "2/3"),
+    (("add", tr.X, ("mul", tr.num(-2), tr.W)), "x - 2*w"),
+    (("mul", ("add", tr.ONE, tr.X), tr.num(0.5)), "(1 + x)*0.5"),
+    (("pow", ("add", tr.ONE, tr.X), tr.num(Fraction(-4, 3))), "(1 + x)**(-4/3)"),
+    (("pow", tr.num(Fraction(1, 2)), ("mul", tr.num(2), tr.X)), "(1/2)**(2*x)"),
+    (("exp", ("pow", tr.W, tr.num(0.1 + 0.2))), "exp(w**0.30000000000000004)"),
+], ids=["coefficient", "reciprocal", "zero", "number", "difference", "sum factor",
+        "negative exponent", "compound base", "float"])
+def test_to_text(node, text):
+    assert tr.to_text(node) == text
+
+
+SOLVE_ORDERS = (0.3, 0.5, 0.6, 0.79, 1.0, 1.4, 2.0)
+# each solver parameter varied with the others at their defaults
+SOLVE_PARAMS = [{**sy.CASE_DEFAULTS, key: v}
+                for key, values in (("p", (2.0, 3.7, 0.5, -1.0)), ("b", (1.0, 2.0, 0.3)),
+                                    ("c1", (0.0, 0.5, 1.0)))
+                for v in values]
+
+
+def _has_float(node):
+    if node[0] == "num":
+        return isinstance(node[1], float)
+    return node[0] != "sym" and any(map(_has_float, node[1:]))
+
+
+def _solved_functions():
+    """(case, alpha, label, field, tree) of every xi, theta and rho solve prints."""
+    for case in sy.CASES:
+        if case.params is None:
+            continue
+        for alpha in SOLVE_ORDERS:
+            for params in SOLVE_PARAMS:
+                for cand in case.solve(alpha, **params):
+                    r = cand.reduced
+                    for field in ("xi", "theta", "rho"):
+                        yield case.name, alpha, cand.label, field, getattr(r, field).tree
+
+
+def test_solved_rows_without_a_float_print_as_sympy_does():
+    exact = [(where, node) for *where, node in _solved_functions() if not _has_float(node)]
+    assert len(exact) > 1000
+    for where, node in exact:
+        assert tr.to_text(node) == str(tr.to_sympy(node)), where
+
+
+def test_constant_diffusivity_rho_reads_back_as_its_tree():
+    # as the benchmark reads a printed row: sympify over plain x and w
+    x, w = sp.symbols("x w")
+    rhos = [(alpha, node) for name, alpha, label, field, node in _solved_functions()
+            if name == "K=1" and label == "rho du" and field == "rho"]
+    assert {alpha for alpha, _ in rhos} == set(SOLVE_ORDERS)
+    xs, ws = np.meshgrid([0.2, 0.55, 1.0, 1.7], [0.2, 0.5, 1.0, 3.0])
+    for alpha, node in rhos:
+        read = sp.lambdify((x, w), sp.sympify(tr.to_text(node), locals={"x": x, "w": w}))
+        want = tr.evaluate(node, {"x": xs, "w": ws})
+        np.testing.assert_allclose(read(xs, ws), want, rtol=1e-15, atol=0, err_msg=str(alpha))
