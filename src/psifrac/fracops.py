@@ -497,13 +497,13 @@ def frac_deriv_psi_powers(expr_in_w, order: float, w, values=None):
     try:
         terms = tr.power_sum(node, "w")
     except DomainError:
-        raise DomainError(f"{tr.to_sympy(node)} is no sum of terms c*w**p") from None
+        raise DomainError(f"{tr.to_text(node)} is no sum of terms c*w**p") from None
     for _, c, p in terms:
         if p <= -1:
-            raise DomainError(f"non-integrable power w^{float(p)} in {tr.to_sympy(node)}")
+            raise DomainError(f"non-integrable power w^{float(p)} in {tr.to_text(node)}")
         missing = tr.names(c) - set(values or ())
         if missing:
-            raise DomainError(f"coefficient {tr.to_sympy(c)} holds {min(missing)}, with no value")
+            raise DomainError(f"coefficient {tr.to_text(c)} holds {min(missing)}, with no value")
     nu = float(order)
     acc = 0.0
     for k, c, p in terms:

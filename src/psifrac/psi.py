@@ -6,6 +6,13 @@ closed interval.  A built-in kernel is given by its tree
 order in closed form, in floats; its sympy expression is built only when
 asked.  Any other kernel is a sympy expression in t, compiled for its
 values and derivatives.
+
+:func:`family` is the one reader of a kernel's tree: it names the
+built-in family of exactly the trees :func:`builtin` writes, with its
+numbers, for the closed forms here, the linear inverse and the series
+backend (:mod:`psifrac.taylor`).  Any other tree, even one equal to a
+built-in as a function (``2*t + 1`` in sympy's order, or ``exp(2*t)``),
+is an expression kernel.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from .errors import DomainError, NumericsError
 from .jets import compiled
 from .tree import T, num
 
-__all__ = ["PsiFunction", "builtin", "validate", "invert_numeric", "ValidationReport"]
+__all__ = ["PsiFunction", "builtin", "family", "validate", "invert_numeric", "ValidationReport"]
 
 
 @dataclass(frozen=True, init=False)
@@ -33,6 +40,8 @@ class PsiFunction:
     :func:`dataclasses.replace` passes it), the source of its derivatives
     of every order.  ``inverse`` is an analytic inverse when
     available, else ``None`` (numeric bisection is used instead).
+    ``form`` is the :func:`family` of a built-in kernel's tree, ``None``
+    for an expression.
     """
 
     name: str
@@ -44,11 +53,12 @@ class PsiFunction:
     def __init__(self, name, a, b, expr=None, inverse=None, *, source=None):
         if not a < b:
             raise DomainError(f"need a < b, got [{a}, {b}]")
-        if isinstance(source, tuple) and not _builtin_form(source):
+        source = expr if source is None else source
+        form = family(source) if isinstance(source, tuple) else None
+        if isinstance(source, tuple) and form is None:
             raise DomainError(f"{source} is not the tree of a built-in kernel")
-        for key, value in (("name", name), ("a", a), ("b", b),
-                           ("source", expr if source is None else source),
-                           ("inverse", inverse)):
+        for key, value in (("name", name), ("a", a), ("b", b), ("source", source),
+                           ("inverse", inverse), ("form", form)):
             object.__setattr__(self, key, value)
 
     def __hash__(self) -> int:
@@ -58,15 +68,10 @@ class PsiFunction:
                                            self.inverse))
         return self.__dict__["_hash"]
 
-    @property
-    def closed(self) -> bool:
-        """A built-in kernel, evaluated in closed form."""
-        return isinstance(self.source, tuple)
-
     @cached_property
     def expr(self):
         """psi as a sympy expression in t."""
-        if not self.closed:
+        if self.form is None:
             return self.source
         from .tree import to_sympy
 
@@ -75,7 +80,7 @@ class PsiFunction:
     @cached_property
     def tree(self) -> tuple:
         """psi as a tree (:mod:`psifrac.tree`)."""
-        if self.closed:
+        if self.form:
             return self.source
         from .tree import from_sympy
 
@@ -93,22 +98,22 @@ class PsiFunction:
         return compiled(self.expr, None, (order,))
 
     def __call__(self, t: float) -> float:
-        if self.closed:
-            return _closed(self.source, float(t), (0,))[0]
+        if self.form:
+            return _closed(self.form, float(t), (0,))[0]
         return float(self._fn(0)(t))
 
     def deriv(self, t: float, order: int = 1) -> float:
         """order-th derivative of psi at t."""
-        if self.closed:
-            return _closed(self.source, float(t), (order,))[0]
+        if self.form:
+            return _closed(self.form, float(t), (order,))[0]
         return float(self._fn(order)(t))
 
     def derivatives(self, ts: np.ndarray, orders) -> list:
         """The derivatives of the given orders (0 for psi itself) at each of
         the points ts: each an array, or a float where it is the same at
         every point."""
-        if self.closed:
-            return _closed(self.source, ts, orders)
+        if self.form:
+            return _closed(self.form, ts, orders)
         fns = [self._fn(k) for k in orders]
         return [np.array([float(fn(t)) for t in ts.tolist()]) for fn in fns]
 
@@ -123,7 +128,7 @@ class PsiFunction:
         if isinstance(v, np.ndarray):
             if self.inverse is None:
                 return np.array([invert_numeric(self, x) for x in v.tolist()])
-            if self.closed and self.source[0] in ("sym", "add"):
+            if self.form and self.form[0] == "affine":
                 return self.inverse(v)
             return np.fromiter(map(self.inverse, v.tolist()), float, len(v))
         if self.inverse is not None:
@@ -167,40 +172,43 @@ def builtin(
     raise DomainError(f"unknown kernel family '{name}'")
 
 
-def _builtin_form(tree: tuple) -> bool:
-    """tree is t, exp(t), t**rho or c t + d, with float rho, c and d, as
-    :func:`builtin` writes them."""
+def family(tree: tuple) -> Optional[tuple]:
+    """The built-in family of a kernel's tree, with its float numbers, for
+    exactly the trees :func:`builtin` writes: ``("affine", c, d)`` for
+    c t + d (t itself is ``("affine", 1.0, 0.0)``), ``("power", rho)`` for
+    t**rho and ``("exp",)`` for exp(t); None for any other tree."""
     def number(e):
         return e[0] == "num" and isinstance(e[1], float)
 
-    if tree in (T, ("exp", T)):
-        return True
-    if tree[0] == "pow":
-        return tree[1] == T and number(tree[2])
+    if tree == T:
+        return ("affine", 1.0, 0.0)
+    if tree == ("exp", T):
+        return ("exp",)
+    if tree[0] == "pow" and tree[1] == T and number(tree[2]):
+        return ("power", tree[2][1])
     if tree[0] == "add" and len(tree) == 3:
         scaled, d = tree[1:]
-        return (number(d) and scaled[0] == "mul" and len(scaled) == 3
-                and number(scaled[1]) and scaled[2] == T)
-    return False
+        if (number(d) and scaled[0] == "mul" and len(scaled) == 3
+                and number(scaled[1]) and scaled[2] == T):
+            return ("affine", scaled[1][1], d[1])
+    return None
 
 
-def _closed(tree: tuple, t, orders) -> list:
-    """The derivatives of the given orders of a built-in kernel at t, each
-    a float or an array (a float where it is the same everywhere).  At a
-    float t, the floats the compiled sympy derivative gives (a power's
-    coefficient is the product rho (rho - 1) ..., taken left to right, as
-    sympy's repeated differentiation takes it); at an array, powers and
-    exp are numpy's.
+def _closed(form: tuple, t, orders) -> list:
+    """The derivatives of the given orders of the built-in kernel of the
+    :func:`family` form at t, each a float or an array (a float where it
+    is the same everywhere).  At a float t, the floats the compiled sympy
+    derivative gives (a power's coefficient is the product rho (rho - 1)
+    ..., taken left to right, as sympy's repeated differentiation takes
+    it); at an array, powers and exp are numpy's.
     """
-    op = tree[0]
-    if op == "sym":  # t
-        return [t if k == 0 else float(k == 1) for k in orders]
-    if op == "exp":  # every order is exp(t), taken once
+    kind = form[0]
+    if kind == "exp":  # every order is exp(t), taken once
         return [math.exp(t) if isinstance(t, float) else np.exp(t)] * len(orders)
-    if op == "pow":  # t**rho
-        return [_power_derivative(tree[2][1], t, k) for k in orders]
+    if kind == "power":  # t**rho
+        return [_power_derivative(form[1], t, k) for k in orders]
     # c t + d
-    c, d = tree[1][1][1], tree[2][1]
+    c, d = form[1:]
     return [c * t + d if k == 0 else c if k == 1 else 0.0 for k in orders]
 
 

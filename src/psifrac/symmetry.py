@@ -555,10 +555,12 @@ def diffusion_rho_fixture(alpha: float):
 
 def _rho_fixture(alpha: float) -> tuple:
     """The tree of :func:`diffusion_rho_fixture`, whose sympy expression
-    is the one the same operators give."""
+    is the one the same operators give, built by :func:`psifrac.tree.add`,
+    :func:`~psifrac.tree.mul` and :func:`~psifrac.tree.power`, so that a
+    factor w**0.0 or 1.0 drops out."""
     w, c = tr.W, gamma(alpha) / gamma(2 * alpha)
-    return ("add", ("mul", tr.num(c), ("pow", w, tr.num(2 * alpha - 1))),
-            ("mul", _ratio(("pow", tr.X, tr.num(2)), 2), ("pow", w, tr.num(alpha - 1))))
+    return tr.add(tr.mul(tr.num(c), tr.power(w, tr.num(2 * alpha - 1))),
+                  tr.mul(_ratio(tr.power(tr.X, tr.num(2)), 2), tr.power(w, tr.num(alpha - 1))))
 
 
 def _ratio(a, q) -> tuple:
@@ -735,15 +737,17 @@ class Case:
 
     def check(self, p: float, b: float, c1: float) -> None:
         """DomainError for a parameter the case reads that is not finite,
-        or one it needs nonzero that is 0."""
+        or one it needs nonzero whose exact value (:func:`_rational`, which
+        takes 1e-300 to 0) is 0."""
         given = {"p": p, "b": b, "c1": c1}
         for k in self.params or ():
             if not math.isfinite(given[k]):
                 raise DomainError(f"case {self.name} needs a finite {k}, got {given[k]}")
         for k in self.nonzero:
-            if given[k] == 0:
+            if _rational(given[k]) == 0:
                 raise DomainError(
-                    f"case {self.name} needs {k} != 0 (its coefficient is constant at 0)")
+                    f"case {self.name} needs {k} != 0 as an exact number, got {given[k]!r} "
+                    "(its coefficient is constant at 0)")
 
     def jet(self, p: float, b: float, c1: float) -> JetFunction:
         self.check(p, b, c1)

@@ -12,19 +12,20 @@ exponent, exp, log, sin and cos.  Running the program at t0 gives c_0 ..
 c_{L-1} in numpy, and no sympy runs.
 
 t enters through psi^{-1}(psi(t0) + w), in closed form for the built-in
-kernels: t0 + w/c for the identity and affine kernels, t0 (1 + w/psi0)^{1/rho}
-for t^rho and t0 + log(1 + w/psi0)/c for exp(c t), with psi0 = psi(t0).
-Powers of psi are closed forms too: t**e on the power kernel is
-t0^e (1 + w/psi0)^{e/rho}, and exp(k t) on the exponential kernel is
-e^{k t0} (1 + w/psi0)^{k/c}.  A power or exp of a node affine in w takes
-a closed form, and any other node the standard O(L^2) recurrence.  For
-any other kernel, t itself comes from applying (1/psi') d/ds to t m
-times, with 1/psi' (from :func:`~psifrac.tree.diff`) a truncated series
-in s = t - t0.
+kernels, as :func:`psifrac.psi.family` names them from psi's tree: t0 + w/c
+for the identity and affine kernels, t0 (1 + w/psi0)^{1/rho} for t^rho and
+t0 + log(1 + w/psi0) for exp(t), with psi0 = psi(t0).  Powers of psi are
+closed forms too: t**e on the power kernel is t0^e (1 + w/psi0)^{e/rho},
+and exp(k t) on the exponential kernel is e^{k t0} (1 + w/psi0)^k.  A
+power or exp of a node affine in w takes a closed form, and any other
+node the standard O(L^2) recurrence.  For any other kernel tree, however
+close to a built-in one (``2*t + 1`` in sympy's order, ``exp(2*t)``), t
+itself comes from applying (1/psi') d/ds to t m times, with 1/psi' (from
+:func:`~psifrac.tree.diff`) a truncated series in s = t - t0.
 
 Each node also carries its degree as a polynomial in w: 0 for constants,
 q for psi^q with q a non-negative integer (t for the identity and affine
-kernels, t**(q rho) for t^rho, exp(q c t) for exp(c t), and psi itself on
+kernels, t**(q rho) for t^rho, exp(q t) for exp(t), and psi itself on
 any other kernel), the maximum over a sum, the sum over a product and the
 multiple under a non-negative integer power.  Anything else has none (None).
 The psi-jets of f vanish past its degree, so a jet table ends there
@@ -44,6 +45,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, NumericsError
+from .psi import family
 from .tree import T, diff, names, num, power
 
 __all__ = ["Program", "program"]
@@ -106,20 +108,16 @@ class _Compiler:
         self.steps: list = []
         self.memo: dict = {}
         self.params = params
-        self.kind = None  # "affine", "power", "exp", or None for any other kernel
+        # ("affine", c, d), ("power", rho), ("exp",), or (None,) for any other kernel
+        self.form = family(psi_tree) or (None,)
+        self.kind = self.form[0]
         self.inv_psi = self.psi_tree = None
-        rate = _exp_rate(psi_tree)
-        slope = _slope(psi_tree)
-        if psi_tree[0] == "pow" and psi_tree[1] == T and psi_tree[2][0] == "num":
-            rho = float(psi_tree[2][1])
-            self.kind, self.rate = "power", rho
+        if self.kind == "power":
+            rho = self.form[1]
             self.inv_psi = lambda t0: _positive(t0) ** -rho
-        elif rate is not None:
-            self.kind, self.rate = "exp", rate
-            self.inv_psi = lambda t0: math.exp(-rate * t0)
-        elif slope:
-            self.kind, self.rate = "affine", slope
-        else:
+        elif self.kind == "exp":
+            self.inv_psi = lambda t0: math.exp(-t0)
+        elif self.kind is None:
             # 1/psi' in s = t - t0 (psi = t makes w = s), for the jets of t
             self.inv_dpsi = program(power(diff(psi_tree, "t"), num(-1)), T)
             self.psi_tree, self.psi_at = psi_tree, program(psi_tree, T)
@@ -165,13 +163,12 @@ class _Compiler:
 
     def _t(self):
         if self.kind == "affine":
-            slope = 1.0 / self.rate
+            slope = 1.0 / self.form[1]
             return self._emit(lambda r, pt, size: _affine(pt[0], slope, size), 1)
         if self.kind == "power":
-            return self._psi_power(1.0 / self.rate, lambda t0: t0)
+            return self._psi_power(1.0 / self.form[1], lambda t0: t0)
         if self.kind == "exp":
-            rate = self.rate
-            return self._emit(lambda r, pt, size: _log_shift(pt, rate, size), None)
+            return self._emit(lambda r, pt, size: _log_shift(pt, size), None)
         inv_dpsi = self.inv_dpsi
         return self._emit(lambda r, pt, size: _t_by_jets(pt[0], inv_dpsi, size), None)
 
@@ -238,7 +235,7 @@ class _Compiler:
             return self._pow_at_run_time(base, ex)
         p = self.node(ex).value
         if base == T and self.kind == "power":
-            return self._psi_power(p / self.rate, lambda t0: _positive(t0) ** p)
+            return self._psi_power(p / self.form[1], lambda t0: _positive(t0) ** p)
         b = self.node(base)
         if b.reg is None:
             return _Node(None, b.value ** p, 0)
@@ -270,7 +267,7 @@ class _Compiler:
         op, arg = e
         k = _exp_rate(e)
         if k is not None and self.kind == "exp":
-            return self._psi_power(k / self.rate, lambda t0: math.exp(k * t0))
+            return self._psi_power(k, lambda t0: math.exp(k * t0))
         a = self.node(arg)
         if a.reg is None:
             return _Node(None, getattr(math, op)(a.value), 0)
@@ -281,7 +278,7 @@ class _Compiler:
 
 
 def _exp_rate(e: tuple) -> Optional[float]:
-    """k when e is exp(k t), else None."""
+    """k when e is exp(k t), a node of f, else None."""
     if e[0] == "exp":
         arg = e[1]
         if arg == T:
@@ -289,30 +286,6 @@ def _exp_rate(e: tuple) -> Optional[float]:
         if arg[0] == "mul" and len(arg) == 3 and arg[1][0] == "num" and arg[2] == T:
             return float(arg[1][1])
     return None
-
-
-def _slope(e: tuple) -> Optional[float]:
-    """c when e is c t + d, structurally (0.0 for a number), else None."""
-    if e[0] == "num":
-        return 0.0
-    if e == T:
-        return 1.0
-    if e[0] not in ("add", "mul"):
-        return None
-    slopes = [_slope(a) for a in e[1:]]
-    if None in slopes:
-        return None
-    if e[0] == "add":
-        return sum(slopes)
-    # numbers times one factor in t
-    moving = [c for a, c in zip(e[1:], slopes) if a[0] != "num"]
-    if len(moving) != 1:
-        return None
-    c = moving[0]
-    for a in e[1:]:
-        if a[0] == "num":
-            c *= float(a[1])
-    return c
 
 
 def _positive(t0: float) -> float:
@@ -348,13 +321,13 @@ def _affine(c0: float, c1: float, size: int) -> np.ndarray:
     return out
 
 
-def _log_shift(pt, rate: float, size: int) -> np.ndarray:
-    """t0 + log(1 + w/psi0) / rate."""
+def _log_shift(pt, size: int) -> np.ndarray:
+    """t0 + log(1 + w/psi0)."""
     t0, r = pt[0], pt[1]
     ks = _index(size)[0]
     out = np.empty(size)
     out[0] = t0
-    out[1:] = -((-r) ** ks[1:]) / (rate * ks[1:])
+    out[1:] = -((-r) ** ks[1:]) / ks[1:]
     return out
 
 

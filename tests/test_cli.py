@@ -613,6 +613,37 @@ def test_solve_constant_diffusivity_four_generators(capsys):
     assert len(json.loads(out)["rows"]) == 4
 
 
+# K=1's rho du, whose tree tree.power and tree.mul build without the
+# factors w**0.0 and 1.0
+K1_RHO = {"0.5": "1.7724538509055159 + x**2*w**(-0.5)/2",
+          "0.6": "1.6219156458328214*w**0.19999999999999996 + x**2*w**(-0.4)/2",
+          "1": "w**1.0 + x**2/2"}
+
+
+@pytest.mark.parametrize("alpha", sorted(K1_RHO))
+def test_solve_prints_the_constant_diffusivity_rho_without_unit_factors(capsys, alpha):
+    code, out = run(capsys, "solve", "--case", "K=1", "--alpha", alpha, "--format", "json")
+    assert code == EXIT_PASS
+    assert json.loads(out)["rows"][-1] == ["rho du", "0", "0", "0", "0", "0", K1_RHO[alpha]]
+
+
+# (i) of that row's table entry X4 on the identity, power and exponential
+# kernels, as they were with the factors w**0.0 and 1.0; (ii)-(v) are 0
+X4_RESIDUAL_I = {"0.3": (4.440892098500626e-16, 1.7763568394002505e-15, 4.440892098500626e-16),
+                 "0.5": (4.440892098500626e-16, 8.881784197001252e-16, 4.440892098500626e-16),
+                 "1": (0.0,) * 3, "1.5": (0.0,) * 3, "2": (0.0,) * 3}
+
+
+@pytest.mark.parametrize("alpha", sorted(X4_RESIDUAL_I))
+def test_constant_diffusivity_rho_keeps_its_residuals(capsys, alpha):
+    for kernel, want in zip(("identity", "power", "exponential"), X4_RESIDUAL_I[alpha]):
+        code, out = run(capsys, "verify", "diffusion", "--case", "K=1", "--table", "X4",
+                        "--alpha", alpha, "--psi", kernel, "--format", "json")
+        assert code == EXIT_PASS
+        rows = json.loads(out)["rows"]
+        assert [repr(r[1]) for r in rows] == [repr(want)] + ["0.0"] * 4, kernel
+
+
 def test_solve_power_law_theta(capsys):
     code, out = run(capsys, "solve", "--case", "g=u^p", "--p", "2",
                     "--format", "json")
@@ -691,6 +722,16 @@ def test_unknown_or_wrong_family_case_is_config_error(capsys, argv):
     ["verify", "zhang", "--case", "g=e^(b u)", "--table", "X2", "--bpar", "0"],
     ["solve", "--case", "g=u^p", "--p", "0"],
     ["solve", "--case", "g=e^(b u)", "--bpar", "0"],
+    # exactly 0 as the rows read them (nsimplify), though not 0 as a float
+    ["verify", "gfbe", "--case", "g=u^p", "--xi", "x", "--ctau1", "4", "--p", "1e-300"],
+    ["verify", "gfbe", "--case", "g=u^p", "--table", "X2", "--p", "1e-300"],
+    ["verify", "gazizov", "--case", "g=u^p", "--table", "X2", "--p", "1e-300"],
+    ["verify", "zhang", "--case", "g=u^p", "--table", "X2", "--p", "1e-300"],
+    ["solve", "--case", "g=u^p", "--p", "1e-300"],
+    ["verify", "gfbe", "--case", "g=e^(b u)", "--table", "X2", "--bpar", "1e-300"],
+    ["verify", "gazizov", "--case", "g=e^(b u)", "--table", "X2", "--bpar", "-1e-300"],
+    ["verify", "zhang", "--case", "g=e^(b u)", "--table", "X2", "--bpar", "1e-300"],
+    ["solve", "--case", "g=e^(b u)", "--bpar", "1e-300"],
 ])
 def test_degenerate_case_parameter_is_config_error(capsys, argv):
     # p = 0 in u^p and b = 0 in e^(b u) make g(u) constant, and their
@@ -815,6 +856,22 @@ README_COMMANDS = list(_readme_commands())
 def test_readme_has_a_command_for_each_cli_command():
     assert {argv[0] for argv, _ in README_COMMANDS} == {
         "eval", "leibniz", "prolong", "verify", "solve", "selftest"}
+
+
+def test_readme_python_blocks_run_as_documented(capsys):
+    # the library quick start, whose two backends agree within criterion
+    # 2's bound, and the symmetry verification, whose report prints as its
+    # comment shows
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quick_start, verification = re.findall(r"```python\n(.*?)```", readme, re.S)
+    ns = {}
+    exec(quick_start, ns)
+    quadrature = ns["frac_derivative"](ns["f"], ns["psi"], 0.5, 1.0)
+    series = ns["frac_derivative_series"](ns["f"], ns["psi"], 0.5, 1.0)
+    assert abs(quadrature - series.value) <= 1e-5 * (1 + abs(quadrature))
+    exec(verification, {})
+    shown = re.search(r"print\(report\) +# (.*?)\.\.\.$", verification, re.M).group(1)
+    assert capsys.readouterr().out.startswith(shown)
 
 
 # stdout of the README's eval and leibniz commands, and of the benchmark's

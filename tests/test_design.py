@@ -13,8 +13,8 @@ one of them; every cache has a finite bound; every module-level
 definition is read somewhere; and a run loads no module it does not
 use: no scipy, no random generator for the determining systems, no
 sympy for the operators on a parsed spec, for prolong, for verify (save
-the omega equation of a moving lower limit) or for solve, which prints its
-bases from trees."""
+the omega equation of a moving lower limit), for the message of a rho it
+refuses, or for solve, which prints its bases from trees."""
 
 import argparse
 import ast
@@ -462,6 +462,14 @@ PROLONG_RUNS = [
      "--x", "0.5", "--t", "1.0,1.5", "--psi", kernel, "--a", "0.5"]
     for kernel in ("identity", "power", "exponential")]
 
+# a rho the exact power rule refuses: no sum of powers of psi, a power that
+# is not integrable; its message is printed from the tree
+REFUSED_RUNS = [
+    ["verify", system, "--case", case, "--xi", "x", "--ctau1", "4", "--theta", "-1",
+     "--rho", rho]
+    for system, case in (("gfbe", "g=u"), ("diffusion", "K=1"))
+    for rho in ("exp(psi)", "psi^-2", "1/(1+psi)", "x*psi^2 + psi^-1")]
+
 # solve on every case it has an ansatz for, in each format, with the default
 # parameters and with parameters that are fractions
 SOLVE_RUNS = [
@@ -499,6 +507,9 @@ RUNS = {
     "sympy in prolong": ("sympy", "from psifrac import cli\n"
                                   f"for argv in {PROLONG_RUNS!r}:\n"
                                   "    assert cli.main(argv) == cli.EXIT_PASS\n"),
+    "sympy in a refused rho": ("sympy", "from psifrac import cli\n"
+                                        f"for argv in {REFUSED_RUNS!r}:\n"
+                                        "    assert cli.main(argv) == cli.EXIT_CONFIG\n"),
     "sympy in solve": ("sympy", "from psifrac import cli\n"
                                 f"for argv in {SOLVE_RUNS!r}:\n"
                                 "    assert cli.main(argv) == cli.EXIT_PASS\n"),

@@ -5,7 +5,9 @@ import pytest
 import sympy as sp
 
 from psifrac.errors import DomainError
-from psifrac.psi import PsiFunction, builtin, invert_numeric, validate
+from psifrac.jets import T
+from psifrac.psi import PsiFunction, builtin, family, invert_numeric, validate
+from psifrac.tree import from_sympy
 
 
 @pytest.mark.parametrize(
@@ -81,3 +83,16 @@ def test_decreasing_kernel_fails_validation():
     t = sp.Symbol("t", real=True)
     rep = validate(PsiFunction("bad", 0.0, 2.0, expr=-t))
     assert not rep.ok
+
+
+def test_family_reads_exactly_the_trees_builtin_writes():
+    kernels = {"identity": ("affine", 1.0, 0.0), "power": ("power", 2.0),
+               "exponential": ("exp",), "affine": ("affine", 2.5, -1.0)}
+    for name, form in kernels.items():
+        psi = builtin(name, 0.5, 2.0, c=2.5, d=-1.0)
+        assert family(psi.tree) == psi.form == form, name
+    assert family(builtin("power", 0.5, 2.0, rho=0.5).tree) == ("power", 0.5)
+    # equal to a built-in as a function, or no built-in at all: an expression
+    for expr in (2 * T + 1, sp.exp(2 * T), -T, T + T**3):
+        assert family(from_sympy(expr)) is None, expr
+        assert PsiFunction("expr", 0.5, 2.0, expr=expr).form is None

@@ -21,12 +21,19 @@ KERNELS = {
     "exponential": builtin("exponential", 0.0, 0.9),
     "affine": builtin("affine", 0.0, 2.0, c=2.5, d=1.0),
 }
+# built-ins as functions, not as trees: the engine's general path
+NEAR_BUILTINS = {
+    "2t+1": PsiFunction("2t+1", 0.0, 2.0, expr=2 * T + 1),
+    "exp(2t)": PsiFunction("exp(2t)", 0.0, 0.45, expr=sp.exp(2 * T)),
+}
 # t = psi^{-1}(psi(a) + w)
 INVERSES = {
     "identity": lambda psi: W + psi.a,
     "power": lambda psi: (W + sp.Float(psi.a) ** 2) ** sp.Rational(1, 2),
     "exponential": lambda psi: sp.log(W + sp.exp(sp.Float(psi.a))),
     "affine": lambda psi: (W + sp.Float(2.5 * psi.a)) / sp.Float(2.5),
+    "2t+1": lambda psi: W / 2 + sp.Float(psi.a),
+    "exp(2t)": lambda psi: sp.log(W + sp.exp(2 * sp.Float(psi.a))) / 2,
 }
 # every production of the spec grammar, for f of t
 SHAPES = ["3.25", "t", "psi", "t^2 + 0.5*t", "(1 + psi)*exp(t)", "-exp(2*t)/t",
@@ -41,11 +48,11 @@ def _f(spec, psi):
 
 
 @pytest.mark.parametrize("spec", SHAPES)
-@pytest.mark.parametrize("kernel", sorted(KERNELS))
+@pytest.mark.parametrize("kernel", sorted(KERNELS) + sorted(NEAR_BUILTINS))
 def test_jets_are_the_derivatives_in_psi(kernel, spec):
     # f^{[m]}_psi(t) = d^m/dw^m f(psi^{-1}(psi(a) + w)) at w = psi(t) - psi(a),
     # differentiated by sympy and evaluated to 30 digits
-    psi = KERNELS[kernel]
+    psi = {**KERNELS, **NEAR_BUILTINS}[kernel]
     t = psi.a + 0.77 * (psi.b - psi.a)
     if spec == "1/(t-1)" and abs(t - 1.0) < 0.2:
         t = psi.a + 0.3 * (psi.b - psi.a)
@@ -89,6 +96,33 @@ def test_psi_polynomial_on_a_kernel_given_by_its_expression_ends_at_its_degree(
                         orders.append(order) or frac_op(g, psi, order, *rest))
     fo.leibniz_product(f, JetFunction.of_t(T + 1), psi, 0.5, 1.3, 10)
     assert orders == [0.5, -0.5, -1.5]
+
+
+def test_a_kernel_equal_to_a_built_in_only_as_a_function_takes_the_general_path():
+    # psi.family reads 2 t + 1 in sympy's order (1 + 2 t) as no built-in, so
+    # t has no degree in w here, as in psi.py and forward mode; a built-in
+    # affine kernel's t has degree 1
+    psi = NEAR_BUILTINS["2t+1"]
+    assert program(from_sympy(T**2), psi.tree).degree is None
+    assert program(from_sympy(T**2), KERNELS["affine"].tree).degree == 2
+
+
+@pytest.mark.parametrize("kernel", ["2t+1", "exp(2t)"])
+def test_backends_agree_on_a_kernel_equal_to_a_built_in_only_as_a_function(kernel):
+    # criterion 2's bounds: 1e-8 on the integral, 1e-5 on the derivative,
+    # relative to 1 + |quadrature|, 0.4 and 0.9 of the way into (a, b]; on
+    # [0, 0.45], exp(2 t) spans what exp(t) spans on criterion 2's [0, 0.9]
+    psi = NEAR_BUILTINS[kernel]
+    for fexpr in (sp.Integer(1), T, T**2, sp.exp(T)):
+        f = JetFunction.of_t(fexpr)
+        for alpha in (0.3, 0.5, 1.5):
+            for t in (psi.a + 0.4 * (psi.b - psi.a), psi.a + 0.9 * (psi.b - psi.a)):
+                iq = fo.frac_integral(f, psi, alpha, t)
+                isr = fo.frac_integral_series(f, psi, alpha, t, 30).value
+                assert abs(iq - isr) <= 1e-8 * (1 + abs(iq)), (fexpr, alpha, t)
+                dq = fo.frac_derivative(f, psi, alpha, t)
+                dsr = fo.frac_derivative_series(f, psi, alpha, t, 30).value
+                assert abs(dq - dsr) <= 1e-5 * (1 + abs(dq)), (fexpr, alpha, t)
 
 
 @pytest.mark.parametrize("kernel", ["identity", "power", "exponential"])
